@@ -11,6 +11,9 @@ Every decision also maintains a feasible dual solution (alpha per request,
 beta per capacity triple).  On accept, the dual objective provably grows by
 exactly e/(e-1) times the primal objective; the allocator checks that
 identity on every acceptance and counts violations.
+
+The myopic baselines admit through MyopicAllocator instead: the cheapest
+bundle that fits, behind a hard per-coarse-slot transport budget.
 """
 
 import math
@@ -24,6 +27,7 @@ BONUS_SCALE = 1.0 / (math.e - 1.0)
 REJECT_NEGATIVE = "negative_objective"
 REJECT_CEILING = "price_ceiling"
 REJECT_CAPACITY = "no_feasible_config"
+REJECT_SLOT_BUDGET = "slot_budget"
 
 
 class DualState:
@@ -77,32 +81,24 @@ class Decision:
     transport_cost: float
     per_cloud: dict
     q_eff: float
-    slot: int = -1            # coarse slot, stamped by the caller
+    slot: int = -1            # coarse slot, stamped by run_coarse_slot
 
     @property
     def accepted(self):
         return self.verdict == "accepted"
 
 
-class OnlineAllocator:
-    """Prices and admits requests against one ResourceState."""
+class _AdmissionRule:
+    """Ledger and per-shape config cache shared by both admission rules."""
 
-    def __init__(self, scenario, catalog, resources, guard=None):
+    def __init__(self, scenario, catalog, resources):
         self.scenario = scenario
         self.vms = scenario.vms
         self.topo = scenario.topology
         self.catalog = catalog
         self.resources = resources
-        self.dual = DualState()
-        self.guard = scenario.hard_capacity_guard if guard is None else guard
-        self.counters = {"identity_violations": 0, "scaling_warnings": 0,
-                         "beta_clamped": 0}
+        self.counters = {}
         self._config_cache = {}
-
-    def advance_fine_slot(self, now):
-        """Expire leases, then restart prices against the units still free."""
-        self.resources.advance(now)
-        self.dual.advance(now)
 
     def _configs_for(self, req):
         key = tuple(req.groups())
@@ -111,6 +107,28 @@ class OnlineAllocator:
             cached = enumerate_configs(req, self.topo)
             self._config_cache[key] = cached
         return cached
+
+
+class OnlineAllocator(_AdmissionRule):
+    """Prices and admits requests against one ResourceState."""
+
+    def __init__(self, scenario, catalog, resources, guard=None):
+        super().__init__(scenario, catalog, resources)
+        self.dual = DualState()
+        self.guard = scenario.hard_capacity_guard if guard is None else guard
+        self.counters = {"identity_violations": 0, "scaling_warnings": 0,
+                         "beta_clamped": 0}
+
+    def queue_weight(self, queue):
+        """Weight of transport cost in the score for a virtual queue length."""
+        if self.scenario.score_mode == "q_coupled":
+            return max(queue, 1.0)
+        return 1.0
+
+    def advance_fine_slot(self, now):
+        """Expire leases, then restart prices against the units still free."""
+        self.resources.advance(now)
+        self.dual.advance(now)
 
     def adjusted_revenue(self, req, config, resolver, q_eff):
         """Revenue per unit time net of cost-weighted transport, by cloud."""
@@ -241,6 +259,58 @@ class OnlineAllocator:
 
     def decide(self, req, resolver, q_eff):
         return self.admit(req, self.select_config(req, resolver, q_eff), q_eff)
+
+
+class MyopicAllocator(_AdmissionRule):
+    """Cheapest feasible bundle behind a hard per-coarse-slot budget.
+
+    The myopic baselines read the transport budget as a per-slot cap: once
+    a slot's spend would cross it, further requests are turned away.  They
+    keep no prices and never weigh transport against the virtual queue.
+    """
+
+    def __init__(self, scenario, catalog, resources):
+        super().__init__(scenario, catalog, resources)
+        self.slot_spend = 0.0
+
+    def queue_weight(self, queue):
+        return 0.0
+
+    def advance_fine_slot(self, now):
+        """Expire leases; a new coarse slot starts with nothing spent."""
+        self.resources.advance(now)
+        if now % self.scenario.fine_per_coarse == 0:
+            self.slot_spend = 0.0
+
+    def decide(self, req, resolver, q_eff):
+        table = unit_transport_costs(req, resolver, self.catalog)
+        # a stable sort: equal costs keep the enumeration order
+        ranked = sorted(((sum(req.demand[k][0] * table[(k, i)]
+                              for k, i in config.assignment.items()), config)
+                         for config in self._configs_for(req)),
+                        key=lambda item: item[0])
+        expiry = req.arrival + req.duration
+        for cost, config in ranked:
+            usage = config_usage(req, config, self.vms)
+            if self.resources.fits(usage, req.arrival, expiry):
+                break
+        else:
+            return self._decision(req, REJECT_CAPACITY, None, 0.0, 0.0, 0.0)
+        if self.slot_spend + cost > self.scenario.budget + 1e-9:
+            return self._decision(req, REJECT_SLOT_BUDGET, None, -cost, 0.0, 0.0)
+        self.resources.lease(req.req_id, usage, req.arrival, expiry)
+        revenue = req.duration * sum(self.vms.price(k) * req.demand[k][0]
+                                     for k in config.assignment)
+        self.slot_spend += cost
+        return self._decision(req, None, config, -cost, revenue, cost)
+
+    def _decision(self, req, reason, config, objective, revenue, cost):
+        return Decision(
+            req_id=req.req_id, arrival=req.arrival, duration=req.duration,
+            verdict="rejected" if reason else "accepted", reason=reason,
+            config=config, objective=objective, primal_delta=0.0,
+            dual_delta=0.0, revenue=revenue, transport_cost=cost,
+            per_cloud={}, q_eff=0.0)
 
 
 def dual_feasibility_violations(allocator, requests, resolver, q_eff, tol=1e-7):

@@ -16,6 +16,7 @@ import json
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from .scenario import ScenarioError, load_scenario
@@ -66,19 +67,19 @@ def adjust_cache_ratio(scenario, ratio):
 
 def _build_cell(spec, scenario_path, axis, value, seed):
     """Scenario and workload config for one run cell, sweeps applied."""
-    scenario = load_scenario(scenario_path)
-    for key, val in spec["overrides"].items():
-        if not hasattr(scenario, key):
-            raise ScenarioError(f"override targets unknown field {key!r}")
-        setattr(scenario, key, val)
+    try:
+        # replace() reruns Scenario.__post_init__, which rejects bad values
+        scenario = replace(load_scenario(scenario_path), **spec["overrides"])
+    except TypeError as exc:
+        raise ScenarioError(f"bad scenario override: {exc}") from exc
     with open(resolve_data(spec["workload"], "workload")) as fh:
         cfg = WorkloadConfig.from_dict({**json.load(fh), "seed": seed})
     if axis == "cache_ratio":
         adjust_cache_ratio(scenario, value)
     elif axis == "private_ratio":
-        cfg.private_ratio = value
+        cfg = replace(cfg, private_ratio=value)
     elif axis in ("v_weight", "budget"):
-        setattr(scenario, axis, value)
+        scenario = replace(scenario, **{axis: value})
     elif axis is not None:
         raise ScenarioError(f"unknown sweep axis {axis!r}")
     return scenario, cfg

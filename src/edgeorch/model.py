@@ -160,14 +160,6 @@ class AllocationConfig:
 
     assignment: dict      # type k -> cloud i, for positive-count types only
 
-    def count_at(self, req, i, k):
-        if self.assignment.get(k) != i:
-            return 0
-        return req.demand[k][0]
-
-    def clouds_used(self):
-        return sorted(set(self.assignment.values()))
-
 
 def enumerate_configs(req, topo):
     """All whole-group-to-one-cloud assignments, clouds ascending per type.
@@ -214,15 +206,15 @@ class PlacementProfile:
                 raise ValueError(f"cache capacity exceeded at cloud {i}")
 
 
-def nearest_replica(i, obj_id, placement, topo, catalog, ingress=None):
+def nearest_replica(i, obj_id, placement, topo, catalog=None, ingress=None):
     """Resolve where cloud i fetches an object from: (source, unit latency).
 
     Local hits are free; public misses go to the cheapest caching cloud
-    (ties to the lowest id) and fall back to the origin when nobody caches;
-    private objects always stream from their request's ingress cloud.
+    (ties to the lowest id) and fall back to the origin when nobody caches.
+    With a catalog the object must exist, and a private one streams from its
+    request's ingress cloud; without one the object is taken to be public.
     """
-    catalog.size(obj_id)  # existence check
-    if not catalog.is_public(obj_id):
+    if catalog is not None and not catalog.is_public(obj_id):
         if ingress is None:
             raise ValueError(f"private object {obj_id!r} needs its request ingress")
         return ingress, topo.latency(i, ingress)
@@ -252,12 +244,16 @@ class NearestResolver:
         self._memo = {}
 
     def lookup(self, i, obj_id, ingress=None):
+        # private objects stream from the ingress cloud; not memoized, since
+        # each (cloud, private object) pair is looked up once per request
         if not self.catalog.is_public(obj_id):
+            if ingress is None:
+                raise ValueError(f"private object {obj_id!r} needs its request ingress")
             return ingress, self.topo.latency(i, ingress)
         key = (i, obj_id)
         hit = self._memo.get(key)
         if hit is None:
-            hit = nearest_replica(i, obj_id, self.placement, self.topo, self.catalog)
+            hit = nearest_replica(i, obj_id, self.placement, self.topo)
             self._memo[key] = hit
         return hit
 
@@ -279,25 +275,6 @@ def unit_transport_costs(req, resolver, catalog):
                 total += lat * catalog.size(o)
             table[(k, i)] = total
     return table
-
-
-def request_transport_cost(req, config, placement, topo, catalog):
-    """Total one-shot transport volume-cost of serving req under config."""
-    resolver = NearestResolver(placement, topo, catalog)
-    table = unit_transport_costs(req, resolver, catalog)
-    total = 0.0
-    for k, i in config.assignment.items():
-        count = req.demand[k][0]
-        total += count * table[(k, i)]
-    return total
-
-
-def request_revenue(req, config, vm_catalog):
-    """Revenue earned over the request's whole lifetime: L * sum_k p_k * N_k."""
-    per_slot = 0.0
-    for k in config.assignment:
-        per_slot += vm_catalog.price(k) * req.demand[k][0]
-    return req.duration * per_slot
 
 
 def config_usage(req, config, vm_catalog):
@@ -369,13 +346,6 @@ class ResourceState:
             del self.leases[l.req_id]
         for key in [k for k in self.committed if k[2] < now]:
             del self.committed[key]
-
-    def peak_commitment(self):
-        """Highest commitment seen per (i, r) over still-tracked slots."""
-        peak = {}
-        for (i, r, _), units in self.committed.items():
-            peak[(i, r)] = max(peak.get((i, r), 0.0), units)
-        return peak
 
     def audit(self):
         """Recompute commitments from the lease list; raise on any mismatch."""

@@ -2,9 +2,11 @@
 
 A coarse slot spans a fixed number of fine slots.  At its start the virtual
 queue absorbs the previous slot's transport spend relative to the budget;
-during the slot every arriving request is priced and admitted online with
-the queue length weighting transport against revenue; at its end the slot's
+during the slot every arriving request goes to the admission rule with the
+queue weight that rule derives from the backlog; at its end the slot's
 demand drives a placement refresh that takes effect for the next slot.
+Every policy runs through this loop: policies differ only in the admission
+rule and the placement callable they pass in.
 
 The queue update max(Q + C - budget, 0) telescopes into the usual guarantee:
 time-average cost can exceed the budget by at most Q(T)/T.
@@ -49,16 +51,7 @@ class OrchestratorState:
     queue: float = 0.0
     slot_index: int = 0
     prev_cost: float = 0.0
-    total_revenue: float = 0.0
-    total_cost: float = 0.0
-    total_arrivals: int = 0
-    total_accepted: int = 0
     queue_trace: list = field(default_factory=list)
-
-    def effective_queue(self, score_mode):
-        if score_mode == "q_coupled":
-            return max(self.queue, 1.0)
-        return 1.0
 
 
 def run_coarse_slot(state, arrivals, allocator, place, placement, catalog,
@@ -66,6 +59,8 @@ def run_coarse_slot(state, arrivals, allocator, place, placement, catalog,
     """Run one coarse slot end to end.
 
     arrivals: one list of requests per fine slot of this coarse slot.
+    allocator: admission rule with queue_weight(queue),
+        advance_fine_slot(t) and decide(req, resolver, q_eff) -> Decision.
     place: callable(DemandMatrix) -> (PlacementSolution or None, new profile).
     window_hook: optional callable(fine slot, requests, resolver, q_eff)
         invoked when each fine slot's pricing window closes.
@@ -75,7 +70,7 @@ def run_coarse_slot(state, arrivals, allocator, place, placement, catalog,
     if state.slot_index > 0:
         state.queue = update_virtual_queue(state.queue, state.prev_cost,
                                            scenario.budget)
-    q_eff = state.effective_queue(scenario.score_mode)
+    q_eff = allocator.queue_weight(state.queue)
     resolver = NearestResolver(placement, scenario.topology, catalog)
     base = state.slot_index * scenario.fine_per_coarse
     revenue = 0.0
@@ -89,6 +84,7 @@ def run_coarse_slot(state, arrivals, allocator, place, placement, catalog,
         for req in batch:
             n_arrivals += 1
             decision = allocator.decide(req, resolver, q_eff)
+            decision.slot = state.slot_index
             decisions.append(decision)
             if decision.accepted:
                 revenue += decision.revenue
@@ -116,8 +112,4 @@ def run_coarse_slot(state, arrivals, allocator, place, placement, catalog,
     state.queue_trace.append(state.queue)
     state.prev_cost = cost
     state.slot_index += 1
-    state.total_revenue += revenue
-    state.total_cost += cost
-    state.total_arrivals += n_arrivals
-    state.total_accepted += len(accepted_pairs)
     return report, new_placement, decisions, demand

@@ -14,7 +14,7 @@ object sizes are the weights and the current marginal savings the values.
 import itertools
 from dataclasses import dataclass
 
-from .model import ORIGIN, PlacementProfile
+from .model import PlacementProfile, nearest_replica
 
 
 @dataclass
@@ -55,24 +55,12 @@ def aggregate_demand(accepted, catalog, slot):
     return DemandMatrix(slot, entries)
 
 
-def fetch_latency(i, obj_id, placement, topo):
-    """Unit latency cloud i pays for a public object under a placement."""
-    if placement.holds(i, obj_id):
-        return 0.0
-    best = None
-    for j in placement.holders(obj_id):
-        lat = topo.latency(i, j)
-        if best is None or lat < best:
-            best = lat
-    return topo.origin[i] if best is None else best
-
-
 def placement_cost(placement, demand, topo):
     """Total fetch cost of a demand matrix under a placement profile."""
     total = 0.0
     for key in sorted(demand.entries):
         i, o = key
-        total += demand.entries[key] * fetch_latency(i, o, placement, topo)
+        total += demand.entries[key] * nearest_replica(i, o, placement, topo)[1]
     return total
 
 

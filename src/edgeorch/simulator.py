@@ -5,7 +5,8 @@ redrawn per regime, Zipf-ranked public reads, per-request private data) and
 then replayed identically under each policy so comparisons share the exact
 request stream.
 
-Policies:
+Policies, each an (admission rule, placement rule) pair driven through
+orchestrator.run_coarse_slot:
   proposed      online primal-dual admission + queue-coupled scoring +
                 greedy cooperative placement
   myopic_coop   cheapest feasible bundle, hard per-slot budget, greedy
@@ -22,13 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import OnlineAllocator, dual_feasibility_violations
+from .allocator import (MyopicAllocator, OnlineAllocator,
+                        dual_feasibility_violations)
 from .model import (NearestResolver, PlacementProfile, Request, ResourceState,
                     config_usage, enumerate_configs, unit_transport_costs)
-from .orchestrator import (OrchestratorState, SlotReport, run_coarse_slot,
-                           update_virtual_queue)
-from .placement import (DemandMatrix, aggregate_demand, feasible_content_sets,
+from .orchestrator import OrchestratorState, run_coarse_slot, update_virtual_queue
+from .placement import (DemandMatrix, PlacementSolution, feasible_content_sets,
                         greedy_place, placement_cost, top_popularity_place)
+# no longer called here since every policy aggregates demand in
+# run_coarse_slot; perfbench/tracing.py still wraps this name
+from .placement import aggregate_demand  # noqa: F401
 
 POLICIES = ("proposed", "myopic_coop", "myopic_nocoop")
 
@@ -232,7 +236,7 @@ def _arrivals_grid(workload, scenario, horizon_coarse):
                      for off in range(scenario.fine_per_coarse)])
     return grid
 
-def _check_accounting(slots, decisions, queue_trace, budget, counters):
+def _check_accounting(slots, decisions, budget, counters):
     """Slot accumulators must replay from the decision log, and the queue
     trace from the cost series."""
     by_slot_rev = {}
@@ -267,56 +271,26 @@ def run_policy(policy, scenario, workload, horizon_coarse, guard=None,
     counters = {"accounting_violations": 0, "queue_replay_violations": 0,
                 "dual_violations": 0, "ledger_violations": 0,
                 "replayed_windows": 0}
-    if policy == "proposed":
-        slots, decisions, placements, queue_trace, alloc_counters, high_water = \
-            _run_proposed(scenario, workload, horizon_coarse, guard,
-                          lemma5_windows, counters)
-        counters.update(alloc_counters)
-    else:
-        slots, decisions, placements, queue_trace, high_water = _run_myopic(
-            policy, scenario, workload, horizon_coarse)
-    totals = {
-        "revenue": sum(rep.revenue for rep in slots),
-        "cost": sum(rep.cost for rep in slots),
-        "arrivals": sum(rep.arrivals for rep in slots),
-        "accepted": sum(rep.accepted for rep in slots),
-    }
-    _check_accounting(slots, decisions, queue_trace, scenario.budget, counters)
-    return RunReport(
-        policy=policy,
-        scenario_name=scenario.name,
-        seed=workload.config.seed,
-        horizon_coarse=horizon_coarse,
-        slots=slots,
-        decisions=decisions if keep_decisions else [],
-        placements=placements,
-        queue_trace=queue_trace,
-        totals=totals,
-        counters=counters,
-        stream_hash=workload.stream_hash,
-        wallclock=time.perf_counter() - started,
-        high_water=high_water,
-    )
-
-
-def _run_proposed(scenario, workload, horizon_coarse, guard, lemma5_windows,
-                  counters):
+    catalog = workload.catalog
     resources = ResourceState(scenario.capacity)
-    allocator = OnlineAllocator(scenario, workload.catalog, resources, guard=guard)
-    state = OrchestratorState()
-    placement = PlacementProfile.empty(scenario.topology.n_clouds,
-                                       scenario.cache_size)
+    if policy == "proposed":
+        allocator = OnlineAllocator(scenario, catalog, resources, guard=guard)
+    else:
+        allocator = MyopicAllocator(scenario, catalog, resources)
+    cooperative = policy != "myopic_nocoop"
     perturb_rng = np.random.default_rng([workload.config.seed, 101])
-    grid = _arrivals_grid(workload, scenario, horizon_coarse)
-    slots, decisions, placements = [], [], []
 
     def place(demand):
-        view = demand
-        if workload.config.error_mean > 0:
-            view, _, _ = perturb_demand(demand, workload.config.error_mean,
-                                        perturb_rng)
-        solution = greedy_place(view, scenario.cache_size, scenario.topology,
-                                workload.catalog)
+        view, _, _ = perturb_demand(demand, workload.config.error_mean,
+                                    perturb_rng)
+        if cooperative:
+            solution = greedy_place(view, scenario.cache_size,
+                                    scenario.topology, catalog)
+        else:
+            profile = top_popularity_place(view, scenario.cache_size, catalog)
+            solution = PlacementSolution(
+                profile, placement_cost(profile, view, scenario.topology),
+                0.0, [])
         return solution, solution.profile
 
     hook = None
@@ -327,12 +301,15 @@ def _run_proposed(scenario, workload, horizon_coarse, guard, lemma5_windows,
                 counters["dual_violations"] += dual_feasibility_violations(
                     allocator, seen, resolver, q_eff)
 
+    state = OrchestratorState()
+    placement = PlacementProfile.empty(scenario.topology.n_clouds,
+                                       scenario.cache_size)
+    grid = _arrivals_grid(workload, scenario, horizon_coarse)
+    slots, decisions, placements = [], [], []
     for big in range(horizon_coarse):
         report, placement, slot_decs, _ = run_coarse_slot(
-            state, grid[big], allocator, place, placement, workload.catalog,
+            state, grid[big], allocator, place, placement, catalog,
             scenario, window_hook=hook)
-        for d in slot_decs:
-            d.slot = big
         slots.append(report)
         decisions.extend(slot_decs)
         placements.append((big, {i: sorted(placement.cached[i])
@@ -343,123 +320,29 @@ def _run_proposed(scenario, workload, horizon_coarse, guard, lemma5_windows,
         resources.audit()
     except AssertionError:
         counters["ledger_violations"] += 1
-    return (slots, decisions, placements, list(state.queue_trace),
-            dict(allocator.counters), dict(resources.high_water))
-
-
-@dataclass
-class MyopicDecision:
-    req_id: int
-    arrival: int
-    duration: int
-    verdict: str
-    reason: str | None
-    config: object | None
-    objective: float
-    revenue: float
-    transport_cost: float
-    slot: int = -1
-    primal_delta: float = 0.0
-    dual_delta: float = 0.0
-    per_cloud: dict = field(default_factory=dict)
-    q_eff: float = 0.0
-
-    @property
-    def accepted(self):
-        return self.verdict == "accepted"
-
-
-def _run_myopic(policy, scenario, workload, horizon_coarse):
-    """Min-transport-cost feasible bundles behind a hard per-slot budget.
-
-    The sample policies read the transport budget as a per-coarse-slot cap:
-    once a slot's spend would cross it, further requests are turned away.
-    """
-    resources = ResourceState(scenario.capacity)
-    vms = scenario.vms
-    catalog = workload.catalog
-    placement = PlacementProfile.empty(scenario.topology.n_clouds,
-                                       scenario.cache_size)
-    perturb_rng = np.random.default_rng([workload.config.seed, 101])
-    grid = _arrivals_grid(workload, scenario, horizon_coarse)
-    config_cache = {}
-    slots, decisions, placements, queue_trace = [], [], [], []
-    queue = 0.0
-
-    for big in range(horizon_coarse):
-        resolver = NearestResolver(placement, scenario.topology, catalog)
-        revenue = cost = 0.0
-        arrivals = accepted = 0
-        accepted_pairs = []
-        base = big * scenario.fine_per_coarse
-        for off, batch in enumerate(grid[big]):
-            resources.advance(base + off)
-            for req in batch:
-                arrivals += 1
-                key = tuple(req.groups())
-                configs = config_cache.get(key)
-                if configs is None:
-                    configs = enumerate_configs(req, scenario.topology)
-                    config_cache[key] = configs
-                table = unit_transport_costs(req, resolver, catalog)
-                ranked = []
-                for config in configs:
-                    c = sum(req.demand[k][0] * table[(k, i)]
-                            for k, i in config.assignment.items())
-                    ranked.append((c, len(ranked), config))
-                ranked.sort(key=lambda item: (item[0], item[1]))
-                chosen = None
-                for c, _, config in ranked:
-                    usage = config_usage(req, config, vms)
-                    if resources.fits(usage, req.arrival, req.arrival + req.duration):
-                        chosen = (c, config, usage)
-                        break
-                if chosen is None:
-                    decisions.append(MyopicDecision(
-                        req.req_id, req.arrival, req.duration, "rejected",
-                        "no_feasible_config", None, 0.0, 0.0, 0.0, slot=big))
-                    continue
-                c, config, usage = chosen
-                if cost + c > scenario.budget + 1e-9:
-                    decisions.append(MyopicDecision(
-                        req.req_id, req.arrival, req.duration, "rejected",
-                        "slot_budget", None, -c, 0.0, 0.0, slot=big))
-                    continue
-                resources.lease(req.req_id, usage, req.arrival,
-                                req.arrival + req.duration)
-                rev = req.duration * sum(vms.price(k) * req.demand[k][0]
-                                         for k in config.assignment)
-                revenue += rev
-                cost += c
-                accepted += 1
-                accepted_pairs.append((req, config))
-                decisions.append(MyopicDecision(
-                    req.req_id, req.arrival, req.duration, "accepted", None,
-                    config, -c, rev, c, slot=big))
-
-        demand = aggregate_demand(accepted_pairs, catalog, big)
-        view = demand
-        if workload.config.error_mean > 0:
-            view, _, _ = perturb_demand(demand, workload.config.error_mean,
-                                        perturb_rng)
-        if policy == "myopic_coop":
-            solution = greedy_place(view, scenario.cache_size, scenario.topology,
-                                    catalog)
-            placement = solution.profile
-            pobj, psav = solution.objective, solution.savings
-        else:
-            placement = top_popularity_place(view, scenario.cache_size, catalog)
-            pobj = placement_cost(placement, view, scenario.topology)
-            psav = 0.0
-        slots.append(SlotReport(
-            slot=big, revenue=revenue, cost=cost, queue=queue, q_eff=0.0,
-            arrivals=arrivals, accepted=accepted, dpp=0.0,
-            placement_objective=pobj, placement_savings=psav))
-        queue_trace.append(queue)
-        queue = update_virtual_queue(queue, cost, scenario.budget)
-        placements.append((big, {i: sorted(placement.cached[i])
-                                 for i in sorted(placement.cached)}, pobj, psav))
-    return slots, decisions, placements, queue_trace, dict(resources.high_water)
+    counters.update(allocator.counters)
+    totals = {
+        "revenue": sum(rep.revenue for rep in slots),
+        "cost": sum(rep.cost for rep in slots),
+        "arrivals": sum(rep.arrivals for rep in slots),
+        "accepted": sum(rep.accepted for rep in slots),
+    }
+    _check_accounting(slots, decisions, scenario.budget, counters)
+    return RunReport(
+        policy=policy,
+        scenario_name=scenario.name,
+        seed=workload.config.seed,
+        horizon_coarse=horizon_coarse,
+        slots=slots,
+        decisions=decisions if keep_decisions else [],
+        placements=placements,
+        queue_trace=state.queue_trace,
+        totals=totals,
+        counters=counters,
+        stream_hash=workload.stream_hash,
+        wallclock=time.perf_counter() - started,
+        high_water=dict(resources.high_water),
+    )
 
 
 def lookahead_oracle(scenario, workload, n_frame, frame_index,

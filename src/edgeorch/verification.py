@@ -106,9 +106,7 @@ def suite_lemma5(seed=0, horizon=150, n_windows=100):
 def suite_lemma6(seed=0, horizon=150):
     """Every acceptance must move the dual objective by exactly e/(e-1)
     times the primal objective; the allocator checks this inline."""
-    started = time.perf_counter()
     _, _, report = _exp1_run(seed, horizon)
-    elapsed = time.perf_counter() - started + report.wallclock
     accepted = report.totals["accepted"]
     violations = report.counters["identity_violations"]
     lines = [
@@ -116,10 +114,10 @@ def suite_lemma6(seed=0, horizon=150):
         f"dual/primal increment identity violations (1e-9 relative): {violations}",
         f"run wallclock {report.wallclock:.1f}s",
     ]
-    passed = accepted >= 500 and violations == 0 and elapsed < 30.0
+    passed = accepted >= 500 and violations == 0 and report.wallclock < 30.0
     return SuiteResult("lemma6", passed, lines,
                        {"accepted": accepted, "violations": violations,
-                        "elapsed": elapsed})
+                        "elapsed": report.wallclock})
 
 
 def _lemma7_one(seed):
@@ -235,10 +233,10 @@ def suite_prop2(n_instances=200, seed=77):
                         "super_failures": super_failures})
 
 
-def tiny_instance_seeds(n=20, per_frame_cap=4, n_frame=2, z=3, start=0):
-    """First n workload seeds whose tiny streams keep every frame at or
-    under the per-frame request cap, so the oracle's search stays exhaustive
-    at the intended size."""
+def tiny_instances(n=20, per_frame_cap=4, n_frame=2, z=3, start=0):
+    """(seed, workload) for the first n workload seeds whose tiny streams
+    keep every frame at or under the per-frame request cap, so the oracle's
+    search stays exhaustive at the intended size."""
     scenario = make_tiny_scenario()
     cfg_base = dict(lambda_range=(0.0, 0.5), regime_length=4,
                     objects_per_vm=(1, 2), private_ratio=1.0)
@@ -252,7 +250,7 @@ def tiny_instance_seeds(n=20, per_frame_cap=4, n_frame=2, z=3, start=0):
         for req in wl.requests:
             counts[req.arrival // frame_fine] += 1
         if max(counts, default=0) <= per_frame_cap:
-            chosen.append(seed)
+            chosen.append((seed, wl))
         seed += 1
     return chosen
 
@@ -261,13 +259,9 @@ def suite_theorem1(n_instances=20, n_frame=2, z=3):
     """Achieved per-slot revenue against the exhaustive frame oracle."""
     started = time.perf_counter()
     scenario = make_tiny_scenario()
-    seeds = tiny_instance_seeds(n_instances, n_frame=n_frame, z=z)
+    instances = tiny_instances(n_instances, n_frame=n_frame, z=z)
     rows = []
-    for seed in seeds:
-        cfg = WorkloadConfig(seed=seed, lambda_range=(0.0, 0.5), regime_length=4,
-                             objects_per_vm=(1, 2), private_ratio=1.0)
-        workload = generate_workload(cfg, scenario,
-                                     z * n_frame * scenario.fine_per_coarse)
+    for seed, workload in instances:
         report = run_policy("proposed", scenario, workload, z * n_frame,
                             keep_decisions=False)
         oracle = [lookahead_oracle(scenario, workload, n_frame, f)[0]
@@ -280,7 +274,7 @@ def suite_theorem1(n_instances=20, n_frame=2, z=3):
     margins = [r["lhs"] - r["rhs"] for r in rows]
     elapsed = time.perf_counter() - started
     lines = [
-        f"{len(seeds)} tiny instances against the {n_frame}-slot oracle",
+        f"{len(instances)} tiny instances against the {n_frame}-slot oracle",
         f"guarantee violations: {len(failures)}",
         f"smallest margin lhs-rhs: {min(margins):.2f}",
         f"elapsed {elapsed:.1f}s",
@@ -288,7 +282,7 @@ def suite_theorem1(n_instances=20, n_frame=2, z=3):
     if failures:
         lines.append("failing seeds: "
                      + str([r["seed"] for r in failures]))
-    passed = not failures and len(seeds) == n_instances and elapsed < 300.0
+    passed = not failures and len(instances) == n_instances and elapsed < 300.0
     return SuiteResult("theorem1", passed, lines,
                        {"rows": rows, "margins": margins, "elapsed": elapsed})
 

@@ -1,11 +1,12 @@
 import csv
+import hashlib
 import json
 
 import pytest
 
 from edgeorch.cli import (DATA_DIR, _cell_key, _fmt_config,
                           adjust_cache_ratio, load_experiment, main,
-                          resolve_data, svg_line_chart)
+                          resolve_data, run_experiment, svg_line_chart)
 from edgeorch.model import AllocationConfig
 from edgeorch.scenario import ScenarioError, make_desk_scenario
 
@@ -120,6 +121,17 @@ def test_unknown_inputs_exit_2(tmp_path):
     assert main(["run", str(spec), "--out", str(tmp_path / "y")]) == 2
 
 
+@pytest.mark.parametrize("extra", [
+    {"overrides": {"score_mode": "q_copuled"}},
+    {"overrides": {"budget": -5.0}},
+    {"sweep": {"axis": "budget", "values": [-5.0]}},
+])
+def test_bad_override_values_exit_2(tmp_path, capsys, extra):
+    spec = mini_spec(tmp_path, **extra)
+    assert main(["run", str(spec), "--out", str(tmp_path / "z")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_verify_command(capsys):
     assert main(["verify", "prop2"]) == 0
     out = capsys.readouterr().out
@@ -147,3 +159,78 @@ def test_svg_chart_is_deterministic(tmp_path):
     text = p1.read_text()
     assert text.count("<polyline") == 2
     assert text.rstrip().endswith("</svg>")
+
+
+# sha256 of every CSV that `run_experiment` writes for desk.json and
+# workload_default.json, seeds 0-2, 20 coarse slots.  The myopic slots
+# digests changed once, when the myopic baselines moved onto the shared
+# control loop and their `dpp` column began to carry the drift-plus-penalty
+# value instead of a 0.0 placeholder; every other digest dates from before.
+PINNED_DIGESTS = {
+    "myopic_coop_s0_decisions.csv":
+        "d2eb965c1b1c1b42420eeeb024d0e81b5650686a62f4d2d1014e5070c4484a70",
+    "myopic_coop_s0_placements.csv":
+        "20655063b616f920418595ebd2c8ffa42b0c836d7ac951e2e8bc0efca1317084",
+    "myopic_coop_s0_slots.csv":
+        "f7f6be6243a5f2c5df0e598f687316b1972dad3ffad5f8c66982fa8bf8c6009f",
+    "myopic_coop_s1_decisions.csv":
+        "e7d6d85bf168b39ab8bbf2d083cb6246cb77f6df958830e57808255049e750d4",
+    "myopic_coop_s1_placements.csv":
+        "92f0ddaf88837627e4a5a9b5d301e89d5c710b9ad42be22dc574bcc7994d840e",
+    "myopic_coop_s1_slots.csv":
+        "c8c3cfb0ba107c4c098e13b50edaa275aeb51a0e792f79a0171e45342116b145",
+    "myopic_coop_s2_decisions.csv":
+        "c0b8376272c98badf5060fd1bbc16800597c87ec1629c64cc7eb2ce3b896b3ce",
+    "myopic_coop_s2_placements.csv":
+        "bf36fadb914708c83fdf38d8a77e13b12aeea2f8453f36bedbf00e3a01772278",
+    "myopic_coop_s2_slots.csv":
+        "742a67c3be441e9c10b3efd45279d72dc29dc32eb56e5884b41070fca64b0a30",
+    "myopic_nocoop_s0_decisions.csv":
+        "f3f268c291be34c5a8adb470b6edfa2a150456425bfd81718a6610d68e4db319",
+    "myopic_nocoop_s0_placements.csv":
+        "f49a0932513df051c64bdd8de4f0417a67c9d39dfd1faafaa6c4a5a9e8aa8c39",
+    "myopic_nocoop_s0_slots.csv":
+        "7c0b52412419a3a2b412a3fdf248252140d2fc086c0d74b30d59429708d68961",
+    "myopic_nocoop_s1_decisions.csv":
+        "aa15e1bea68f1e6fc490e2dd4524490490f58ed50516e79541cf8952e739f151",
+    "myopic_nocoop_s1_placements.csv":
+        "33b4727a60a790991abbb190b3ee82563b4bf998d678dd4c61330116bf566717",
+    "myopic_nocoop_s1_slots.csv":
+        "344efe69680f76d07d6d24e200f3af2f133790f306c9f28074e7f9090e763036",
+    "myopic_nocoop_s2_decisions.csv":
+        "f1a8acd50c577c5a12477fc90299ba71b936bff10c9a5594b06b535eabfa4d69",
+    "myopic_nocoop_s2_placements.csv":
+        "f6b2e3c62e745cc1bd77a17a3765e34b8f62e50113950d0c9ad459a2f46aeb1a",
+    "myopic_nocoop_s2_slots.csv":
+        "b1a1d8185eae555a90879a358f1dc737451df21eb0cba7369a5c32c2d001f508",
+    "proposed_s0_decisions.csv":
+        "65ce16d6d7157b759647b87518998479741ccb4314a4f1ea8cd96e099238de56",
+    "proposed_s0_placements.csv":
+        "af8239fde1db5a82bd498c49bf9ab277f273ec0e2b81021fe99c11d0a2b1b0f3",
+    "proposed_s0_slots.csv":
+        "cfa997972158da7715cfe4e2881453f99d6d6de1f040fd499e1f462313d59d00",
+    "proposed_s1_decisions.csv":
+        "255a3832a6de5be3700f8689ac9c8bce1ae4a2f6054a8a11488f6921f800ddf3",
+    "proposed_s1_placements.csv":
+        "cce929847e773743e74e709d44b6c1d8182fe4ef28dca127f7e577f399e60f03",
+    "proposed_s1_slots.csv":
+        "857f04d1d2111fb0aeed9afab8455675ea2bf232c81cdbde65237b6f09c83aee",
+    "proposed_s2_decisions.csv":
+        "86878b70a3fe878c9e660ec70486a4e047fe0093c3db335235b5e7e719f98a81",
+    "proposed_s2_placements.csv":
+        "1a16bec422de46e0ab22eb5cc36c5c078e39705d95a32436661078fa2a304c21",
+    "proposed_s2_slots.csv":
+        "045f3c762c43e7f72ba83785399df958fac935711af40097cc109ada3e55622d",
+}
+
+
+def test_outputs_match_pinned_digests(tmp_path):
+    spec = {"name": "pin", "scenario": "desk.json",
+            "workload": "workload_default.json", "horizon": 20,
+            "seeds": [0, 1, 2],
+            "policies": ["proposed", "myopic_coop", "myopic_nocoop"],
+            "sweep": None, "overrides": {}, "lookahead": None}
+    assert run_experiment(spec, tmp_path) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.glob("*.csv")}
+    assert got == PINNED_DIGESTS

@@ -4,8 +4,7 @@ import pytest
 from edgeorch.model import (ORIGIN, DataCatalog, NearestResolver,
                             PlacementProfile, Request, ResourceState, Topology,
                             VMCatalog, config_usage, enumerate_configs,
-                            nearest_replica, request_revenue,
-                            request_transport_cost, unit_transport_costs)
+                            nearest_replica, unit_transport_costs)
 
 
 def two_cloud_topo():
@@ -83,6 +82,16 @@ def test_nearest_replica_resolution():
     assert nearest_replica(1, "p1", placement, topo, catalog, ingress=0) == (0, 20.0)
 
 
+def test_private_lookup_needs_ingress():
+    topo = two_cloud_topo()
+    catalog = small_catalog()
+    placement = PlacementProfile.empty(2, {0: 4.0, 1: 4.0})
+    with pytest.raises(ValueError, match="ingress"):
+        NearestResolver(placement, topo, catalog).lookup(0, "p1")
+    with pytest.raises(ValueError, match="ingress"):
+        nearest_replica(0, "p1", placement, topo, catalog)
+
+
 def test_unit_transport_costs_table():
     topo = two_cloud_topo()
     catalog = small_catalog()
@@ -103,9 +112,14 @@ def test_request_cost_and_revenue():
     placement = PlacementProfile.empty(2, {0: 4.0, 1: 4.0})
     req = Request(1, 0, 4, 0, {0: (2, ("o2",))})
     config = enumerate_configs(req, topo)[1]      # host both VMs at cloud 1
+    table = unit_transport_costs(req, NearestResolver(placement, topo, catalog),
+                                 catalog)
     # o2 uncached: origin fetch at 120 from cloud 1, size 1, two VMs
-    assert request_transport_cost(req, config, placement, topo, catalog) == 240.0
-    assert request_revenue(req, config, vms) == 80.0   # 4 slots * 10 * 2
+    assert sum(req.demand[k][0] * table[(k, i)]
+               for k, i in config.assignment.items()) == 240.0
+    # 4 slots * 10 * 2
+    assert req.duration * sum(vms.price(k) * req.demand[k][0]
+                              for k in config.assignment) == 80.0
 
 
 def test_config_usage_drops_zero_rows():

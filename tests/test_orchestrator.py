@@ -1,6 +1,6 @@
 import pytest
 
-from edgeorch.allocator import OnlineAllocator
+from edgeorch.allocator import MyopicAllocator, OnlineAllocator
 from edgeorch.model import (NearestResolver, PlacementProfile, Request,
                             ResourceState)
 from edgeorch.orchestrator import (OrchestratorState, SlotReport,
@@ -30,12 +30,16 @@ def test_slot_report_acceptance():
 
 
 def test_effective_queue_modes():
-    state = OrchestratorState(queue=0.0)
-    assert state.effective_queue("q_coupled") == 1.0
-    assert state.effective_queue("paper") == 1.0
-    state.queue = 42.0
-    assert state.effective_queue("q_coupled") == 42.0
-    assert state.effective_queue("paper") == 1.0
+    scn = make_tiny_scenario()
+    resources = ResourceState(dict(scn.capacity))
+    proposed = OnlineAllocator(scn, scn.catalog, resources)
+    myopic = MyopicAllocator(scn, scn.catalog, resources)
+    assert proposed.queue_weight(0.0) == 1.0
+    assert proposed.queue_weight(42.0) == 42.0
+    assert myopic.queue_weight(42.0) == 0.0
+    scn.score_mode = "paper"
+    assert proposed.queue_weight(0.0) == 1.0
+    assert proposed.queue_weight(42.0) == 1.0
 
 
 def run_one_slot(scenario, arrivals, state=None):

@@ -5,7 +5,7 @@ from edgeorch.model import (AllocationConfig, DataCatalog, PlacementProfile,
                             Request, Topology)
 from edgeorch.placement import (DemandMatrix, _best_content, aggregate_demand,
                                 brute_force_place, feasible_content_sets,
-                                fetch_latency, greedy_place, placement_cost,
+                                greedy_place, placement_cost,
                                 random_placement_instance,
                                 top_popularity_place)
 
@@ -41,9 +41,9 @@ def test_aggregate_demand_skips_zero_count_groups():
 def test_fetch_latency_and_cost():
     topo = pair_topo()
     profile = PlacementProfile({0: ("o1",), 1: ()}, {0: 1.0, 1: 1.0})
-    assert fetch_latency(0, "o1", profile, topo) == 0.0
-    assert fetch_latency(1, "o1", profile, topo) == 20.0
-    assert fetch_latency(1, "o2", profile, topo) == 110.0
+    assert placement_cost(profile, DemandMatrix(0, {(0, "o1"): 1.0}), topo) == 0.0
+    assert placement_cost(profile, DemandMatrix(0, {(1, "o1"): 1.0}), topo) == 20.0
+    assert placement_cost(profile, DemandMatrix(0, {(1, "o2"): 1.0}), topo) == 110.0
     demand = DemandMatrix(0, {(0, "o1"): 10.0, (1, "o2"): 5.0})
     assert placement_cost(profile, demand, topo) == 550.0
 

@@ -228,8 +228,7 @@ def test_accounting_checker_flags_tampering():
     rep = run_policy("proposed", scn, wl, 2)
     counters = {"accounting_violations": 0, "queue_replay_violations": 0}
     rep.slots[0].revenue += 1.0
-    _check_accounting(rep.slots, rep.decisions, rep.queue_trace, scn.budget,
-                      counters)
+    _check_accounting(rep.slots, rep.decisions, scn.budget, counters)
     assert counters["accounting_violations"] >= 1
 
 

@@ -1,9 +1,11 @@
+import time
+
 import pytest
 
+from edgeorch import verification
 from edgeorch.scenario import make_tiny_scenario
 from edgeorch.simulator import WorkloadConfig, generate_workload
-from edgeorch.verification import (SUITE_NAMES, run_suite,
-                                   tiny_instance_seeds)
+from edgeorch.verification import SUITE_NAMES, run_suite, tiny_instances
 
 
 def test_run_suite_rejects_unknown_name():
@@ -22,20 +24,44 @@ def test_suite_result_shape():
 
 
 def test_tiny_instance_seeds_respect_cap():
-    seeds = tiny_instance_seeds(n=5, per_frame_cap=4, n_frame=2, z=3)
+    instances = tiny_instances(n=5, per_frame_cap=4, n_frame=2, z=3)
+    seeds = [seed for seed, _ in instances]
     assert len(seeds) == 5
     assert seeds == sorted(seeds)
     scenario = make_tiny_scenario()
     frame_fine = 2 * scenario.fine_per_coarse
-    for seed in seeds:
+    for seed, wl in instances:
         cfg = WorkloadConfig(seed=seed, lambda_range=(0.0, 0.5),
                              regime_length=4, objects_per_vm=(1, 2),
                              private_ratio=1.0)
-        wl = generate_workload(cfg, scenario, 3 * frame_fine)
+        assert wl.stream_hash == generate_workload(cfg, scenario,
+                                                   3 * frame_fine).stream_hash
         counts = [0, 0, 0]
         for req in wl.requests:
             counts[req.arrival // frame_fine] += 1
         assert max(counts) <= 4
+
+
+def test_theorem1_generates_each_workload_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return generate_workload(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "generate_workload", counting)
+    result = run_suite("theorem1", n_instances=3)
+    assert result.passed
+    # one generation per screened seed: the chosen ones are not drawn again
+    assert len(calls) == result.data["rows"][-1]["seed"] + 1
+
+
+def test_lemma6_counts_its_run_once():
+    verification._exp1_cache.clear()
+    started = time.perf_counter()
+    result = verification.suite_lemma6(horizon=20)
+    wall = time.perf_counter() - started
+    assert 0.0 < result.data["elapsed"] <= wall
 
 
 def test_suite_names_cover_dispatch():
