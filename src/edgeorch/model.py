@@ -206,18 +206,13 @@ class PlacementProfile:
                 raise ValueError(f"cache capacity exceeded at cloud {i}")
 
 
-def nearest_replica(i, obj_id, placement, topo, catalog=None, ingress=None):
-    """Resolve where cloud i fetches an object from: (source, unit latency).
+def nearest_replica(i, obj_id, placement, topo):
+    """Resolve where cloud i fetches a public object from: (source, unit latency).
 
-    Local hits are free; public misses go to the cheapest caching cloud
-    (ties to the lowest id) and fall back to the origin when nobody caches.
-    With a catalog the object must exist, and a private one streams from its
-    request's ingress cloud; without one the object is taken to be public.
+    Local hits are free; misses go to the cheapest caching cloud (ties to the
+    lowest id) and fall back to the origin when nobody caches. Private
+    objects stream from their request's ingress; NearestResolver handles them.
     """
-    if catalog is not None and not catalog.is_public(obj_id):
-        if ingress is None:
-            raise ValueError(f"private object {obj_id!r} needs its request ingress")
-        return ingress, topo.latency(i, ingress)
     if placement.holds(i, obj_id):
         return i, 0.0
     best = None

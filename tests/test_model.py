@@ -72,14 +72,15 @@ def test_nearest_replica_resolution():
     catalog = small_catalog()
     placement = PlacementProfile({0: (), 1: ("o1",)}, {0: 4.0, 1: 4.0})
     # cached remotely: nearest holder
-    assert nearest_replica(0, "o1", placement, topo, catalog) == (1, 20.0)
+    assert nearest_replica(0, "o1", placement, topo) == (1, 20.0)
     # cached locally: free
-    assert nearest_replica(1, "o1", placement, topo, catalog) == (1, 0.0)
+    assert nearest_replica(1, "o1", placement, topo) == (1, 0.0)
     # cached nowhere: origin
-    assert nearest_replica(0, "o2", placement, topo, catalog) == (ORIGIN, 100.0)
+    assert nearest_replica(0, "o2", placement, topo) == (ORIGIN, 100.0)
     # private objects always come from the ingress cloud
-    assert nearest_replica(0, "p1", placement, topo, catalog, ingress=0) == (0, 0.0)
-    assert nearest_replica(1, "p1", placement, topo, catalog, ingress=0) == (0, 20.0)
+    resolver = NearestResolver(placement, topo, catalog)
+    assert resolver.lookup(0, "p1", ingress=0) == (0, 0.0)
+    assert resolver.lookup(1, "p1", ingress=0) == (0, 20.0)
 
 
 def test_private_lookup_needs_ingress():
@@ -88,8 +89,6 @@ def test_private_lookup_needs_ingress():
     placement = PlacementProfile.empty(2, {0: 4.0, 1: 4.0})
     with pytest.raises(ValueError, match="ingress"):
         NearestResolver(placement, topo, catalog).lookup(0, "p1")
-    with pytest.raises(ValueError, match="ingress"):
-        nearest_replica(0, "p1", placement, topo, catalog)
 
 
 def test_unit_transport_costs_table():

@@ -56,8 +56,8 @@ def test_theorem1_generates_each_workload_once(monkeypatch):
     assert len(calls) == result.data["rows"][-1]["seed"] + 1
 
 
-def test_lemma6_counts_its_run_once():
-    verification._exp1_cache.clear()
+def test_lemma6_counts_its_run_once(monkeypatch):
+    monkeypatch.setattr(verification, "_exp1_cache", {})
     started = time.perf_counter()
     result = verification.suite_lemma6(horizon=20)
     wall = time.perf_counter() - started
