@@ -37,7 +37,6 @@ class DualState:
         self.beta = {}        # (cloud, resource, fine slot) -> price
         self.baseline = {}    # (cloud, resource, fine slot) -> capacity at window start
         self.alpha = {}       # request id -> dual value of its admission constraint
-        self.window_start = 0
 
     def price(self, key):
         return self.beta.get(key, 0.0)
@@ -49,10 +48,9 @@ class DualState:
             self.baseline[key] = cap
         return cap
 
-    def advance(self, now):
+    def advance(self):
         self.beta.clear()
         self.baseline.clear()
-        self.window_start = now
 
 
 @dataclass
@@ -61,7 +59,6 @@ class ScoredConfig:
     objective: float          # L * adjusted revenue - shadow-price charge
     adjusted_revenue: float   # sum of the per-cloud values below
     per_cloud: dict           # cloud -> adjusted revenue earned there
-    charge: float
     revenue: float            # realized revenue if accepted (price * count * L)
     transport_cost: float     # one-shot transport cost at current placement
 
@@ -112,10 +109,9 @@ class _AdmissionRule:
 class OnlineAllocator(_AdmissionRule):
     """Prices and admits requests against one ResourceState."""
 
-    def __init__(self, scenario, catalog, resources, guard=None):
+    def __init__(self, scenario, catalog, resources):
         super().__init__(scenario, catalog, resources)
         self.dual = DualState()
-        self.guard = scenario.hard_capacity_guard if guard is None else guard
         self.counters = {"identity_violations": 0, "scaling_warnings": 0,
                          "beta_clamped": 0}
 
@@ -128,14 +124,10 @@ class OnlineAllocator(_AdmissionRule):
     def advance_fine_slot(self, now):
         """Expire leases, then restart prices against the units still free."""
         self.resources.advance(now)
-        self.dual.advance(now)
-
-    def adjusted_revenue(self, req, config, resolver, q_eff):
-        """Revenue per unit time net of cost-weighted transport, by cloud."""
-        table = unit_transport_costs(req, resolver, self.catalog)
-        return self._score_one(req, config, table, q_eff)
+        self.dual.advance()
 
     def _score_one(self, req, config, table, q_eff):
+        """Revenue per unit time net of cost-weighted transport, by cloud."""
         v = self.scenario.v_weight
         per_cloud = {}
         cost = 0.0
@@ -163,16 +155,16 @@ class OnlineAllocator(_AdmissionRule):
                 total += units * self.dual.price((key[0], key[1], t))
         return total
 
-    def select_config(self, req, resolver, q_eff):
+    def select_config(self, req, fetch, q_eff):
         """Highest priced-out objective across all configs; first wins ties."""
-        table = unit_transport_costs(req, resolver, self.catalog)
+        table = unit_transport_costs(req, fetch, self.topo, self.catalog)
         best = None
         for config in self._configs_for(req):
             total, per_cloud, cost, revenue = self._score_one(req, config, table, q_eff)
             objective = req.duration * total - self._charge(req, config)
             if best is None or objective > best.objective:
                 best = ScoredConfig(config, objective, total, per_cloud,
-                                    req.duration * total - objective, revenue, cost)
+                                    revenue, cost)
         return best
 
     def admit(self, req, scored, q_eff):
@@ -192,8 +184,8 @@ class OnlineAllocator(_AdmissionRule):
                     # nothing was free when this window's prices were set
                     return self._reject(req, scored, REJECT_CEILING, q_eff)
 
-        if self.guard and not self.resources.fits(usage, req.arrival,
-                                                  req.arrival + req.duration):
+        if self.scenario.hard_capacity_guard and not self.resources.fits(
+                usage, req.arrival, req.arrival + req.duration):
             return self._reject(req, scored, REJECT_CAPACITY, q_eff)
 
         # resources per cloud this config actually prices; the bonus is
@@ -257,8 +249,8 @@ class OnlineAllocator(_AdmissionRule):
             q_eff=q_eff,
         )
 
-    def decide(self, req, resolver, q_eff):
-        return self.admit(req, self.select_config(req, resolver, q_eff), q_eff)
+    def decide(self, req, fetch, q_eff):
+        return self.admit(req, self.select_config(req, fetch, q_eff), q_eff)
 
 
 class MyopicAllocator(_AdmissionRule):
@@ -282,8 +274,8 @@ class MyopicAllocator(_AdmissionRule):
         if now % self.scenario.fine_per_coarse == 0:
             self.slot_spend = 0.0
 
-    def decide(self, req, resolver, q_eff):
-        table = unit_transport_costs(req, resolver, self.catalog)
+    def decide(self, req, fetch, q_eff):
+        table = unit_transport_costs(req, fetch, self.topo, self.catalog)
         # a stable sort: equal costs keep the enumeration order
         ranked = sorted(((sum(req.demand[k][0] * table[(k, i)]
                               for k, i in config.assignment.items()), config)
@@ -313,7 +305,7 @@ class MyopicAllocator(_AdmissionRule):
             per_cloud={}, q_eff=0.0)
 
 
-def dual_feasibility_violations(allocator, requests, resolver, q_eff, tol=1e-7):
+def dual_feasibility_violations(allocator, requests, fetch, q_eff, tol=1e-7):
     """Replay every config of the given requests against the current duals.
 
     Covered means alpha plus the config's charge at today's prices reaches
@@ -323,7 +315,8 @@ def dual_feasibility_violations(allocator, requests, resolver, q_eff, tol=1e-7):
     bad = 0
     for req in requests:
         alpha = allocator.dual.alpha.get(req.req_id, 0.0)
-        table = unit_transport_costs(req, resolver, allocator.catalog)
+        table = unit_transport_costs(req, fetch, allocator.topo,
+                                     allocator.catalog)
         for config in allocator._configs_for(req):
             total, _, _, _ = allocator._score_one(req, config, table, q_eff)
             slack = alpha + allocator._charge(req, config) - req.duration * total

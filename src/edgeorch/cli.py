@@ -30,17 +30,23 @@ DATA_DIR = Path(__file__).parent / "data"
 
 
 def resolve_data(name, kind=""):
-    """A bare name means a bundled file; anything with a path stays a path."""
+    """A bare name means a bundled file; anything with a path stays a path.
+
+    A file of that bare name in the current directory still wins, with a
+    warning that it shadows the bundled one.
+    """
     p = Path(name)
-    if p.exists():
-        return p
+    bundled = None
     if "/" not in str(name):
-        candidate = DATA_DIR / name
-        if candidate.exists():
-            return candidate
-        candidate = DATA_DIR / f"{name}.json"
-        if candidate.exists():
-            return candidate
+        bundled = next((c for c in (DATA_DIR / name, DATA_DIR / f"{name}.json")
+                        if c.exists()), None)
+    if p.exists():
+        if bundled is not None:
+            log.warning("%s %s in the current directory shadows bundled %s",
+                        kind or "file", p.resolve(), bundled)
+        return p
+    if bundled is not None:
+        return bundled
     raise FileNotFoundError(f"cannot resolve {kind or 'file'} {name!r}")
 
 

@@ -210,8 +210,7 @@ def nearest_replica(i, obj_id, placement, topo):
     """Resolve where cloud i fetches a public object from: (source, unit latency).
 
     Local hits are free; misses go to the cheapest caching cloud (ties to the
-    lowest id) and fall back to the origin when nobody caches. Private
-    objects stream from their request's ingress; NearestResolver handles them.
+    lowest id) and fall back to the origin when nobody caches.
     """
     if placement.holds(i, obj_id):
         return i, 0.0
@@ -225,49 +224,32 @@ def nearest_replica(i, obj_id, placement, topo):
     return best
 
 
-class NearestResolver:
-    """Memoized nearest_replica for one placement profile.
+def fetch_latencies(placement, topo, objects):
+    """Unit latency at which each cloud gets each public object: fetch[i][o].
 
-    Profiles are swapped atomically at coarse-slot boundaries, so a resolver
-    is valid for exactly one coarse slot.
+    Profiles are swapped atomically at coarse-slot boundaries, so one table
+    prices every public read of a coarse slot.
     """
-
-    def __init__(self, placement, topo, catalog):
-        self.placement = placement
-        self.topo = topo
-        self.catalog = catalog
-        self._memo = {}
-
-    def lookup(self, i, obj_id, ingress=None):
-        # private objects stream from the ingress cloud; not memoized, since
-        # each (cloud, private object) pair is looked up once per request
-        if not self.catalog.is_public(obj_id):
-            if ingress is None:
-                raise ValueError(f"private object {obj_id!r} needs its request ingress")
-            return ingress, self.topo.latency(i, ingress)
-        key = (i, obj_id)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = nearest_replica(i, obj_id, self.placement, self.topo)
-            self._memo[key] = hit
-        return hit
+    return [{o: nearest_replica(i, o, placement, topo)[1] for o in objects}
+            for i in topo.clouds]
 
 
-def unit_transport_costs(req, resolver, catalog):
+def unit_transport_costs(req, fetch, topo, catalog):
     """Per-VM transport cost table: {(k, i): cost of hosting one type-k VM at i}.
 
-    Public objects already cached at the hosting cloud are free; everything
-    else is fetched at nearest-replica (or origin) latency times object size.
-    Private objects stream from the request's ingress cloud.
+    Public objects come at their fetch-table latency times object size.  An
+    object the table lacks is private and streams from the request's ingress
+    cloud; an unknown id raises ValueError.
     """
     table = {}
     for k in req.groups():
         _, objects = req.demand[k]
-        for i in resolver.topo.clouds:
+        for i in topo.clouds:
+            row = fetch[i]
+            stream = topo.w[i][req.ingress]
             total = 0.0
             for o in objects:
-                src, lat = resolver.lookup(i, o, ingress=req.ingress)
-                total += lat * catalog.size(o)
+                total += row.get(o, stream) * catalog.size(o)
             table[(k, i)] = total
     return table
 

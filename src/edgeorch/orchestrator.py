@@ -14,7 +14,7 @@ time-average cost can exceed the budget by at most Q(T)/T.
 
 from dataclasses import dataclass, field
 
-from .model import NearestResolver
+from .model import fetch_latencies
 from .placement import aggregate_demand
 
 
@@ -60,9 +60,10 @@ def run_coarse_slot(state, arrivals, allocator, place, placement, catalog,
 
     arrivals: one list of requests per fine slot of this coarse slot.
     allocator: admission rule with queue_weight(queue),
-        advance_fine_slot(t) and decide(req, resolver, q_eff) -> Decision.
+        advance_fine_slot(t) and decide(req, fetch, q_eff) -> Decision,
+        where fetch is the slot's model.fetch_latencies table.
     place: callable(DemandMatrix) -> (PlacementSolution or None, new profile).
-    window_hook: optional callable(fine slot, requests, resolver, q_eff)
+    window_hook: optional callable(fine slot, requests, fetch, q_eff)
         invoked when each fine slot's pricing window closes.
 
     Returns (SlotReport, new placement, decisions, demand).
@@ -71,7 +72,8 @@ def run_coarse_slot(state, arrivals, allocator, place, placement, catalog,
         state.queue = update_virtual_queue(state.queue, state.prev_cost,
                                            scenario.budget)
     q_eff = allocator.queue_weight(state.queue)
-    resolver = NearestResolver(placement, scenario.topology, catalog)
+    fetch = fetch_latencies(placement, scenario.topology,
+                            scenario.catalog.public_objects())
     base = state.slot_index * scenario.fine_per_coarse
     revenue = 0.0
     cost = 0.0
@@ -83,7 +85,7 @@ def run_coarse_slot(state, arrivals, allocator, place, placement, catalog,
         allocator.advance_fine_slot(t)
         for req in batch:
             n_arrivals += 1
-            decision = allocator.decide(req, resolver, q_eff)
+            decision = allocator.decide(req, fetch, q_eff)
             decision.slot = state.slot_index
             decisions.append(decision)
             if decision.accepted:
@@ -91,7 +93,7 @@ def run_coarse_slot(state, arrivals, allocator, place, placement, catalog,
                 cost += decision.transport_cost
                 accepted_pairs.append((req, decision.config))
         if window_hook is not None and batch:
-            window_hook(t, list(batch), resolver, q_eff)
+            window_hook(t, list(batch), fetch, q_eff)
 
     demand = aggregate_demand(accepted_pairs, catalog, state.slot_index)
     solution, new_placement = place(demand)

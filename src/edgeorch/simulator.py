@@ -25,8 +25,8 @@ import numpy as np
 
 from .allocator import (MyopicAllocator, OnlineAllocator,
                         dual_feasibility_violations)
-from .model import (NearestResolver, PlacementProfile, Request, ResourceState,
-                    config_usage, enumerate_configs, unit_transport_costs)
+from .model import (PlacementProfile, Request, ResourceState, config_usage,
+                    enumerate_configs, fetch_latencies, unit_transport_costs)
 from .orchestrator import OrchestratorState, run_coarse_slot, update_virtual_queue
 from .placement import (DemandMatrix, PlacementSolution, feasible_content_sets,
                         greedy_place, placement_cost, top_popularity_place)
@@ -257,8 +257,8 @@ def _check_accounting(slots, decisions, budget, counters):
         q = update_virtual_queue(q, rep.cost, budget)
 
 
-def run_policy(policy, scenario, workload, horizon_coarse, guard=None,
-               lemma5_windows=None, keep_decisions=True):
+def run_policy(policy, scenario, workload, horizon_coarse,
+               lemma5_windows=None):
     """Replay one workload under one policy; returns a RunReport.
 
     lemma5_windows: optional set of fine slots; when such a pricing window
@@ -274,7 +274,7 @@ def run_policy(policy, scenario, workload, horizon_coarse, guard=None,
     catalog = workload.catalog
     resources = ResourceState(scenario.capacity)
     if policy == "proposed":
-        allocator = OnlineAllocator(scenario, catalog, resources, guard=guard)
+        allocator = OnlineAllocator(scenario, catalog, resources)
     else:
         allocator = MyopicAllocator(scenario, catalog, resources)
     cooperative = policy != "myopic_nocoop"
@@ -295,11 +295,11 @@ def run_policy(policy, scenario, workload, horizon_coarse, guard=None,
 
     hook = None
     if lemma5_windows:
-        def hook(t, seen, resolver, q_eff):
+        def hook(t, seen, fetch, q_eff):
             if t in lemma5_windows:
                 counters["replayed_windows"] += 1
                 counters["dual_violations"] += dual_feasibility_violations(
-                    allocator, seen, resolver, q_eff)
+                    allocator, seen, fetch, q_eff)
 
     state = OrchestratorState()
     placement = PlacementProfile.empty(scenario.topology.n_clouds,
@@ -334,7 +334,7 @@ def run_policy(policy, scenario, workload, horizon_coarse, guard=None,
         seed=workload.config.seed,
         horizon_coarse=horizon_coarse,
         slots=slots,
-        decisions=decisions if keep_decisions else [],
+        decisions=decisions,
         placements=placements,
         queue_trace=state.queue_trace,
         totals=totals,
@@ -370,15 +370,16 @@ def lookahead_oracle(scenario, workload, n_frame, frame_index,
     per_cloud_sets = [feasible_content_sets(demanded, catalog,
                                             scenario.cache_size[i])
                       for i in clouds]
-    profiles = []
     space = 1
     for sets in per_cloud_sets:
         space *= len(sets)
     if space > profile_cap:
         raise ValueError(f"profile space {space} exceeds cap {profile_cap}")
-    for combo in itertools.product(*per_cloud_sets):
-        profiles.append(PlacementProfile(dict(zip(clouds, combo)),
-                                         scenario.cache_size))
+    # one fetch table per candidate profile, over the frame's public reads
+    fetches = [fetch_latencies(PlacementProfile(dict(zip(clouds, combo)),
+                                                scenario.cache_size),
+                               topo, demanded)
+               for combo in itertools.product(*per_cloud_sets)]
 
     options = []   # per request: list of (config or None, revenue, usage)
     for req in frame_reqs:
@@ -392,9 +393,8 @@ def lookahead_oracle(scenario, workload, n_frame, frame_index,
     def slot_of(req):
         return (req.arrival // fpc) - frame_index * n_frame
 
-    def cost_under(req, config, profile):
-        resolver = NearestResolver(profile, topo, catalog)
-        table = unit_transport_costs(req, resolver, catalog)
+    def cost_under(req, config, fetch):
+        table = unit_transport_costs(req, fetch, topo, catalog)
         return sum(req.demand[k][0] * table[(k, i)]
                    for k, i in config.assignment.items())
 
@@ -430,8 +430,8 @@ def lookahead_oracle(scenario, workload, n_frame, frame_index,
             if not slot_accepted:
                 continue
             slot_best = None
-            for profile in profiles:
-                c = sum(cost_under(req, opt[0], profile)
+            for fetch in fetches:
+                c = sum(cost_under(req, opt[0], fetch)
                         for req, opt in slot_accepted)
                 if slot_best is None or c < slot_best:
                     slot_best = c

@@ -8,7 +8,7 @@ numbers.  They back both `edgeorch verify <suite>` and the test suite.
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,16 +35,26 @@ class SuiteResult:
     wallclock: float = 0.0
 
 
-_exp1_cache = {}
+_stream_cache = {}   # (seed, horizon) -> (scenario, workload)
+_exp1_cache = {}     # (seed, horizon, windows) -> (scenario, workload, report)
+
+
+def _exp1_stream(seed, horizon):
+    """The desk scenario and its request stream, drawn once per (seed, horizon)."""
+    key = (seed, horizon)
+    if key not in _stream_cache:
+        scenario = make_desk_scenario()
+        workload = generate_workload(WorkloadConfig(seed=seed), scenario,
+                                     horizon * scenario.fine_per_coarse)
+        _stream_cache[key] = (scenario, workload)
+    return _stream_cache[key]
 
 
 def _exp1_run(seed=0, horizon=150, windows=None):
     """The shared reference run: desk scenario, stream seed, proposed policy."""
     key = (seed, horizon, tuple(sorted(windows)) if windows else None)
     if key not in _exp1_cache:
-        scenario = make_desk_scenario()
-        workload = generate_workload(WorkloadConfig(seed=seed), scenario,
-                                     horizon * scenario.fine_per_coarse)
+        scenario, workload = _exp1_stream(seed, horizon)
         report = run_policy("proposed", scenario, workload, horizon,
                             lemma5_windows=windows)
         _exp1_cache[key] = (scenario, workload, report)
@@ -83,9 +93,7 @@ def suite_lemma1(seed=0, horizon=150):
 def suite_lemma5(seed=0, horizon=150, n_windows=100):
     """Replay every config of every request in sampled pricing windows
     against the duals the window closed with; count uncovered constraints."""
-    scenario = make_desk_scenario()
-    workload = generate_workload(WorkloadConfig(seed=seed), scenario,
-                                 horizon * scenario.fine_per_coarse)
+    _, workload = _exp1_stream(seed, horizon)
     occupied = sorted(workload.by_fine_slot())
     rng = np.random.default_rng(seed + 7)
     picks = rng.choice(len(occupied), size=min(n_windows, len(occupied)),
@@ -121,11 +129,10 @@ def suite_lemma6(seed=0, horizon=150):
 
 
 def _lemma7_one(seed):
-    scenario = make_stress_scenario()
+    scenario = replace(make_stress_scenario(), hard_capacity_guard=False)
     cfg = WorkloadConfig(seed=seed, objects_per_vm=(1, 2), private_ratio=1.0)
     workload = generate_workload(cfg, scenario, 10 * scenario.fine_per_coarse)
-    report = run_policy("proposed", scenario, workload, 10, guard=False,
-                        keep_decisions=True)
+    report = run_policy("proposed", scenario, workload, 10)
     by_req = {r.req_id: r for r in workload.requests}
     bundle_peak = {}
     for d in report.decisions:
@@ -262,8 +269,7 @@ def suite_theorem1(n_instances=20, n_frame=2, z=3):
     instances = tiny_instances(n_instances, n_frame=n_frame, z=z)
     rows = []
     for seed, workload in instances:
-        report = run_policy("proposed", scenario, workload, z * n_frame,
-                            keep_decisions=False)
+        report = run_policy("proposed", scenario, workload, z * n_frame)
         oracle = [lookahead_oracle(scenario, workload, n_frame, f)[0]
                   for f in range(z)]
         ok, lhs, rhs = theorem1_check(report, oracle, scenario.drift_bound,

@@ -4,9 +4,10 @@ import pytest
 from edgeorch.allocator import (BONUS_SCALE, E_RATIO, OnlineAllocator,
                                 ScoredConfig, check_price_scaling,
                                 dual_feasibility_violations)
-from edgeorch.model import (DataCatalog, NearestResolver, PlacementProfile,
-                            Request, ResourceState, Topology, VMCatalog,
-                            enumerate_configs)
+from edgeorch.model import (DataCatalog, PlacementProfile, Request,
+                            ResourceState, Topology, VMCatalog,
+                            enumerate_configs, fetch_latencies,
+                            unit_transport_costs)
 from edgeorch.scenario import Scenario, make_tiny_scenario
 
 
@@ -40,32 +41,37 @@ def two_cloud_scenario():
     )
 
 
-def fresh(scenario, guard=None):
+def fresh(scenario):
     resources = ResourceState(dict(scenario.capacity))
-    return OnlineAllocator(scenario, scenario.catalog, resources, guard=guard)
+    return OnlineAllocator(scenario, scenario.catalog, resources)
+
+
+def slot_fetch(scenario, placement):
+    return fetch_latencies(placement, scenario.topology,
+                           scenario.catalog.public_objects())
 
 
 def test_scoring_prefers_the_cached_cloud():
     scn = two_cloud_scenario()
     alloc = fresh(scn)
     placement = PlacementProfile({0: (), 1: ("o1",)}, dict(scn.cache_size))
-    resolver = NearestResolver(placement, scn.topology, scn.catalog)
+    fetch = slot_fetch(scn, placement)
     req = Request(1, 0, 4, 0, {0: (1, ("o1",))})
 
     config0, config1 = enumerate_configs(req, scn.topology)
-    total, per_cloud, cost, revenue = alloc.adjusted_revenue(req, config0,
-                                                             resolver, 1.0)
+    table = unit_transport_costs(req, fetch, scn.topology, scn.catalog)
+    total, per_cloud, cost, revenue = alloc._score_one(req, config0, table, 1.0)
     # hosting at cloud 0 hauls o1 over the 20-latency link: 10*10 - 40/4
     assert total == 90.0
     assert per_cloud == {0: 90.0}
     assert cost == 40.0
     assert revenue == 40.0
 
-    scored = alloc.select_config(req, resolver, 1.0)
+    scored = alloc.select_config(req, fetch, 1.0)
     assert scored.config.assignment == {0: 1}
     assert scored.objective == 400.0
     assert scored.adjusted_revenue == 100.0
-    assert scored.charge == 0.0
+    assert scored.objective == req.duration * scored.adjusted_revenue
     assert scored.transport_cost == 0.0
 
 
@@ -76,7 +82,7 @@ def test_accept_updates_prices_and_duals():
     config = enumerate_configs(req, scn.topology)[0]
     scored = ScoredConfig(config=config, objective=100.0,
                           adjusted_revenue=50.0, per_cloud={0: 50.0},
-                          charge=0.0, revenue=100.0, transport_cost=0.0)
+                          revenue=100.0, transport_cost=0.0)
 
     d = alloc.admit(req, scored, q_eff=1.0)
     assert d.accepted
@@ -104,10 +110,9 @@ def test_reject_negative_objective():
     scn = two_cloud_scenario()
     alloc = fresh(scn)
     placement = PlacementProfile.empty(2, dict(scn.cache_size))
-    resolver = NearestResolver(placement, scn.topology, scn.catalog)
     req = Request(7, 0, 4, 0, {0: (1, ("o1",))})
     # q_eff 10 prices uncached o1 far above the 100-per-slot revenue
-    d = alloc.decide(req, resolver, q_eff=10.0)
+    d = alloc.decide(req, slot_fetch(scn, placement), q_eff=10.0)
     assert not d.accepted
     assert d.reason == "negative_objective"
     assert d.objective == -1600.0
@@ -122,8 +127,7 @@ def test_reject_price_ceiling_and_alpha_cover():
     req = Request(3, 0, 1, 0, {0: (1, ())})
     config = enumerate_configs(req, scn.topology)[0]
     scored = ScoredConfig(config=config, objective=10.0, adjusted_revenue=10.0,
-                          per_cloud={0: 10.0}, charge=0.0, revenue=50.0,
-                          transport_cost=0.0)
+                          per_cloud={0: 10.0}, revenue=50.0, transport_cost=0.0)
     d = alloc.admit(req, scored, q_eff=1.0)
     assert d.reason == "price_ceiling"
     # the rejected request's constraint stays covered by its best objective
@@ -137,8 +141,7 @@ def test_reject_when_window_started_full():
     req = Request(4, 0, 1, 0, {0: (1, ())})
     config = enumerate_configs(req, scn.topology)[0]
     scored = ScoredConfig(config=config, objective=10.0, adjusted_revenue=10.0,
-                          per_cloud={0: 10.0}, charge=0.0, revenue=50.0,
-                          transport_cost=0.0)
+                          per_cloud={0: 10.0}, revenue=50.0, transport_cost=0.0)
     d = alloc.admit(req, scored, q_eff=1.0)
     assert d.reason == "price_ceiling"
 
@@ -150,8 +153,7 @@ def test_reject_no_feasible_config():
     req = Request(5, 0, 1, 0, {0: (1, ())})
     config = enumerate_configs(req, scn.topology)[0]
     scored = ScoredConfig(config=config, objective=10.0, adjusted_revenue=10.0,
-                          per_cloud={0: 10.0}, charge=0.0, revenue=50.0,
-                          transport_cost=0.0)
+                          per_cloud={0: 10.0}, revenue=50.0, transport_cost=0.0)
     d = alloc.admit(req, scored, q_eff=1.0)
     assert d.reason == "no_feasible_config"
 
@@ -173,18 +175,15 @@ def test_advance_fine_slot_restarts_window():
 def alloc_scored(alloc, req):
     config = enumerate_configs(req, alloc.topo)[0]
     return ScoredConfig(config=config, objective=100.0, adjusted_revenue=50.0,
-                        per_cloud={0: 50.0}, charge=0.0, revenue=100.0,
-                        transport_cost=0.0)
+                        per_cloud={0: 50.0}, revenue=100.0, transport_cost=0.0)
 
 
 def test_price_scaling_check():
     scored = ScoredConfig(config=None, objective=0.0, adjusted_revenue=5.0,
-                          per_cloud={0: 5.0}, charge=0.0, revenue=0.0,
-                          transport_cost=0.0)
+                          per_cloud={0: 5.0}, revenue=0.0, transport_cost=0.0)
     assert check_price_scaling(scored, {(0, 0): 10.0}, {0: 1}) == [(0, 0, 10.0)]
     rich = ScoredConfig(config=None, objective=0.0, adjusted_revenue=50.0,
-                        per_cloud={0: 50.0}, charge=0.0, revenue=0.0,
-                        transport_cost=0.0)
+                        per_cloud={0: 50.0}, revenue=0.0, transport_cost=0.0)
     assert check_price_scaling(rich, {(0, 0): 10.0}, {0: 1}) == []
 
 
@@ -200,7 +199,7 @@ def test_random_streams_keep_duals_feasible():
         alloc = OnlineAllocator(scn, scn.catalog, resources)
         placement = PlacementProfile({0: (objects[0],), 1: ()},
                                      dict(scn.cache_size))
-        resolver = NearestResolver(placement, scn.topology, scn.catalog)
+        fetch = slot_fetch(scn, placement)
         seen = []
         accepted = 0
         for n in range(int(rng.integers(8, 20))):
@@ -215,10 +214,10 @@ def test_random_streams_keep_duals_feasible():
             req = Request(1000 * trial + n, 0, duration,
                           int(rng.integers(2)), demand)
             seen.append(req)
-            d = alloc.decide(req, resolver, q_eff=1.0)
+            d = alloc.decide(req, fetch, q_eff=1.0)
             accepted += d.accepted
         assert alloc.counters["identity_violations"] == 0
-        assert dual_feasibility_violations(alloc, seen, resolver, 1.0) == 0
+        assert dual_feasibility_violations(alloc, seen, fetch, 1.0) == 0
         assert accepted > 0
         assert all(v >= 0 for v in alloc.dual.beta.values())
 
@@ -229,14 +228,13 @@ def test_prices_never_fall_within_a_window():
     objects = scn.catalog.public_objects()
     resources = ResourceState(dict(scn.capacity))
     alloc = OnlineAllocator(scn, scn.catalog, resources)
-    resolver = NearestResolver(PlacementProfile.empty(2, dict(scn.cache_size)),
-                               scn.topology, scn.catalog)
+    fetch = slot_fetch(scn, PlacementProfile.empty(2, dict(scn.cache_size)))
     floor = {}
     for n in range(25):
         objs = tuple(rng.choice(objects, size=1))
         req = Request(n, 0, int(rng.integers(1, 4)), int(rng.integers(2)),
                       {int(rng.integers(2)): (int(rng.integers(1, 3)), objs)})
-        alloc.decide(req, resolver, q_eff=1.0)
+        alloc.decide(req, fetch, q_eff=1.0)
         for key, price in alloc.dual.beta.items():
             assert price >= floor.get(key, 0.0) - 1e-12
             floor[key] = price

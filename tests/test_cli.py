@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,20 @@ def test_resolve_data():
     assert resolve_data(str(direct)) == direct
     with pytest.raises(FileNotFoundError):
         resolve_data("no_such_thing")
+
+
+def test_resolve_data_warns_when_a_local_file_shadows_bundled(
+        tmp_path, monkeypatch, caplog):
+    (tmp_path / "desk.json").write_text("{}")
+    monkeypatch.chdir(tmp_path)
+    with caplog.at_level("WARNING", logger="edgeorch.cli"):
+        assert resolve_data("desk.json", "scenario") == Path("desk.json")
+    assert str((tmp_path / "desk.json").resolve()) in caplog.text
+    assert str(DATA_DIR / "desk.json") in caplog.text
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="edgeorch.cli"):
+        assert resolve_data("tiny") == DATA_DIR / "tiny.json"
+    assert caplog.text == ""
 
 
 def test_load_experiment_defaults():

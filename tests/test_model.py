@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from edgeorch.model import (ORIGIN, DataCatalog, NearestResolver,
-                            PlacementProfile, Request, ResourceState, Topology,
-                            VMCatalog, config_usage, enumerate_configs,
+from edgeorch.model import (ORIGIN, DataCatalog, PlacementProfile, Request,
+                            ResourceState, Topology, VMCatalog, config_usage,
+                            enumerate_configs, fetch_latencies,
                             nearest_replica, unit_transport_costs)
+from edgeorch.placement import random_placement_instance
 
 
 def two_cloud_topo():
@@ -69,7 +70,6 @@ def test_enumerate_configs_counts():
 
 def test_nearest_replica_resolution():
     topo = two_cloud_topo()
-    catalog = small_catalog()
     placement = PlacementProfile({0: (), 1: ("o1",)}, {0: 4.0, 1: 4.0})
     # cached remotely: nearest holder
     assert nearest_replica(0, "o1", placement, topo) == (1, 20.0)
@@ -77,27 +77,15 @@ def test_nearest_replica_resolution():
     assert nearest_replica(1, "o1", placement, topo) == (1, 0.0)
     # cached nowhere: origin
     assert nearest_replica(0, "o2", placement, topo) == (ORIGIN, 100.0)
-    # private objects always come from the ingress cloud
-    resolver = NearestResolver(placement, topo, catalog)
-    assert resolver.lookup(0, "p1", ingress=0) == (0, 0.0)
-    assert resolver.lookup(1, "p1", ingress=0) == (0, 20.0)
-
-
-def test_private_lookup_needs_ingress():
-    topo = two_cloud_topo()
-    catalog = small_catalog()
-    placement = PlacementProfile.empty(2, {0: 4.0, 1: 4.0})
-    with pytest.raises(ValueError, match="ingress"):
-        NearestResolver(placement, topo, catalog).lookup(0, "p1")
 
 
 def test_unit_transport_costs_table():
     topo = two_cloud_topo()
     catalog = small_catalog()
     placement = PlacementProfile({0: (), 1: ("o1",)}, {0: 4.0, 1: 4.0})
-    resolver = NearestResolver(placement, topo, catalog)
+    fetch = fetch_latencies(placement, topo, catalog.public_objects())
     req = Request(1, 0, 4, 0, {0: (1, ("o1", "p1"))})
-    table = unit_transport_costs(req, resolver, catalog)
+    table = unit_transport_costs(req, fetch, topo, catalog)
     # at cloud 0: o1 from cloud 1 (20 * size 2), p1 at ingress, free
     assert table[(0, 0)] == 40.0
     # at cloud 1: o1 local, p1 hauled from ingress 0 (20 * size 1)
@@ -111,14 +99,60 @@ def test_request_cost_and_revenue():
     placement = PlacementProfile.empty(2, {0: 4.0, 1: 4.0})
     req = Request(1, 0, 4, 0, {0: (2, ("o2",))})
     config = enumerate_configs(req, topo)[1]      # host both VMs at cloud 1
-    table = unit_transport_costs(req, NearestResolver(placement, topo, catalog),
-                                 catalog)
+    table = unit_transport_costs(
+        req, fetch_latencies(placement, topo, catalog.public_objects()), topo,
+        catalog)
     # o2 uncached: origin fetch at 120 from cloud 1, size 1, two VMs
     assert sum(req.demand[k][0] * table[(k, i)]
                for k, i in config.assignment.items()) == 240.0
     # 4 slots * 10 * 2
     assert req.duration * sum(vms.price(k) * req.demand[k][0]
                               for k in config.assignment) == 80.0
+
+
+def reference_transport_costs(req, placement, topo, catalog):
+    """The per-lookup rule the fetch table replaces: nearest replica for
+    public objects, the request's ingress for private ones."""
+    table = {}
+    for k in req.groups():
+        for i in topo.clouds:
+            total = 0.0
+            for o in req.demand[k][1]:
+                if catalog.is_public(o):
+                    lat = nearest_replica(i, o, placement, topo)[1]
+                else:
+                    lat = topo.latency(i, req.ingress)
+                total += lat * catalog.size(o)
+            table[(k, i)] = total
+    return table
+
+
+def test_transport_costs_match_reference_rule():
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        _, cache, topo, catalog = random_placement_instance(rng)
+        publics = catalog.public_objects()
+        for j in range(int(rng.integers(1, 6))):
+            catalog.add(f"p{j}", int(rng.integers(1, 4)), visibility="private")
+        ids = publics + [o for o in catalog.sizes if o not in publics]
+        placement = PlacementProfile(
+            {i: [o for o in publics if rng.random() < 0.4] for i in cache},
+            cache)
+        fetch = fetch_latencies(placement, topo, publics)
+        for n in range(5):
+            demand = {}
+            for k in range(3):
+                if k == 0 or rng.random() < 0.5:
+                    picks = rng.choice(len(ids), size=int(rng.integers(0, 4)),
+                                       replace=False)
+                    demand[k] = (int(rng.integers(1, 3)),
+                                 tuple(ids[m] for m in sorted(picks)))
+            req = Request(n, 0, 1, int(rng.integers(topo.n_clouds)), demand)
+            assert unit_transport_costs(req, fetch, topo, catalog) == \
+                reference_transport_costs(req, placement, topo, catalog)
+        unknown = Request(99, 0, 1, 0, {0: (1, (publics[0], "nope"))})
+        with pytest.raises(ValueError, match="nope"):
+            unit_transport_costs(unknown, fetch, topo, catalog)
 
 
 def test_config_usage_drops_zero_rows():

@@ -1,8 +1,7 @@
 import pytest
 
 from edgeorch.allocator import MyopicAllocator, OnlineAllocator
-from edgeorch.model import (NearestResolver, PlacementProfile, Request,
-                            ResourceState)
+from edgeorch.model import PlacementProfile, Request, ResourceState
 from edgeorch.orchestrator import (OrchestratorState, SlotReport,
                                    drift_plus_penalty_value, run_coarse_slot,
                                    update_virtual_queue)
@@ -109,7 +108,7 @@ def test_window_hook_sees_each_busy_fine_slot():
     scn = make_tiny_scenario()
     calls = []
 
-    def hook(t, batch, resolver, q_eff):
+    def hook(t, batch, fetch, q_eff):
         calls.append((t, [r.req_id for r in batch], q_eff))
 
     state = OrchestratorState()

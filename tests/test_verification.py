@@ -56,6 +56,22 @@ def test_theorem1_generates_each_workload_once(monkeypatch):
     assert len(calls) == result.data["rows"][-1]["seed"] + 1
 
 
+def test_lemma5_generates_its_stream_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return generate_workload(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "generate_workload", counting)
+    monkeypatch.setattr(verification, "_stream_cache", {})
+    monkeypatch.setattr(verification, "_exp1_cache", {})
+    result = verification.suite_lemma5(horizon=20)
+    assert result.data["replayed"] > 0
+    # the window picks and the replay share one draw of the stream
+    assert len(calls) == 1
+
+
 def test_lemma6_counts_its_run_once(monkeypatch):
     monkeypatch.setattr(verification, "_exp1_cache", {})
     started = time.perf_counter()
