@@ -98,13 +98,23 @@ def _cell_key(policy, seed, axis, value):
     return tag
 
 
-def _run_cell(args):
-    spec, scenario_path, axis, value, policy, seed, horizon = args
-    scenario, cfg = _build_cell(spec, scenario_path, axis, value, seed)
-    workload = generate_workload(cfg, scenario,
-                                 horizon * scenario.fine_per_coarse)
-    report = run_policy(policy, scenario, workload, horizon)
-    return _cell_key(policy, seed, axis, value), report
+def _run_stream(args):
+    """Replay one drawn stream under each of its cells; (key, report) pairs.
+
+    The cells share a seed and a private_ratio, the only sweep axis that
+    changes the draw, so the first cell's stream serves them all.
+    """
+    spec, scenario_path, seed, horizon, cells = args
+    workload = None
+    results = []
+    for axis, value, policy in cells:
+        scenario, cfg = _build_cell(spec, scenario_path, axis, value, seed)
+        if workload is None:
+            workload = generate_workload(cfg, scenario,
+                                         horizon * scenario.fine_per_coarse)
+        results.append((_cell_key(policy, seed, axis, value),
+                        run_policy(policy, scenario, workload, horizon)))
+    return results
 
 
 def _fmt_config(config):
@@ -226,16 +236,23 @@ def run_experiment(spec, out_dir, seed_override=None, horizon_override=None,
     sweep = spec["sweep"]
     points = [(sweep["axis"], v) for v in sweep["values"]] if sweep else [(None, None)]
 
-    cells = [(spec, scenario_path, axis, value, policy, seed, horizon)
-             for axis, value in points
-             for policy in spec["policies"]
-             for seed in seeds]
-    log.info("experiment %s: %d cells", spec["name"], len(cells))
+    streams = {}    # (seed, private_ratio point or None) -> its cells
+    for axis, value in points:
+        draw = value if axis == "private_ratio" else None
+        for policy in spec["policies"]:
+            for seed in seeds:
+                streams.setdefault((seed, draw), []).append(
+                    (axis, value, policy))
+    tasks = [(spec, scenario_path, seed, horizon, cells)
+             for (seed, _), cells in streams.items()]
+    log.info("experiment %s: %d cells over %d streams", spec["name"],
+             sum(len(cells) for cells in streams.values()), len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(workers) as ex:
-            results = list(ex.map(_run_cell, cells))
+            per_stream = list(ex.map(_run_stream, tasks))
     else:
-        results = [_run_cell(c) for c in cells]
+        per_stream = [_run_stream(task) for task in tasks]
+    results = [pair for pairs in per_stream for pair in pairs]
 
     summaries = {}
     for key, report in results:

@@ -103,9 +103,19 @@ def generate_workload(cfg, scenario, horizon_fine):
     publics = scenario.catalog.public_objects()
     probs = zipf_probabilities(len(publics), cfg.zipf_exponent)
     n_types = scenario.vms.n_types
-    mix = np.array(cfg.vm_mix if cfg.vm_mix else [1.0 / n_types] * n_types)
+    mix = np.array(cfg.vm_mix if cfg.vm_mix else [1.0 / n_types] * n_types,
+                   dtype=float)
+    if not (np.isfinite(mix).all() and (mix >= 0).all()):
+        raise ValueError("vm_mix probabilities must be finite and non-negative")
     if len(mix) != n_types or abs(mix.sum() - 1.0) > 1e-9:
         raise ValueError("vm_mix must give one probability per VM type")
+    # rng.choice(n, p=p) is cdf.searchsorted(rng.random(), side="right")
+    # over this cdf; drawing it directly keeps the stream and skips
+    # choice's per-call argument checks
+    type_cdf = mix.cumsum()
+    type_cdf /= type_cdf[-1]
+    rank_cdf = probs.cumsum()
+    rank_cdf /= rank_cdf[-1]
     n_clouds = scenario.topology.n_clouds
     requests = []
     schedule = []
@@ -116,10 +126,10 @@ def generate_workload(cfg, scenario, horizon_fine):
             rate = float(rng.uniform(*cfg.lambda_range))
             schedule.append((t, rate))
         for _ in range(int(rng.poisson(rate))):
-            k = int(rng.choice(n_types, p=mix))
+            k = int(type_cdf.searchsorted(rng.random(), side="right"))
             life = int(rng.integers(cfg.lifetime[0], cfg.lifetime[1] + 1))
             n_obj = int(rng.integers(cfg.objects_per_vm[0], cfg.objects_per_vm[1] + 1))
-            picks = rng.choice(len(publics), size=n_obj, p=probs)
+            picks = rank_cdf.searchsorted(rng.random(n_obj), side="right")
             objects = sorted({publics[i] for i in picks})
             volume = sum(catalog.size(o) for o in objects)
             want = cfg.private_ratio * volume

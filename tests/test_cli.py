@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from edgeorch import cli
 from edgeorch.cli import (DATA_DIR, _cell_key, _fmt_config,
                           adjust_cache_ratio, load_experiment, main,
                           resolve_data, run_experiment, svg_line_chart)
@@ -126,6 +127,62 @@ def test_sweep_axis_names_cells(tmp_path):
     assert main(["run", str(spec), "--out", str(out)]) == 0
     assert (out / "proposed_s0_v_weight1000_slots.csv").exists()
     assert (out / "proposed_s0_v_weight2000_slots.csv").exists()
+
+
+def count_draws(monkeypatch):
+    """Record the (seed, private_ratio) of every stream run_experiment draws."""
+    draws = []
+    real = cli.generate_workload
+
+    def counting(cfg, scenario, horizon_fine):
+        draws.append((cfg.seed, cfg.private_ratio))
+        return real(cfg, scenario, horizon_fine)
+
+    monkeypatch.setattr(cli, "generate_workload", counting)
+    return draws
+
+
+def test_cells_that_share_a_draw_share_one_stream(tmp_path, monkeypatch):
+    draws = count_draws(monkeypatch)
+    # 2 policies x 2 seeds x 2 cache ratios: 8 cells over 2 streams
+    spec = load_experiment(str(mini_spec(
+        tmp_path, seeds=[0, 1],
+        sweep={"axis": "cache_ratio", "values": [0.5, 0.9]})))
+    assert run_experiment(spec, tmp_path / "cache") == 0
+    assert len(list((tmp_path / "cache").glob("*_slots.csv"))) == 8
+    assert sorted(draws) == [(0, 2.0), (1, 2.0)]
+    # nothing outlives the call: a second run draws again
+    assert run_experiment(spec, tmp_path / "again") == 0
+    assert len(draws) == 4
+    # a private_ratio point changes the draw: 2 values x 2 seeds
+    del draws[:]
+    spec = load_experiment(str(mini_spec(
+        tmp_path, seeds=[0, 1],
+        sweep={"axis": "private_ratio", "values": [0.5, 3.5]})))
+    assert run_experiment(spec, tmp_path / "private") == 0
+    assert sorted(draws) == [(0, 0.5), (0, 3.5), (1, 0.5), (1, 3.5)]
+
+
+def test_workers_write_the_same_artifacts(tmp_path):
+    spec = load_experiment(str(mini_spec(
+        tmp_path, seeds=[0, 1],
+        sweep={"axis": "cache_ratio", "values": [0.5, 0.9]})))
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert run_experiment(spec, one, workers=1) == 0
+    assert run_experiment(spec, two, workers=2) == 0
+    names = sorted(p.name for p in one.glob("*.csv"))
+    assert len(names) == 24
+    assert names == sorted(p.name for p in two.glob("*.csv"))
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+    def runs(out):
+        summary = json.loads((out / "summary.json").read_text())
+        for run in summary["runs"].values():
+            del run["wallclock_s"]
+        return summary
+
+    assert runs(one) == runs(two)
 
 
 def test_unknown_inputs_exit_2(tmp_path):

@@ -1,17 +1,22 @@
+import hashlib
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from edgeorch.cli import resolve_data
 from edgeorch.model import DataCatalog, Request, Topology, VMCatalog
 from edgeorch.placement import DemandMatrix
-from edgeorch.scenario import (Scenario, make_desk_scenario,
+from edgeorch.scenario import (Scenario, load_scenario, make_desk_scenario,
                                make_tiny_scenario)
 from edgeorch.simulator import (POLICIES, RunReport, Workload, WorkloadConfig,
                                 _check_accounting, generate_workload,
                                 lookahead_oracle, perturb_demand, run_policy,
                                 theorem1_check, zipf_probabilities)
+from edgeorch.verification import _exp1_stream
 
 
 def test_workload_config_round_trip():
@@ -85,6 +90,98 @@ def test_workload_vm_mix_validation():
         generate_workload(WorkloadConfig(seed=1, vm_mix=(0.9, 0.2)), scn, 10)
     with pytest.raises(ValueError):
         generate_workload(WorkloadConfig(seed=1, vm_mix=(1.0,)), scn, 10)
+    # both sum to 1 (NaN even slips past the sum check), but neither is a
+    # distribution
+    with pytest.raises(ValueError, match="non-negative"):
+        generate_workload(WorkloadConfig(seed=1, vm_mix=(1.2, -0.2)), scn, 10)
+    with pytest.raises(ValueError, match="finite"):
+        generate_workload(WorkloadConfig(seed=1, vm_mix=(math.nan, 1.0)),
+                          scn, 10)
+
+
+def reference_workload(cfg, scenario, horizon_fine):
+    """The plain draw loop that generate_workload replaces: one rng.choice
+    for the VM type and one for the Zipf ranks of each request."""
+    rng = np.random.default_rng(cfg.seed)
+    catalog = DataCatalog(scenario.catalog.sizes, scenario.catalog.visibility)
+    publics = scenario.catalog.public_objects()
+    probs = zipf_probabilities(len(publics), cfg.zipf_exponent)
+    n_types = scenario.vms.n_types
+    mix = np.array(cfg.vm_mix if cfg.vm_mix else [1.0 / n_types] * n_types)
+    n_clouds = scenario.topology.n_clouds
+    requests = []
+    req_id = 0
+    for t in range(horizon_fine):
+        if t % cfg.regime_length == 0:
+            rate = float(rng.uniform(*cfg.lambda_range))
+        for _ in range(int(rng.poisson(rate))):
+            k = int(rng.choice(n_types, p=mix))
+            life = int(rng.integers(cfg.lifetime[0], cfg.lifetime[1] + 1))
+            n_obj = int(rng.integers(cfg.objects_per_vm[0],
+                                     cfg.objects_per_vm[1] + 1))
+            picks = rng.choice(len(publics), size=n_obj, p=probs)
+            objects = sorted({publics[i] for i in picks})
+            volume = sum(catalog.size(o) for o in objects)
+            want = cfg.private_ratio * volume
+            n_priv = int(want) + (1 if rng.random() < want - int(want) else 0)
+            private = []
+            for j in range(n_priv):
+                catalog.add(f"p{req_id}-{j}", 1, visibility="private")
+                private.append(f"p{req_id}-{j}")
+            requests.append(Request(
+                req_id=req_id, arrival=t, duration=life,
+                ingress=int(rng.integers(n_clouds)),
+                demand={k: (1, tuple(objects + private))},
+                service=f"svc{k}"))
+            req_id += 1
+    digest = hashlib.sha256()
+    for req in requests:
+        digest.update(repr((req.req_id, req.arrival, req.duration, req.ingress,
+                            sorted(req.demand.items()))).encode())
+    return requests, catalog, digest.hexdigest()
+
+
+def _skewed_mix(n_types):
+    weights = [9.0 ** -k for k in range(n_types)]
+    return tuple(w / sum(weights) for w in weights)
+
+
+DRAW_VARIANTS = {
+    "as_specified": lambda n_types: {},
+    "skewed_vm_mix": lambda n_types: {"vm_mix": _skewed_mix(n_types)},
+    "unused_vm_type": lambda n_types: {
+        "vm_mix": (1.0,) + (0.0,) * (n_types - 1)},
+    "private_ratio_3.5": lambda n_types: {"private_ratio": 3.5},
+    "objects_per_vm_2_5": lambda n_types: {"objects_per_vm": (2, 5)},
+    "zipf_1.1": lambda n_types: {"zipf_exponent": 1.1},
+}
+
+
+@pytest.mark.parametrize("scenario_name",
+                         ["desk", "tiny", "stress", "paper_scale"])
+def test_draw_matches_reference_choice_loop(scenario_name):
+    scn = load_scenario(resolve_data(scenario_name, "scenario"))
+    for spec in ("workload_default", "workload_error03"):
+        with open(resolve_data(spec, "workload")) as fh:
+            base = WorkloadConfig.from_dict(json.load(fh))
+        for variant, fields in DRAW_VARIANTS.items():
+            for seed in (0, 1, 2):
+                cfg = replace(base, seed=seed, **fields(scn.vms.n_types))
+                wl = generate_workload(cfg, scn, 40)
+                requests, catalog, digest = reference_workload(cfg, scn, 40)
+                where = (spec, variant, seed)
+                assert wl.stream_hash == digest, where
+                assert wl.requests == requests, where
+                assert wl.catalog.sizes == catalog.sizes, where
+                assert wl.catalog.visibility == catalog.visibility, where
+
+
+def test_desk_stream_hash_is_pinned():
+    """The 150-slot desk stream at seed 0, the one the desk suites replay."""
+    _, wl = _exp1_stream(0, 150)
+    assert len(wl.requests) == 36477
+    assert wl.stream_hash == \
+        "84e114d5a7301ad11a232493185ccf72cbfa984c381827ba173971568541ef34"
 
 
 def test_workload_statistics():
