@@ -18,8 +18,9 @@ bundle that fits, behind a hard per-coarse-slot transport budget.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .model import config_usage, enumerate_configs, unit_transport_costs
+from .model import config_usage, enumerate_configs
 
 E_RATIO = math.e / (math.e - 1.0)
 BONUS_SCALE = 1.0 / (math.e - 1.0)
@@ -38,19 +39,22 @@ class DualState:
         self.baseline = {}    # (cloud, resource, fine slot) -> capacity at window start
         self.alpha = {}       # request id -> dual value of its admission constraint
 
-    def price(self, key):
-        return self.beta.get(key, 0.0)
-
-    def capacity_at_window_start(self, key, resources):
-        cap = self.baseline.get(key)
-        if cap is None:
-            cap = resources.free(*key)
-            self.baseline[key] = cap
-        return cap
-
     def advance(self):
         self.beta.clear()
         self.baseline.clear()
+
+
+class Shape(NamedTuple):
+    """One config of a request shape, with everything about it that does not
+    depend on the request's data, arrival or duration."""
+
+    config: object
+    usage: dict               # (cloud, resource) -> units, as config_usage builds it
+    rows: list                # usage items sorted: charge and dual-update order
+    dims: dict                # cloud -> resources the config prices there
+    terms: tuple              # (type, cloud, count, unit-time price) per group
+    clouds: list              # clouds the config uses, ascending
+    revenue_rate: float       # revenue per fine slot held
 
 
 @dataclass
@@ -86,31 +90,50 @@ class Decision:
 
 
 class _AdmissionRule:
-    """Ledger and per-shape config cache shared by both admission rules."""
+    """Ledger and per-shape config cache shared by both admission rules.
 
-    def __init__(self, scenario, catalog, resources):
+    Admission rules price a request from its row of the slot's
+    model.transport_matrix: {k: per-cloud cost of one type-k VM}.
+    """
+
+    def __init__(self, scenario, resources):
         self.scenario = scenario
         self.vms = scenario.vms
         self.topo = scenario.topology
-        self.catalog = catalog
         self.resources = resources
         self.counters = {}
-        self._config_cache = {}
+        self._shape_cache = {}
 
-    def _configs_for(self, req):
-        key = tuple(req.groups())
-        cached = self._config_cache.get(key)
-        if cached is None:
-            cached = enumerate_configs(req, self.topo)
-            self._config_cache[key] = cached
-        return cached
+    def _shapes_for(self, req):
+        """The request's config Shapes, keyed by assignment, in enumeration
+        order.  They depend only on the request's (type, count) pairs, so
+        they are built once per such pair list."""
+        key = tuple([(k, group[0]) for k, group in req.demand.items()])
+        shapes = self._shape_cache.get(key)
+        if shapes is None:
+            shapes = {}
+            for config in enumerate_configs(req, self.topo):
+                usage = config_usage(req, config, self.vms)
+                dims = {}
+                for (i, r) in usage:
+                    dims[i] = dims.get(i, 0) + 1
+                terms = tuple((k, i, req.demand[k][0], self.vms.price(k))
+                              for k, i in config.assignment.items())
+                revenue_rate = 0.0
+                for _, _, count, price in terms:
+                    revenue_rate += count * price
+                shapes[tuple(config.assignment.items())] = Shape(
+                    config, usage, sorted(usage.items()), dims, terms,
+                    sorted(set(config.assignment.values())), revenue_rate)
+            self._shape_cache[key] = shapes
+        return shapes
 
 
 class OnlineAllocator(_AdmissionRule):
     """Prices and admits requests against one ResourceState."""
 
-    def __init__(self, scenario, catalog, resources):
-        super().__init__(scenario, catalog, resources)
+    def __init__(self, scenario, resources):
+        super().__init__(scenario, resources)
         self.dual = DualState()
         self.counters = {"identity_violations": 0, "scaling_warnings": 0,
                          "beta_clamped": 0}
@@ -126,46 +149,52 @@ class OnlineAllocator(_AdmissionRule):
         self.resources.advance(now)
         self.dual.advance()
 
-    def _score_one(self, req, config, table, q_eff):
+    def _score_one(self, req, shape, table, q_eff):
         """Revenue per unit time net of cost-weighted transport, by cloud."""
         v = self.scenario.v_weight
+        duration = req.duration
         per_cloud = {}
         cost = 0.0
-        revenue_rate = 0.0
-        for k, i in config.assignment.items():
-            count = req.demand[k][0]
-            unit = table[(k, i)]
+        for k, i, count, price in shape.terms:
+            unit = table[k][i]
             cost += count * unit
-            revenue_rate += count * self.vms.price(k)
-            value = count * (v * self.vms.price(k) - q_eff * unit / req.duration)
+            value = count * (v * price - q_eff * unit / duration)
             per_cloud[i] = per_cloud.get(i, 0.0) + value
         total = 0.0
-        for i in sorted(per_cloud):
+        for i in shape.clouds:
             total += per_cloud[i]
-        return total, per_cloud, cost, req.duration * revenue_rate
+        return total, per_cloud, cost, duration * shape.revenue_rate
 
-    def _charge(self, req, config):
-        if not self.dual.beta:
-            return 0.0
-        usage = config_usage(req, config, self.vms)
+    def _charge(self, req, rows):
+        """Shadow-price charge of sorted usage rows over the request's span.
+
+        Unpriced triples are skipped: each would add units * 0.0 = +0.0,
+        which leaves a sum started at 0.0 unchanged.
+        """
+        get = self.dual.beta.get
         total = 0.0
-        for key in sorted(usage):
-            units = usage[key]
-            for t in range(req.arrival, req.arrival + req.duration):
-                total += units * self.dual.price((key[0], key[1], t))
+        span = range(req.arrival, req.arrival + req.duration)
+        for (i, r), units in rows:
+            for t in span:
+                price = get((i, r, t))
+                if price is not None:
+                    total += units * price
         return total
 
-    def select_config(self, req, fetch, q_eff):
+    def select_config(self, req, table, q_eff):
         """Highest priced-out objective across all configs; first wins ties."""
-        table = unit_transport_costs(req, fetch, self.topo, self.catalog)
+        # a config on clouds without a priced triple is charged 0.0
+        priced = {i for i, _, _ in self.dual.beta}
         best = None
-        for config in self._configs_for(req):
-            total, per_cloud, cost, revenue = self._score_one(req, config, table, q_eff)
-            objective = req.duration * total - self._charge(req, config)
-            if best is None or objective > best.objective:
-                best = ScoredConfig(config, objective, total, per_cloud,
-                                    revenue, cost)
-        return best
+        for shape in self._shapes_for(req).values():
+            scored = self._score_one(req, shape, table, q_eff)
+            charge = (0.0 if priced.isdisjoint(shape.clouds)
+                      else self._charge(req, shape.rows))
+            objective = req.duration * scored[0] - charge
+            if best is None or objective > best[1]:
+                best = (shape.config, objective, scored)
+        config, objective, (total, per_cloud, cost, revenue) = best
+        return ScoredConfig(config, objective, total, per_cloud, revenue, cost)
 
     def admit(self, req, scored, q_eff):
         """Apply the accept/reject rule to the chosen config and settle duals."""
@@ -173,14 +202,21 @@ class OnlineAllocator(_AdmissionRule):
         if scored.objective < 0.0:
             return self._reject(req, scored, REJECT_NEGATIVE, q_eff)
 
-        usage = config_usage(req, config, self.vms)
+        shape = self._shapes_for(req)[tuple(config.assignment.items())]
+        usage, rows, dims = shape.usage, shape.rows, shape.dims
+        beta = self.dual.beta
+        baseline = self.dual.baseline
         span = range(req.arrival, req.arrival + req.duration)
-        for key in sorted(usage):
+        for (i, r), _ in rows:
             for t in span:
-                triple = (key[0], key[1], t)
-                if self.dual.price(triple) > 1.0:
+                triple = (i, r, t)
+                if beta.get(triple, 0.0) > 1.0:
                     return self._reject(req, scored, REJECT_CEILING, q_eff)
-                if self.dual.capacity_at_window_start(triple, self.resources) <= 0.0:
+                # the first touch in a window fixes its capacity baseline
+                cap = baseline.get(triple)
+                if cap is None:
+                    cap = baseline[triple] = self.resources.free(i, r, t)
+                if cap <= 0.0:
                     # nothing was free when this window's prices were set
                     return self._reject(req, scored, REJECT_CEILING, q_eff)
 
@@ -188,29 +224,23 @@ class OnlineAllocator(_AdmissionRule):
                 usage, req.arrival, req.arrival + req.duration):
             return self._reject(req, scored, REJECT_CAPACITY, q_eff)
 
-        # resources per cloud this config actually prices; the bonus is
-        # amortized over them so the dual increment telescopes exactly
-        dims = {}
-        for (i, r) in usage:
-            dims[i] = dims.get(i, 0) + 1
-
+        # dims counts the resources per cloud this config prices; the bonus
+        # is amortized over them so the dual increment telescopes exactly
         charge = 0.0
         bonus_total = 0.0
-        for key in sorted(usage):
-            i, r = key
-            units = usage[key]
+        for (i, r), units in rows:
             share = scored.per_cloud.get(i, 0.0) / dims[i]
             for t in span:
                 triple = (i, r, t)
-                pre = self.dual.price(triple)
-                cap = self.dual.capacity_at_window_start(triple, self.resources)
+                pre = beta.get(triple, 0.0)
+                cap = baseline[triple]
                 charge += units * pre
                 bonus = BONUS_SCALE * share / cap
                 post = pre * (1.0 + units / cap) + bonus
                 if post < 0.0:
                     post = 0.0
                     self.counters["beta_clamped"] += 1
-                self.dual.beta[triple] = post
+                beta[triple] = post
                 bonus_total += cap * bonus
 
         self.resources.lease(req.req_id, usage, req.arrival, req.arrival + req.duration)
@@ -249,8 +279,8 @@ class OnlineAllocator(_AdmissionRule):
             q_eff=q_eff,
         )
 
-    def decide(self, req, fetch, q_eff):
-        return self.admit(req, self.select_config(req, fetch, q_eff), q_eff)
+    def decide(self, req, table, q_eff):
+        return self.admit(req, self.select_config(req, table, q_eff), q_eff)
 
 
 class MyopicAllocator(_AdmissionRule):
@@ -261,8 +291,8 @@ class MyopicAllocator(_AdmissionRule):
     keep no prices and never weigh transport against the virtual queue.
     """
 
-    def __init__(self, scenario, catalog, resources):
-        super().__init__(scenario, catalog, resources)
+    def __init__(self, scenario, resources):
+        super().__init__(scenario, resources)
         self.slot_spend = 0.0
 
     def queue_weight(self, queue):
@@ -274,27 +304,24 @@ class MyopicAllocator(_AdmissionRule):
         if now % self.scenario.fine_per_coarse == 0:
             self.slot_spend = 0.0
 
-    def decide(self, req, fetch, q_eff):
-        table = unit_transport_costs(req, fetch, self.topo, self.catalog)
+    def decide(self, req, table, q_eff):
         # a stable sort: equal costs keep the enumeration order
-        ranked = sorted(((sum(req.demand[k][0] * table[(k, i)]
-                              for k, i in config.assignment.items()), config)
-                         for config in self._configs_for(req)),
+        ranked = sorted(((sum(count * table[k][i]
+                              for k, i, count, _ in shape.terms), shape)
+                         for shape in self._shapes_for(req).values()),
                         key=lambda item: item[0])
         expiry = req.arrival + req.duration
-        for cost, config in ranked:
-            usage = config_usage(req, config, self.vms)
-            if self.resources.fits(usage, req.arrival, expiry):
+        for cost, shape in ranked:
+            if self.resources.fits(shape.usage, req.arrival, expiry):
                 break
         else:
             return self._decision(req, REJECT_CAPACITY, None, 0.0, 0.0, 0.0)
         if self.slot_spend + cost > self.scenario.budget + 1e-9:
             return self._decision(req, REJECT_SLOT_BUDGET, None, -cost, 0.0, 0.0)
-        self.resources.lease(req.req_id, usage, req.arrival, expiry)
-        revenue = req.duration * sum(self.vms.price(k) * req.demand[k][0]
-                                     for k in config.assignment)
+        self.resources.lease(req.req_id, shape.usage, req.arrival, expiry)
         self.slot_spend += cost
-        return self._decision(req, None, config, -cost, revenue, cost)
+        return self._decision(req, None, shape.config, -cost,
+                              req.duration * shape.revenue_rate, cost)
 
     def _decision(self, req, reason, config, objective, revenue, cost):
         return Decision(
@@ -305,7 +332,7 @@ class MyopicAllocator(_AdmissionRule):
             per_cloud={}, q_eff=0.0)
 
 
-def dual_feasibility_violations(allocator, requests, fetch, q_eff, tol=1e-7):
+def dual_feasibility_violations(allocator, requests, tables, q_eff, tol=1e-7):
     """Replay every config of the given requests against the current duals.
 
     Covered means alpha plus the config's charge at today's prices reaches
@@ -313,13 +340,11 @@ def dual_feasibility_violations(allocator, requests, fetch, q_eff, tol=1e-7):
     and alpha is settled at decision time, so the count should be zero.
     """
     bad = 0
-    for req in requests:
+    for req, table in zip(requests, tables):
         alpha = allocator.dual.alpha.get(req.req_id, 0.0)
-        table = unit_transport_costs(req, fetch, allocator.topo,
-                                     allocator.catalog)
-        for config in allocator._configs_for(req):
-            total, _, _, _ = allocator._score_one(req, config, table, q_eff)
-            slack = alpha + allocator._charge(req, config) - req.duration * total
+        for shape in allocator._shapes_for(req).values():
+            total, _, _, _ = allocator._score_one(req, shape, table, q_eff)
+            slack = alpha + allocator._charge(req, shape.rows) - req.duration * total
             if slack < -tol:
                 bad += 1
     return bad

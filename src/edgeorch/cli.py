@@ -74,8 +74,8 @@ def adjust_cache_ratio(scenario, ratio):
 def _build_cell(spec, scenario_path, axis, value, seed):
     """Scenario and workload config for one run cell, sweeps applied."""
     try:
-        # replace() reruns Scenario.__post_init__, which rejects bad values
-        scenario = replace(load_scenario(scenario_path), **spec["overrides"])
+        # with_changes() reruns Scenario.__post_init__, which rejects bad values
+        scenario = load_scenario(scenario_path).with_changes(**spec["overrides"])
     except TypeError as exc:
         raise ScenarioError(f"bad scenario override: {exc}") from exc
     with open(resolve_data(spec["workload"], "workload")) as fh:
@@ -85,7 +85,7 @@ def _build_cell(spec, scenario_path, axis, value, seed):
     elif axis == "private_ratio":
         cfg = replace(cfg, private_ratio=value)
     elif axis in ("v_weight", "budget"):
-        scenario = replace(scenario, **{axis: value})
+        scenario = scenario.with_changes(**{axis: value})
     elif axis is not None:
         raise ScenarioError(f"unknown sweep axis {axis!r}")
     return scenario, cfg

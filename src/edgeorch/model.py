@@ -9,6 +9,8 @@ Conventions used throughout the package:
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 ORIGIN = "origin"  # sentinel source for objects cached nowhere
 
 
@@ -234,24 +236,45 @@ def fetch_latencies(placement, topo, objects):
             for i in topo.clouds]
 
 
-def unit_transport_costs(req, fetch, topo, catalog):
-    """Per-VM transport cost table: {(k, i): cost of hosting one type-k VM at i}.
+def transport_matrix(requests, fetch, topo, catalog):
+    """Per-VM transport costs of every request in a batch, from one array.
 
-    Public objects come at their fetch-table latency times object size.  An
-    object the table lacks is private and streams from the request's ingress
-    cloud; an unknown id raises ValueError.
+    Returns one table per request, {k: [cost of hosting one type-k VM at
+    cloud i, for each cloud i]}, cut from a single float array with one row
+    per (request, positive type group) and one column per cloud.  Public
+    objects come at their fetch-table latency times object size.  An object
+    the table lacks is private and streams from the request's ingress
+    cloud; an unknown id raises ValueError.  Each entry equals the scalar
+    sum from 0.0 over its objects in order, bit for bit.
     """
-    table = {}
-    for k in req.groups():
-        _, objects = req.demand[k]
-        for i in topo.clouds:
-            row = fetch[i]
-            stream = topo.w[i][req.ingress]
-            total = 0.0
-            for o in objects:
-                total += row.get(o, stream) * catalog.size(o)
-            table[(k, i)] = total
-    return table
+    n = topo.n_clouds
+    public = list(fetch[0])
+    column = {o: j for j, o in enumerate(public)}
+    # latency rows by source: one per public object, one per ingress cloud,
+    # and a zero row for padding
+    latency = np.array([[row[o] for row in fetch] for o in public]
+                       + [list(col) for col in zip(*topo.w)] + [[0.0] * n])
+    groups, sources, sizes = [], [], []
+    for req in requests:
+        keys = req.groups()
+        groups.append(keys)
+        stream = len(public) + req.ingress
+        for k in keys:
+            objects = req.demand[k][1]
+            sources.append([column.get(o, stream) for o in objects])
+            sizes.append([catalog.size(o) for o in objects])
+    depth = max(map(len, sources), default=0)
+    # position 0 and the tail past a row's objects are 0.0 terms, so every
+    # row starts from 0.0 and pads with exact no-op additions
+    source = np.full((len(sources), depth + 1), len(latency) - 1, dtype=np.intp)
+    size = np.zeros((len(sources), depth + 1))
+    for m, (src, sz) in enumerate(zip(sources, sizes)):
+        source[m, 1:len(src) + 1] = src
+        size[m, 1:len(sz) + 1] = sz
+    # accumulate adds the terms strictly left to right
+    terms = latency[source] * size[:, :, None]
+    rows = iter(np.add.accumulate(terms, axis=1)[:, -1].tolist())
+    return [{k: next(rows) for k in keys} for keys in groups]
 
 
 def config_usage(req, config, vm_catalog):

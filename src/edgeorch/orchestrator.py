@@ -14,7 +14,7 @@ time-average cost can exceed the budget by at most Q(T)/T.
 
 from dataclasses import dataclass, field
 
-from .model import fetch_latencies
+from .model import fetch_latencies, transport_matrix
 from .placement import aggregate_demand
 
 
@@ -60,10 +60,11 @@ def run_coarse_slot(state, arrivals, allocator, place, placement, catalog,
 
     arrivals: one list of requests per fine slot of this coarse slot.
     allocator: admission rule with queue_weight(queue),
-        advance_fine_slot(t) and decide(req, fetch, q_eff) -> Decision,
-        where fetch is the slot's model.fetch_latencies table.
+        advance_fine_slot(t) and decide(req, table, q_eff) -> Decision,
+        where table is the request's row of the slot's
+        model.transport_matrix.
     place: callable(DemandMatrix) -> (PlacementSolution or None, new profile).
-    window_hook: optional callable(fine slot, requests, fetch, q_eff)
+    window_hook: optional callable(fine slot, requests, tables, q_eff)
         invoked when each fine slot's pricing window closes.
 
     Returns (SlotReport, new placement, decisions, demand).
@@ -74,6 +75,10 @@ def run_coarse_slot(state, arrivals, allocator, place, placement, catalog,
     q_eff = allocator.queue_weight(state.queue)
     fetch = fetch_latencies(placement, scenario.topology,
                             scenario.catalog.public_objects())
+    # the placement is fixed for the slot, so every arrival's transport
+    # costs are known now: one matrix prices them all
+    tables = iter(transport_matrix([req for batch in arrivals for req in batch],
+                                   fetch, scenario.topology, catalog))
     base = state.slot_index * scenario.fine_per_coarse
     revenue = 0.0
     cost = 0.0
@@ -83,9 +88,10 @@ def run_coarse_slot(state, arrivals, allocator, place, placement, catalog,
     for offset, batch in enumerate(arrivals):
         t = base + offset
         allocator.advance_fine_slot(t)
-        for req in batch:
+        batch_tables = [next(tables) for _ in batch]
+        for req, table in zip(batch, batch_tables):
             n_arrivals += 1
-            decision = allocator.decide(req, fetch, q_eff)
+            decision = allocator.decide(req, table, q_eff)
             decision.slot = state.slot_index
             decisions.append(decision)
             if decision.accepted:
@@ -93,7 +99,7 @@ def run_coarse_slot(state, arrivals, allocator, place, placement, catalog,
                 cost += decision.transport_cost
                 accepted_pairs.append((req, decision.config))
         if window_hook is not None and batch:
-            window_hook(t, list(batch), fetch, q_eff)
+            window_hook(t, list(batch), batch_tables, q_eff)
 
     demand = aggregate_demand(accepted_pairs, catalog, state.slot_index)
     solution, new_placement = place(demand)

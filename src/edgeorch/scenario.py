@@ -6,7 +6,7 @@ same file always yields the identical system.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,6 +31,9 @@ class Scenario:
     c_max: float = 0.0           # worst-case per-slot transport cost bound
     score_mode: str = "q_coupled"
     hard_capacity_guard: bool = True
+    # set when c_max was omitted (0) and derived from the budget
+    c_max_derived: bool = field(default=False, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         if self.fine_per_coarse < 1:
@@ -39,7 +42,8 @@ class Scenario:
             raise ScenarioError("budget and v_weight must be non-negative")
         if self.score_mode not in ("q_coupled", "paper"):
             raise ScenarioError(f"unknown score_mode {self.score_mode!r}")
-        if not self.c_max:
+        self.c_max_derived = not self.c_max
+        if self.c_max_derived:
             self.c_max = 3.0 * self.budget if self.budget else 1.0
         for i in self.topology.clouds:
             for r in range(self.vms.n_resources):
@@ -47,6 +51,13 @@ class Scenario:
                     raise ScenarioError(f"missing capacity for cloud {i} resource {r}")
             if i not in self.cache_size:
                 raise ScenarioError(f"missing cache size for cloud {i}")
+
+    def with_changes(self, **changes):
+        """A validated copy with fields replaced; a derived c_max is derived
+        again from the new budget, an explicit one is kept."""
+        if self.c_max_derived:
+            changes.setdefault("c_max", 0.0)
+        return replace(self, **changes)
 
     @property
     def drift_bound(self):

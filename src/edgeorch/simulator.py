@@ -26,7 +26,7 @@ import numpy as np
 from .allocator import (MyopicAllocator, OnlineAllocator,
                         dual_feasibility_violations)
 from .model import (PlacementProfile, Request, ResourceState, config_usage,
-                    enumerate_configs, fetch_latencies, unit_transport_costs)
+                    enumerate_configs, fetch_latencies, transport_matrix)
 from .orchestrator import OrchestratorState, run_coarse_slot, update_virtual_queue
 from .placement import (DemandMatrix, PlacementSolution, feasible_content_sets,
                         greedy_place, placement_cost, top_popularity_place)
@@ -284,9 +284,9 @@ def run_policy(policy, scenario, workload, horizon_coarse,
     catalog = workload.catalog
     resources = ResourceState(scenario.capacity)
     if policy == "proposed":
-        allocator = OnlineAllocator(scenario, catalog, resources)
+        allocator = OnlineAllocator(scenario, resources)
     else:
-        allocator = MyopicAllocator(scenario, catalog, resources)
+        allocator = MyopicAllocator(scenario, resources)
     cooperative = policy != "myopic_nocoop"
     perturb_rng = np.random.default_rng([workload.config.seed, 101])
 
@@ -305,11 +305,11 @@ def run_policy(policy, scenario, workload, horizon_coarse,
 
     hook = None
     if lemma5_windows:
-        def hook(t, seen, fetch, q_eff):
+        def hook(t, seen, tables, q_eff):
             if t in lemma5_windows:
                 counters["replayed_windows"] += 1
                 counters["dual_violations"] += dual_feasibility_violations(
-                    allocator, seen, fetch, q_eff)
+                    allocator, seen, tables, q_eff)
 
     state = OrchestratorState()
     placement = PlacementProfile.empty(scenario.topology.n_clouds,
@@ -385,11 +385,14 @@ def lookahead_oracle(scenario, workload, n_frame, frame_index,
         space *= len(sets)
     if space > profile_cap:
         raise ValueError(f"profile space {space} exceeds cap {profile_cap}")
-    # one fetch table per candidate profile, over the frame's public reads
-    fetches = [fetch_latencies(PlacementProfile(dict(zip(clouds, combo)),
-                                                scenario.cache_size),
-                               topo, demanded)
-               for combo in itertools.product(*per_cloud_sets)]
+    # one transport matrix per candidate profile, over the frame's requests
+    matrices = [transport_matrix(
+                    frame_reqs,
+                    fetch_latencies(PlacementProfile(dict(zip(clouds, combo)),
+                                                     scenario.cache_size),
+                                    topo, demanded),
+                    topo, catalog)
+                for combo in itertools.product(*per_cloud_sets)]
 
     options = []   # per request: list of (config or None, revenue, usage)
     for req in frame_reqs:
@@ -403,9 +406,9 @@ def lookahead_oracle(scenario, workload, n_frame, frame_index,
     def slot_of(req):
         return (req.arrival // fpc) - frame_index * n_frame
 
-    def cost_under(req, config, fetch):
-        table = unit_transport_costs(req, fetch, topo, catalog)
-        return sum(req.demand[k][0] * table[(k, i)]
+    def cost_under(n, config, tables):
+        req, table = frame_reqs[n], tables[n]
+        return sum(req.demand[k][0] * table[k][i]
                    for k, i in config.assignment.items())
 
     best = (0.0, None)   # any frame admits the all-reject solution
@@ -434,15 +437,15 @@ def lookahead_oracle(scenario, workload, n_frame, frame_index,
             continue
         total_cost = 0.0
         for s in range(n_frame):
-            slot_accepted = [(req, options[n][pick])
+            slot_accepted = [(n, options[n][pick][0])
                              for n, (req, pick) in enumerate(zip(frame_reqs, combo))
                              if options[n][pick][0] is not None and slot_of(req) == s]
             if not slot_accepted:
                 continue
             slot_best = None
-            for fetch in fetches:
-                c = sum(cost_under(req, opt[0], fetch)
-                        for req, opt in slot_accepted)
+            for tables in matrices:
+                c = sum(cost_under(n, config, tables)
+                        for n, config in slot_accepted)
                 if slot_best is None or c < slot_best:
                     slot_best = c
             total_cost += slot_best

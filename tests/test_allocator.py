@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,10 +8,11 @@ from edgeorch.allocator import (BONUS_SCALE, E_RATIO, OnlineAllocator,
                                 ScoredConfig, check_price_scaling,
                                 dual_feasibility_violations)
 from edgeorch.model import (DataCatalog, PlacementProfile, Request,
-                            ResourceState, Topology, VMCatalog,
+                            ResourceState, Topology, VMCatalog, config_usage,
                             enumerate_configs, fetch_latencies,
-                            unit_transport_costs)
-from edgeorch.scenario import Scenario, make_tiny_scenario
+                            transport_matrix)
+from edgeorch.scenario import Scenario, make_desk_scenario, make_tiny_scenario
+from reference_rules import ReferenceAllocator
 
 
 def one_cloud_scenario():
@@ -43,12 +47,18 @@ def two_cloud_scenario():
 
 def fresh(scenario):
     resources = ResourceState(dict(scenario.capacity))
-    return OnlineAllocator(scenario, scenario.catalog, resources)
+    return OnlineAllocator(scenario, resources)
 
 
 def slot_fetch(scenario, placement):
     return fetch_latencies(placement, scenario.topology,
                            scenario.catalog.public_objects())
+
+
+def cost_table(scenario, fetch, req):
+    """The request's row of a transport matrix over the fetch table."""
+    return transport_matrix([req], fetch, scenario.topology,
+                            scenario.catalog)[0]
 
 
 def test_scoring_prefers_the_cached_cloud():
@@ -58,16 +68,17 @@ def test_scoring_prefers_the_cached_cloud():
     fetch = slot_fetch(scn, placement)
     req = Request(1, 0, 4, 0, {0: (1, ("o1",))})
 
-    config0, config1 = enumerate_configs(req, scn.topology)
-    table = unit_transport_costs(req, fetch, scn.topology, scn.catalog)
-    total, per_cloud, cost, revenue = alloc._score_one(req, config0, table, 1.0)
+    shape0, shape1 = alloc._shapes_for(req).values()
+    assert shape0.config.assignment == {0: 0}
+    table = cost_table(scn, fetch, req)
+    total, per_cloud, cost, revenue = alloc._score_one(req, shape0, table, 1.0)
     # hosting at cloud 0 hauls o1 over the 20-latency link: 10*10 - 40/4
     assert total == 90.0
     assert per_cloud == {0: 90.0}
     assert cost == 40.0
     assert revenue == 40.0
 
-    scored = alloc.select_config(req, fetch, 1.0)
+    scored = alloc.select_config(req, table, 1.0)
     assert scored.config.assignment == {0: 1}
     assert scored.objective == 400.0
     assert scored.adjusted_revenue == 100.0
@@ -102,8 +113,9 @@ def test_accept_updates_prices_and_duals():
 
     # a second identical bundle is now charged at the fresh prices
     req2 = Request(2, 0, 2, 0, {0: (1, ())})
-    assert alloc._charge(req2, config) == pytest.approx(5.819767068693265,
-                                                        rel=1e-12)
+    rows = sorted(config_usage(req2, config, scn.vms).items())
+    assert alloc._charge(req2, rows) == pytest.approx(5.819767068693265,
+                                                      rel=1e-12)
 
 
 def test_reject_negative_objective():
@@ -112,7 +124,8 @@ def test_reject_negative_objective():
     placement = PlacementProfile.empty(2, dict(scn.cache_size))
     req = Request(7, 0, 4, 0, {0: (1, ("o1",))})
     # q_eff 10 prices uncached o1 far above the 100-per-slot revenue
-    d = alloc.decide(req, slot_fetch(scn, placement), q_eff=10.0)
+    d = alloc.decide(req, cost_table(scn, slot_fetch(scn, placement), req),
+                     q_eff=10.0)
     assert not d.accepted
     assert d.reason == "negative_objective"
     assert d.objective == -1600.0
@@ -196,7 +209,7 @@ def test_random_streams_keep_duals_feasible():
     objects = scn.catalog.public_objects()
     for trial in range(6):
         resources = ResourceState(dict(scn.capacity))
-        alloc = OnlineAllocator(scn, scn.catalog, resources)
+        alloc = OnlineAllocator(scn, resources)
         placement = PlacementProfile({0: (objects[0],), 1: ()},
                                      dict(scn.cache_size))
         fetch = slot_fetch(scn, placement)
@@ -214,10 +227,11 @@ def test_random_streams_keep_duals_feasible():
             req = Request(1000 * trial + n, 0, duration,
                           int(rng.integers(2)), demand)
             seen.append(req)
-            d = alloc.decide(req, fetch, q_eff=1.0)
+            d = alloc.decide(req, cost_table(scn, fetch, req), q_eff=1.0)
             accepted += d.accepted
         assert alloc.counters["identity_violations"] == 0
-        assert dual_feasibility_violations(alloc, seen, fetch, 1.0) == 0
+        tables = transport_matrix(seen, fetch, scn.topology, scn.catalog)
+        assert dual_feasibility_violations(alloc, seen, tables, 1.0) == 0
         assert accepted > 0
         assert all(v >= 0 for v in alloc.dual.beta.values())
 
@@ -227,14 +241,84 @@ def test_prices_never_fall_within_a_window():
     rng = np.random.default_rng(9)
     objects = scn.catalog.public_objects()
     resources = ResourceState(dict(scn.capacity))
-    alloc = OnlineAllocator(scn, scn.catalog, resources)
+    alloc = OnlineAllocator(scn, resources)
     fetch = slot_fetch(scn, PlacementProfile.empty(2, dict(scn.cache_size)))
     floor = {}
     for n in range(25):
         objs = tuple(rng.choice(objects, size=1))
         req = Request(n, 0, int(rng.integers(1, 4)), int(rng.integers(2)),
                       {int(rng.integers(2)): (int(rng.integers(1, 3)), objs)})
-        alloc.decide(req, fetch, q_eff=1.0)
+        alloc.decide(req, cost_table(scn, fetch, req), q_eff=1.0)
         for key, price in alloc.dual.beta.items():
             assert price >= floor.get(key, 0.0) - 1e-12
             floor[key] = price
+
+
+def test_admission_matches_scalar_reference():
+    """The per-shape, matrix-fed admission path against the scalar rule it
+    replaced: equal decisions, and equal prices, baselines, alphas, counters
+    and ledger after every pricing window.  The windows mix one- and
+    two-type requests (5 and 25 configs), public and private reads, queue
+    weights that drive objectives negative, exact ties, a poked price above
+    the ceiling and a resource with no capacity at all."""
+    base = make_desk_scenario()
+    publics = base.catalog.public_objects()
+    catalog = DataCatalog(dict(base.catalog.sizes))
+    privates = [f"p{j}" for j in range(8)]
+    for j, o in enumerate(privates):
+        catalog.add(o, 1 + j % 3, visibility="private")
+    tight = {(i, r): 120.0 for i in range(5) for r in range(3)}
+    rng = np.random.default_rng(17)
+    seen = Counter()
+    for capacity, guard in ((tight, True), (tight, False),
+                            ({**tight, (2, 1): 0.0}, True)):
+        scn = replace(base, capacity=capacity, hard_capacity_guard=guard)
+        new = OnlineAllocator(scn, ResourceState(dict(capacity)))
+        ref = ReferenceAllocator(scn, catalog, ResourceState(dict(capacity)))
+        req_id = 0
+        for t in range(12):
+            placement = PlacementProfile(
+                {i: [o for o in publics if rng.random() < 0.08]
+                 for i in range(5)}, dict(scn.cache_size))
+            fetch = fetch_latencies(placement, scn.topology, publics)
+            batch = []
+            for n in range(int(rng.integers(3, 9))):
+                demand = {}
+                for k in (0, 1):
+                    if k == 0 or rng.random() < 0.5:
+                        objs = []
+                        if n > 0:   # the first request of a window ties
+                            objs += [publics[m] for m in rng.choice(
+                                len(publics), size=int(rng.integers(0, 4)),
+                                replace=False)]
+                            objs += privates[:int(rng.integers(0, 3))]
+                        demand[k] = (int(rng.integers(1, 4)), tuple(objs))
+                if rng.random() < 0.5 and len(demand) == 2:
+                    del demand[int(rng.integers(2))]
+                batch.append(Request(req_id, t, int(rng.integers(1, 5)),
+                                     int(rng.integers(5)), demand))
+                req_id += 1
+            tables = transport_matrix(batch, fetch, scn.topology, catalog)
+            for alloc in (new, ref):
+                alloc.advance_fine_slot(t)
+                if t == 5:
+                    for i in range(5):
+                        alloc.dual.beta[(i, 0, t)] = 1.5
+            for n, (req, table) in enumerate(zip(batch, tables)):
+                q_eff = float(rng.choice([1.0, 250.0, 4000.0]))
+                got = new.decide(req, table, q_eff)
+                want = ref.decide(req, fetch, q_eff)
+                assert got == want
+                seen[got.reason or "accepted"] += 1
+                seen["two_types"] += len(req.groups()) == 2
+                if n == 0 and t != 5 and got.accepted:
+                    assert set(got.config.assignment.values()) == {0}
+                    seen["ties"] += 1
+            assert new.dual.beta == ref.dual.beta
+            assert new.dual.baseline == ref.dual.baseline
+            assert new.dual.alpha == ref.dual.alpha
+            assert new.counters == ref.counters
+            assert new.resources.committed == ref.resources.committed
+    for what in ("accepted", "price_ceiling", "negative_objective",
+                 "no_feasible_config", "two_types", "ties"):
+        assert seen[what] > 0, seen

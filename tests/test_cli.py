@@ -204,6 +204,32 @@ def test_bad_override_values_exit_2(tmp_path, capsys, extra):
     assert "error:" in capsys.readouterr().err
 
 
+def test_budget_overrides_rederive_only_an_omitted_c_max(tmp_path):
+    data = json.loads((DATA_DIR / "desk.json").read_text())
+    data["budget"] = 100.0
+    explicit = tmp_path / "explicit.json"
+    explicit.write_text(json.dumps(data))
+    del data["c_max"]
+    omitted = tmp_path / "omitted.json"
+    omitted.write_text(json.dumps(data))
+    spec = {"workload": "workload_default", "overrides": {}}
+
+    def c_max(path, axis=None, value=None, **overrides):
+        cell = {**spec, "overrides": overrides}
+        return cli._build_cell(cell, path, axis, value, 0)[0].c_max
+
+    # an omitted c_max is 3 x the budget in force, however it is set
+    assert c_max(omitted) == 300.0
+    assert c_max(omitted, "budget", 1000.0) == 3000.0
+    assert c_max(omitted, budget=500.0) == 1500.0
+    assert c_max(omitted, "budget", 1000.0, budget=500.0) == 3000.0
+    assert c_max(omitted, "v_weight", 7.0) == 300.0
+    # an explicit one, from the file or an override, is kept
+    assert c_max(explicit, "budget", 1000.0) == 100000.0
+    assert c_max(explicit, budget=500.0) == 100000.0
+    assert c_max(omitted, "budget", 1000.0, c_max=42.0) == 42.0
+
+
 def test_verify_command(capsys):
     assert main(["verify", "prop2"]) == 0
     out = capsys.readouterr().out

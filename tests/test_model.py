@@ -4,8 +4,9 @@ import pytest
 from edgeorch.model import (ORIGIN, DataCatalog, PlacementProfile, Request,
                             ResourceState, Topology, VMCatalog, config_usage,
                             enumerate_configs, fetch_latencies,
-                            nearest_replica, unit_transport_costs)
+                            nearest_replica, transport_matrix)
 from edgeorch.placement import random_placement_instance
+from reference_rules import unit_transport_costs
 
 
 def two_cloud_topo():
@@ -85,11 +86,11 @@ def test_unit_transport_costs_table():
     placement = PlacementProfile({0: (), 1: ("o1",)}, {0: 4.0, 1: 4.0})
     fetch = fetch_latencies(placement, topo, catalog.public_objects())
     req = Request(1, 0, 4, 0, {0: (1, ("o1", "p1"))})
-    table = unit_transport_costs(req, fetch, topo, catalog)
+    [table] = transport_matrix([req], fetch, topo, catalog)
     # at cloud 0: o1 from cloud 1 (20 * size 2), p1 at ingress, free
-    assert table[(0, 0)] == 40.0
+    assert table[0][0] == 40.0
     # at cloud 1: o1 local, p1 hauled from ingress 0 (20 * size 1)
-    assert table[(0, 1)] == 20.0
+    assert table[0][1] == 20.0
 
 
 def test_request_cost_and_revenue():
@@ -99,11 +100,11 @@ def test_request_cost_and_revenue():
     placement = PlacementProfile.empty(2, {0: 4.0, 1: 4.0})
     req = Request(1, 0, 4, 0, {0: (2, ("o2",))})
     config = enumerate_configs(req, topo)[1]      # host both VMs at cloud 1
-    table = unit_transport_costs(
-        req, fetch_latencies(placement, topo, catalog.public_objects()), topo,
+    [table] = transport_matrix(
+        [req], fetch_latencies(placement, topo, catalog.public_objects()), topo,
         catalog)
     # o2 uncached: origin fetch at 120 from cloud 1, size 1, two VMs
-    assert sum(req.demand[k][0] * table[(k, i)]
+    assert sum(req.demand[k][0] * table[k][i]
                for k, i in config.assignment.items()) == 240.0
     # 4 slots * 10 * 2
     assert req.duration * sum(vms.price(k) * req.demand[k][0]
@@ -128,7 +129,10 @@ def reference_transport_costs(req, placement, topo, catalog):
 
 
 def test_transport_costs_match_reference_rule():
+    """Every entry of the batched matrix equals, bit for bit, both the
+    per-lookup rule and the scalar per-request sum it replaced."""
     rng = np.random.default_rng(11)
+    seen = {"two_groups": 0, "private": 0, "public_only": 0}
     for trial in range(60):
         _, cache, topo, catalog = random_placement_instance(rng)
         publics = catalog.public_objects()
@@ -139,6 +143,7 @@ def test_transport_costs_match_reference_rule():
             {i: [o for o in publics if rng.random() < 0.4] for i in cache},
             cache)
         fetch = fetch_latencies(placement, topo, publics)
+        requests = []
         for n in range(5):
             demand = {}
             for k in range(3):
@@ -147,12 +152,26 @@ def test_transport_costs_match_reference_rule():
                                        replace=False)
                     demand[k] = (int(rng.integers(1, 3)),
                                  tuple(ids[m] for m in sorted(picks)))
-            req = Request(n, 0, 1, int(rng.integers(topo.n_clouds)), demand)
-            assert unit_transport_costs(req, fetch, topo, catalog) == \
-                reference_transport_costs(req, placement, topo, catalog)
+            requests.append(
+                Request(n, 0, 1, int(rng.integers(topo.n_clouds)), demand))
+        tables = transport_matrix(requests, fetch, topo, catalog)
+        assert len(tables) == len(requests)
+        for req, table in zip(requests, tables):
+            reference = reference_transport_costs(req, placement, topo, catalog)
+            assert unit_transport_costs(req, fetch, topo, catalog) == reference
+            entries = {(k, i): cost for k, row in table.items()
+                       for i, cost in enumerate(row)}
+            assert entries == reference
+            objects = [o for _, objs in req.demand.values() for o in objs]
+            seen["two_groups"] += len(req.groups()) >= 2
+            if any(o not in publics for o in objects):
+                seen["private"] += 1
+            else:
+                seen["public_only"] += 1
         unknown = Request(99, 0, 1, 0, {0: (1, (publics[0], "nope"))})
         with pytest.raises(ValueError, match="nope"):
-            unit_transport_costs(unknown, fetch, topo, catalog)
+            transport_matrix(requests + [unknown], fetch, topo, catalog)
+    assert all(count > 0 for count in seen.values()), seen
 
 
 def test_config_usage_drops_zero_rows():

@@ -31,8 +31,8 @@ def test_slot_report_acceptance():
 def test_effective_queue_modes():
     scn = make_tiny_scenario()
     resources = ResourceState(dict(scn.capacity))
-    proposed = OnlineAllocator(scn, scn.catalog, resources)
-    myopic = MyopicAllocator(scn, scn.catalog, resources)
+    proposed = OnlineAllocator(scn, resources)
+    myopic = MyopicAllocator(scn, resources)
     assert proposed.queue_weight(0.0) == 1.0
     assert proposed.queue_weight(42.0) == 42.0
     assert myopic.queue_weight(42.0) == 0.0
@@ -44,7 +44,7 @@ def test_effective_queue_modes():
 def run_one_slot(scenario, arrivals, state=None):
     state = state or OrchestratorState()
     resources = ResourceState(dict(scenario.capacity))
-    allocator = OnlineAllocator(scenario, scenario.catalog, resources)
+    allocator = OnlineAllocator(scenario, resources)
     placement = PlacementProfile.empty(scenario.topology.n_clouds,
                                        dict(scenario.cache_size))
 
@@ -108,12 +108,12 @@ def test_window_hook_sees_each_busy_fine_slot():
     scn = make_tiny_scenario()
     calls = []
 
-    def hook(t, batch, fetch, q_eff):
+    def hook(t, batch, tables, q_eff):
         calls.append((t, [r.req_id for r in batch], q_eff))
 
     state = OrchestratorState()
     resources = ResourceState(dict(scn.capacity))
-    allocator = OnlineAllocator(scn, scn.catalog, resources)
+    allocator = OnlineAllocator(scn, resources)
     placement = PlacementProfile.empty(2, dict(scn.cache_size))
     arrivals = [[Request(1, 0, 1, 0, {0: (1, ())})], [],
                 [Request(2, 2, 1, 0, {0: (1, ())})], []]
@@ -128,7 +128,7 @@ def test_placement_swap_is_returned_not_applied():
     sentinel = PlacementProfile({0: ("o000",), 1: ()}, dict(scn.cache_size))
     state = OrchestratorState()
     resources = ResourceState(dict(scn.capacity))
-    allocator = OnlineAllocator(scn, scn.catalog, resources)
+    allocator = OnlineAllocator(scn, resources)
     placement = PlacementProfile.empty(2, dict(scn.cache_size))
     (report, new_placement, _, _) = run_coarse_slot(
         state, [[], [], [], []], allocator,
