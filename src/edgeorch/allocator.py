@@ -17,7 +17,7 @@ bundle that fits, behind a hard per-coarse-slot transport budget.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import config_usage, enumerate_configs
@@ -32,16 +32,50 @@ REJECT_SLOT_BUDGET = "slot_budget"
 
 
 class DualState:
-    """Shadow prices for the current fine slot's packing problem."""
+    """Shadow prices for the current fine slot's packing problem.
+
+    Prices and capacity baselines are kept as one row per (cloud, resource)
+    the window has touched, indexed by fine slot minus the window start.
+    An entry no admission has priced yet reads 0.0.
+    """
 
     def __init__(self):
-        self.beta = {}        # (cloud, resource, fine slot) -> price
-        self.baseline = {}    # (cloud, resource, fine slot) -> capacity at window start
+        self.start = 0        # first fine slot of the window
+        self.beta = {}        # (cloud, resource) -> [price by offset]
+        self.baseline = {}    # (cloud, resource) -> [capacity at window start by offset]
+        self.priced = set()   # clouds holding a price row
         self.alpha = {}       # request id -> dual value of its admission constraint
 
-    def advance(self):
+    def advance(self, now):
+        self.start = now
         self.beta.clear()
         self.baseline.clear()
+        self.priced.clear()
+
+    def offset(self, req):
+        """Offset of the request's arrival into the window's rows."""
+        lo = req.arrival - self.start
+        if lo < 0:
+            raise ValueError(f"request {req.req_id} arrives before its "
+                             "pricing window")
+        return lo
+
+    def rows(self, key, stop, ledger):
+        """The price and baseline rows of one (cloud, resource), covering
+        offsets 0..stop-1.  New baseline entries are read from the ledger
+        now: every lease of the window touches its rows before it commits
+        units, so they still hold what was free when the window started."""
+        prices = self.beta.get(key)
+        if prices is None:
+            self.priced.add(key[0])
+            prices = self.beta[key] = []
+            self.baseline[key] = []
+        caps = self.baseline[key]
+        have = len(prices)
+        if have < stop:
+            prices += [0.0] * (stop - have)
+            caps += ledger.free_row(key, self.start + have, self.start + stop)
+        return prices, caps
 
 
 class Shape(NamedTuple):
@@ -65,6 +99,7 @@ class ScoredConfig:
     per_cloud: dict           # cloud -> adjusted revenue earned there
     revenue: float            # realized revenue if accepted (price * count * L)
     transport_cost: float     # one-shot transport cost at current placement
+    shape: Shape              # the config's usage rows, which admit prices
 
 
 @dataclass
@@ -105,13 +140,13 @@ class _AdmissionRule:
         self._shape_cache = {}
 
     def _shapes_for(self, req):
-        """The request's config Shapes, keyed by assignment, in enumeration
-        order.  They depend only on the request's (type, count) pairs, so
-        they are built once per such pair list."""
+        """The request's config Shapes in enumeration order.  They depend
+        only on the request's (type, count) pairs, so they are built once
+        per such pair list."""
         key = tuple([(k, group[0]) for k, group in req.demand.items()])
         shapes = self._shape_cache.get(key)
         if shapes is None:
-            shapes = {}
+            shapes = []
             for config in enumerate_configs(req, self.topo):
                 usage = config_usage(req, config, self.vms)
                 dims = {}
@@ -122,9 +157,9 @@ class _AdmissionRule:
                 revenue_rate = 0.0
                 for _, _, count, price in terms:
                     revenue_rate += count * price
-                shapes[tuple(config.assignment.items())] = Shape(
+                shapes.append(Shape(
                     config, usage, sorted(usage.items()), dims, terms,
-                    sorted(set(config.assignment.values())), revenue_rate)
+                    sorted(set(config.assignment.values())), revenue_rate))
             self._shape_cache[key] = shapes
         return shapes
 
@@ -147,7 +182,7 @@ class OnlineAllocator(_AdmissionRule):
     def advance_fine_slot(self, now):
         """Expire leases, then restart prices against the units still free."""
         self.resources.advance(now)
-        self.dual.advance()
+        self.dual.advance(now)
 
     def _score_one(self, req, shape, table, q_eff):
         """Revenue per unit time net of cost-weighted transport, by cloud."""
@@ -168,33 +203,35 @@ class OnlineAllocator(_AdmissionRule):
     def _charge(self, req, rows):
         """Shadow-price charge of sorted usage rows over the request's span.
 
-        Unpriced triples are skipped: each would add units * 0.0 = +0.0,
-        which leaves a sum started at 0.0 unchanged.
+        Unpriced entries are skipped or read 0.0: either adds units * 0.0 =
+        +0.0 or nothing, which leaves a sum started at 0.0 unchanged.
         """
         get = self.dual.beta.get
+        lo = self.dual.offset(req)
+        hi = lo + req.duration
         total = 0.0
-        span = range(req.arrival, req.arrival + req.duration)
-        for (i, r), units in rows:
-            for t in span:
-                price = get((i, r, t))
-                if price is not None:
+        for key, units in rows:
+            prices = get(key)
+            if prices is not None:
+                for price in prices[lo:hi]:
                     total += units * price
         return total
 
     def select_config(self, req, table, q_eff):
         """Highest priced-out objective across all configs; first wins ties."""
-        # a config on clouds without a priced triple is charged 0.0
-        priced = {i for i, _, _ in self.dual.beta}
+        # a config on clouds without a price row is charged 0.0
+        priced = self.dual.priced
         best = None
-        for shape in self._shapes_for(req).values():
+        for shape in self._shapes_for(req):
             scored = self._score_one(req, shape, table, q_eff)
             charge = (0.0 if priced.isdisjoint(shape.clouds)
                       else self._charge(req, shape.rows))
             objective = req.duration * scored[0] - charge
             if best is None or objective > best[1]:
-                best = (shape.config, objective, scored)
-        config, objective, (total, per_cloud, cost, revenue) = best
-        return ScoredConfig(config, objective, total, per_cloud, revenue, cost)
+                best = (shape, objective, scored)
+        shape, objective, (total, per_cloud, cost, revenue) = best
+        return ScoredConfig(shape.config, objective, total, per_cloud, revenue,
+                            cost, shape)
 
     def admit(self, req, scored, q_eff):
         """Apply the accept/reject rule to the chosen config and settle duals."""
@@ -202,23 +239,20 @@ class OnlineAllocator(_AdmissionRule):
         if scored.objective < 0.0:
             return self._reject(req, scored, REJECT_NEGATIVE, q_eff)
 
-        shape = self._shapes_for(req)[tuple(config.assignment.items())]
-        usage, rows, dims = shape.usage, shape.rows, shape.dims
-        beta = self.dual.beta
-        baseline = self.dual.baseline
-        span = range(req.arrival, req.arrival + req.duration)
-        for (i, r), _ in rows:
-            for t in span:
-                triple = (i, r, t)
-                if beta.get(triple, 0.0) > 1.0:
+        shape = scored.shape
+        usage, dims = shape.usage, shape.dims
+        dual = self.dual
+        lo = dual.offset(req)
+        hi = lo + req.duration
+        windows = []
+        for key, units in shape.rows:
+            prices, caps = dual.rows(key, hi, self.resources)
+            # a price past 1, or nothing free when the window's prices were
+            # set, turns the request away
+            for d in range(lo, hi):
+                if prices[d] > 1.0 or caps[d] <= 0.0:
                     return self._reject(req, scored, REJECT_CEILING, q_eff)
-                # the first touch in a window fixes its capacity baseline
-                cap = baseline.get(triple)
-                if cap is None:
-                    cap = baseline[triple] = self.resources.free(i, r, t)
-                if cap <= 0.0:
-                    # nothing was free when this window's prices were set
-                    return self._reject(req, scored, REJECT_CEILING, q_eff)
+            windows.append((key[0], units, prices, caps))
 
         if self.scenario.hard_capacity_guard and not self.resources.fits(
                 usage, req.arrival, req.arrival + req.duration):
@@ -228,19 +262,18 @@ class OnlineAllocator(_AdmissionRule):
         # is amortized over them so the dual increment telescopes exactly
         charge = 0.0
         bonus_total = 0.0
-        for (i, r), units in rows:
+        for i, units, prices, caps in windows:
             share = scored.per_cloud.get(i, 0.0) / dims[i]
-            for t in span:
-                triple = (i, r, t)
-                pre = beta.get(triple, 0.0)
-                cap = baseline[triple]
+            for d in range(lo, hi):
+                pre = prices[d]
+                cap = caps[d]
                 charge += units * pre
                 bonus = BONUS_SCALE * share / cap
                 post = pre * (1.0 + units / cap) + bonus
                 if post < 0.0:
                     post = 0.0
                     self.counters["beta_clamped"] += 1
-                beta[triple] = post
+                prices[d] = post
                 bonus_total += cap * bonus
 
         self.resources.lease(req.req_id, usage, req.arrival, req.arrival + req.duration)
@@ -305,11 +338,14 @@ class MyopicAllocator(_AdmissionRule):
             self.slot_spend = 0.0
 
     def decide(self, req, table, q_eff):
+        ranked = []
+        for shape in self._shapes_for(req):
+            cost = 0.0
+            for k, i, count, _ in shape.terms:
+                cost += count * table[k][i]
+            ranked.append((cost, shape))
         # a stable sort: equal costs keep the enumeration order
-        ranked = sorted(((sum(count * table[k][i]
-                              for k, i, count, _ in shape.terms), shape)
-                         for shape in self._shapes_for(req).values()),
-                        key=lambda item: item[0])
+        ranked.sort(key=lambda item: item[0])
         expiry = req.arrival + req.duration
         for cost, shape in ranked:
             if self.resources.fits(shape.usage, req.arrival, expiry):
@@ -342,7 +378,7 @@ def dual_feasibility_violations(allocator, requests, tables, q_eff, tol=1e-7):
     bad = 0
     for req, table in zip(requests, tables):
         alpha = allocator.dual.alpha.get(req.req_id, 0.0)
-        for shape in allocator._shapes_for(req).values():
+        for shape in allocator._shapes_for(req):
             total, _, _, _ = allocator._score_one(req, shape, table, q_eff)
             slack = alpha + allocator._charge(req, shape.rows) - req.duration * total
             if slack < -tol:

@@ -7,11 +7,20 @@ Conventions used throughout the package:
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 ORIGIN = "origin"  # sentinel source for objects cached nowhere
+
+
+def ordered_sum(values):
+    """Float sum from 0.0, strictly left to right.  Builtin sum() matches it
+    through Python 3.11 but compensates its rounding from 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class Topology:
@@ -254,23 +263,30 @@ def transport_matrix(requests, fetch, topo, catalog):
     # and a zero row for padding
     latency = np.array([[row[o] for row in fetch] for o in public]
                        + [list(col) for col in zip(*topo.w)] + [[0.0] * n])
-    groups, sources, sizes = [], [], []
-    for req in requests:
-        keys = req.groups()
-        groups.append(keys)
-        stream = len(public) + req.ingress
-        for k in keys:
-            objects = req.demand[k][1]
-            sources.append([column.get(o, stream) for o in objects])
-            sizes.append([catalog.size(o) for o in objects])
-    depth = max(map(len, sources), default=0)
+    sizes = catalog.sizes
+    groups, lengths, sources, weights = [], [], [], []
+    try:
+        for req in requests:
+            keys = req.groups()
+            groups.append(keys)
+            stream = len(public) + req.ingress
+            for k in keys:
+                objects = req.demand[k][1]
+                lengths.append(len(objects))
+                sources += [column.get(o, stream) for o in objects]
+                weights += [sizes[o] for o in objects]
+    except KeyError as exc:
+        raise ValueError(f"unknown object id {exc.args[0]!r}") from None
+    lengths = np.array(lengths, dtype=np.intp)
+    depth = int(lengths.max(initial=0))
     # position 0 and the tail past a row's objects are 0.0 terms, so every
     # row starts from 0.0 and pads with exact no-op additions
-    source = np.full((len(sources), depth + 1), len(latency) - 1, dtype=np.intp)
-    size = np.zeros((len(sources), depth + 1))
-    for m, (src, sz) in enumerate(zip(sources, sizes)):
-        source[m, 1:len(src) + 1] = src
-        size[m, 1:len(sz) + 1] = sz
+    source = np.full((len(lengths), depth + 1), len(latency) - 1, dtype=np.intp)
+    size = np.zeros((len(lengths), depth + 1))
+    # row-major order of the mask is the order objects were packed in
+    filled = np.arange(1, depth + 1) <= lengths[:, None]
+    source[:, 1:][filled] = sources
+    size[:, 1:][filled] = weights
     # accumulate adds the terms strictly left to right
     terms = latency[source] * size[:, :, None]
     rows = iter(np.add.accumulate(terms, axis=1)[:, -1].tolist())
@@ -300,25 +316,33 @@ class Lease:
 class ResourceState:
     """Per-cloud, per-resource, per-fine-slot capacity ledger.
 
-    Commitments are indexed by the fine slots a lease covers, so forward
+    Commitments are kept as one {fine slot: units} row per (cloud,
+    resource), indexed by the fine slots a lease covers, so forward
     availability (free units in a future slot) accounts for scheduled
     expirations without any explicit event processing.
     """
 
     def __init__(self, capacity):
         self.capacity = {k: float(v) for k, v in capacity.items()}
-        self.committed = {}   # (i, r, t) -> units
+        self.committed = {k: {} for k in self.capacity}  # (i, r) -> {t: units}
         self.leases = {}      # req_id -> Lease
         self.now = 0
+        self.end = 0          # first fine slot after every lease
         self.high_water = {}  # (i, r) -> max commitment ever seen
 
-    def free(self, i, r, t):
-        return self.capacity[(i, r)] - self.committed.get((i, r, t), 0.0)
+    def free_row(self, key, start, stop):
+        """Free units of one (cloud, resource) in fine slots start..stop-1."""
+        cap = self.capacity[key]
+        get = self.committed[key].get
+        return [cap - get(t, 0.0) for t in range(start, stop)]
 
     def fits(self, usage, start, expiry, slack=1e-9):
-        for (i, r), units in usage.items():
+        capacity, committed = self.capacity, self.committed
+        for key, units in usage.items():
+            cap = capacity[key]
+            get = committed[key].get
             for t in range(start, expiry):
-                if self.free(i, r, t) + slack < units:
+                if cap - get(t, 0.0) + slack < units:
                     return False
         return True
 
@@ -329,23 +353,34 @@ class ResourceState:
             raise ValueError("lease cannot start in the past")
         if req_id in self.leases:
             raise ValueError(f"request {req_id} already holds a lease")
-        for (i, r), units in usage.items():
+        high_water = self.high_water
+        for key, units in usage.items():
+            row = self.committed.setdefault(key, {})
+            get = row.get
+            peak = 0.0
             for t in range(start, expiry):
-                level = self.committed.get((i, r, t), 0.0) + units
-                self.committed[(i, r, t)] = level
-                if level > self.high_water.get((i, r), 0.0):
-                    self.high_water[(i, r)] = level
+                level = row[t] = get(t, 0.0) + units
+                if level > peak:
+                    peak = level
+            if peak > high_water.get(key, 0.0):
+                high_water[key] = peak
         self.leases[req_id] = Lease(req_id, start, expiry, dict(usage))
+        if expiry > self.end:
+            self.end = expiry
 
     def advance(self, now):
         if now < self.now:
             raise ValueError("time cannot run backwards")
+        # every commitment lies in [previous now, end): drop the slots passed
+        passed = range(self.now, min(now, self.end))
         self.now = now
         expired = [l for l in self.leases.values() if l.expiry <= now]
         for l in expired:
             del self.leases[l.req_id]
-        for key in [k for k in self.committed if k[2] < now]:
-            del self.committed[key]
+        rows = self.committed.values()
+        for t in passed:
+            for row in rows:
+                row.pop(t, None)
 
     def audit(self):
         """Recompute commitments from the lease list; raise on any mismatch."""
@@ -354,7 +389,8 @@ class ResourceState:
             for (i, r), units in l.usage.items():
                 for t in range(max(l.start, self.now), l.expiry):
                     fresh[(i, r, t)] = fresh.get((i, r, t), 0.0) + units
-        live = {k: v for k, v in self.committed.items() if k[2] >= self.now and v != 0}
+        live = {(i, r, t): v for (i, r), row in self.committed.items()
+                for t, v in row.items() if t >= self.now and v != 0}
         for key in set(fresh) | set(live):
             if abs(fresh.get(key, 0.0) - live.get(key, 0.0)) > 1e-6:
                 raise AssertionError(f"commitment ledger mismatch at {key}")

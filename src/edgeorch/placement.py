@@ -121,62 +121,87 @@ class _SavingsTracker:
     """
 
     def __init__(self, demand, topo):
-        self.topo = topo
+        self.w = topo.w
         self.by_object = {}   # o -> list of (cloud, demand)
         for (i, o), d in sorted(demand.entries.items()):
             if d > 0:
                 self.by_object.setdefault(o, []).append((i, d))
-        self.current = {}     # (cloud, o) -> latency paid right now
+        self.current = {}     # o -> latency each of its clouds pays right now
         for o, pairs in self.by_object.items():
-            for i, _ in pairs:
-                self.current[(i, o)] = topo.origin[i]
+            self.current[o] = [topo.origin[i] for i, _ in pairs]
+
+    def saving(self, o, candidate):
+        """Saving of caching object o at the candidate cloud."""
+        gain = 0.0
+        for (j, d), cur in zip(self.by_object[o], self.current[o]):
+            after = 0.0 if j == candidate else min(cur, self.w[j][candidate])
+            if cur > after:
+                gain += d * (cur - after)
+        return gain
 
     def marginal_savings(self, candidate):
         """Per-object saving of caching each object at the candidate cloud."""
         sav = {}
-        for o, pairs in self.by_object.items():
-            gain = 0.0
-            for j, d in pairs:
-                cur = self.current[(j, o)]
-                after = 0.0 if j == candidate else min(cur, self.topo.latency(j, candidate))
-                if cur > after:
-                    gain += d * (cur - after)
+        for o in self.by_object:
+            gain = self.saving(o, candidate)
             if gain > 0.0:
                 sav[o] = gain
         return sav
 
     def fix(self, cloud, content):
         for o in content:
-            for j, _ in self.by_object.get(o, ()):
+            current = self.current[o]
+            for n, (j, _) in enumerate(self.by_object[o]):
                 if j == cloud:
-                    self.current[(j, o)] = 0.0
-                else:
-                    lat = self.topo.latency(j, cloud)
-                    if lat < self.current[(j, o)]:
-                        self.current[(j, o)] = lat
+                    current[n] = 0.0
+                elif self.w[j][cloud] < current[n]:
+                    current[n] = self.w[j][cloud]
 
 
 def greedy_place(demand, cache_size, topo, catalog):
     """Fix one cloud per round, always the one whose best cache content
-    (an exact knapsack over marginal savings) saves the most."""
+    (an exact knapsack over marginal savings) saves the most.
+
+    Fixing a cloud's content changes the latencies of those objects only,
+    so after each round only their savings are recomputed, and only the
+    clouds whose savings changed solve their knapsack again."""
     sizes = _integer_sizes(demand.objects(), catalog)
     tracker = _SavingsTracker(demand, topo)
     unfixed = sorted(cache_size)
+    savings = {cloud: tracker.marginal_savings(cloud) for cloud in unfixed}
+
+    def solve(cloud):
+        sav = savings[cloud]
+        return _best_content([(o, sizes[o], sav[o]) for o in sorted(sav)],
+                             cache_size[cloud])
+
+    best = {cloud: solve(cloud) for cloud in unfixed}
     cached = {}
     rounds = []
     while unfixed:
-        best = None
+        pick = None
         for cloud in unfixed:
-            sav = tracker.marginal_savings(cloud)
-            items = [(o, sizes[o], sav[o]) for o in sorted(sav)]
-            content, value = _best_content(items, cache_size[cloud])
-            if best is None or value > best[1] + 1e-12:
-                best = (cloud, value, content)
-        cloud, value, content = best
-        cached[cloud] = content
-        tracker.fix(cloud, content)
-        rounds.append((cloud, value, content))
-        unfixed.remove(cloud)
+            content, value = best[cloud]
+            if pick is None or value > pick[1] + 1e-12:
+                pick = (cloud, value, content)
+        fixed, value, content = pick
+        cached[fixed] = content
+        tracker.fix(fixed, content)
+        rounds.append(pick)
+        unfixed.remove(fixed)
+        for cloud in unfixed:
+            sav = savings[cloud]
+            changed = False
+            for o in content:
+                gain = tracker.saving(o, cloud)
+                if gain > 0.0:
+                    changed |= sav.get(o) != gain
+                    sav[o] = gain
+                elif o in sav:
+                    del sav[o]
+                    changed = True
+            if changed:
+                best[cloud] = solve(cloud)
     profile = PlacementProfile(cached, cache_size)
     profile.validate(catalog)
     objective = placement_cost(profile, demand, topo)

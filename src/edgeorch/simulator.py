@@ -26,7 +26,8 @@ import numpy as np
 from .allocator import (MyopicAllocator, OnlineAllocator,
                         dual_feasibility_violations)
 from .model import (PlacementProfile, Request, ResourceState, config_usage,
-                    enumerate_configs, fetch_latencies, transport_matrix)
+                    enumerate_configs, fetch_latencies, ordered_sum,
+                    transport_matrix)
 from .orchestrator import OrchestratorState, run_coarse_slot, update_virtual_queue
 from .placement import (DemandMatrix, PlacementSolution, feasible_content_sets,
                         greedy_place, placement_cost, top_popularity_place)
@@ -171,7 +172,7 @@ def perturb_demand(demand, error_mean, rng, shape=10):
     eps = min(1.0, float(rng.poisson(error_mean * shape)) / shape)
     totals = demand.total_by_object()
     ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    grand = sum(totals.values())
+    grand = ordered_sum(totals.values())
     top = []
     running = 0.0
     for o, d in ranked:
@@ -332,8 +333,8 @@ def run_policy(policy, scenario, workload, horizon_coarse,
         counters["ledger_violations"] += 1
     counters.update(allocator.counters)
     totals = {
-        "revenue": sum(rep.revenue for rep in slots),
-        "cost": sum(rep.cost for rep in slots),
+        "revenue": ordered_sum(rep.revenue for rep in slots),
+        "cost": ordered_sum(rep.cost for rep in slots),
         "arrivals": sum(rep.arrivals for rep in slots),
         "accepted": sum(rep.accepted for rep in slots),
     }
@@ -398,8 +399,9 @@ def lookahead_oracle(scenario, workload, n_frame, frame_index,
     for req in frame_reqs:
         opts = [(None, 0.0, {})]
         for config in enumerate_configs(req, topo):
-            rev = req.duration * sum(scenario.vms.price(k) * req.demand[k][0]
-                                     for k in config.assignment)
+            rev = req.duration * ordered_sum(
+                scenario.vms.price(k) * req.demand[k][0]
+                for k in config.assignment)
             opts.append((config, rev, config_usage(req, config, scenario.vms)))
         options.append(opts)
 
@@ -408,8 +410,8 @@ def lookahead_oracle(scenario, workload, n_frame, frame_index,
 
     def cost_under(n, config, tables):
         req, table = frame_reqs[n], tables[n]
-        return sum(req.demand[k][0] * table[k][i]
-                   for k, i in config.assignment.items())
+        return ordered_sum(req.demand[k][0] * table[k][i]
+                           for k, i in config.assignment.items())
 
     best = (0.0, None)   # any frame admits the all-reject solution
     budget = n_frame * scenario.budget
@@ -444,8 +446,8 @@ def lookahead_oracle(scenario, workload, n_frame, frame_index,
                 continue
             slot_best = None
             for tables in matrices:
-                c = sum(cost_under(n, config, tables)
-                        for n, config in slot_accepted)
+                c = ordered_sum(cost_under(n, config, tables)
+                                for n, config in slot_accepted)
                 if slot_best is None or c < slot_best:
                     slot_best = c
             total_cost += slot_best
@@ -459,6 +461,6 @@ def theorem1_check(report, oracle_values, bound_b, n_frame, v_weight):
     (1 - 1/e) * (oracle per-slot average - B*N/V)."""
     z = len(oracle_values)
     lhs = report.totals["revenue"] / max(report.horizon_coarse, 1)
-    rhs = (1.0 - 1.0 / math.e) * (sum(oracle_values) / z
+    rhs = (1.0 - 1.0 / math.e) * (ordered_sum(oracle_values) / z
                                   - bound_b * n_frame / v_weight)
     return lhs >= rhs - 1e-9, lhs, rhs

@@ -1,17 +1,24 @@
-"""Plain scalar rules kept as differential oracles for the array fast paths.
+"""Plain scalar rules kept as differential oracles for the fast paths.
 
 `unit_transport_costs` prices one request at a time, the way every request
 was priced before the per-slot transport matrix.  `ReferenceAllocator` is
-the primal-dual admission rule as it was before the per-shape usage cache:
-it rebuilds each config's usage dict, walks the price dict with a 0.0
-default, and scores against `unit_transport_costs` tables.
+the primal-dual admission rule as it was before the per-shape usage cache
+and the window rows: it rebuilds each config's usage dict, keeps prices and
+baselines in dicts keyed by (cloud, resource, fine slot), walks them with a
+0.0 default, and scores against `unit_transport_costs` tables.
+`ReferenceResourceState` is the capacity ledger keyed by the same triples,
+and `reference_greedy_place` the greedy placement that recomputes every
+candidate's savings and knapsack in every round.
 """
 
 from edgeorch.allocator import (BONUS_SCALE, E_RATIO, REJECT_CAPACITY,
                                 REJECT_CEILING, REJECT_NEGATIVE, Decision,
                                 OnlineAllocator, ScoredConfig,
                                 check_price_scaling)
-from edgeorch.model import config_usage, enumerate_configs
+from edgeorch.model import (Lease, PlacementProfile, config_usage,
+                            enumerate_configs)
+from edgeorch.placement import (PlacementSolution, _best_content,
+                                _integer_sizes, placement_cost)
 
 
 def unit_transport_costs(req, fetch, topo, catalog):
@@ -34,11 +41,25 @@ def unit_transport_costs(req, fetch, topo, catalog):
     return table
 
 
+class TripleDualState:
+    """Window prices and baselines keyed by (cloud, resource, fine slot)."""
+
+    def __init__(self):
+        self.beta = {}
+        self.baseline = {}
+        self.alpha = {}
+
+    def advance(self, now):
+        self.beta.clear()
+        self.baseline.clear()
+
+
 class ReferenceAllocator(OnlineAllocator):
     """The scalar admission rule; decide() takes the slot's fetch table."""
 
     def __init__(self, scenario, catalog, resources):
         super().__init__(scenario, resources)
+        self.dual = TripleDualState()
         self.catalog = catalog
         self._config_cache = {}
 
@@ -96,7 +117,7 @@ class ReferenceAllocator(OnlineAllocator):
             objective = req.duration * total - self._charge(req, config)
             if best is None or objective > best.objective:
                 best = ScoredConfig(config, objective, total, per_cloud,
-                                    revenue, cost)
+                                    revenue, cost, None)
         return best
 
     def admit(self, req, scored, q_eff):
@@ -166,3 +187,129 @@ class ReferenceAllocator(OnlineAllocator):
 
     def decide(self, req, fetch, q_eff):
         return self.admit(req, self.select_config(req, fetch, q_eff), q_eff)
+
+
+class ReferenceResourceState:
+    """The capacity ledger keyed by (cloud, resource, fine slot) triples,
+    which scans every key on each advance."""
+
+    def __init__(self, capacity):
+        self.capacity = {k: float(v) for k, v in capacity.items()}
+        self.committed = {}   # (i, r, t) -> units
+        self.leases = {}      # req_id -> Lease
+        self.now = 0
+        self.high_water = {}  # (i, r) -> max commitment ever seen
+
+    def free(self, i, r, t):
+        return self.capacity[(i, r)] - self.committed.get((i, r, t), 0.0)
+
+    def fits(self, usage, start, expiry, slack=1e-9):
+        for (i, r), units in usage.items():
+            for t in range(start, expiry):
+                if self.free(i, r, t) + slack < units:
+                    return False
+        return True
+
+    def lease(self, req_id, usage, start, expiry):
+        if expiry <= start:
+            raise ValueError("lease must cover at least one fine slot")
+        if start < self.now:
+            raise ValueError("lease cannot start in the past")
+        if req_id in self.leases:
+            raise ValueError(f"request {req_id} already holds a lease")
+        for (i, r), units in usage.items():
+            for t in range(start, expiry):
+                level = self.committed.get((i, r, t), 0.0) + units
+                self.committed[(i, r, t)] = level
+                if level > self.high_water.get((i, r), 0.0):
+                    self.high_water[(i, r)] = level
+        self.leases[req_id] = Lease(req_id, start, expiry, dict(usage))
+
+    def advance(self, now):
+        if now < self.now:
+            raise ValueError("time cannot run backwards")
+        self.now = now
+        expired = [l for l in self.leases.values() if l.expiry <= now]
+        for l in expired:
+            del self.leases[l.req_id]
+        for key in [k for k in self.committed if k[2] < now]:
+            del self.committed[key]
+
+    def audit(self):
+        fresh = {}
+        for l in self.leases.values():
+            for (i, r), units in l.usage.items():
+                for t in range(max(l.start, self.now), l.expiry):
+                    fresh[(i, r, t)] = fresh.get((i, r, t), 0.0) + units
+        live = {k: v for k, v in self.committed.items() if k[2] >= self.now and v != 0}
+        for key in set(fresh) | set(live):
+            if abs(fresh.get(key, 0.0) - live.get(key, 0.0)) > 1e-6:
+                raise AssertionError(f"commitment ledger mismatch at {key}")
+
+
+class _ReferenceSavingsTracker:
+    """Current fetch latencies, keyed by (cloud, object)."""
+
+    def __init__(self, demand, topo):
+        self.topo = topo
+        self.by_object = {}   # o -> list of (cloud, demand)
+        for (i, o), d in sorted(demand.entries.items()):
+            if d > 0:
+                self.by_object.setdefault(o, []).append((i, d))
+        self.current = {}     # (cloud, o) -> latency paid right now
+        for o, pairs in self.by_object.items():
+            for i, _ in pairs:
+                self.current[(i, o)] = topo.origin[i]
+
+    def marginal_savings(self, candidate):
+        sav = {}
+        for o, pairs in self.by_object.items():
+            gain = 0.0
+            for j, d in pairs:
+                cur = self.current[(j, o)]
+                after = 0.0 if j == candidate else min(cur, self.topo.latency(j, candidate))
+                if cur > after:
+                    gain += d * (cur - after)
+            if gain > 0.0:
+                sav[o] = gain
+        return sav
+
+    def fix(self, cloud, content):
+        for o in content:
+            for j, _ in self.by_object.get(o, ()):
+                if j == cloud:
+                    self.current[(j, o)] = 0.0
+                else:
+                    lat = self.topo.latency(j, cloud)
+                    if lat < self.current[(j, o)]:
+                        self.current[(j, o)] = lat
+
+
+def reference_greedy_place(demand, cache_size, topo, catalog):
+    """Greedy placement that recomputes every unfixed cloud's savings and
+    knapsack in every round."""
+    sizes = _integer_sizes(demand.objects(), catalog)
+    tracker = _ReferenceSavingsTracker(demand, topo)
+    unfixed = sorted(cache_size)
+    cached = {}
+    rounds = []
+    while unfixed:
+        best = None
+        for cloud in unfixed:
+            sav = tracker.marginal_savings(cloud)
+            items = [(o, sizes[o], sav[o]) for o in sorted(sav)]
+            content, value = _best_content(items, cache_size[cloud])
+            if best is None or value > best[1] + 1e-12:
+                best = (cloud, value, content)
+        cloud, value, content = best
+        cached[cloud] = content
+        tracker.fix(cloud, content)
+        rounds.append((cloud, value, content))
+        unfixed.remove(cloud)
+    profile = PlacementProfile(cached, cache_size)
+    profile.validate(catalog)
+    objective = placement_cost(profile, demand, topo)
+    empty = PlacementProfile.empty(len(cache_size), cache_size)
+    return PlacementSolution(profile, objective,
+                             placement_cost(empty, demand, topo) - objective,
+                             rounds)

@@ -9,10 +9,9 @@ from edgeorch.allocator import (BONUS_SCALE, E_RATIO, OnlineAllocator,
                                 dual_feasibility_violations)
 from edgeorch.model import (DataCatalog, PlacementProfile, Request,
                             ResourceState, Topology, VMCatalog, config_usage,
-                            enumerate_configs, fetch_latencies,
-                            transport_matrix)
+                            fetch_latencies, transport_matrix)
 from edgeorch.scenario import Scenario, make_desk_scenario, make_tiny_scenario
-from reference_rules import ReferenceAllocator
+from reference_rules import ReferenceAllocator, ReferenceResourceState
 
 
 def one_cloud_scenario():
@@ -50,6 +49,21 @@ def fresh(scenario):
     return OnlineAllocator(scenario, resources)
 
 
+def poke(alloc, i, r, t, price):
+    """Set one window price, creating its rows as an admission would."""
+    prices, _ = alloc.dual.rows((i, r), t - alloc.dual.start + 1,
+                                alloc.resources)
+    prices[t - alloc.dual.start] = price
+
+
+def window_prices(alloc):
+    """Every entry of the window's price rows: {(cloud, resource, t): price}."""
+    start = alloc.dual.start
+    return {(i, r, start + d): price
+            for (i, r), prices in alloc.dual.beta.items()
+            for d, price in enumerate(prices)}
+
+
 def slot_fetch(scenario, placement):
     return fetch_latencies(placement, scenario.topology,
                            scenario.catalog.public_objects())
@@ -68,7 +82,7 @@ def test_scoring_prefers_the_cached_cloud():
     fetch = slot_fetch(scn, placement)
     req = Request(1, 0, 4, 0, {0: (1, ("o1",))})
 
-    shape0, shape1 = alloc._shapes_for(req).values()
+    shape0, shape1 = alloc._shapes_for(req)
     assert shape0.config.assignment == {0: 0}
     table = cost_table(scn, fetch, req)
     total, per_cloud, cost, revenue = alloc._score_one(req, shape0, table, 1.0)
@@ -90,10 +104,11 @@ def test_accept_updates_prices_and_duals():
     scn = one_cloud_scenario()
     alloc = fresh(scn)
     req = Request(1, 0, 2, 0, {0: (1, ())})
-    config = enumerate_configs(req, scn.topology)[0]
+    shape = alloc._shapes_for(req)[0]
+    config = shape.config
     scored = ScoredConfig(config=config, objective=100.0,
                           adjusted_revenue=50.0, per_cloud={0: 50.0},
-                          revenue=100.0, transport_cost=0.0)
+                          revenue=100.0, transport_cost=0.0, shape=shape)
 
     d = alloc.admit(req, scored, q_eff=1.0)
     assert d.accepted
@@ -106,10 +121,13 @@ def test_accept_updates_prices_and_duals():
     assert alloc.counters["scaling_warnings"] == 0
 
     bonus = BONUS_SCALE * 25.0 / 100.0
-    for key in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)):
-        assert alloc.dual.beta[key] == pytest.approx(0.14549417671733162,
-                                                     rel=1e-12)
-        assert alloc.dual.beta[key] == bonus
+    assert set(alloc.dual.beta) == {(0, 0), (0, 1)}
+    for (i, r) in ((0, 0), (0, 1)):
+        for t in (0, 1):
+            assert alloc.dual.beta[(i, r)][t] == pytest.approx(
+                0.14549417671733162, rel=1e-12)
+            assert alloc.dual.beta[(i, r)][t] == bonus
+        assert alloc.dual.baseline[(i, r)] == [100.0, 100.0]
 
     # a second identical bundle is now charged at the fresh prices
     req2 = Request(2, 0, 2, 0, {0: (1, ())})
@@ -136,11 +154,12 @@ def test_reject_negative_objective():
 def test_reject_price_ceiling_and_alpha_cover():
     scn = one_cloud_scenario()
     alloc = fresh(scn)
-    alloc.dual.beta[(0, 0, 0)] = 1.5
+    poke(alloc, 0, 0, 0, 1.5)
     req = Request(3, 0, 1, 0, {0: (1, ())})
-    config = enumerate_configs(req, scn.topology)[0]
-    scored = ScoredConfig(config=config, objective=10.0, adjusted_revenue=10.0,
-                          per_cloud={0: 10.0}, revenue=50.0, transport_cost=0.0)
+    shape = alloc._shapes_for(req)[0]
+    scored = ScoredConfig(config=shape.config, objective=10.0,
+                          adjusted_revenue=10.0, per_cloud={0: 10.0},
+                          revenue=50.0, transport_cost=0.0, shape=shape)
     d = alloc.admit(req, scored, q_eff=1.0)
     assert d.reason == "price_ceiling"
     # the rejected request's constraint stays covered by its best objective
@@ -152,9 +171,10 @@ def test_reject_when_window_started_full():
     alloc = fresh(scn)
     alloc.resources.lease("filler", {(0, 0): 100.0}, 0, 1)
     req = Request(4, 0, 1, 0, {0: (1, ())})
-    config = enumerate_configs(req, scn.topology)[0]
-    scored = ScoredConfig(config=config, objective=10.0, adjusted_revenue=10.0,
-                          per_cloud={0: 10.0}, revenue=50.0, transport_cost=0.0)
+    shape = alloc._shapes_for(req)[0]
+    scored = ScoredConfig(config=shape.config, objective=10.0,
+                          adjusted_revenue=10.0, per_cloud={0: 10.0},
+                          revenue=50.0, transport_cost=0.0, shape=shape)
     d = alloc.admit(req, scored, q_eff=1.0)
     assert d.reason == "price_ceiling"
 
@@ -164,9 +184,10 @@ def test_reject_no_feasible_config():
     alloc = fresh(scn)
     alloc.resources.lease("filler", {(0, 0): 96.0}, 0, 1)
     req = Request(5, 0, 1, 0, {0: (1, ())})
-    config = enumerate_configs(req, scn.topology)[0]
-    scored = ScoredConfig(config=config, objective=10.0, adjusted_revenue=10.0,
-                          per_cloud={0: 10.0}, revenue=50.0, transport_cost=0.0)
+    shape = alloc._shapes_for(req)[0]
+    scored = ScoredConfig(config=shape.config, objective=10.0,
+                          adjusted_revenue=10.0, per_cloud={0: 10.0},
+                          revenue=50.0, transport_cost=0.0, shape=shape)
     d = alloc.admit(req, scored, q_eff=1.0)
     assert d.reason == "no_feasible_config"
 
@@ -186,17 +207,20 @@ def test_advance_fine_slot_restarts_window():
 
 
 def alloc_scored(alloc, req):
-    config = enumerate_configs(req, alloc.topo)[0]
-    return ScoredConfig(config=config, objective=100.0, adjusted_revenue=50.0,
-                        per_cloud={0: 50.0}, revenue=100.0, transport_cost=0.0)
+    shape = alloc._shapes_for(req)[0]
+    return ScoredConfig(config=shape.config, objective=100.0,
+                        adjusted_revenue=50.0, per_cloud={0: 50.0},
+                        revenue=100.0, transport_cost=0.0, shape=shape)
 
 
 def test_price_scaling_check():
     scored = ScoredConfig(config=None, objective=0.0, adjusted_revenue=5.0,
-                          per_cloud={0: 5.0}, revenue=0.0, transport_cost=0.0)
+                          per_cloud={0: 5.0}, revenue=0.0, transport_cost=0.0,
+                          shape=None)
     assert check_price_scaling(scored, {(0, 0): 10.0}, {0: 1}) == [(0, 0, 10.0)]
     rich = ScoredConfig(config=None, objective=0.0, adjusted_revenue=50.0,
-                        per_cloud={0: 50.0}, revenue=0.0, transport_cost=0.0)
+                        per_cloud={0: 50.0}, revenue=0.0, transport_cost=0.0,
+                        shape=None)
     assert check_price_scaling(rich, {(0, 0): 10.0}, {0: 1}) == []
 
 
@@ -233,7 +257,7 @@ def test_random_streams_keep_duals_feasible():
         tables = transport_matrix(seen, fetch, scn.topology, scn.catalog)
         assert dual_feasibility_violations(alloc, seen, tables, 1.0) == 0
         assert accepted > 0
-        assert all(v >= 0 for v in alloc.dual.beta.values())
+        assert all(v >= 0 for v in window_prices(alloc).values())
 
 
 def test_prices_never_fall_within_a_window():
@@ -249,15 +273,18 @@ def test_prices_never_fall_within_a_window():
         req = Request(n, 0, int(rng.integers(1, 4)), int(rng.integers(2)),
                       {int(rng.integers(2)): (int(rng.integers(1, 3)), objs)})
         alloc.decide(req, cost_table(scn, fetch, req), q_eff=1.0)
-        for key, price in alloc.dual.beta.items():
+        prices = window_prices(alloc)
+        assert set(floor) <= set(prices)
+        for key, price in prices.items():
             assert price >= floor.get(key, 0.0) - 1e-12
             floor[key] = price
 
 
 def test_admission_matches_scalar_reference():
-    """The per-shape, matrix-fed admission path against the scalar rule it
-    replaced: equal decisions, and equal prices, baselines, alphas, counters
-    and ledger after every pricing window.  The windows mix one- and
+    """The per-shape, matrix-fed, row-priced admission path against the
+    scalar rule it replaced: equal decisions, and after every pricing window
+    equal prices and baselines on every triple the reference touched, 0.0
+    at every other price entry, and equal alphas, counters and ledger.  The windows mix one- and
     two-type requests (5 and 25 configs), public and private reads, queue
     weights that drive objectives negative, exact ties, a poked price above
     the ceiling and a resource with no capacity at all."""
@@ -274,7 +301,8 @@ def test_admission_matches_scalar_reference():
                             ({**tight, (2, 1): 0.0}, True)):
         scn = replace(base, capacity=capacity, hard_capacity_guard=guard)
         new = OnlineAllocator(scn, ResourceState(dict(capacity)))
-        ref = ReferenceAllocator(scn, catalog, ResourceState(dict(capacity)))
+        ref = ReferenceAllocator(scn, catalog,
+                                 ReferenceResourceState(dict(capacity)))
         req_id = 0
         for t in range(12):
             placement = PlacementProfile(
@@ -301,9 +329,10 @@ def test_admission_matches_scalar_reference():
             tables = transport_matrix(batch, fetch, scn.topology, catalog)
             for alloc in (new, ref):
                 alloc.advance_fine_slot(t)
-                if t == 5:
-                    for i in range(5):
-                        alloc.dual.beta[(i, 0, t)] = 1.5
+            if t == 5:
+                for i in range(5):
+                    poke(new, i, 0, t, 1.5)
+                    ref.dual.beta[(i, 0, t)] = 1.5
             for n, (req, table) in enumerate(zip(batch, tables)):
                 q_eff = float(rng.choice([1.0, 250.0, 4000.0]))
                 got = new.decide(req, table, q_eff)
@@ -314,11 +343,17 @@ def test_admission_matches_scalar_reference():
                 if n == 0 and t != 5 and got.accepted:
                     assert set(got.config.assignment.values()) == {0}
                     seen["ties"] += 1
-            assert new.dual.beta == ref.dual.beta
-            assert new.dual.baseline == ref.dual.baseline
+            prices = window_prices(new)
+            assert set(ref.dual.beta) <= set(prices)
+            for triple, price in prices.items():
+                assert price == ref.dual.beta.get(triple, 0.0)
+            for (i, r, t), cap in ref.dual.baseline.items():
+                assert new.dual.baseline[(i, r)][t - new.dual.start] == cap
             assert new.dual.alpha == ref.dual.alpha
             assert new.counters == ref.counters
-            assert new.resources.committed == ref.resources.committed
+            assert {(i, r, t): units
+                    for (i, r), row in new.resources.committed.items()
+                    for t, units in row.items()} == ref.resources.committed
     for what in ("accepted", "price_ceiling", "negative_objective",
                  "no_feasible_config", "two_types", "ties"):
         assert seen[what] > 0, seen

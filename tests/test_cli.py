@@ -332,3 +332,27 @@ def test_outputs_match_pinned_digests(tmp_path):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in tmp_path.glob("*.csv")}
     assert got == PINNED_DIGESTS
+
+
+# sha256 of the CSVs of a 2-coarse-slot `proposed` replay of paper_scale.json
+# and workload_default.json, seed 0: 500-slot pricing windows, 5000-unit
+# capacities and 40-object caches, which the desk run does not reach.
+PINNED_PAPER_SCALE_DIGESTS = {
+    "proposed_s0_decisions.csv":
+        "d405eedf67cd781e053aad9cd911b863f6040cf18ef9dfa732bc957ccbd46ef9",
+    "proposed_s0_placements.csv":
+        "7dfb4ff703acebb1355ae6a928012245cdcdf2be92160b1223f253b8d3c8e9dd",
+    "proposed_s0_slots.csv":
+        "14f8b7616500b0915560e34d8911e91df3da291939d7255e477fa44ccb32b339",
+}
+
+
+def test_paper_scale_outputs_match_pinned_digests(tmp_path):
+    spec = {"name": "pin", "scenario": "paper_scale.json",
+            "workload": "workload_default.json", "horizon": 2, "seeds": [0],
+            "policies": ["proposed"], "sweep": None, "overrides": {},
+            "lookahead": None}
+    assert run_experiment(spec, tmp_path) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.glob("*.csv")}
+    assert got == PINNED_PAPER_SCALE_DIGESTS

@@ -6,7 +6,7 @@ from edgeorch.model import (ORIGIN, DataCatalog, PlacementProfile, Request,
                             enumerate_configs, fetch_latencies,
                             nearest_replica, transport_matrix)
 from edgeorch.placement import random_placement_instance
-from reference_rules import unit_transport_costs
+from reference_rules import ReferenceResourceState, unit_transport_costs
 
 
 def two_cloud_topo():
@@ -185,17 +185,17 @@ def test_config_usage_drops_zero_rows():
 
 def test_resource_state_lease_cycle():
     state = ResourceState({(0, 0): 10.0})
-    assert state.free(0, 0, 3) == 10.0
+    assert state.free_row((0, 0), 3, 4) == [10.0]
     state.lease("r1", {(0, 0): 4.0}, start=0, expiry=3)
-    assert state.free(0, 0, 2) == 6.0
-    assert state.free(0, 0, 3) == 10.0            # lease ends before slot 3
+    assert state.free_row((0, 0), 2, 3) == [6.0]
+    assert state.free_row((0, 0), 3, 4) == [10.0]   # lease ends before slot 3
     assert state.fits({(0, 0): 6.0}, 0, 3)
     assert not state.fits({(0, 0): 7.0}, 0, 3)
     with pytest.raises(ValueError):
         state.lease("r1", {(0, 0): 1.0}, 0, 1)    # duplicate id
     state.advance(3)
     assert "r1" not in state.leases
-    assert state.free(0, 0, 3) == 10.0
+    assert state.free_row((0, 0), 0, 5) == [10.0] * 5
     with pytest.raises(ValueError):
         state.advance(1)
 
@@ -204,7 +204,7 @@ def test_resource_state_audit_detects_drift():
     state = ResourceState({(0, 0): 10.0})
     state.lease("r1", {(0, 0): 4.0}, 0, 2)
     state.audit()
-    state.committed[(0, 0, 1)] = 9.0              # corrupt the ledger
+    state.committed[(0, 0)][1] = 9.0              # corrupt the ledger
     with pytest.raises(AssertionError):
         state.audit()
 
@@ -223,8 +223,57 @@ def test_resource_state_random_leases_match_recount():
             for key, units in usage.items():
                 for t in range(start, expiry):
                     expect[key + (t,)] = expect.get(key + (t,), 0.0) + units
-        assert state.committed == expect
+        assert {(i, r, t): units for (i, r), row in state.committed.items()
+                for t, units in row.items()} == expect
         state.audit()
+
+
+def test_resource_state_matches_triple_reference():
+    """The row ledger against the triple-keyed ledger it replaced, on seeded
+    random runs of lease, fits and advance: jumps of several slots, leases
+    past capacity with no guard, and leases ending exactly at now."""
+    rng = np.random.default_rng(23)
+    keys = [(i, r) for i in range(3) for r in range(2)]
+    seen = {"jump": 0, "overcommit": 0, "ends_at_now": 0, "no_fit": 0}
+    for _ in range(40):
+        capacity = {key: float(rng.integers(5, 20)) for key in keys}
+        new, ref = ResourceState(capacity), ReferenceResourceState(capacity)
+        n = 0
+        for _ in range(int(rng.integers(20, 60))):
+            op = rng.random()
+            if op < 0.2:
+                step = int(rng.choice([0, 1, 1, 2, 3, 7]))
+                now = new.now + step
+                seen["jump"] += step > 1
+                seen["ends_at_now"] += any(l.expiry == now
+                                           for l in ref.leases.values())
+                new.advance(now)
+                ref.advance(now)
+            else:
+                usage = {keys[m]: float(rng.integers(1, 9))
+                         for m in rng.choice(len(keys),
+                                             size=int(rng.integers(1, 3)),
+                                             replace=False)}
+                start = new.now + int(rng.integers(0, 4))
+                expiry = start + int(rng.integers(1, 5))
+                fits = new.fits(usage, start, expiry)
+                assert fits == ref.fits(usage, start, expiry)
+                seen["no_fit"] += not fits
+                if fits or op < 0.5:   # no guard: some leases overcommit
+                    seen["overcommit"] += not fits
+                    new.lease(n, usage, start, expiry)
+                    ref.lease(n, usage, start, expiry)
+                    n += 1
+            for (i, r) in keys:
+                assert new.free_row((i, r), new.now, new.now + 12) == [
+                    ref.free(i, r, t) for t in range(new.now, new.now + 12)]
+            assert new.now == ref.now
+            assert {(i, r, t): units for (i, r), row in new.committed.items()
+                    for t, units in row.items()} == ref.committed
+            assert new.high_water == ref.high_water
+            assert new.leases == ref.leases
+            assert new.audit() == ref.audit() is None
+    assert all(count > 0 for count in seen.values()), seen
 
 
 def test_high_water_tracks_peaks_across_advances():

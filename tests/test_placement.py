@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
+from edgeorch import simulator
+from edgeorch.cli import resolve_data
 from edgeorch.model import (AllocationConfig, DataCatalog, PlacementProfile,
                             Request, Topology)
 from edgeorch.placement import (DemandMatrix, _best_content, aggregate_demand,
@@ -8,6 +12,8 @@ from edgeorch.placement import (DemandMatrix, _best_content, aggregate_demand,
                                 greedy_place, placement_cost,
                                 random_placement_instance,
                                 top_popularity_place)
+from edgeorch.scenario import load_scenario
+from reference_rules import reference_greedy_place
 
 
 def pair_topo(origin=(100.0, 110.0)):
@@ -157,3 +163,42 @@ def test_cost_function_is_supermodular():
         costs = [placement_cost(PlacementProfile(s, loose), demand, topo)
                  for s in (union, inter, a, b)]
         assert costs[0] + costs[1] >= costs[2] + costs[3] - 1e-9
+
+
+def assert_greedy_matches_reference(demand, cache, topo, catalog):
+    got = greedy_place(demand, cache, topo, catalog)
+    want = reference_greedy_place(demand, cache, topo, catalog)
+    assert got.profile.cached == want.profile.cached
+    assert got.profile.cache_size == want.profile.cache_size
+    assert got.rounds == want.rounds
+    assert got.objective == want.objective
+    assert got.savings == want.savings
+    return got
+
+
+def test_greedy_matches_recompute_every_round_reference():
+    """Incremental savings and knapsack reuse against the greedy that
+    recomputes everything in every round, on random small instances."""
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        assert_greedy_matches_reference(*random_placement_instance(rng))
+
+
+@pytest.mark.parametrize("workload", ["workload_default.json",
+                                      "workload_error03.json"])
+def test_greedy_matches_reference_on_desk_replay(workload, monkeypatch):
+    """The same, on every demand matrix a 150-slot desk replay places."""
+    scenario = load_scenario(resolve_data("desk.json"))
+    with open(resolve_data(workload)) as fh:
+        cfg = simulator.WorkloadConfig.from_dict({**json.load(fh), "seed": 0})
+    stream = simulator.generate_workload(cfg, scenario,
+                                         150 * scenario.fine_per_coarse)
+    placed = []
+
+    def checked(demand, cache, topo, catalog):
+        placed.append(demand.entries != {})
+        return assert_greedy_matches_reference(demand, cache, topo, catalog)
+
+    monkeypatch.setattr(simulator, "greedy_place", checked)
+    simulator.run_policy("proposed", scenario, stream, 150)
+    assert len(placed) == 150 and sum(placed) > 140

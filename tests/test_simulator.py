@@ -8,7 +8,8 @@ import pytest
 import scipy.stats
 
 from edgeorch.cli import resolve_data
-from edgeorch.model import DataCatalog, Request, Topology, VMCatalog
+from edgeorch.model import (DataCatalog, Request, Topology, VMCatalog,
+                            ordered_sum)
 from edgeorch.placement import DemandMatrix
 from edgeorch.scenario import (Scenario, load_scenario, make_desk_scenario,
                                make_tiny_scenario)
@@ -310,6 +311,24 @@ def test_policies_share_the_stream_and_balance_their_books():
         assert d.slot >= 0
         if d.accepted:
             assert d.config is not None
+
+
+def test_run_totals_fold_slot_values_left_to_right():
+    """Run totals add the slot values from 0.0 strictly in slot order.
+    Builtin sum() does the same through Python 3.11 but compensates its
+    rounding from 3.12 on, so this can only fail on 3.12 and later."""
+    assert ordered_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert ordered_sum([0.1] * 10) == 0.9999999999999999
+    scn = make_desk_scenario()
+    wl = shared_workload(scn, horizon_coarse=12)
+    for policy in POLICIES:
+        rep = run_policy(policy, scn, wl, 12)
+        for name in ("revenue", "cost"):
+            total = 0.0
+            for slot in rep.slots:
+                total += getattr(slot, name)
+            assert rep.totals[name] == total
+            assert rep.summary()[f"total_{name}"] == total
 
 
 def test_run_policy_rejects_unknown_policy():
