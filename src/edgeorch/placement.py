@@ -11,8 +11,10 @@ Each greedy round solves one exact 0/1 knapsack per still-unfixed cloud:
 object sizes are the weights and the current marginal savings the values.
 """
 
-import itertools
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import PlacementProfile, nearest_replica
 
@@ -230,42 +232,71 @@ def feasible_content_sets(objects, catalog, capacity):
     return sorted(sets)
 
 
+def _scan_best(costs):
+    """Index a left-to-right scan keeps as its best: start at 0, then move
+    to the first later cost more than 1e-12 below the current best's.
+
+    Every move lands on a strict prefix minimum, so only those are scanned.
+    """
+    prefix = np.minimum.accumulate(costs)
+    records = np.flatnonzero(costs[1:] < prefix[:-1]) + 1
+    best, best_cost = 0, float(costs[0])
+    for j, cost in zip(records.tolist(), costs[records].tolist()):
+        if cost < best_cost - 1e-12:
+            best, best_cost = j, cost
+    return best
+
+
 def brute_force_place(demand, cache_size, topo, catalog, cap=2_000_000):
     """Exhaustive minimum-cost placement over demanded objects.
 
     Only objects with positive demand are considered; caching anything else
     can never lower the cost.  Raises when the product of per-cloud feasible
     sets exceeds the cap.
+
+    Every profile is scored in one array pass.  Axis n of the cost array
+    runs over cloud n's content sets, so its flat order is the order of
+    itertools.product.  Each positive demand pair's latency is broadcast
+    from per-cloud membership vectors, and each profile's cost adds the
+    pairs in sorted key order from 0.0, as a scalar loop over profiles would.
     """
     objects = demand.objects()
     clouds = sorted(cache_size)
     per_cloud = [feasible_content_sets(objects, catalog, cache_size[i]) for i in clouds]
-    space = 1
-    for sets in per_cloud:
-        space *= len(sets)
+    shape = tuple(len(sets) for sets in per_cloud)
+    space = math.prod(shape)
     if space > cap:
         raise ValueError(f"brute force search space {space} exceeds cap {cap}")
+    held = []   # per cloud: o -> which of its content sets hold o, on its axis
+    for n, sets in enumerate(per_cloud):
+        member = {}
+        for k, content in enumerate(sets):
+            for o in content:
+                member.setdefault(o, np.zeros(len(sets), dtype=bool))[k] = True
+        axis = [-1 if m == n else 1 for m in range(len(shape))]
+        held.append({o: m.reshape(axis) for o, m in member.items()})
     pairs = [(i, o, d) for (i, o), d in sorted(demand.entries.items()) if d > 0]
-    w, origin = topo.w, topo.origin
-    best = None
-    for combo in itertools.product(*per_cloud):
-        cost = 0.0
-        for i, o, d in pairs:
-            row = w[i]
-            lat = origin[i]
-            for n, content in enumerate(combo):
-                if o in content:
-                    if clouds[n] == i:
-                        lat = 0.0
-                        break
-                    cand = row[clouds[n]]
-                    if cand < lat:
-                        lat = cand
-            cost += d * lat
-        if best is None or cost < best[0] - 1e-12:
-            best = (cost, combo)
-    profile = PlacementProfile(dict(zip(clouds, best[1])), cache_size)
-    return profile, best[0]
+    cost = np.zeros(shape)
+    for i, o, d in pairs:
+        lat = topo.origin[i]
+        own = None
+        for n, c in enumerate(clouds):
+            mask = held[n].get(o)
+            if mask is None:
+                continue
+            if c == i:
+                own = mask
+            else:
+                lat = np.minimum(lat, np.where(mask, topo.w[i][c], np.inf))
+        if own is not None:
+            lat = np.where(own, 0.0, lat)
+        cost += float(d) * lat
+    costs = cost.ravel()
+    best = _scan_best(costs)
+    combo = np.unravel_index(best, shape)
+    profile = PlacementProfile({c: sets[k] for c, sets, k
+                                in zip(clouds, per_cloud, combo)}, cache_size)
+    return profile, float(costs[best])
 
 
 def random_placement_instance(rng, max_space=20_000):

@@ -7,9 +7,13 @@ and the window rows: it rebuilds each config's usage dict, keeps prices and
 baselines in dicts keyed by (cloud, resource, fine slot), walks them with a
 0.0 default, and scores against `unit_transport_costs` tables.
 `ReferenceResourceState` is the capacity ledger keyed by the same triples,
-and `reference_greedy_place` the greedy placement that recomputes every
-candidate's savings and knapsack in every round.
+`reference_greedy_place` the greedy placement that recomputes every
+candidate's savings and knapsack in every round, and
+`reference_brute_force_place` the exhaustive placement search as a scalar
+loop over profiles, demand pairs and clouds.
 """
+
+import itertools
 
 from edgeorch.allocator import (BONUS_SCALE, E_RATIO, REJECT_CAPACITY,
                                 REJECT_CEILING, REJECT_NEGATIVE, Decision,
@@ -18,7 +22,8 @@ from edgeorch.allocator import (BONUS_SCALE, E_RATIO, REJECT_CAPACITY,
 from edgeorch.model import (Lease, PlacementProfile, config_usage,
                             enumerate_configs)
 from edgeorch.placement import (PlacementSolution, _best_content,
-                                _integer_sizes, placement_cost)
+                                _integer_sizes, feasible_content_sets,
+                                placement_cost)
 
 
 def unit_transport_costs(req, fetch, topo, catalog):
@@ -313,3 +318,41 @@ def reference_greedy_place(demand, cache_size, topo, catalog):
     return PlacementSolution(profile, objective,
                              placement_cost(empty, demand, topo) - objective,
                              rounds)
+
+
+def reference_brute_force_place(demand, cache_size, topo, catalog, cap=2_000_000):
+    """Exhaustive minimum-cost placement over demanded objects.
+
+    Only objects with positive demand are considered; caching anything else
+    can never lower the cost.  Raises when the product of per-cloud feasible
+    sets exceeds the cap.
+    """
+    objects = demand.objects()
+    clouds = sorted(cache_size)
+    per_cloud = [feasible_content_sets(objects, catalog, cache_size[i]) for i in clouds]
+    space = 1
+    for sets in per_cloud:
+        space *= len(sets)
+    if space > cap:
+        raise ValueError(f"brute force search space {space} exceeds cap {cap}")
+    pairs = [(i, o, d) for (i, o), d in sorted(demand.entries.items()) if d > 0]
+    w, origin = topo.w, topo.origin
+    best = None
+    for combo in itertools.product(*per_cloud):
+        cost = 0.0
+        for i, o, d in pairs:
+            row = w[i]
+            lat = origin[i]
+            for n, content in enumerate(combo):
+                if o in content:
+                    if clouds[n] == i:
+                        lat = 0.0
+                        break
+                    cand = row[clouds[n]]
+                    if cand < lat:
+                        lat = cand
+            cost += d * lat
+        if best is None or cost < best[0] - 1e-12:
+            best = (cost, combo)
+    profile = PlacementProfile(dict(zip(clouds, best[1])), cache_size)
+    return profile, best[0]

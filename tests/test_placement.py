@@ -7,13 +7,15 @@ from edgeorch import simulator
 from edgeorch.cli import resolve_data
 from edgeorch.model import (AllocationConfig, DataCatalog, PlacementProfile,
                             Request, Topology)
-from edgeorch.placement import (DemandMatrix, _best_content, aggregate_demand,
-                                brute_force_place, feasible_content_sets,
+from edgeorch.placement import (DemandMatrix, _best_content, _scan_best,
+                                aggregate_demand, brute_force_place,
+                                feasible_content_sets,
                                 greedy_place, placement_cost,
                                 random_placement_instance,
                                 top_popularity_place)
 from edgeorch.scenario import load_scenario
-from reference_rules import reference_greedy_place
+from reference_rules import (reference_brute_force_place,
+                             reference_greedy_place)
 
 
 def pair_topo(origin=(100.0, 110.0)):
@@ -115,9 +117,91 @@ def test_brute_force_space_cap():
     topo = pair_topo()
     catalog = DataCatalog({f"o{j}": 1 for j in range(8)})
     entries = {(i, f"o{j}"): 1.0 for i in range(2) for j in range(8)}
+    demand, cache = DemandMatrix(0, entries), {0: 4.0, 1: 4.0}
     with pytest.raises(ValueError):
-        brute_force_place(DemandMatrix(0, entries), {0: 4.0, 1: 4.0},
-                          topo, catalog, cap=10)
+        brute_force_place(demand, cache, topo, catalog, cap=10)
+    # 1 + 8 + 28 + 56 + 70 = 163 content sets per cloud
+    space = 163 * 163
+    profile, cost = brute_force_place(demand, cache, topo, catalog, cap=space)
+    assert (profile.cached, cost) == _unpack(
+        reference_brute_force_place(demand, cache, topo, catalog))
+    with pytest.raises(ValueError, match=f"space {space} exceeds cap {space - 1}"):
+        brute_force_place(demand, cache, topo, catalog, cap=space - 1)
+
+
+def _unpack(placed):
+    profile, cost = placed
+    return profile.cached, cost
+
+
+def hand_built_placements():
+    """(name, demand, cache sizes, topology, catalog) edge cases."""
+    tri = Topology([[0.0, 20.0, 30.0], [20.0, 0.0, 25.0], [30.0, 25.0, 0.0]],
+                   [100.0, 120.0, 140.0])
+    flat = Topology([[0.0, 20.0, 20.0], [20.0, 0.0, 20.0], [20.0, 20.0, 0.0]],
+                    [100.0, 100.0, 100.0])
+    four = DataCatalog({f"o{j}": 1 for j in range(4)})
+    many = [f"o{j:02d}" for j in range(70)]
+    yield ("exact ties",
+           DemandMatrix(0, {(i, f"o{j}"): 2.0 for i in range(3) for j in range(4)}),
+           {0: 1.0, 1: 1.0, 2: 2.0}, flat, four)
+    yield ("demand at a cloud without a cache",
+           DemandMatrix(0, {(2, "o0"): 5.0, (2, "o1"): 3.0, (0, "o2"): 1.0}),
+           {0: 1.0, 1: 1.0}, tri, four)
+    yield ("zero-demand entries",
+           DemandMatrix(0, {(0, "o0"): 0.0, (1, "o1"): 4.0, (2, "o0"): 0.0,
+                            (2, "o3"): 7}),
+           {0: 2.0, 1: 1.0, 2: 1.0}, tri, four)
+    yield ("empty demand", DemandMatrix(0, {}), {0: 1.0, 1: 1.0, 2: 1.0},
+           tri, four)
+    yield ("70 objects at capacity 1 on 2 clouds",
+           DemandMatrix(0, {(j % 2, o): float(1 + j % 5) for j, o in enumerate(many)}),
+           {0: 1.0, 1: 1.0}, pair_topo(), DataCatalog({o: 1 for o in many}))
+
+
+def test_brute_force_matches_reference():
+    """The array pass picks the scalar loop's profile at the same cost, bit
+    for bit: on the prop2 stream and three more, and on edge cases."""
+    instances = list(hand_built_placements())
+    for seed in (77, 12, 5, 99):
+        rng = np.random.default_rng(seed)
+        instances += [(seed, *random_placement_instance(rng)) for _ in range(200)]
+    for name, demand, cache, topo, catalog in instances:
+        got = _unpack(brute_force_place(demand, cache, topo, catalog))
+        want = _unpack(reference_brute_force_place(demand, cache, topo, catalog))
+        assert got == want, name
+
+
+def scalar_scan(costs):
+    best = 0
+    for j, cost in enumerate(costs):
+        if cost < costs[best] - 1e-12:
+            best = j
+    return best
+
+
+@pytest.mark.parametrize("costs", [
+    [5.0],
+    [3.0, 3.0, 3.0],
+    [2.0, 1.0, 1.0 - 5e-13, 0.5, 0.5 - 2e-12, 0.7],
+    [4.0, 3.0, 2.0, 1.0, 0.0],
+    [0.0, 1.0, 2.0],
+])
+def test_scan_best_keeps_the_near_tie_rule(costs):
+    assert _scan_best(np.array(costs)) == scalar_scan(costs)
+
+
+def test_scan_best_is_not_argmin():
+    costs = np.array([1.0, 1.0 - 1.5e-12, 1.0 - 2e-12])
+    assert _scan_best(costs) == 1
+    assert int(np.argmin(costs)) == 2
+
+
+def test_scan_best_on_random_near_ties():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        costs = 1.0 + rng.integers(-4, 5, size=int(rng.integers(1, 40))) * 5e-13
+        assert _scan_best(costs) == scalar_scan(costs.tolist())
 
 
 def test_top_popularity_ranks_by_density():

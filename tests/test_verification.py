@@ -3,6 +3,8 @@ import time
 import pytest
 
 from edgeorch import verification
+from edgeorch.model import DataCatalog, Topology
+from edgeorch.placement import DemandMatrix
 from edgeorch.scenario import make_tiny_scenario
 from edgeorch.simulator import WorkloadConfig, generate_workload
 from edgeorch.verification import SUITE_NAMES, run_suite, tiny_instances
@@ -21,6 +23,20 @@ def test_suite_result_shape():
     assert result.wallclock > 0.0
     assert result.data["half_failures"] == 0
     assert result.data["worst_ratio"] >= 0.5
+
+
+def test_prop2_stores_the_ratio_it_prints_when_nothing_can_be_saved(monkeypatch):
+    def nothing_fits(rng):
+        # the only demanded object is larger than either cache
+        return (DemandMatrix(0, {(0, "o1"): 5.0}), {0: 1.0, 1: 1.0},
+                Topology([[0.0, 20.0], [20.0, 0.0]], [100.0, 110.0]),
+                DataCatalog({"o1": 3}))
+
+    monkeypatch.setattr(verification, "random_placement_instance", nothing_fits)
+    result = run_suite("prop2", n_instances=5)
+    assert result.passed
+    assert result.data["worst_ratio"] == 1.0
+    assert result.lines[0].endswith("worst greedy/optimal savings ratio 1.000")
 
 
 def test_tiny_instance_seeds_respect_cap():
