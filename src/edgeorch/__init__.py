@@ -9,5 +9,5 @@ from .model import (DataCatalog, PlacementProfile, Request, ResourceState,
 from .orchestrator import (OrchestratorState, run_coarse_slot,
                            update_virtual_queue)
 from .placement import DemandMatrix, aggregate_demand, greedy_place
-from .scenario import Scenario, load_scenario, make_desk_scenario
+from .scenario import Scenario, load_scenario
 from .simulator import RunReport, WorkloadConfig, generate_workload, run_policy

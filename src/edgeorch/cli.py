@@ -19,14 +19,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .scenario import ScenarioError, load_scenario
+from .scenario import DATA_DIR, ScenarioError, load_scenario
 from .simulator import (POLICIES, WorkloadConfig, generate_workload,
                         run_policy)
 from .verification import SUITE_NAMES, run_suite
 
 log = logging.getLogger(__name__)
 
-DATA_DIR = Path(__file__).parent / "data"
+EXPERIMENT_KEYS = {"name", "scenario", "workload", "horizon", "seeds",
+                   "policies", "sweep", "overrides", "lookahead"}
+SWEEP_KEYS = {"axis", "values"}
+LOOKAHEAD_KEYS = {"instances", "n_frame", "frames"}
 
 
 def resolve_data(name, kind=""):
@@ -57,6 +60,13 @@ def load_experiment(name):
     for field in ("name", "scenario", "workload", "horizon", "seeds"):
         if field not in spec:
             raise ScenarioError(f"experiment spec missing {field!r}")
+    for where, part, keys in (("experiment", spec, EXPERIMENT_KEYS),
+                              ("sweep", spec.get("sweep") or {}, SWEEP_KEYS),
+                              ("lookahead", spec.get("lookahead") or {},
+                               LOOKAHEAD_KEYS)):
+        unknown = set(part) - keys
+        if unknown:
+            raise ScenarioError(f"unknown {where} keys: {sorted(unknown)}")
     spec.setdefault("policies", list(POLICIES))
     spec.setdefault("sweep", None)
     spec.setdefault("overrides", {})

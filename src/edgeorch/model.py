@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ORIGIN = "origin"  # sentinel source for objects cached nowhere
-
 
 def ordered_sum(values):
     """Float sum from 0.0, strictly left to right.  Builtin sum() matches it
@@ -57,9 +55,6 @@ class Topology:
     @property
     def clouds(self):
         return range(self.n_clouds)
-
-    def latency(self, i, j):
-        return self.w[i][j]
 
 
 class VMCatalog:
@@ -200,12 +195,6 @@ class PlacementProfile:
     def empty(cls, n_clouds, cache_size):
         return cls({i: frozenset() for i in range(n_clouds)}, cache_size)
 
-    def holds(self, i, obj_id):
-        return obj_id in self.cached.get(i, ())
-
-    def holders(self, obj_id):
-        return [i for i in sorted(self.cached) if obj_id in self.cached[i]]
-
     def validate(self, catalog):
         for i, objs in self.cached.items():
             used = 0
@@ -217,32 +206,19 @@ class PlacementProfile:
                 raise ValueError(f"cache capacity exceeded at cloud {i}")
 
 
-def nearest_replica(i, obj_id, placement, topo):
-    """Resolve where cloud i fetches a public object from: (source, unit latency).
-
-    Local hits are free; misses go to the cheapest caching cloud (ties to the
-    lowest id) and fall back to the origin when nobody caches.
-    """
-    if placement.holds(i, obj_id):
-        return i, 0.0
-    best = None
-    for j in placement.holders(obj_id):
-        lat = topo.latency(i, j)
-        if best is None or lat < best[1]:
-            best = (j, lat)
-    if best is None:
-        return ORIGIN, topo.origin[i]
-    return best
-
-
 def fetch_latencies(placement, topo, objects):
     """Unit latency at which each cloud gets each public object: fetch[i][o].
 
+    A cloud pays the latency to the nearest caching cloud, itself included
+    at the zero diagonal, and the origin latency when nobody caches.
     Profiles are swapped atomically at coarse-slot boundaries, so one table
     prices every public read of a coarse slot.
     """
-    return [{o: nearest_replica(i, o, placement, topo)[1] for o in objects}
-            for i in topo.clouds]
+    holders = {o: [j for j, objs in placement.cached.items() if o in objs]
+               for o in objects}
+    return [{o: min([w[j] for j in held]) if held else origin
+             for o, held in holders.items()}
+            for w, origin in zip(topo.w, topo.origin)]
 
 
 def transport_matrix(requests, fetch, topo, catalog):

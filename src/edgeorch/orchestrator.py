@@ -63,7 +63,7 @@ def run_coarse_slot(state, arrivals, allocator, place, placement, catalog,
         advance_fine_slot(t) and decide(req, table, q_eff) -> Decision,
         where table is the request's row of the slot's
         model.transport_matrix.
-    place: callable(DemandMatrix) -> (PlacementSolution or None, new profile).
+    place: callable(DemandMatrix) -> PlacementSolution for the next slot.
     window_hook: optional callable(fine slot, requests, tables, q_eff)
         invoked when each fine slot's pricing window closes.
 
@@ -102,7 +102,7 @@ def run_coarse_slot(state, arrivals, allocator, place, placement, catalog,
             window_hook(t, list(batch), batch_tables, q_eff)
 
     demand = aggregate_demand(accepted_pairs, catalog, state.slot_index)
-    solution, new_placement = place(demand)
+    solution = place(demand)
 
     report = SlotReport(
         slot=state.slot_index,
@@ -114,10 +114,10 @@ def run_coarse_slot(state, arrivals, allocator, place, placement, catalog,
         accepted=len(accepted_pairs),
         dpp=drift_plus_penalty_value(scenario.v_weight, revenue, state.queue,
                                      cost, scenario.budget),
-        placement_objective=solution.objective if solution else 0.0,
-        placement_savings=solution.savings if solution else 0.0,
+        placement_objective=solution.objective,
+        placement_savings=solution.savings,
     )
     state.queue_trace.append(state.queue)
     state.prev_cost = cost
     state.slot_index += 1
-    return report, new_placement, decisions, demand
+    return report, solution.profile, decisions, demand

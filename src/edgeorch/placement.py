@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PlacementProfile, nearest_replica
+from .model import PlacementProfile, fetch_latencies
 
 
 @dataclass
@@ -58,11 +58,12 @@ def aggregate_demand(accepted, catalog, slot):
 
 
 def placement_cost(placement, demand, topo):
-    """Total fetch cost of a demand matrix under a placement profile."""
+    """Total fetch cost of a demand matrix under a placement profile, summed
+    in sorted (cloud, object) order from 0.0."""
+    fetch = fetch_latencies(placement, topo, {o for _, o in demand.entries})
     total = 0.0
-    for key in sorted(demand.entries):
-        i, o = key
-        total += demand.entries[key] * nearest_replica(i, o, placement, topo)[1]
+    for (i, o), d in sorted(demand.entries.items()):
+        total += d * fetch[i][o]
     return total
 
 
@@ -206,11 +207,16 @@ def greedy_place(demand, cache_size, topo, catalog):
                 best[cloud] = solve(cloud)
     profile = PlacementProfile(cached, cache_size)
     profile.validate(catalog)
-    objective = placement_cost(profile, demand, topo)
-    empty = PlacementProfile.empty(len(cache_size), cache_size)
-    return PlacementSolution(profile, objective,
-                             placement_cost(empty, demand, topo) - objective,
-                             rounds)
+    # the tracker now holds each positive entry's latency under the final
+    # profile; demand is never negative and zero entries add nothing
+    final = {(i, o): lat for o, pairs in tracker.by_object.items()
+             for (i, _), lat in zip(pairs, tracker.current[o])}
+    objective = empty = 0.0
+    for (i, o), d in sorted(demand.entries.items()):
+        if (i, o) in final:
+            objective += d * final[(i, o)]
+            empty += d * topo.origin[i]
+    return PlacementSolution(profile, objective, empty - objective, rounds)
 
 
 def feasible_content_sets(objects, catalog, capacity):

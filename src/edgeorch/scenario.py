@@ -1,16 +1,18 @@
 """Scenario definition: one frozen system (topology, catalogs, control knobs).
 
 Scenarios are plain JSON so experiment inputs can be diffed and pinned.
-Latencies are drawn once by a builder and frozen into the file; loading the
-same file always yields the identical system.
+The bundled files in DATA_DIR (desk, stress, tiny, paper_scale) are the
+only definition of each system; loading the same file always yields the
+identical system.
 """
 
 import json
 from dataclasses import dataclass, field, replace
-
-import numpy as np
+from pathlib import Path
 
 from .model import DataCatalog, Topology, VMCatalog
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 class ScenarioError(ValueError):
@@ -104,7 +106,16 @@ def _require(data, key, kind):
     return value
 
 
+SCENARIO_KEYS = {"name", "latency", "origin_latency", "local_latency",
+                 "resources", "recipes", "prices", "price_scale", "objects",
+                 "capacity", "cache_size", "fine_per_coarse", "budget",
+                 "v_weight", "c_max", "score_mode", "hard_capacity_guard"}
+
+
 def scenario_from_dict(data):
+    unknown = set(data) - SCENARIO_KEYS
+    if unknown:
+        raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
     try:
         latency = _require(data, "latency", list)
         origin = _require(data, "origin_latency", list)
@@ -159,92 +170,8 @@ def load_scenario(path):
     return scenario_from_dict(data)
 
 
-def _draw_topology(rng, n_clouds, inter=(20.0, 50.0), origin=(100.0, 200.0),
-                   local=(5.0, 10.0)):
-    w = [[0.0] * n_clouds for _ in range(n_clouds)]
-    for i in range(n_clouds):
-        for j in range(i + 1, n_clouds):
-            w[i][j] = w[j][i] = round(float(rng.uniform(*inter)), 3)
-    origin_lat = [round(float(rng.uniform(*origin)), 3) for _ in range(n_clouds)]
-    local_lat = [round(float(rng.uniform(*local)), 3) for _ in range(n_clouds)]
-    return Topology(w, origin_lat, local_lat)
-
-
-def make_desk_scenario(seed=20230, n_clouds=5, n_objects=50, capacity=500.0,
-                       cache_ratio=0.4, fine_per_coarse=50, budget=12000.0,
-                       v_weight=50000.0, c_max=100000.0, name="desk"):
-    """Down-scaled default system: small enough to iterate on in seconds.
-
-    Capacities, slot widths, arrival rates and weights are all one decade
-    below the full-size configuration while keeping their ratios.
-    """
-    rng = np.random.default_rng(seed)
-    topo = _draw_topology(rng, n_clouds)
-    vms = VMCatalog(
-        recipes=[[10.0, 20.0, 30.0], [30.0, 20.0, 10.0]],
-        prices=[10.0, 20.0],
-        resources=["cpu", "memory", "storage"],
-    )
-    catalog = DataCatalog({f"o{n:03d}": 1 for n in range(n_objects)})
-    universal = sum(catalog.sizes.values())
-    per_cloud = (cache_ratio * universal) / n_clouds
-    return Scenario(
-        name=name,
-        topology=topo,
-        vms=vms,
-        catalog=catalog,
-        capacity={(i, r): capacity for i in range(n_clouds) for r in range(3)},
-        cache_size={i: float(int(per_cloud)) for i in range(n_clouds)},
-        fine_per_coarse=fine_per_coarse,
-        budget=budget,
-        v_weight=v_weight,
-        c_max=c_max,
-    )
-
-
-def make_paper_scale_scenario(seed=20230, name="paper_scale"):
-    """Full-size configuration; runtimes are long, ship it for completeness."""
-    return make_desk_scenario(
-        seed=seed, n_clouds=5, n_objects=500, capacity=5000.0,
-        cache_ratio=0.4, fine_per_coarse=500, budget=35000.0,
-        v_weight=100000.0, c_max=1000000.0, name=name,
-    )
-
-
-def make_stress_scenario(seed=20230, capacity=90.0, v_weight=100.0, name="stress"):
-    """Tight capacities and a slack budget: exercises the admission prices.
-
-    The budget never binds, the weight is high enough that every accepted
-    bundle clears the price-growth precondition with real margin, and
-    capacity pressure comes fast, which is what the overshoot bound needs
-    to be tested against.
-    """
-    scn = make_desk_scenario(seed=seed, capacity=capacity, budget=1e9,
-                             v_weight=v_weight, name=name)
-    scn.c_max = 1e9
-    return scn
-
-
-def make_tiny_scenario(seed=11, n_objects=3, cache_size=1.0, budget=60.0,
-                       v_weight=2000.0, fine_per_coarse=4, name="tiny"):
-    """Two clouds and a coarse slot of four fine slots: small enough that a
-    clairvoyant frame optimum can be found by exhaustive search."""
-    rng = np.random.default_rng(seed)
-    topo = _draw_topology(rng, 2)
-    vms = VMCatalog(
-        recipes=[[10.0, 20.0, 30.0], [30.0, 20.0, 10.0]],
-        prices=[10.0, 20.0],
-        resources=["cpu", "memory", "storage"],
-    )
-    catalog = DataCatalog({f"o{n:03d}": 1 for n in range(n_objects)})
-    return Scenario(
-        name=name,
-        topology=topo,
-        vms=vms,
-        catalog=catalog,
-        capacity={(i, r): 400.0 for i in range(2) for r in range(3)},
-        cache_size={0: cache_size, 1: cache_size},
-        fine_per_coarse=fine_per_coarse,
-        budget=budget,
-        v_weight=v_weight,
-    )
+def make_stress_scenario():
+    """The bundled stress system, loaded from stress.json.  Kept only for
+    perfbench/test_checker.py, which imports it; load_scenario is the way
+    to read any bundled system."""
+    return load_scenario(DATA_DIR / "stress.json")

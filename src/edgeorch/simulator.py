@@ -31,9 +31,6 @@ from .model import (PlacementProfile, Request, ResourceState, config_usage,
 from .orchestrator import OrchestratorState, run_coarse_slot, update_virtual_queue
 from .placement import (DemandMatrix, PlacementSolution, feasible_content_sets,
                         greedy_place, placement_cost, top_popularity_place)
-# no longer called here since every policy aggregates demand in
-# run_coarse_slot; perfbench/tracing.py still wraps this name
-from .placement import aggregate_demand  # noqa: F401
 
 POLICIES = ("proposed", "myopic_coop", "myopic_nocoop")
 
@@ -295,14 +292,11 @@ def run_policy(policy, scenario, workload, horizon_coarse,
         view, _, _ = perturb_demand(demand, workload.config.error_mean,
                                     perturb_rng)
         if cooperative:
-            solution = greedy_place(view, scenario.cache_size,
-                                    scenario.topology, catalog)
-        else:
-            profile = top_popularity_place(view, scenario.cache_size, catalog)
-            solution = PlacementSolution(
-                profile, placement_cost(profile, view, scenario.topology),
-                0.0, [])
-        return solution, solution.profile
+            return greedy_place(view, scenario.cache_size, scenario.topology,
+                                catalog)
+        profile = top_popularity_place(view, scenario.cache_size, catalog)
+        return PlacementSolution(
+            profile, placement_cost(profile, view, scenario.topology), 0.0, [])
 
     hook = None
     if lemma5_windows:

@@ -16,8 +16,7 @@ from .model import PlacementProfile, config_usage
 from .orchestrator import update_virtual_queue
 from .placement import (brute_force_place, greedy_place, placement_cost,
                         random_placement_instance)
-from .scenario import (make_desk_scenario, make_stress_scenario,
-                       make_tiny_scenario)
+from .scenario import DATA_DIR, load_scenario
 from .simulator import (WorkloadConfig, generate_workload, lookahead_oracle,
                         run_policy, theorem1_check)
 
@@ -43,7 +42,7 @@ def _exp1_stream(seed, horizon):
     """The desk scenario and its request stream, drawn once per (seed, horizon)."""
     key = (seed, horizon)
     if key not in _stream_cache:
-        scenario = make_desk_scenario()
+        scenario = load_scenario(DATA_DIR / "desk.json")
         workload = generate_workload(WorkloadConfig(seed=seed), scenario,
                                      horizon * scenario.fine_per_coarse)
         _stream_cache[key] = (scenario, workload)
@@ -129,7 +128,8 @@ def suite_lemma6(seed=0, horizon=150):
 
 
 def _lemma7_one(seed):
-    scenario = replace(make_stress_scenario(), hard_capacity_guard=False)
+    scenario = replace(load_scenario(DATA_DIR / "stress.json"),
+                       hard_capacity_guard=False)
     cfg = WorkloadConfig(seed=seed, objects_per_vm=(1, 2), private_ratio=1.0)
     workload = generate_workload(cfg, scenario, 10 * scenario.fine_per_coarse)
     report = run_policy("proposed", scenario, workload, 10)
@@ -244,7 +244,7 @@ def tiny_instances(n=20, per_frame_cap=4, n_frame=2, z=3, start=0):
     """(seed, workload) for the first n workload seeds whose tiny streams
     keep every frame at or under the per-frame request cap, so the oracle's
     search stays exhaustive at the intended size."""
-    scenario = make_tiny_scenario()
+    scenario = load_scenario(DATA_DIR / "tiny.json")
     cfg_base = dict(lambda_range=(0.0, 0.5), regime_length=4,
                     objects_per_vm=(1, 2), private_ratio=1.0)
     chosen = []
@@ -265,7 +265,7 @@ def tiny_instances(n=20, per_frame_cap=4, n_frame=2, z=3, start=0):
 def suite_theorem1(n_instances=20, n_frame=2, z=3):
     """Achieved per-slot revenue against the exhaustive frame oracle."""
     started = time.perf_counter()
-    scenario = make_tiny_scenario()
+    scenario = load_scenario(DATA_DIR / "tiny.json")
     instances = tiny_instances(n_instances, n_frame=n_frame, z=z)
     rows = []
     for seed, workload in instances:

@@ -10,7 +10,10 @@ baselines in dicts keyed by (cloud, resource, fine slot), walks them with a
 `reference_greedy_place` the greedy placement that recomputes every
 candidate's savings and knapsack in every round, and
 `reference_brute_force_place` the exhaustive placement search as a scalar
-loop over profiles, demand pairs and clouds.
+loop over profiles, demand pairs and clouds.  `nearest_replica` resolves one
+(cloud, object) read at a time, and `reference_placement_cost` prices a
+demand matrix through it, the way placements were priced before the fetch
+table.
 """
 
 import itertools
@@ -22,8 +25,39 @@ from edgeorch.allocator import (BONUS_SCALE, E_RATIO, REJECT_CAPACITY,
 from edgeorch.model import (Lease, PlacementProfile, config_usage,
                             enumerate_configs)
 from edgeorch.placement import (PlacementSolution, _best_content,
-                                _integer_sizes, feasible_content_sets,
-                                placement_cost)
+                                _integer_sizes, feasible_content_sets)
+
+ORIGIN = "origin"  # sentinel source for objects cached nowhere
+
+
+def nearest_replica(i, obj_id, placement, topo):
+    """Resolve where cloud i fetches a public object from: (source, unit latency).
+
+    Local hits are free; misses go to the cheapest caching cloud (ties to the
+    lowest id) and fall back to the origin when nobody caches.
+    """
+    if obj_id in placement.cached.get(i, ()):
+        return i, 0.0
+    best = None
+    for j in sorted(placement.cached):
+        if obj_id not in placement.cached[j]:
+            continue
+        lat = topo.w[i][j]
+        if best is None or lat < best[1]:
+            best = (j, lat)
+    if best is None:
+        return ORIGIN, topo.origin[i]
+    return best
+
+
+def reference_placement_cost(placement, demand, topo):
+    """Total fetch cost of a demand matrix, one nearest-replica lookup per
+    entry, in sorted (cloud, object) order."""
+    total = 0.0
+    for key in sorted(demand.entries):
+        i, o = key
+        total += demand.entries[key] * nearest_replica(i, o, placement, topo)[1]
+    return total
 
 
 def unit_transport_costs(req, fetch, topo, catalog):
@@ -272,7 +306,7 @@ class _ReferenceSavingsTracker:
             gain = 0.0
             for j, d in pairs:
                 cur = self.current[(j, o)]
-                after = 0.0 if j == candidate else min(cur, self.topo.latency(j, candidate))
+                after = 0.0 if j == candidate else min(cur, self.topo.w[j][candidate])
                 if cur > after:
                     gain += d * (cur - after)
             if gain > 0.0:
@@ -285,7 +319,7 @@ class _ReferenceSavingsTracker:
                 if j == cloud:
                     self.current[(j, o)] = 0.0
                 else:
-                    lat = self.topo.latency(j, cloud)
+                    lat = self.topo.w[j][cloud]
                     if lat < self.current[(j, o)]:
                         self.current[(j, o)] = lat
 
@@ -313,11 +347,11 @@ def reference_greedy_place(demand, cache_size, topo, catalog):
         unfixed.remove(cloud)
     profile = PlacementProfile(cached, cache_size)
     profile.validate(catalog)
-    objective = placement_cost(profile, demand, topo)
+    objective = reference_placement_cost(profile, demand, topo)
     empty = PlacementProfile.empty(len(cache_size), cache_size)
-    return PlacementSolution(profile, objective,
-                             placement_cost(empty, demand, topo) - objective,
-                             rounds)
+    return PlacementSolution(
+        profile, objective,
+        reference_placement_cost(empty, demand, topo) - objective, rounds)
 
 
 def reference_brute_force_place(demand, cache_size, topo, catalog, cap=2_000_000):

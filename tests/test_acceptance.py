@@ -13,7 +13,7 @@ import pytest
 import scipy.stats
 
 from edgeorch.cli import load_experiment, main, run_experiment
-from edgeorch.scenario import make_desk_scenario
+from edgeorch.scenario import DATA_DIR, load_scenario
 from edgeorch.simulator import WorkloadConfig, generate_workload
 from edgeorch.verification import run_suite
 
@@ -136,7 +136,7 @@ def test_10_byte_identical_artifacts(tmp_path):
 
 
 def test_11_workload_statistics():
-    scn = make_desk_scenario()
+    scn = load_scenario(DATA_DIR / "desk.json")
     cfg = WorkloadConfig(seed=101, lambda_range=(10.0, 10.0),
                          zipf_exponent=0.0, objects_per_vm=(1, 1),
                          private_ratio=0.0)

@@ -10,7 +10,7 @@ from edgeorch.allocator import (BONUS_SCALE, E_RATIO, OnlineAllocator,
 from edgeorch.model import (DataCatalog, PlacementProfile, Request,
                             ResourceState, Topology, VMCatalog, config_usage,
                             fetch_latencies, transport_matrix)
-from edgeorch.scenario import Scenario, make_desk_scenario, make_tiny_scenario
+from edgeorch.scenario import DATA_DIR, Scenario, load_scenario
 from reference_rules import ReferenceAllocator, ReferenceResourceState
 
 
@@ -228,7 +228,7 @@ def test_random_streams_keep_duals_feasible():
     """Replaying every config of every seen request against the final window
     prices must leave no dual constraint uncovered, and the accept-side
     dual-to-primal ratio must hold exactly on every acceptance."""
-    scn = make_tiny_scenario()
+    scn = load_scenario(DATA_DIR / "tiny.json")
     rng = np.random.default_rng(3)
     objects = scn.catalog.public_objects()
     for trial in range(6):
@@ -261,7 +261,7 @@ def test_random_streams_keep_duals_feasible():
 
 
 def test_prices_never_fall_within_a_window():
-    scn = make_tiny_scenario()
+    scn = load_scenario(DATA_DIR / "tiny.json")
     rng = np.random.default_rng(9)
     objects = scn.catalog.public_objects()
     resources = ResourceState(dict(scn.capacity))
@@ -288,7 +288,7 @@ def test_admission_matches_scalar_reference():
     two-type requests (5 and 25 configs), public and private reads, queue
     weights that drive objectives negative, exact ties, a poked price above
     the ceiling and a resource with no capacity at all."""
-    base = make_desk_scenario()
+    base = load_scenario(DATA_DIR / "desk.json")
     publics = base.catalog.public_objects()
     catalog = DataCatalog(dict(base.catalog.sizes))
     privates = [f"p{j}" for j in range(8)]

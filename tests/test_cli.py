@@ -10,7 +10,7 @@ from edgeorch.cli import (DATA_DIR, _cell_key, _fmt_config,
                           adjust_cache_ratio, load_experiment, main,
                           resolve_data, run_experiment, svg_line_chart)
 from edgeorch.model import AllocationConfig
-from edgeorch.scenario import ScenarioError, make_desk_scenario
+from edgeorch.scenario import ScenarioError, load_scenario
 
 
 def test_resolve_data():
@@ -54,7 +54,7 @@ def test_load_experiment_missing_field(tmp_path):
 
 
 def test_adjust_cache_ratio():
-    scn = make_desk_scenario()
+    scn = load_scenario(DATA_DIR / "desk.json")
     adjust_cache_ratio(scn, 0.9)
     assert scn.cache_size == {i: 9.0 for i in range(5)}
     adjust_cache_ratio(scn, 0.1)
@@ -191,6 +191,29 @@ def test_unknown_inputs_exit_2(tmp_path):
     assert main(["run", str(spec), "--out", str(tmp_path / "x")]) == 2
     spec = mini_spec(tmp_path, overrides={"bogus_field": 1.0})
     assert main(["run", str(spec), "--out", str(tmp_path / "y")]) == 2
+
+
+@pytest.mark.parametrize("extra", [
+    {"sweeps": {"axis": "budget", "values": [1.0, 2.0]}},
+    {"sweep": {"axis": "budget", "value": [1.0]}},
+    {"lookahead": {"instances": 1, "frame": 3}},
+])
+def test_unknown_spec_keys_exit_2(tmp_path, capsys, extra):
+    spec = mini_spec(tmp_path, **extra)
+    with pytest.raises(ScenarioError):
+        load_experiment(str(spec))
+    assert main(["run", str(spec), "--out", str(tmp_path / "z")]) == 2
+    assert "unknown" in capsys.readouterr().err
+    assert not (tmp_path / "z").exists()
+
+
+def test_unknown_scenario_key_exits_2(tmp_path, capsys):
+    data = json.loads((DATA_DIR / "desk.json").read_text())
+    data["hard_capacity_gaurd"] = False
+    (tmp_path / "desk.json").write_text(json.dumps(data))
+    spec = mini_spec(tmp_path, scenario=str(tmp_path / "desk.json"))
+    assert main(["run", str(spec), "--out", str(tmp_path / "z")]) == 2
+    assert "hard_capacity_gaurd" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from edgeorch.model import (ORIGIN, DataCatalog, PlacementProfile, Request,
+from edgeorch.model import (DataCatalog, PlacementProfile, Request,
                             ResourceState, Topology, VMCatalog, config_usage,
                             enumerate_configs, fetch_latencies,
-                            nearest_replica, transport_matrix)
+                            transport_matrix)
 from edgeorch.placement import random_placement_instance
-from reference_rules import ReferenceResourceState, unit_transport_costs
+from reference_rules import (ORIGIN, ReferenceResourceState, nearest_replica,
+                             unit_transport_costs)
 
 
 def two_cloud_topo():
@@ -122,7 +123,7 @@ def reference_transport_costs(req, placement, topo, catalog):
                 if catalog.is_public(o):
                     lat = nearest_replica(i, o, placement, topo)[1]
                 else:
-                    lat = topo.latency(i, req.ingress)
+                    lat = topo.w[i][req.ingress]
                 total += lat * catalog.size(o)
             table[(k, i)] = total
     return table

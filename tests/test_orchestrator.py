@@ -5,8 +5,8 @@ from edgeorch.model import PlacementProfile, Request, ResourceState
 from edgeorch.orchestrator import (OrchestratorState, SlotReport,
                                    drift_plus_penalty_value, run_coarse_slot,
                                    update_virtual_queue)
-from edgeorch.placement import greedy_place
-from edgeorch.scenario import make_tiny_scenario
+from edgeorch.placement import PlacementSolution, greedy_place
+from edgeorch.scenario import DATA_DIR, load_scenario
 
 
 def test_update_virtual_queue():
@@ -29,7 +29,7 @@ def test_slot_report_acceptance():
 
 
 def test_effective_queue_modes():
-    scn = make_tiny_scenario()
+    scn = load_scenario(DATA_DIR / "tiny.json")
     resources = ResourceState(dict(scn.capacity))
     proposed = OnlineAllocator(scn, resources)
     myopic = MyopicAllocator(scn, resources)
@@ -49,16 +49,15 @@ def run_one_slot(scenario, arrivals, state=None):
                                        dict(scenario.cache_size))
 
     def place(demand):
-        sol = greedy_place(demand, scenario.cache_size, scenario.topology,
-                           scenario.catalog)
-        return sol, sol.profile
+        return greedy_place(demand, scenario.cache_size, scenario.topology,
+                            scenario.catalog)
 
     return run_coarse_slot(state, arrivals, allocator, place, placement,
                            scenario.catalog, scenario), state
 
 
 def test_single_slot_accounting():
-    scn = make_tiny_scenario()
+    scn = load_scenario(DATA_DIR / "tiny.json")
     reqs = [Request(1, 0, 2, 0, {0: (1, ("o000",))}),
             Request(2, 1, 1, 1, {1: (1, ("o001",))})]
     arrivals = [[reqs[0]], [reqs[1]], [], []]
@@ -86,7 +85,7 @@ def test_single_slot_accounting():
 
 
 def test_queue_updates_at_slot_start():
-    scn = make_tiny_scenario()
+    scn = load_scenario(DATA_DIR / "tiny.json")
     state = OrchestratorState(queue=0.0, slot_index=1, prev_cost=100.0)
     (report, _, _, _), state = run_one_slot(scn, [[], [], [], []], state)
     # 100 spent against a budget of 60 leaves a backlog of 40
@@ -96,7 +95,7 @@ def test_queue_updates_at_slot_start():
 
 
 def test_paper_mode_prices_without_queue():
-    scn = make_tiny_scenario()
+    scn = load_scenario(DATA_DIR / "tiny.json")
     scn.score_mode = "paper"
     state = OrchestratorState(queue=0.0, slot_index=1, prev_cost=500.0)
     (report, _, _, _), _ = run_one_slot(scn, [[], [], [], []], state)
@@ -105,7 +104,7 @@ def test_paper_mode_prices_without_queue():
 
 
 def test_window_hook_sees_each_busy_fine_slot():
-    scn = make_tiny_scenario()
+    scn = load_scenario(DATA_DIR / "tiny.json")
     calls = []
 
     def hook(t, batch, tables, q_eff):
@@ -118,13 +117,14 @@ def test_window_hook_sees_each_busy_fine_slot():
     arrivals = [[Request(1, 0, 1, 0, {0: (1, ())})], [],
                 [Request(2, 2, 1, 0, {0: (1, ())})], []]
     run_coarse_slot(state, arrivals, allocator,
-                    lambda demand: (None, placement), placement,
+                    lambda demand: PlacementSolution(placement, 0.0, 0.0, []),
+                    placement,
                     scn.catalog, scn, window_hook=hook)
     assert calls == [(0, [1], 1.0), (2, [2], 1.0)]
 
 
 def test_placement_swap_is_returned_not_applied():
-    scn = make_tiny_scenario()
+    scn = load_scenario(DATA_DIR / "tiny.json")
     sentinel = PlacementProfile({0: ("o000",), 1: ()}, dict(scn.cache_size))
     state = OrchestratorState()
     resources = ResourceState(dict(scn.capacity))
@@ -132,7 +132,8 @@ def test_placement_swap_is_returned_not_applied():
     placement = PlacementProfile.empty(2, dict(scn.cache_size))
     (report, new_placement, _, _) = run_coarse_slot(
         state, [[], [], [], []], allocator,
-        lambda demand: (None, sentinel), placement, scn.catalog, scn)
+        lambda demand: PlacementSolution(sentinel, 0.0, 0.0, []), placement,
+        scn.catalog, scn)
     assert new_placement is sentinel
     assert report.placement_objective == 0.0
     assert report.placement_savings == 0.0

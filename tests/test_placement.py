@@ -6,7 +6,7 @@ import pytest
 from edgeorch import simulator
 from edgeorch.cli import resolve_data
 from edgeorch.model import (AllocationConfig, DataCatalog, PlacementProfile,
-                            Request, Topology)
+                            Request, Topology, fetch_latencies)
 from edgeorch.placement import (DemandMatrix, _best_content, _scan_best,
                                 aggregate_demand, brute_force_place,
                                 feasible_content_sets,
@@ -14,8 +14,8 @@ from edgeorch.placement import (DemandMatrix, _best_content, _scan_best,
                                 random_placement_instance,
                                 top_popularity_place)
 from edgeorch.scenario import load_scenario
-from reference_rules import (reference_brute_force_place,
-                             reference_greedy_place)
+from reference_rules import (nearest_replica, reference_brute_force_place,
+                             reference_greedy_place, reference_placement_cost)
 
 
 def pair_topo(origin=(100.0, 110.0)):
@@ -54,6 +54,36 @@ def test_fetch_latency_and_cost():
     assert placement_cost(profile, DemandMatrix(0, {(1, "o2"): 1.0}), topo) == 110.0
     demand = DemandMatrix(0, {(0, "o1"): 10.0, (1, "o2"): 5.0})
     assert placement_cost(profile, demand, topo) == 550.0
+
+
+def test_fetch_table_and_costs_match_nearest_replica_oracle():
+    """The fetch table, placement_cost and greedy's own objective and
+    savings equal the one-lookup-at-a-time nearest-replica rule, bit for
+    bit, on random profiles."""
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        demand, cache, topo, catalog = random_placement_instance(rng)
+        objects = sorted(catalog.sizes)
+        if rng.random() < 0.3:     # a zero entry must add nothing
+            demand.entries.setdefault((0, objects[-1]), 0.0)
+        # entries arrive sorted; both costs must sort them themselves
+        keys = list(demand.entries)
+        demand = DemandMatrix(0, {keys[n]: demand.entries[keys[n]]
+                                  for n in rng.permutation(len(keys))})
+        profile = PlacementProfile(
+            {i: [o for o in objects if rng.random() < 0.4] for i in cache},
+            cache)
+        assert fetch_latencies(profile, topo, objects) == [
+            {o: nearest_replica(i, o, profile, topo)[1] for o in objects}
+            for i in topo.clouds]
+        assert placement_cost(profile, demand, topo) == \
+            reference_placement_cost(profile, demand, topo)
+        sol = greedy_place(demand, cache, topo, catalog)
+        empty = PlacementProfile.empty(len(cache), cache)
+        objective = reference_placement_cost(sol.profile, demand, topo)
+        assert sol.objective == objective
+        assert sol.savings == \
+            reference_placement_cost(empty, demand, topo) - objective
 
 
 def test_best_content_knapsack():

@@ -2,13 +2,13 @@ import json
 
 import pytest
 
-from edgeorch.scenario import (Scenario, ScenarioError, load_scenario,
-                               make_desk_scenario, make_stress_scenario,
-                               make_tiny_scenario, scenario_from_dict)
+from edgeorch.scenario import (DATA_DIR, SCENARIO_KEYS, Scenario,
+                               ScenarioError, load_scenario,
+                               scenario_from_dict)
 
 
 def test_desk_builder_shape():
-    scn = make_desk_scenario()
+    scn = load_scenario(DATA_DIR / "desk.json")
     assert scn.topology.n_clouds == 5
     assert scn.vms.n_types == 2
     assert len(scn.catalog.public_objects()) == 50
@@ -18,15 +18,8 @@ def test_desk_builder_shape():
     assert scn.drift_bound == scn.c_max ** 2 / 2.0
 
 
-def test_builders_are_deterministic():
-    a = make_desk_scenario(seed=7)
-    b = make_desk_scenario(seed=7)
-    assert a.to_dict() == b.to_dict()
-    assert make_desk_scenario(seed=8).topology.w != a.topology.w
-
-
 def test_save_load_round_trip(tmp_path):
-    scn = make_tiny_scenario()
+    scn = load_scenario(DATA_DIR / "tiny.json")
     path = tmp_path / "tiny.json"
     scn.save(path)
     again = load_scenario(path)
@@ -45,7 +38,7 @@ def test_load_rejects_bad_files(tmp_path):
 
 
 def test_from_dict_field_checks():
-    base = make_tiny_scenario().to_dict()
+    base = load_scenario(DATA_DIR / "tiny.json").to_dict()
     for key in ("latency", "recipes", "budget", "fine_per_coarse"):
         data = dict(base)
         del data[key]
@@ -61,8 +54,20 @@ def test_from_dict_field_checks():
         scenario_from_dict(data)
 
 
+def test_unknown_scenario_keys_are_rejected(tmp_path):
+    data = load_scenario(DATA_DIR / "desk.json").to_dict()
+    assert set(data) == SCENARIO_KEYS
+    data["hard_capacity_gaurd"] = False      # misspelt: must not be ignored
+    with pytest.raises(ScenarioError, match="hard_capacity_gaurd"):
+        scenario_from_dict(data)
+    path = tmp_path / "desk.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match="hard_capacity_gaurd"):
+        load_scenario(path)
+
+
 def test_scenario_post_init_checks():
-    scn = make_tiny_scenario()
+    scn = load_scenario(DATA_DIR / "tiny.json")
     with pytest.raises(ScenarioError):
         Scenario(name="x", topology=scn.topology, vms=scn.vms,
                  catalog=scn.catalog, capacity=scn.capacity,
@@ -81,7 +86,7 @@ def test_scenario_post_init_checks():
 
 
 def test_default_c_max_backfill():
-    scn = make_tiny_scenario()
+    scn = load_scenario(DATA_DIR / "tiny.json")
     data = scn.to_dict()
     data.pop("c_max")
     loaded = scenario_from_dict(data)
@@ -89,13 +94,12 @@ def test_default_c_max_backfill():
 
 
 def test_stress_scenario_has_slack_budget():
-    scn = make_stress_scenario()
+    scn = load_scenario(DATA_DIR / "stress.json")
     assert scn.budget == 1e9
     assert scn.capacity[(0, 0)] == 90.0
 
 
 def test_bundled_scenarios_parse():
-    from edgeorch.cli import DATA_DIR
     for name in ("desk", "paper_scale", "stress", "tiny"):
         scn = load_scenario(DATA_DIR / f"{name}.json")
         assert scn.name == name
@@ -103,7 +107,7 @@ def test_bundled_scenarios_parse():
 
 
 def test_saved_json_is_stable(tmp_path):
-    scn = make_desk_scenario()
+    scn = load_scenario(DATA_DIR / "desk.json")
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     scn.save(p1)
     scn.save(p2)

@@ -11,8 +11,7 @@ from edgeorch.cli import resolve_data
 from edgeorch.model import (DataCatalog, Request, Topology, VMCatalog,
                             ordered_sum)
 from edgeorch.placement import DemandMatrix
-from edgeorch.scenario import (Scenario, load_scenario, make_desk_scenario,
-                               make_tiny_scenario)
+from edgeorch.scenario import DATA_DIR, Scenario, load_scenario
 from edgeorch.simulator import (POLICIES, RunReport, Workload, WorkloadConfig,
                                 _check_accounting, generate_workload,
                                 lookahead_oracle, perturb_demand, run_policy,
@@ -42,7 +41,7 @@ def test_zipf_probabilities():
 
 
 def test_workload_is_deterministic():
-    scn = make_desk_scenario()
+    scn = load_scenario(DATA_DIR / "desk.json")
     cfg = WorkloadConfig(seed=5, lambda_range=(0.0, 4.0))
     a = generate_workload(cfg, scn, 100)
     b = generate_workload(cfg, scn, 100)
@@ -55,7 +54,7 @@ def test_workload_is_deterministic():
 
 
 def test_workload_rate_zero_is_empty():
-    scn = make_desk_scenario()
+    scn = load_scenario(DATA_DIR / "desk.json")
     wl = generate_workload(WorkloadConfig(seed=1, lambda_range=(0.0, 0.0)),
                            scn, 50)
     assert wl.requests == []
@@ -65,7 +64,7 @@ def test_workload_rate_zero_is_empty():
 
 
 def test_workload_shape_and_validation():
-    scn = make_desk_scenario()
+    scn = load_scenario(DATA_DIR / "desk.json")
     cfg = WorkloadConfig(seed=2, lambda_range=(2.0, 6.0), private_ratio=2.0)
     wl = generate_workload(cfg, scn, 120)
     assert wl.requests
@@ -86,7 +85,7 @@ def test_workload_shape_and_validation():
 
 
 def test_workload_vm_mix_validation():
-    scn = make_desk_scenario()
+    scn = load_scenario(DATA_DIR / "desk.json")
     with pytest.raises(ValueError):
         generate_workload(WorkloadConfig(seed=1, vm_mix=(0.9, 0.2)), scn, 10)
     with pytest.raises(ValueError):
@@ -187,7 +186,7 @@ def test_desk_stream_hash_is_pinned():
 
 def test_workload_statistics():
     """Rates, ranks, lifetimes and the type mix track their distributions."""
-    scn = make_desk_scenario()
+    scn = load_scenario(DATA_DIR / "desk.json")
     cfg = WorkloadConfig(seed=42, lambda_range=(10.0, 10.0),
                          zipf_exponent=0.0, objects_per_vm=(1, 1),
                          private_ratio=0.0)
@@ -222,7 +221,7 @@ def test_workload_statistics():
 
 
 def test_zipf_exponent_skews_reads():
-    scn = make_desk_scenario()
+    scn = load_scenario(DATA_DIR / "desk.json")
     cfg = WorkloadConfig(seed=9, lambda_range=(8.0, 8.0), zipf_exponent=0.6,
                          objects_per_vm=(1, 1), private_ratio=0.0)
     wl = generate_workload(cfg, scn, 1000)
@@ -236,7 +235,7 @@ def test_zipf_exponent_skews_reads():
 
 
 def test_fractional_private_ratio_tracks_volume():
-    scn = make_desk_scenario()
+    scn = load_scenario(DATA_DIR / "desk.json")
     cfg = WorkloadConfig(seed=4, lambda_range=(4.0, 8.0), private_ratio=0.5)
     wl = generate_workload(cfg, scn, 500)
     privates = publics = 0
@@ -289,7 +288,7 @@ def shared_workload(scn, seed=0, horizon_coarse=4):
 
 
 def test_policies_share_the_stream_and_balance_their_books():
-    scn = make_desk_scenario()
+    scn = load_scenario(DATA_DIR / "desk.json")
     wl = shared_workload(scn)
     reports = {p: run_policy(p, scn, wl, 4) for p in POLICIES}
     hashes = {rep.stream_hash for rep in reports.values()}
@@ -319,7 +318,7 @@ def test_run_totals_fold_slot_values_left_to_right():
     rounding from 3.12 on, so this can only fail on 3.12 and later."""
     assert ordered_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
     assert ordered_sum([0.1] * 10) == 0.9999999999999999
-    scn = make_desk_scenario()
+    scn = load_scenario(DATA_DIR / "desk.json")
     wl = shared_workload(scn, horizon_coarse=12)
     for policy in POLICIES:
         rep = run_policy(policy, scn, wl, 12)
@@ -332,14 +331,14 @@ def test_run_totals_fold_slot_values_left_to_right():
 
 
 def test_run_policy_rejects_unknown_policy():
-    scn = make_tiny_scenario()
+    scn = load_scenario(DATA_DIR / "tiny.json")
     wl = shared_workload(scn, horizon_coarse=1)
     with pytest.raises(ValueError):
         run_policy("clairvoyant", scn, wl, 1)
 
 
 def test_accounting_checker_flags_tampering():
-    scn = make_tiny_scenario()
+    scn = load_scenario(DATA_DIR / "tiny.json")
     wl = shared_workload(scn, seed=3, horizon_coarse=2)
     rep = run_policy("proposed", scn, wl, 2)
     counters = {"accounting_violations": 0, "queue_replay_violations": 0}
@@ -380,7 +379,7 @@ def test_single_ample_cloud_matches_myopic_revenue():
 
 
 def test_zero_capacity_accepts_nothing():
-    scn = make_tiny_scenario()
+    scn = load_scenario(DATA_DIR / "tiny.json")
     scn.capacity = {key: 0.0 for key in scn.capacity}
     wl = generate_workload(WorkloadConfig(seed=1, lambda_range=(1.0, 3.0)),
                            scn, 8)
@@ -400,7 +399,7 @@ def hand_workload(scn, requests):
 
 
 def test_lookahead_oracle_single_request():
-    scn = make_tiny_scenario()
+    scn = load_scenario(DATA_DIR / "tiny.json")
     req = Request(0, 0, 2, 0, {0: (1, ("o000",))})
     wl = hand_workload(scn, [req])
     avg, combo = lookahead_oracle(scn, wl, n_frame=1, frame_index=0)
@@ -412,7 +411,7 @@ def test_lookahead_oracle_single_request():
 
 
 def test_lookahead_oracle_respects_budget():
-    scn = make_tiny_scenario()
+    scn = load_scenario(DATA_DIR / "tiny.json")
     # close cloud 0 so the only feasible config pays private transport
     scn.capacity = dict(scn.capacity)
     for r in range(3):
@@ -431,7 +430,7 @@ def test_lookahead_oracle_respects_budget():
 
 
 def test_lookahead_oracle_caps_frame_size():
-    scn = make_tiny_scenario()
+    scn = load_scenario(DATA_DIR / "tiny.json")
     reqs = [Request(n, 0, 1, 0, {0: (1, ())}) for n in range(5)]
     wl = hand_workload(scn, reqs)
     with pytest.raises(ValueError):

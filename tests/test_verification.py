@@ -1,11 +1,13 @@
+import json
+import math
 import time
 
 import pytest
 
 from edgeorch import verification
-from edgeorch.model import DataCatalog, Topology
+from edgeorch.model import DataCatalog, Topology, ordered_sum
 from edgeorch.placement import DemandMatrix
-from edgeorch.scenario import make_tiny_scenario
+from edgeorch.scenario import DATA_DIR, load_scenario
 from edgeorch.simulator import WorkloadConfig, generate_workload
 from edgeorch.verification import SUITE_NAMES, run_suite, tiny_instances
 
@@ -44,7 +46,7 @@ def test_tiny_instance_seeds_respect_cap():
     seeds = [seed for seed, _ in instances]
     assert len(seeds) == 5
     assert seeds == sorted(seeds)
-    scenario = make_tiny_scenario()
+    scenario = load_scenario(DATA_DIR / "tiny.json")
     frame_fine = 2 * scenario.fine_per_coarse
     for seed, wl in instances:
         cfg = WorkloadConfig(seed=seed, lambda_range=(0.0, 0.5),
@@ -94,6 +96,22 @@ def test_lemma6_counts_its_run_once(monkeypatch):
     result = verification.suite_lemma6(horizon=20)
     wall = time.perf_counter() - started
     assert 0.0 < result.data["elapsed"] <= wall
+
+
+def test_suites_read_their_system_from_the_bundled_file(tmp_path, monkeypatch):
+    """theorem1's bound follows tiny.json: no second definition of the
+    system can disagree with the file."""
+    data = json.loads((DATA_DIR / "tiny.json").read_text())
+    data["c_max"] = 2 * data["c_max"]
+    (tmp_path / "tiny.json").write_text(json.dumps(data))
+    monkeypatch.setattr(verification, "DATA_DIR", tmp_path)
+    [row] = run_suite("theorem1", n_instances=1).data["rows"]
+    drift_bound = data["c_max"] ** 2 / 2.0     # c_max is above the budget
+    n_frame, frames = 2, 3
+    assert row["rhs"] == pytest.approx(
+        (1.0 - 1.0 / math.e) * (ordered_sum(row["oracle"]) / frames
+                                - drift_bound * n_frame / data["v_weight"]),
+        rel=1e-12)
 
 
 def test_suite_names_cover_dispatch():
