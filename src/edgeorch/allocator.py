@@ -115,7 +115,6 @@ class Decision:
     dual_delta: float
     revenue: float
     transport_cost: float
-    per_cloud: dict
     q_eff: float
     slot: int = -1            # coarse slot, stamped by run_coarse_slot
 
@@ -175,9 +174,7 @@ class OnlineAllocator(_AdmissionRule):
 
     def queue_weight(self, queue):
         """Weight of transport cost in the score for a virtual queue length."""
-        if self.scenario.score_mode == "q_coupled":
-            return max(queue, 1.0)
-        return 1.0
+        return max(queue, 1.0)
 
     def advance_fine_slot(self, now):
         """Expire leases, then restart prices against the units still free."""
@@ -295,8 +292,7 @@ class OnlineAllocator(_AdmissionRule):
             verdict="accepted", reason=None, config=config,
             objective=scored.objective, primal_delta=primal_delta,
             dual_delta=dual_delta, revenue=scored.revenue,
-            transport_cost=scored.transport_cost, per_cloud=dict(scored.per_cloud),
-            q_eff=q_eff,
+            transport_cost=scored.transport_cost, q_eff=q_eff,
         )
 
     def _reject(self, req, scored, reason, q_eff):
@@ -308,8 +304,7 @@ class OnlineAllocator(_AdmissionRule):
             req_id=req.req_id, arrival=req.arrival, duration=req.duration,
             verdict="rejected", reason=reason, config=None,
             objective=scored.objective, primal_delta=0.0, dual_delta=alpha,
-            revenue=0.0, transport_cost=0.0, per_cloud=dict(scored.per_cloud),
-            q_eff=q_eff,
+            revenue=0.0, transport_cost=0.0, q_eff=q_eff,
         )
 
     def decide(self, req, table, q_eff):
@@ -364,8 +359,7 @@ class MyopicAllocator(_AdmissionRule):
             req_id=req.req_id, arrival=req.arrival, duration=req.duration,
             verdict="rejected" if reason else "accepted", reason=reason,
             config=config, objective=objective, primal_delta=0.0,
-            dual_delta=0.0, revenue=revenue, transport_cost=cost,
-            per_cloud={}, q_eff=0.0)
+            dual_delta=0.0, revenue=revenue, transport_cost=cost, q_eff=0.0)
 
 
 def dual_feasibility_violations(allocator, requests, tables, q_eff, tol=1e-7):

@@ -89,7 +89,11 @@ def _build_cell(spec, scenario_path, axis, value, seed):
     except TypeError as exc:
         raise ScenarioError(f"bad scenario override: {exc}") from exc
     with open(resolve_data(spec["workload"], "workload")) as fh:
-        cfg = WorkloadConfig.from_dict({**json.load(fh), "seed": seed})
+        data = json.load(fh)
+    if "seed" in data:
+        raise ScenarioError(f"workload {spec['workload']!r} names a seed; "
+                            "the spec's seeds choose it")
+    cfg = WorkloadConfig.from_dict({**data, "seed": seed})
     if axis == "cache_ratio":
         adjust_cache_ratio(scenario, value)
     elif axis == "private_ratio":
@@ -234,6 +238,11 @@ def run_lookahead_experiment(spec, out_dir):
 
 def run_experiment(spec, out_dir, seed_override=None, horizon_override=None,
                    scenario_override=None, svg=False, workers=1):
+    # the lookahead suite draws its own instances on tiny.json
+    if spec["lookahead"] and (svg or (seed_override, horizon_override,
+                                      scenario_override) != (None,) * 3):
+        raise ScenarioError("lookahead specs take no --seed, --horizon, "
+                            "--scenario or --svg")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if spec["lookahead"]:

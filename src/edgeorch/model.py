@@ -7,6 +7,7 @@ Conventions used throughout the package:
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +25,9 @@ def ordered_sum(values):
 class Topology:
     """Inter-cloud latency matrix plus per-cloud origin (backhaul) latency."""
 
-    def __init__(self, latency, origin_latency, local_latency=None):
+    def __init__(self, latency, origin_latency):
         self.w = [list(map(float, row)) for row in latency]
         self.origin = [float(x) for x in origin_latency]
-        self.local = list(local_latency) if local_latency else [0.0] * len(self.w)
         self.n_clouds = len(self.w)
         self._validate()
 
@@ -41,16 +41,17 @@ class Topology:
             if row[i] != 0.0:
                 raise ValueError("latency diagonal must be zero")
             for j in range(n):
-                if row[j] < 0:
-                    raise ValueError("negative latency")
+                if not 0 <= row[j] < math.inf:    # also false for NaN
+                    raise ValueError("latency must be finite and non-negative")
                 if abs(row[j] - self.w[j][i]) > 1e-9:
                     raise ValueError("latency matrix must be symmetric")
         if len(self.origin) != n:
             raise ValueError("origin latency vector length mismatch")
         for i in range(n):
             peers = max(self.w[i][j] for j in range(n))
-            if self.origin[i] < peers:
-                raise ValueError("origin latency must dominate inter-cloud latency")
+            if not peers <= self.origin[i] < math.inf:
+                raise ValueError("origin latency must be finite and dominate "
+                                 "inter-cloud latency")
 
     @property
     def clouds(self):
@@ -60,25 +61,23 @@ class Topology:
 class VMCatalog:
     """VM flavors: per-resource footprints g[k][r] and unit-time prices p[k]."""
 
-    def __init__(self, recipes, prices, resources=None, price_scale=1.0):
+    def __init__(self, recipes, prices, resources=None):
         self.recipes = [list(map(float, g)) for g in recipes]
-        self.base_prices = [float(p) for p in prices]
+        self.prices = [float(p) for p in prices]
         self.n_resources = len(self.recipes[0]) if self.recipes else 0
         self.resources = list(resources) if resources else [f"r{r}" for r in range(self.n_resources)]
-        self.price_scale = float(price_scale)
-        if len(self.recipes) != len(self.base_prices):
+        if len(self.recipes) != len(self.prices):
             raise ValueError("recipes and prices length mismatch")
         for g in self.recipes:
             if len(g) != self.n_resources:
                 raise ValueError("ragged recipe matrix")
-            if any(x < 0 for x in g):
-                raise ValueError("negative resource footprint")
+            if not all(0 <= x < math.inf for x in g):
+                raise ValueError("resource footprints must be finite and "
+                                 "non-negative")
             if not any(x > 0 for x in g):
                 raise ValueError("recipe must occupy at least one resource")
-        if any(p <= 0 for p in self.base_prices):
-            raise ValueError("prices must be positive")
-        if self.price_scale <= 0:
-            raise ValueError("price scale must be positive")
+        if not all(0 < p < math.inf for p in self.prices):
+            raise ValueError("prices must be finite and positive")
 
     @property
     def n_types(self):
@@ -88,7 +87,7 @@ class VMCatalog:
         return self.recipes[k][r]
 
     def price(self, k):
-        return self.base_prices[k] * self.price_scale
+        return self.prices[k]
 
 
 class DataCatalog:
@@ -98,8 +97,8 @@ class DataCatalog:
         self.sizes = dict(sizes) if sizes else {}
         self.visibility = dict(visibility) if visibility else {}
         for o in self.sizes:
-            if self.sizes[o] <= 0:
-                raise ValueError(f"object {o!r} must have positive size")
+            if not 0 < self.sizes[o] < math.inf:
+                raise ValueError(f"object {o!r} must have a finite positive size")
             self.visibility.setdefault(o, "public")
 
     def add(self, obj_id, size, visibility="public"):
@@ -135,7 +134,6 @@ class Request:
     duration: int         # fine slots held
     ingress: int          # cloud where the request (and its private data) enters
     demand: dict          # type k -> (count, tuple of object ids)
-    service: str = ""
 
     def validate(self, catalog, n_types, n_clouds):
         if self.duration < 1:

@@ -120,7 +120,8 @@ class _SavingsTracker:
     """Current fetch latencies while the greedy fixes clouds one by one.
 
     Unfixed clouds count as empty: their tenants fetch from origin or from
-    replicas fixed in earlier rounds.
+    replicas fixed in earlier rounds.  A cloud reads its own cache at the
+    zero diagonal of the latency matrix.
     """
 
     def __init__(self, demand, topo):
@@ -137,7 +138,7 @@ class _SavingsTracker:
         """Saving of caching object o at the candidate cloud."""
         gain = 0.0
         for (j, d), cur in zip(self.by_object[o], self.current[o]):
-            after = 0.0 if j == candidate else min(cur, self.w[j][candidate])
+            after = min(cur, self.w[j][candidate])
             if cur > after:
                 gain += d * (cur - after)
         return gain
@@ -155,9 +156,7 @@ class _SavingsTracker:
         for o in content:
             current = self.current[o]
             for n, (j, _) in enumerate(self.by_object[o]):
-                if j == cloud:
-                    current[n] = 0.0
-                elif self.w[j][cloud] < current[n]:
+                if self.w[j][cloud] < current[n]:
                     current[n] = self.w[j][cloud]
 
 
@@ -321,8 +320,10 @@ def random_placement_instance(rng, max_space=20_000):
             for j in range(i + 1, n_clouds):
                 w[i][j] = w[j][i] = round(float(rng.uniform(20, 50)), 1)
         origin = [round(float(rng.uniform(100, 200)), 1) for _ in range(n_clouds)]
-        local = [round(float(rng.uniform(5, 10)), 1) for _ in range(n_clouds)]
-        topo = Topology(w, origin, local)
+        # one discarded draw per cloud, once spent on local latencies; kept
+        # so every instance stays the same
+        rng.uniform(5, 10, n_clouds)
+        topo = Topology(w, origin)
         catalog = DataCatalog({f"o{j}": int(rng.integers(1, 4))
                                for j in range(n_objects)})
         cache = {i: float(rng.integers(1, 5)) for i in range(n_clouds)}

@@ -7,6 +7,7 @@ identical system.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -31,7 +32,6 @@ class Scenario:
     budget: float                # time-average transport budget per coarse slot
     v_weight: float              # revenue weight in the drift-plus-penalty score
     c_max: float = 0.0           # worst-case per-slot transport cost bound
-    score_mode: str = "q_coupled"
     hard_capacity_guard: bool = True
     # set when c_max was omitted (0) and derived from the budget
     c_max_derived: bool = field(default=False, init=False, repr=False,
@@ -40,10 +40,11 @@ class Scenario:
     def __post_init__(self):
         if self.fine_per_coarse < 1:
             raise ScenarioError("fine_per_coarse must be at least 1")
-        if self.budget < 0 or self.v_weight < 0:
-            raise ScenarioError("budget and v_weight must be non-negative")
-        if self.score_mode not in ("q_coupled", "paper"):
-            raise ScenarioError(f"unknown score_mode {self.score_mode!r}")
+        numbers = [self.budget, self.v_weight, self.c_max,
+                   *self.capacity.values(), *self.cache_size.values()]
+        if not all(0 <= x < math.inf for x in numbers):   # also false for NaN
+            raise ScenarioError("budget, v_weight, c_max, capacity and "
+                                "cache_size must be finite and non-negative")
         self.c_max_derived = not self.c_max
         if self.c_max_derived:
             self.c_max = 3.0 * self.budget if self.budget else 1.0
@@ -72,11 +73,9 @@ class Scenario:
             "name": self.name,
             "latency": self.topology.w,
             "origin_latency": self.topology.origin,
-            "local_latency": self.topology.local,
             "resources": self.vms.resources,
             "recipes": self.vms.recipes,
-            "prices": self.vms.base_prices,
-            "price_scale": self.vms.price_scale,
+            "prices": self.vms.prices,
             "objects": {o: self.catalog.sizes[o] for o in self.catalog.public_objects()},
             "capacity": [[self.capacity[(i, r)] for r in range(self.vms.n_resources)]
                          for i in range(n)],
@@ -85,7 +84,6 @@ class Scenario:
             "budget": self.budget,
             "v_weight": self.v_weight,
             "c_max": self.c_max,
-            "score_mode": self.score_mode,
             "hard_capacity_guard": self.hard_capacity_guard,
         }
 
@@ -106,10 +104,10 @@ def _require(data, key, kind):
     return value
 
 
-SCENARIO_KEYS = {"name", "latency", "origin_latency", "local_latency",
-                 "resources", "recipes", "prices", "price_scale", "objects",
-                 "capacity", "cache_size", "fine_per_coarse", "budget",
-                 "v_weight", "c_max", "score_mode", "hard_capacity_guard"}
+SCENARIO_KEYS = {"name", "latency", "origin_latency", "resources", "recipes",
+                 "prices", "objects", "capacity", "cache_size",
+                 "fine_per_coarse", "budget", "v_weight", "c_max",
+                 "hard_capacity_guard"}
 
 
 def scenario_from_dict(data):
@@ -119,12 +117,11 @@ def scenario_from_dict(data):
     try:
         latency = _require(data, "latency", list)
         origin = _require(data, "origin_latency", list)
-        topo = Topology(latency, origin, data.get("local_latency"))
+        topo = Topology(latency, origin)
         vms = VMCatalog(
             _require(data, "recipes", list),
             _require(data, "prices", list),
             data.get("resources"),
-            data.get("price_scale", 1.0),
         )
         objects = _require(data, "objects", dict)
         catalog = DataCatalog({o: s for o, s in objects.items()})
@@ -152,7 +149,6 @@ def scenario_from_dict(data):
             budget=float(_require(data, "budget", float)),
             v_weight=float(_require(data, "v_weight", float)),
             c_max=float(data.get("c_max", 0.0)),
-            score_mode=data.get("score_mode", "q_coupled"),
             hard_capacity_guard=bool(data.get("hard_capacity_guard", True)),
         )
     except (TypeError, KeyError) as exc:

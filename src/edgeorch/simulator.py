@@ -143,7 +143,6 @@ def generate_workload(cfg, scenario, horizon_fine):
                 duration=life,
                 ingress=int(rng.integers(n_clouds)),
                 demand={k: (1, tuple(objects + private))},
-                service=f"svc{k}",
             )
             req.validate(catalog, n_types, n_clouds)
             requests.append(req)

@@ -220,8 +220,7 @@ class ReferenceAllocator(OnlineAllocator):
             verdict="accepted", reason=None, config=config,
             objective=scored.objective, primal_delta=primal_delta,
             dual_delta=dual_delta, revenue=scored.revenue,
-            transport_cost=scored.transport_cost, per_cloud=dict(scored.per_cloud),
-            q_eff=q_eff,
+            transport_cost=scored.transport_cost, q_eff=q_eff,
         )
 
     def decide(self, req, fetch, q_eff):

@@ -18,7 +18,7 @@ def one_cloud_scenario():
     """Single cloud, one VM type touching two resources at 10 units each."""
     return Scenario(
         name="unit",
-        topology=Topology([[0.0]], [100.0], [5.0]),
+        topology=Topology([[0.0]], [100.0]),
         vms=VMCatalog(recipes=[[10.0, 10.0]], prices=[50.0],
                       resources=["cpu", "memory"]),
         catalog=DataCatalog({"o1": 1}),

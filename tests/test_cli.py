@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -207,17 +208,64 @@ def test_unknown_spec_keys_exit_2(tmp_path, capsys, extra):
     assert not (tmp_path / "z").exists()
 
 
-def test_unknown_scenario_key_exits_2(tmp_path, capsys):
+# a misspelt key, then keys that scenarios no longer take
+UNKNOWN_KEYS = {"hard_capacity_gaurd": False, "score_mode": "q_coupled",
+                "local_latency": [0.0] * 5, "price_scale": 1.0}
+
+
+@pytest.mark.parametrize("key", list(UNKNOWN_KEYS))
+def test_unknown_scenario_key_exits_2(tmp_path, capsys, key):
     data = json.loads((DATA_DIR / "desk.json").read_text())
-    data["hard_capacity_gaurd"] = False
+    data[key] = UNKNOWN_KEYS[key]
     (tmp_path / "desk.json").write_text(json.dumps(data))
     spec = mini_spec(tmp_path, scenario=str(tmp_path / "desk.json"))
     assert main(["run", str(spec), "--out", str(tmp_path / "z")]) == 2
-    assert "hard_capacity_gaurd" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
+
+
+# (path into the scenario JSON, value) edits that make a number bad
+BAD_NUMBERS = {
+    "nan_budget": [(("budget",), math.nan)],
+    "inf_v_weight": [(("v_weight",), math.inf)],
+    "nan_c_max": [(("c_max",), math.nan)],
+    "nan_latency_pair": [(("latency", 0, 1), math.nan),
+                         (("latency", 1, 0), math.nan)],
+    "inf_origin": [(("origin_latency", 2), math.inf)],
+    "nan_price": [(("prices", 0), math.nan)],
+    "nan_recipe": [(("recipes", 1, 0), math.nan)],
+    "nan_object_size": [(("objects", "o000"), math.nan)],
+    "negative_capacity": [(("capacity", 0, 0), -1.0)],
+    "inf_capacity": [(("capacity", 4, 2), math.inf)],
+    "negative_cache_size": [(("cache_size", 3), -4.0)],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_NUMBERS))
+def test_bad_scenario_numbers_exit_2(tmp_path, capsys, case):
+    data = json.loads((DATA_DIR / "desk.json").read_text())
+    for path, value in BAD_NUMBERS[case]:
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    spec = mini_spec(tmp_path, scenario=str(tmp_path / "bad.json"))
+    assert main(["run", str(spec), "--out", str(tmp_path / "z")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("z/*.csv"))
+
+
+def test_workload_file_with_a_seed_exits_2(tmp_path, capsys):
+    data = json.loads((DATA_DIR / "workload_default.json").read_text())
+    data["seed"] = 7
+    (tmp_path / "seeded.json").write_text(json.dumps(data))
+    spec = mini_spec(tmp_path, workload=str(tmp_path / "seeded.json"))
+    assert main(["run", str(spec), "--out", str(tmp_path / "z")]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [
-    {"overrides": {"score_mode": "q_copuled"}},
+    {"overrides": {"budget": math.nan}},
     {"overrides": {"budget": -5.0}},
     {"sweep": {"axis": "budget", "values": [-5.0]}},
 ])
@@ -269,6 +317,16 @@ def test_lookahead_experiment(tmp_path):
     assert all(row[4] == "1" for row in rows[1:])
     summary = json.loads((out / "summary.json").read_text())
     assert summary["passed"] is True
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", "3"], ["--horizon", "9"], ["--scenario", "desk"], ["--svg"],
+])
+def test_lookahead_overrides_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "look"
+    assert main(["run", "exp5_lookahead", "--out", str(out), *flags]) == 2
+    assert "lookahead" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_svg_chart_is_deterministic(tmp_path):

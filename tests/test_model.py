@@ -11,7 +11,7 @@ from reference_rules import (ORIGIN, ReferenceResourceState, nearest_replica,
 
 
 def two_cloud_topo():
-    return Topology([[0.0, 20.0], [20.0, 0.0]], [100.0, 120.0], [5.0, 6.0])
+    return Topology([[0.0, 20.0], [20.0, 0.0]], [100.0, 120.0])
 
 
 def small_catalog():
@@ -21,25 +21,19 @@ def small_catalog():
 
 def test_topology_validation():
     with pytest.raises(ValueError):
-        Topology([[0.0, 1.0]], [100.0], [5.0])          # not square
+        Topology([[0.0, 1.0]], [100.0])          # not square
     with pytest.raises(ValueError):
-        Topology([[0.0, 1.0], [2.0, 0.0]], [100.0, 100.0], [5.0, 5.0])
+        Topology([[0.0, 1.0], [2.0, 0.0]], [100.0, 100.0])
     with pytest.raises(ValueError):
-        Topology([[1.0, 1.0], [1.0, 0.0]], [100.0, 100.0], [5.0, 5.0])
+        Topology([[1.0, 1.0], [1.0, 0.0]], [100.0, 100.0])
     with pytest.raises(ValueError):
         # origin must dominate any inter-cloud hop
-        Topology([[0.0, 50.0], [50.0, 0.0]], [40.0, 100.0], [5.0, 5.0])
+        Topology([[0.0, 50.0], [50.0, 0.0]], [40.0, 100.0])
 
 
 def test_vm_catalog_rejects_empty_recipe():
     with pytest.raises(ValueError):
         VMCatalog(recipes=[[0.0, 0.0]], prices=[10.0])
-
-
-def test_vm_catalog_price_scale():
-    vms = VMCatalog(recipes=[[1.0], [2.0]], prices=[10.0, 20.0], price_scale=1.5)
-    assert vms.price(0) == 15.0
-    assert vms.price(1) == 30.0
 
 
 def test_request_validation():

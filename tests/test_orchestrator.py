@@ -36,9 +36,6 @@ def test_effective_queue_modes():
     assert proposed.queue_weight(0.0) == 1.0
     assert proposed.queue_weight(42.0) == 42.0
     assert myopic.queue_weight(42.0) == 0.0
-    scn.score_mode = "paper"
-    assert proposed.queue_weight(0.0) == 1.0
-    assert proposed.queue_weight(42.0) == 1.0
 
 
 def run_one_slot(scenario, arrivals, state=None):
@@ -92,15 +89,6 @@ def test_queue_updates_at_slot_start():
     assert report.queue == 40.0
     assert report.q_eff == 40.0
     assert state.queue_trace[-1] == 40.0
-
-
-def test_paper_mode_prices_without_queue():
-    scn = load_scenario(DATA_DIR / "tiny.json")
-    scn.score_mode = "paper"
-    state = OrchestratorState(queue=0.0, slot_index=1, prev_cost=500.0)
-    (report, _, _, _), _ = run_one_slot(scn, [[], [], [], []], state)
-    assert report.queue == 440.0
-    assert report.q_eff == 1.0
 
 
 def test_window_hook_sees_each_busy_fine_slot():

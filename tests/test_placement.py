@@ -19,7 +19,7 @@ from reference_rules import (nearest_replica, reference_brute_force_place,
 
 
 def pair_topo(origin=(100.0, 110.0)):
-    return Topology([[0.0, 20.0], [20.0, 0.0]], list(origin), [5.0, 5.0])
+    return Topology([[0.0, 20.0], [20.0, 0.0]], list(origin))
 
 
 def test_aggregate_demand_counts_public_reads():

@@ -78,11 +78,6 @@ def test_scenario_post_init_checks():
                  catalog=scn.catalog, capacity=scn.capacity,
                  cache_size={0: 1.0}, fine_per_coarse=4,
                  budget=10.0, v_weight=1.0)
-    with pytest.raises(ScenarioError):
-        Scenario(name="x", topology=scn.topology, vms=scn.vms,
-                 catalog=scn.catalog, capacity=scn.capacity,
-                 cache_size=scn.cache_size, fine_per_coarse=4,
-                 budget=10.0, v_weight=1.0, score_mode="mystery")
 
 
 def test_default_c_max_backfill():

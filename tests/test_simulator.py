@@ -131,8 +131,7 @@ def reference_workload(cfg, scenario, horizon_fine):
             requests.append(Request(
                 req_id=req_id, arrival=t, duration=life,
                 ingress=int(rng.integers(n_clouds)),
-                demand={k: (1, tuple(objects + private))},
-                service=f"svc{k}"))
+                demand={k: (1, tuple(objects + private))}))
             req_id += 1
     digest = hashlib.sha256()
     for req in requests:
@@ -351,7 +350,7 @@ def one_cloud_scenario(cache_all=True):
     catalog = DataCatalog({f"o{n:03d}": 1 for n in range(3)})
     return Scenario(
         name="solo",
-        topology=Topology([[0.0]], [100.0], [5.0]),
+        topology=Topology([[0.0]], [100.0]),
         vms=VMCatalog(recipes=[[10.0, 20.0, 30.0], [30.0, 20.0, 10.0]],
                       prices=[10.0, 20.0]),
         catalog=catalog,
