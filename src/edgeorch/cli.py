@@ -26,8 +26,9 @@ from .verification import SUITE_NAMES, run_suite
 
 log = logging.getLogger(__name__)
 
-EXPERIMENT_KEYS = {"name", "scenario", "workload", "horizon", "seeds",
-                   "policies", "sweep", "overrides", "lookahead"}
+GRID_KEYS = {"scenario", "workload", "horizon", "seeds", "policies", "sweep",
+             "overrides"}
+EXPERIMENT_KEYS = GRID_KEYS | {"name", "lookahead"}
 SWEEP_KEYS = {"axis", "values"}
 LOOKAHEAD_KEYS = {"instances", "n_frame", "frames"}
 
@@ -57,9 +58,6 @@ def load_experiment(name):
     path = resolve_data(name, "experiment")
     with open(path) as fh:
         spec = json.load(fh)
-    for field in ("name", "scenario", "workload", "horizon", "seeds"):
-        if field not in spec:
-            raise ScenarioError(f"experiment spec missing {field!r}")
     for where, part, keys in (("experiment", spec, EXPERIMENT_KEYS),
                               ("sweep", spec.get("sweep") or {}, SWEEP_KEYS),
                               ("lookahead", spec.get("lookahead") or {},
@@ -67,6 +65,15 @@ def load_experiment(name):
         unknown = set(part) - keys
         if unknown:
             raise ScenarioError(f"unknown {where} keys: {sorted(unknown)}")
+    # the lookahead suite draws its own instances, so it reads no grid key
+    lookahead = spec.get("lookahead") is not None
+    if lookahead and GRID_KEYS & set(spec):
+        raise ScenarioError("lookahead specs take no grid keys: "
+                            f"{sorted(GRID_KEYS & set(spec))}")
+    for field in ("name",) if lookahead else (
+            "name", "scenario", "workload", "horizon", "seeds"):
+        if field not in spec:
+            raise ScenarioError(f"experiment spec missing {field!r}")
     spec.setdefault("policies", list(POLICIES))
     spec.setdefault("sweep", None)
     spec.setdefault("overrides", {})
@@ -84,8 +91,8 @@ def adjust_cache_ratio(scenario, ratio):
 def _build_cell(spec, scenario_path, axis, value, seed):
     """Scenario and workload config for one run cell, sweeps applied."""
     try:
-        # with_changes() reruns Scenario.__post_init__, which rejects bad values
-        scenario = load_scenario(scenario_path).with_changes(**spec["overrides"])
+        # replace() reruns Scenario.__post_init__, which rejects bad values
+        scenario = replace(load_scenario(scenario_path), **spec["overrides"])
     except TypeError as exc:
         raise ScenarioError(f"bad scenario override: {exc}") from exc
     with open(resolve_data(spec["workload"], "workload")) as fh:
@@ -99,7 +106,7 @@ def _build_cell(spec, scenario_path, axis, value, seed):
     elif axis == "private_ratio":
         cfg = replace(cfg, private_ratio=value)
     elif axis in ("v_weight", "budget"):
-        scenario = scenario.with_changes(**{axis: value})
+        scenario = replace(scenario, **{axis: value})
     elif axis is not None:
         raise ScenarioError(f"unknown sweep axis {axis!r}")
     return scenario, cfg
@@ -239,19 +246,26 @@ def run_lookahead_experiment(spec, out_dir):
 def run_experiment(spec, out_dir, seed_override=None, horizon_override=None,
                    scenario_override=None, svg=False, workers=1):
     # the lookahead suite draws its own instances on tiny.json
-    if spec["lookahead"] and (svg or (seed_override, horizon_override,
-                                      scenario_override) != (None,) * 3):
+    lookahead = spec["lookahead"] is not None
+    if lookahead and (svg or (seed_override, horizon_override,
+                              scenario_override) != (None,) * 3):
         raise ScenarioError("lookahead specs take no --seed, --horizon, "
                             "--scenario or --svg")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if spec["lookahead"]:
+    if lookahead:
         return run_lookahead_experiment(spec, out_dir)
 
     scenario_path = resolve_data(scenario_override or spec["scenario"],
                                  "scenario")
-    horizon = int(horizon_override or spec["horizon"])
+    horizon = spec["horizon"] if horizon_override is None else horizon_override
     seeds = [seed_override] if seed_override is not None else spec["seeds"]
+    if type(horizon) is not int or horizon < 1:
+        raise ScenarioError(f"horizon must be a positive integer, got {horizon!r}")
+    if not (isinstance(seeds, list) and seeds
+            and all(type(s) is int and s >= 0 for s in seeds)):
+        raise ScenarioError("seeds must be a non-empty list of non-negative "
+                            f"integers, got {seeds!r}")
     sweep = spec["sweep"]
     points = [(sweep["axis"], v) for v in sweep["values"]] if sweep else [(None, None)]
 

@@ -8,7 +8,7 @@ identical system.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .model import DataCatalog, Topology, VMCatalog
@@ -31,11 +31,9 @@ class Scenario:
     fine_per_coarse: int
     budget: float                # time-average transport budget per coarse slot
     v_weight: float              # revenue weight in the drift-plus-penalty score
-    c_max: float = 0.0           # worst-case per-slot transport cost bound
+    c_max: float = 0.0           # worst-case per-slot transport cost bound;
+                                 # 0 means 3 x the budget in force
     hard_capacity_guard: bool = True
-    # set when c_max was omitted (0) and derived from the budget
-    c_max_derived: bool = field(default=False, init=False, repr=False,
-                                compare=False)
 
     def __post_init__(self):
         if self.fine_per_coarse < 1:
@@ -45,9 +43,6 @@ class Scenario:
         if not all(0 <= x < math.inf for x in numbers):   # also false for NaN
             raise ScenarioError("budget, v_weight, c_max, capacity and "
                                 "cache_size must be finite and non-negative")
-        self.c_max_derived = not self.c_max
-        if self.c_max_derived:
-            self.c_max = 3.0 * self.budget if self.budget else 1.0
         for i in self.topology.clouds:
             for r in range(self.vms.n_resources):
                 if (i, r) not in self.capacity:
@@ -55,17 +50,11 @@ class Scenario:
             if i not in self.cache_size:
                 raise ScenarioError(f"missing cache size for cloud {i}")
 
-    def with_changes(self, **changes):
-        """A validated copy with fields replaced; a derived c_max is derived
-        again from the new budget, an explicit one is kept."""
-        if self.c_max_derived:
-            changes.setdefault("c_max", 0.0)
-        return replace(self, **changes)
-
     @property
     def drift_bound(self):
         """Constant B in the one-slot drift inequality."""
-        return max(self.c_max ** 2, self.budget ** 2) / 2.0
+        c_max = self.c_max or (3.0 * self.budget if self.budget else 1.0)
+        return max(c_max ** 2, self.budget ** 2) / 2.0
 
     def to_dict(self):
         n = self.topology.n_clouds

@@ -26,11 +26,11 @@ import numpy as np
 from .allocator import (MyopicAllocator, OnlineAllocator,
                         dual_feasibility_violations)
 from .model import (PlacementProfile, Request, ResourceState, config_usage,
-                    enumerate_configs, fetch_latencies, ordered_sum,
-                    transport_matrix)
+                    enumerate_configs, ordered_sum, transport_matrix)
 from .orchestrator import OrchestratorState, run_coarse_slot, update_virtual_queue
-from .placement import (DemandMatrix, PlacementSolution, feasible_content_sets,
-                        greedy_place, placement_cost, top_popularity_place)
+from .placement import (DemandMatrix, PlacementSolution, aggregate_demand,
+                        brute_force_place, greedy_place, placement_cost,
+                        top_popularity_place)
 
 POLICIES = ("proposed", "myopic_coop", "myopic_nocoop")
 
@@ -46,6 +46,30 @@ class WorkloadConfig:
     objects_per_vm: tuple = (1, 3)      # public objects, inclusive
     private_ratio: float = 2.0          # private:public volume per request
     error_mean: float = 0.0             # demand estimation error rate
+
+    def __post_init__(self):
+        """Reject numbers the draw cannot use; draws nothing."""
+        ints = (self.regime_length, *self.lifetime, *self.objects_per_vm)
+        reals = (*self.lambda_range, self.zipf_exponent, self.private_ratio,
+                 self.error_mean)
+        if any(isinstance(x, bool) or not isinstance(x, kind)
+               for xs, kind in ((ints, int), (reals, (int, float)))
+               for x in xs):
+            raise ValueError("workload regime_length, lifetime and "
+                             "objects_per_vm must be integers, the rest numbers")
+        for name, pair, floor in (("lambda_range", self.lambda_range, 0),
+                                  ("lifetime", self.lifetime, 1),
+                                  ("objects_per_vm", self.objects_per_vm, 0)):
+            if len(pair) != 2 or not floor <= pair[0] <= pair[1] < math.inf:
+                raise ValueError(f"workload {name} must be a finite (low, "
+                                 f"high) pair with {floor} <= low <= high")
+        for name, value, floor in (("regime_length", self.regime_length, 1),
+                                   ("zipf_exponent", self.zipf_exponent, 0),
+                                   ("private_ratio", self.private_ratio, 0),
+                                   ("error_mean", self.error_mean, 0)):
+            if not floor <= value < math.inf:   # also false for NaN
+                raise ValueError(f"workload {name} must be finite and at "
+                                 f"least {floor}")
 
     @classmethod
     def from_dict(cls, data):
@@ -350,102 +374,70 @@ def run_policy(policy, scenario, workload, horizon_coarse,
 
 
 def lookahead_oracle(scenario, workload, n_frame, frame_index,
-                     max_requests=16, profile_cap=100_000):
+                     max_requests=16):
     """Clairvoyant optimum of one frame of n_frame coarse slots.
 
-    Exhausts every accept/config combination, checks capacity, and lets each
-    slot pick its own cost-minimal placement (slots' placements are
-    independent once bundles are fixed).  Frame-total transport cost must
-    stay within n_frame times the budget.  Returns the frame's per-slot
-    average revenue and the best assignment found.
+    Exhausts every accept/config combination that fits a fresh capacity
+    ledger, lease by lease as the hard guard admits, and whose frame-total
+    transport cost stays within n_frame times the budget.  Each slot pays
+    the brute-force optimal placement of the public reads it accepted
+    (slots' placements are independent once bundles are fixed) plus their
+    private streams.  Returns the frame's per-slot average revenue and the
+    best assignment found.
     """
     fpc = scenario.fine_per_coarse
-    lo = frame_index * n_frame * fpc
-    hi = (frame_index + 1) * n_frame * fpc
-    frame_reqs = [r for r in workload.requests if lo <= r.arrival < hi]
+    first = frame_index * n_frame
+    frame_reqs = [r for r in workload.requests
+                  if first * fpc <= r.arrival < (first + n_frame) * fpc]
     if len(frame_reqs) > max_requests:
         raise ValueError(
             f"frame has {len(frame_reqs)} requests, oracle cap is {max_requests}")
     catalog = workload.catalog
     topo = scenario.topology
-    demanded = sorted({o for r in frame_reqs for _, objs in r.demand.values()
-                       for o in objs if catalog.is_public(o)})
-    clouds = sorted(scenario.cache_size)
-    per_cloud_sets = [feasible_content_sets(demanded, catalog,
-                                            scenario.cache_size[i])
-                      for i in clouds]
-    space = 1
-    for sets in per_cloud_sets:
-        space *= len(sets)
-    if space > profile_cap:
-        raise ValueError(f"profile space {space} exceeds cap {profile_cap}")
-    # one transport matrix per candidate profile, over the frame's requests
-    matrices = [transport_matrix(
-                    frame_reqs,
-                    fetch_latencies(PlacementProfile(dict(zip(clouds, combo)),
-                                                     scenario.cache_size),
-                                    topo, demanded),
-                    topo, catalog)
-                for combo in itertools.product(*per_cloud_sets)]
+    vms = scenario.vms
+    # a fetch table that prices every public read at 0.0 leaves only the
+    # private streams in each transport-matrix entry
+    free = dict.fromkeys(scenario.catalog.public_objects(), 0.0)
+    private = transport_matrix(frame_reqs, [free] * topo.n_clouds, topo,
+                               catalog)
 
-    options = []   # per request: list of (config or None, revenue, usage)
-    for req in frame_reqs:
-        opts = [(None, 0.0, {})]
+    options = []   # per request: (config or None, revenue, usage, private cost)
+    for req, table in zip(frame_reqs, private):
+        opts = [(None, 0.0, {}, 0.0)]
         for config in enumerate_configs(req, topo):
             rev = req.duration * ordered_sum(
-                scenario.vms.price(k) * req.demand[k][0]
-                for k in config.assignment)
-            opts.append((config, rev, config_usage(req, config, scenario.vms)))
+                vms.price(k) * req.demand[k][0] for k in config.assignment)
+            cost = ordered_sum(req.demand[k][0] * table[k][i]
+                               for k, i in config.assignment.items())
+            opts.append((config, rev, config_usage(req, config, vms), cost))
         options.append(opts)
-
-    def slot_of(req):
-        return (req.arrival // fpc) - frame_index * n_frame
-
-    def cost_under(n, config, tables):
-        req, table = frame_reqs[n], tables[n]
-        return ordered_sum(req.demand[k][0] * table[k][i]
-                           for k, i in config.assignment.items())
 
     best = (0.0, None)   # any frame admits the all-reject solution
     budget = n_frame * scenario.budget
     for combo in itertools.product(*[range(len(o)) for o in options]):
-        revenue = 0.0
-        committed = {}
-        feasible = True
-        for n, (req, pick) in enumerate(zip(frame_reqs, combo)):
-            config, rev, usage = options[n][pick]
-            if config is None:
-                continue
-            revenue += rev
-            for (i, r), units in usage.items():
-                for t in range(req.arrival, req.arrival + req.duration):
-                    key = (i, r, t)
-                    committed[key] = committed.get(key, 0.0) + units
-                    if committed[key] > scenario.capacity[(i, r)] + 1e-9:
-                        feasible = False
-                        break
-                if not feasible:
-                    break
-            if not feasible:
-                break
-        if not feasible or revenue <= best[0]:
+        picked = [(frame_reqs[n], *options[n][pick])
+                  for n, pick in enumerate(combo) if pick]
+        revenue = ordered_sum(rev for _, _, rev, _, _ in picked)
+        if revenue <= best[0]:
             continue
-        total_cost = 0.0
-        for s in range(n_frame):
-            slot_accepted = [(n, options[n][pick][0])
-                             for n, (req, pick) in enumerate(zip(frame_reqs, combo))
-                             if options[n][pick][0] is not None and slot_of(req) == s]
-            if not slot_accepted:
-                continue
-            slot_best = None
-            for tables in matrices:
-                c = ordered_sum(cost_under(n, config, tables)
-                                for n, config in slot_accepted)
-                if slot_best is None or c < slot_best:
-                    slot_best = c
-            total_cost += slot_best
-        if total_cost <= budget + 1e-9:
-            best = (revenue, combo)
+        ledger = ResourceState(scenario.capacity)
+        for req, _, _, usage, _ in picked:
+            span = (req.arrival, req.arrival + req.duration)
+            if not ledger.fits(usage, *span):
+                break
+            ledger.lease(req.req_id, usage, *span)
+        else:
+            total_cost = 0.0
+            for s in range(first, first + n_frame):
+                accepted = [(req, config, cost) for req, config, _, _, cost
+                            in picked if req.arrival // fpc == s]
+                if accepted:
+                    _, public = brute_force_place(
+                        aggregate_demand([a[:2] for a in accepted], catalog, s),
+                        scenario.cache_size, topo, catalog)
+                    total_cost += public + ordered_sum(c for _, _, c in accepted)
+            if total_cost <= budget + 1e-9:
+                best = (revenue, combo)
     return best[0] / n_frame, best[1]
 
 

@@ -13,7 +13,8 @@ candidate's savings and knapsack in every round, and
 loop over profiles, demand pairs and clouds.  `nearest_replica` resolves one
 (cloud, object) read at a time, and `reference_placement_cost` prices a
 demand matrix through it, the way placements were priced before the fetch
-table.
+table.  `reference_lookahead_oracle` is the frame oracle with its own
+placement enumeration, capacity dict and per-profile transport matrices.
 """
 
 import itertools
@@ -23,7 +24,8 @@ from edgeorch.allocator import (BONUS_SCALE, E_RATIO, REJECT_CAPACITY,
                                 OnlineAllocator, ScoredConfig,
                                 check_price_scaling)
 from edgeorch.model import (Lease, PlacementProfile, config_usage,
-                            enumerate_configs)
+                            enumerate_configs, fetch_latencies, ordered_sum,
+                            transport_matrix)
 from edgeorch.placement import (PlacementSolution, _best_content,
                                 _integer_sizes, feasible_content_sets)
 
@@ -389,3 +391,103 @@ def reference_brute_force_place(demand, cache_size, topo, catalog, cap=2_000_000
             best = (cost, combo)
     profile = PlacementProfile(dict(zip(clouds, best[1])), cache_size)
     return profile, best[0]
+
+
+def reference_lookahead_oracle(scenario, workload, n_frame, frame_index,
+                               max_requests=16, profile_cap=100_000):
+    """Clairvoyant optimum of one frame of n_frame coarse slots.
+
+    Exhausts every accept/config combination, checks capacity, and lets each
+    slot pick its own cost-minimal placement (slots' placements are
+    independent once bundles are fixed).  Frame-total transport cost must
+    stay within n_frame times the budget.  Returns the frame's per-slot
+    average revenue and the best assignment found.
+    """
+    fpc = scenario.fine_per_coarse
+    lo = frame_index * n_frame * fpc
+    hi = (frame_index + 1) * n_frame * fpc
+    frame_reqs = [r for r in workload.requests if lo <= r.arrival < hi]
+    if len(frame_reqs) > max_requests:
+        raise ValueError(
+            f"frame has {len(frame_reqs)} requests, oracle cap is {max_requests}")
+    catalog = workload.catalog
+    topo = scenario.topology
+    demanded = sorted({o for r in frame_reqs for _, objs in r.demand.values()
+                       for o in objs if catalog.is_public(o)})
+    clouds = sorted(scenario.cache_size)
+    per_cloud_sets = [feasible_content_sets(demanded, catalog,
+                                            scenario.cache_size[i])
+                      for i in clouds]
+    space = 1
+    for sets in per_cloud_sets:
+        space *= len(sets)
+    if space > profile_cap:
+        raise ValueError(f"profile space {space} exceeds cap {profile_cap}")
+    # one transport matrix per candidate profile, over the frame's requests
+    matrices = [transport_matrix(
+                    frame_reqs,
+                    fetch_latencies(PlacementProfile(dict(zip(clouds, combo)),
+                                                     scenario.cache_size),
+                                    topo, demanded),
+                    topo, catalog)
+                for combo in itertools.product(*per_cloud_sets)]
+
+    options = []   # per request: list of (config or None, revenue, usage)
+    for req in frame_reqs:
+        opts = [(None, 0.0, {})]
+        for config in enumerate_configs(req, topo):
+            rev = req.duration * ordered_sum(
+                scenario.vms.price(k) * req.demand[k][0]
+                for k in config.assignment)
+            opts.append((config, rev, config_usage(req, config, scenario.vms)))
+        options.append(opts)
+
+    def slot_of(req):
+        return (req.arrival // fpc) - frame_index * n_frame
+
+    def cost_under(n, config, tables):
+        req, table = frame_reqs[n], tables[n]
+        return ordered_sum(req.demand[k][0] * table[k][i]
+                           for k, i in config.assignment.items())
+
+    best = (0.0, None)   # any frame admits the all-reject solution
+    budget = n_frame * scenario.budget
+    for combo in itertools.product(*[range(len(o)) for o in options]):
+        revenue = 0.0
+        committed = {}
+        feasible = True
+        for n, (req, pick) in enumerate(zip(frame_reqs, combo)):
+            config, rev, usage = options[n][pick]
+            if config is None:
+                continue
+            revenue += rev
+            for (i, r), units in usage.items():
+                for t in range(req.arrival, req.arrival + req.duration):
+                    key = (i, r, t)
+                    committed[key] = committed.get(key, 0.0) + units
+                    if committed[key] > scenario.capacity[(i, r)] + 1e-9:
+                        feasible = False
+                        break
+                if not feasible:
+                    break
+            if not feasible:
+                break
+        if not feasible or revenue <= best[0]:
+            continue
+        total_cost = 0.0
+        for s in range(n_frame):
+            slot_accepted = [(n, options[n][pick][0])
+                             for n, (req, pick) in enumerate(zip(frame_reqs, combo))
+                             if options[n][pick][0] is not None and slot_of(req) == s]
+            if not slot_accepted:
+                continue
+            slot_best = None
+            for tables in matrices:
+                c = ordered_sum(cost_under(n, config, tables)
+                                for n, config in slot_accepted)
+                if slot_best is None or c < slot_best:
+                    slot_best = c
+            total_cost += slot_best
+        if total_cost <= budget + 1e-9:
+            best = (revenue, combo)
+    return best[0] / n_frame, best[1]

@@ -285,20 +285,21 @@ def test_budget_overrides_rederive_only_an_omitted_c_max(tmp_path):
     omitted.write_text(json.dumps(data))
     spec = {"workload": "workload_default", "overrides": {}}
 
-    def c_max(path, axis=None, value=None, **overrides):
+    def drift(path, axis=None, value=None, **overrides):
         cell = {**spec, "overrides": overrides}
-        return cli._build_cell(cell, path, axis, value, 0)[0].c_max
+        return cli._build_cell(cell, path, axis, value, 0)[0].drift_bound
 
-    # an omitted c_max is 3 x the budget in force, however it is set
-    assert c_max(omitted) == 300.0
-    assert c_max(omitted, "budget", 1000.0) == 3000.0
-    assert c_max(omitted, budget=500.0) == 1500.0
-    assert c_max(omitted, "budget", 1000.0, budget=500.0) == 3000.0
-    assert c_max(omitted, "v_weight", 7.0) == 300.0
+    # B = max(c_max, budget)**2 / 2, where an omitted c_max is 3 x the
+    # budget in force, however it is set
+    assert drift(omitted) == 300.0 ** 2 / 2
+    assert drift(omitted, "budget", 1000.0) == 3000.0 ** 2 / 2
+    assert drift(omitted, budget=500.0) == 1500.0 ** 2 / 2
+    assert drift(omitted, "budget", 1000.0, budget=500.0) == 3000.0 ** 2 / 2
+    assert drift(omitted, "v_weight", 7.0) == 300.0 ** 2 / 2
     # an explicit one, from the file or an override, is kept
-    assert c_max(explicit, "budget", 1000.0) == 100000.0
-    assert c_max(explicit, budget=500.0) == 100000.0
-    assert c_max(omitted, "budget", 1000.0, c_max=42.0) == 42.0
+    assert drift(explicit, "budget", 1000.0) == 100000.0 ** 2 / 2
+    assert drift(explicit, budget=500.0) == 100000.0 ** 2 / 2
+    assert drift(omitted, "budget", 1000.0, c_max=42.0) == 1000.0 ** 2 / 2
 
 
 def test_verify_command(capsys):
@@ -327,6 +328,52 @@ def test_lookahead_overrides_exit_2(tmp_path, capsys, flags):
     assert main(["run", "exp5_lookahead", "--out", str(out), *flags]) == 2
     assert "lookahead" in capsys.readouterr().err
     assert not out.exists()
+
+
+GRID_VALUES = {"scenario": "desk.json", "workload": "workload_default",
+               "horizon": 6, "seeds": [5], "policies": ["proposed"],
+               "sweep": None, "overrides": {"budget": 1.0}}
+LOOK = {"instances": 1, "n_frame": 2, "frames": 3}
+
+# (spec edits, workload-file edits, command-line flags) of runs that must
+# exit 2; edits that name "lookahead" start from a bare lookahead spec,
+# the others from mini_spec
+BAD_RUNS = {
+    **{f"lookahead_with_{key}": ({"lookahead": LOOK, key: value}, {}, [])
+       for key, value in GRID_VALUES.items()},
+    "lookahead_with_every_grid_key": ({"lookahead": LOOK, **GRID_VALUES},
+                                      {}, []),
+    "empty_lookahead_with_every_grid_key": ({"lookahead": {}, **GRID_VALUES},
+                                            {}, []),
+    "horizon_flag_zero": ({}, {}, ["--horizon", "0"]),
+    "horizon_flag_negative": ({}, {}, ["--horizon", "-3"]),
+    "horizon_fraction": ({"horizon": 2.7}, {}, []),
+    "seeds_empty": ({"seeds": []}, {}, []),
+    "regime_length_zero": ({}, {"regime_length": 0}, []),
+    "negative_private_ratio": ({}, {"private_ratio": -1.0}, []),
+    "negative_error_mean": ({}, {"error_mean": -0.3}, []),
+    "nan_zipf_exponent": ({}, {"zipf_exponent": math.nan}, []),
+    "reversed_lambda_range": ({}, {"lambda_range": [5.0, 1.0]}, []),
+    "zero_lifetime": ({}, {"lifetime": [0, 3]}, []),
+    "negative_private_ratio_point": (
+        {"sweep": {"axis": "private_ratio", "values": [0.5, -1.0]}}, {}, []),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RUNS))
+def test_bad_runs_exit_2(tmp_path, capsys, case):
+    edits, workload, flags = BAD_RUNS[case]
+    if "lookahead" in edits:
+        spec = tmp_path / "look.json"
+        spec.write_text(json.dumps({"name": "look", **edits}))
+    else:
+        data = json.loads((DATA_DIR / "workload_default.json").read_text())
+        (tmp_path / "wl.json").write_text(json.dumps({**data, **workload}))
+        spec = mini_spec(tmp_path, workload=str(tmp_path / "wl.json"), **edits)
+    out = tmp_path / "z"
+    assert main(["run", str(spec), "--out", str(out), *flags]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(out.glob("*"))
 
 
 def test_svg_chart_is_deterministic(tmp_path):

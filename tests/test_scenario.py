@@ -85,7 +85,7 @@ def test_default_c_max_backfill():
     data = scn.to_dict()
     data.pop("c_max")
     loaded = scenario_from_dict(data)
-    assert loaded.c_max == 3.0 * loaded.budget
+    assert loaded.drift_bound == (3.0 * loaded.budget) ** 2 / 2.0
 
 
 def test_stress_scenario_has_slack_budget():

@@ -16,7 +16,8 @@ from edgeorch.simulator import (POLICIES, RunReport, Workload, WorkloadConfig,
                                 _check_accounting, generate_workload,
                                 lookahead_oracle, perturb_demand, run_policy,
                                 theorem1_check, zipf_probabilities)
-from edgeorch.verification import _exp1_stream
+from edgeorch.verification import _exp1_stream, tiny_instances
+from reference_rules import reference_lookahead_oracle
 
 
 def test_workload_config_round_trip():
@@ -434,6 +435,49 @@ def test_lookahead_oracle_caps_frame_size():
     wl = hand_workload(scn, reqs)
     with pytest.raises(ValueError):
         lookahead_oracle(scn, wl, n_frame=1, frame_index=0, max_requests=4)
+
+
+def tiny_frames(capacity, budget):
+    """(scenario, workload, frame) for denser tiny streams, on a tiny
+    system with every capacity and the budget replaced; frames of more
+    than 5 requests are left out to keep the reference oracle quick."""
+    scn = load_scenario(DATA_DIR / "tiny.json")
+    scn.capacity = {key: capacity for key in scn.capacity}
+    scn.budget = budget
+    frame_fine = 2 * scn.fine_per_coarse
+    for seed in range(6):
+        cfg = WorkloadConfig(seed=seed, lambda_range=(0.0, 1.0),
+                             regime_length=4, objects_per_vm=(1, 2),
+                             private_ratio=1.0)
+        wl = generate_workload(cfg, scn, 3 * frame_fine)
+        for frame in range(3):
+            size = sum(frame * frame_fine <= r.arrival < (frame + 1) * frame_fine
+                       for r in wl.requests)
+            if size <= 5:
+                yield scn, wl, frame
+
+
+def test_lookahead_oracle_matches_reference():
+    scn = load_scenario(DATA_DIR / "tiny.json")
+    for _, wl in tiny_instances(20):
+        for frame in range(3):
+            assert (lookahead_oracle(scn, wl, 2, frame)
+                    == reference_lookahead_oracle(scn, wl, 2, frame))
+    # where a constraint binds, relaxing it raises the reference value
+    capacity_binds = budget_binds = 0
+    for capacity in (30.0, 40.0):
+        for budget in (20.0, 60.0):
+            for scn, wl, frame in tiny_frames(capacity, budget):
+                got = lookahead_oracle(scn, wl, 2, frame)
+                assert got == reference_lookahead_oracle(scn, wl, 2, frame)
+                roomy = replace(scn, capacity=dict.fromkeys(scn.capacity, 1e9))
+                rich = replace(scn, budget=1e9)
+                capacity_binds += (
+                    reference_lookahead_oracle(roomy, wl, 2, frame)[0] > got[0])
+                budget_binds += (
+                    reference_lookahead_oracle(rich, wl, 2, frame)[0] > got[0])
+    assert capacity_binds >= 5
+    assert budget_binds >= 5
 
 
 def stub_report(revenue, horizon):
