@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .model import config_usage, enumerate_configs
 
 E_RATIO = math.e / (math.e - 1.0)
@@ -126,8 +128,9 @@ class Decision:
 class _AdmissionRule:
     """Ledger and per-shape config cache shared by both admission rules.
 
-    Admission rules price a request from its row of the slot's
-    model.transport_matrix: {k: per-cloud cost of one type-k VM}.
+    Admission rules price a request from its table of the slot's
+    model.cost_tables, {k: per-cloud cost of one type-k VM}, and rank its
+    configs by their row of the rule's score_matrix.
     """
 
     def __init__(self, scenario, resources):
@@ -161,6 +164,32 @@ class _AdmissionRule:
                     sorted(set(config.assignment.values())), revenue_rate))
             self._shape_cache[key] = shapes
         return shapes
+
+    def score_matrix(self, requests, costs, q_eff):
+        """Each request's config Shapes and their values, in enumeration
+        order, from one array pass per request shape: a (shapes, values)
+        pair per request.  costs holds the requests' rows of
+        model.transport_rows: one per (request, positive type group)."""
+        by_shape = {}   # id of a cached shape list -> (shapes, members)
+        row = 0
+        for n, req in enumerate(requests):
+            shapes = self._shapes_for(req)
+            members = by_shape.setdefault(id(shapes), (shapes, []))[1]
+            members.append((n, row, req.duration))
+            row += len(shapes[0].terms)
+        scores = [None] * len(requests)
+        for shapes, members in by_shape.values():
+            positions, rows, durations = zip(*members)
+            rows = np.array(rows)
+            # clouds[c, j]: the cloud config c puts group j on
+            clouds = np.array([[i for _, i, _, _ in shape.terms]
+                               for shape in shapes])
+            units = [costs[rows + j] for j in range(clouds.shape[1])]
+            block = self._values(shapes[0].terms, clouds, units,
+                                 np.array(durations), q_eff)
+            for n, values in zip(positions, block.tolist()):
+                scores[n] = (shapes, values)
+        return scores
 
 
 class OnlineAllocator(_AdmissionRule):
@@ -214,19 +243,40 @@ class OnlineAllocator(_AdmissionRule):
                     total += units * price
         return total
 
-    def select_config(self, req, table, q_eff):
-        """Highest priced-out objective across all configs; first wins ties."""
+    def _values(self, terms, clouds, units, durations, q_eff):
+        """duration * adjusted revenue per (request, config): the IEEE
+        operations of _score_one, in its order.  Each group's value is
+        added to its cloud's sum, which starts from 0.0, and the total adds
+        the per-cloud sums, clouds ascending, to 0.0.  A cloud the config
+        does not use adds its untouched 0.0, which cannot change a sum
+        that started from +0.0."""
+        v = self.scenario.v_weight
+        configs = np.arange(len(clouds))
+        per_cloud = np.zeros((len(durations), len(clouds), self.topo.n_clouds))
+        for j, ((_, _, count, price), unit) in enumerate(zip(terms, units)):
+            value = count * (v * price - q_eff * unit / durations[:, None])
+            # one entry per config: no index repeats within the addition
+            per_cloud[:, configs, clouds[:, j]] += value[:, clouds[:, j]]
+        total = np.zeros(per_cloud.shape[:2])
+        for i in range(self.topo.n_clouds):
+            total += per_cloud[:, :, i]
+        return durations[:, None] * total
+
+    def select_config(self, req, table, scores, q_eff):
+        """Highest priced-out objective across all configs; first wins ties.
+        scores: the request's (shapes, values) from score_matrix."""
         # a config on clouds without a price row is charged 0.0
         priced = self.dual.priced
         best = None
-        for shape in self._shapes_for(req):
-            scored = self._score_one(req, shape, table, q_eff)
+        for shape, score in zip(*scores):
             charge = (0.0 if priced.isdisjoint(shape.clouds)
                       else self._charge(req, shape.rows))
-            objective = req.duration * scored[0] - charge
+            objective = score - charge
             if best is None or objective > best[1]:
-                best = (shape, objective, scored)
-        shape, objective, (total, per_cloud, cost, revenue) = best
+                best = (shape, objective)
+        shape, objective = best
+        total, per_cloud, cost, revenue = self._score_one(req, shape, table,
+                                                          q_eff)
         return ScoredConfig(shape.config, objective, total, per_cloud, revenue,
                             cost, shape)
 
@@ -307,8 +357,9 @@ class OnlineAllocator(_AdmissionRule):
             revenue=0.0, transport_cost=0.0, q_eff=q_eff,
         )
 
-    def decide(self, req, table, q_eff):
-        return self.admit(req, self.select_config(req, table, q_eff), q_eff)
+    def decide(self, req, table, scores, q_eff):
+        return self.admit(req, self.select_config(req, table, scores, q_eff),
+                          q_eff)
 
 
 class MyopicAllocator(_AdmissionRule):
@@ -332,15 +383,18 @@ class MyopicAllocator(_AdmissionRule):
         if now % self.scenario.fine_per_coarse == 0:
             self.slot_spend = 0.0
 
-    def decide(self, req, table, q_eff):
-        ranked = []
-        for shape in self._shapes_for(req):
-            cost = 0.0
-            for k, i, count, _ in shape.terms:
-                cost += count * table[k][i]
-            ranked.append((cost, shape))
+    def _values(self, terms, clouds, units, durations, q_eff):
+        """Transport cost per (request, config), summed from 0.0 in term
+        order as a scalar loop would."""
+        total = np.zeros((len(durations), len(clouds)))
+        for j, ((_, _, count, _), unit) in enumerate(zip(terms, units)):
+            total += count * unit[:, clouds[:, j]]
+        return total
+
+    def decide(self, req, table, scores, q_eff):
+        shapes, costs = scores
         # a stable sort: equal costs keep the enumeration order
-        ranked.sort(key=lambda item: item[0])
+        ranked = sorted(zip(costs, shapes), key=lambda item: item[0])
         expiry = req.arrival + req.duration
         for cost, shape in ranked:
             if self.resources.fits(shape.usage, req.arrival, expiry):

@@ -9,6 +9,7 @@ Conventions used throughout the package:
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -219,52 +220,109 @@ def fetch_latencies(placement, topo, objects):
             for w, origin in zip(topo.w, topo.origin)]
 
 
-def transport_matrix(requests, fetch, topo, catalog):
-    """Per-VM transport costs of every request in a batch, from one array.
+class PackedRows(NamedTuple):
+    """The object reads of a request list as flat arrays, in list order.
 
-    Returns one table per request, {k: [cost of hosting one type-k VM at
-    cloud i, for each cloud i]}, cut from a single float array with one row
-    per (request, positive type group) and one column per cloud.  Public
-    objects come at their fetch-table latency times object size.  An object
-    the table lacks is private and streams from the request's ingress
-    cloud; an unknown id raises ValueError.  Each entry equals the scalar
-    sum from 0.0 over its objects in order, bit for bit.
+    There is one row per (request, positive type group), groups ascending:
+    request n owns rows starts[n]..starts[n+1]-1, and row m owns entries
+    offsets[m]..offsets[m+1]-1.  An entry is one object read, in the order
+    the group lists its objects: a source column and the object's size.  A
+    public object's source is its index in `publics`; any other object is
+    private and streams from the request's ingress, source len(publics) +
+    ingress.
     """
-    n = topo.n_clouds
-    public = list(fetch[0])
-    column = {o: j for j, o in enumerate(public)}
-    # latency rows by source: one per public object, one per ingress cloud,
-    # and a zero row for padding
-    latency = np.array([[row[o] for row in fetch] for o in public]
-                       + [list(col) for col in zip(*topo.w)] + [[0.0] * n])
+
+    publics: tuple            # public object ids the sources index
+    n_clouds: int             # clouds the ingress sources cover
+    starts: np.ndarray
+    offsets: np.ndarray
+    source: np.ndarray        # int32: room for any object and cloud count
+    size: np.ndarray
+
+    @classmethod
+    def from_lists(cls, publics, n_clouds, starts, lengths, sources, sizes):
+        """Rows from per-request row starts, per-row entry counts and the
+        entries' sources and sizes, concatenated in order."""
+        offsets = np.zeros(len(lengths) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=offsets[1:])
+        return cls(tuple(publics), n_clouds, np.asarray(starts, dtype=np.intp),
+                   offsets, np.asarray(sources, dtype=np.int32),
+                   np.asarray(sizes, dtype=float))
+
+    def take(self, lo, hi):
+        """The rows of requests lo..hi-1, renumbered from 0."""
+        starts = self.starts[lo:hi + 1]
+        offsets = self.offsets[starts[0]:starts[-1] + 1]
+        first, last = offsets[0], offsets[-1]
+        return self._replace(starts=starts - starts[0],
+                             offsets=offsets - first,
+                             source=self.source[first:last],
+                             size=self.size[first:last])
+
+    def check(self, publics, n_clouds):
+        """Raise ValueError unless the rows index this public object list
+        and this many clouds."""
+        if self.publics != tuple(publics):
+            raise ValueError("the stream was packed against another public "
+                             "object list than the scenario's")
+        if self.n_clouds != n_clouds:
+            raise ValueError(f"the stream was packed for {self.n_clouds} "
+                             f"clouds, the scenario has {n_clouds}")
+
+
+def pack_requests(requests, publics, n_clouds, catalog):
+    """Pack requests by object name; an unknown id raises ValueError."""
+    column = {o: j for j, o in enumerate(publics)}
     sizes = catalog.sizes
-    groups, lengths, sources, weights = [], [], [], []
+    starts, lengths, sources, weights = [0], [], [], []
     try:
         for req in requests:
+            stream = len(column) + req.ingress
             keys = req.groups()
-            groups.append(keys)
-            stream = len(public) + req.ingress
             for k in keys:
                 objects = req.demand[k][1]
                 lengths.append(len(objects))
                 sources += [column.get(o, stream) for o in objects]
                 weights += [sizes[o] for o in objects]
+            starts.append(starts[-1] + len(keys))
     except KeyError as exc:
         raise ValueError(f"unknown object id {exc.args[0]!r}") from None
-    lengths = np.array(lengths, dtype=np.intp)
+    return PackedRows.from_lists(publics, n_clouds, starts, lengths, sources,
+                                 weights)
+
+
+def transport_rows(rows, fetch, topo):
+    """Per-VM transport cost of every packed row at every cloud: a (row,
+    cloud) array.  Public objects come at their fetch-table latency times
+    object size, private ones at the latency from the request's ingress.
+    Each entry equals the scalar sum from 0.0 over the row's objects in
+    order, bit for bit.
+    """
+    n = topo.n_clouds
+    # latency rows by source: one per public object, one per ingress cloud,
+    # and a zero row for padding
+    latency = np.array([[row[o] for row in fetch] for o in rows.publics]
+                       + [list(col) for col in zip(*topo.w)] + [[0.0] * n])
+    lengths = np.diff(rows.offsets)
     depth = int(lengths.max(initial=0))
-    # position 0 and the tail past a row's objects are 0.0 terms, so every
-    # row starts from 0.0 and pads with exact no-op additions
-    source = np.full((len(lengths), depth + 1), len(latency) - 1, dtype=np.intp)
-    size = np.zeros((len(lengths), depth + 1))
-    # row-major order of the mask is the order objects were packed in
-    filled = np.arange(1, depth + 1) <= lengths[:, None]
-    source[:, 1:][filled] = sources
-    size[:, 1:][filled] = weights
-    # accumulate adds the terms strictly left to right
-    terms = latency[source] * size[:, :, None]
-    rows = iter(np.add.accumulate(terms, axis=1)[:, -1].tolist())
-    return [{k: next(rows) for k in keys} for keys in groups]
+    # the tail past a row's objects holds 0.0 terms: exact no-op additions
+    source = np.full((len(lengths), depth), len(latency) - 1, dtype=np.intp)
+    size = np.zeros((len(lengths), depth))
+    # row-major order of the mask is the order the entries were packed in
+    filled = np.arange(depth) < lengths[:, None]
+    source[filled] = rows.source
+    size[filled] = rows.size
+    total = np.zeros((len(lengths), n))
+    for j in range(depth):
+        total += latency[source[:, j]] * size[:, j, None]
+    return total
+
+
+def cost_tables(requests, costs):
+    """Each request's transport table, {k: [cost of hosting one type-k VM
+    at cloud i, for each cloud i]}, cut from its rows of transport_rows."""
+    rows = iter(costs.tolist())
+    return [{k: next(rows) for k in req.groups()} for req in requests]
 
 
 def config_usage(req, config, vm_catalog):

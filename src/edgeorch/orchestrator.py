@@ -14,7 +14,7 @@ time-average cost can exceed the budget by at most Q(T)/T.
 
 from dataclasses import dataclass, field
 
-from .model import fetch_latencies, transport_matrix
+from .model import cost_tables, fetch_latencies, transport_rows
 from .placement import aggregate_demand
 
 
@@ -54,15 +54,17 @@ class OrchestratorState:
     queue_trace: list = field(default_factory=list)
 
 
-def run_coarse_slot(state, arrivals, allocator, place, placement, catalog,
-                    scenario, window_hook=None):
+def run_coarse_slot(state, arrivals, rows, allocator, place, placement,
+                    catalog, scenario, window_hook=None):
     """Run one coarse slot end to end.
 
     arrivals: one list of requests per fine slot of this coarse slot.
+    rows: model.PackedRows of those requests, in the same order.
     allocator: admission rule with queue_weight(queue),
-        advance_fine_slot(t) and decide(req, table, q_eff) -> Decision,
-        where table is the request's row of the slot's
-        model.transport_matrix.
+        advance_fine_slot(t), score_matrix(requests, costs, q_eff) and
+        decide(req, table, scores, q_eff) -> Decision, where costs are the
+        slot's model.transport_rows, table is the request's model.cost_tables
+        entry and scores its (shapes, values) from score_matrix.
     place: callable(DemandMatrix) -> PlacementSolution for the next slot.
     window_hook: optional callable(fine slot, requests, tables, q_eff)
         invoked when each fine slot's pricing window closes.
@@ -73,12 +75,13 @@ def run_coarse_slot(state, arrivals, allocator, place, placement, catalog,
         state.queue = update_virtual_queue(state.queue, state.prev_cost,
                                            scenario.budget)
     q_eff = allocator.queue_weight(state.queue)
-    fetch = fetch_latencies(placement, scenario.topology,
-                            scenario.catalog.public_objects())
+    fetch = fetch_latencies(placement, scenario.topology, rows.publics)
     # the placement is fixed for the slot, so every arrival's transport
-    # costs are known now: one matrix prices them all
-    tables = iter(transport_matrix([req for batch in arrivals for req in batch],
-                                   fetch, scenario.topology, catalog))
+    # costs, and every config's price-free score, are known now
+    requests = [req for batch in arrivals for req in batch]
+    costs = transport_rows(rows, fetch, scenario.topology)
+    tables = iter(cost_tables(requests, costs))
+    scores = iter(allocator.score_matrix(requests, costs, q_eff))
     base = state.slot_index * scenario.fine_per_coarse
     revenue = 0.0
     cost = 0.0
@@ -91,7 +94,7 @@ def run_coarse_slot(state, arrivals, allocator, place, placement, catalog,
         batch_tables = [next(tables) for _ in batch]
         for req, table in zip(batch, batch_tables):
             n_arrivals += 1
-            decision = allocator.decide(req, table, q_eff)
+            decision = allocator.decide(req, table, next(scores), q_eff)
             decision.slot = state.slot_index
             decisions.append(decision)
             if decision.accepted:

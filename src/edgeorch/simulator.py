@@ -15,18 +15,22 @@ orchestrator.run_coarse_slot:
                 objects with no coordination
 """
 
+import bisect
 import hashlib
 import itertools
 import math
+import operator
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .allocator import (MyopicAllocator, OnlineAllocator,
                         dual_feasibility_violations)
-from .model import (PlacementProfile, Request, ResourceState, config_usage,
-                    enumerate_configs, ordered_sum, transport_matrix)
+from .model import (PackedRows, PlacementProfile, Request, ResourceState,
+                    config_usage, cost_tables, enumerate_configs, ordered_sum,
+                    transport_rows)
 from .orchestrator import OrchestratorState, run_coarse_slot, update_virtual_queue
 from .placement import (DemandMatrix, PlacementSolution, aggregate_demand,
                         brute_force_place, greedy_place, placement_cost,
@@ -103,12 +107,25 @@ def zipf_probabilities(n, exponent):
 
 @dataclass
 class Workload:
-    requests: list
+    requests: list            # in arrival order
     catalog: object           # scenario catalog plus this stream's private objects
     config: WorkloadConfig
     horizon_fine: int
     lambda_schedule: list     # (first fine slot, rate)
     stream_hash: str
+    rows: PackedRows          # the requests' object reads, packed in order
+
+    def __post_init__(self):
+        if any(a.arrival > b.arrival
+               for a, b in itertools.pairwise(self.requests)):
+            raise ValueError("workload requests must come in arrival order")
+
+    def span(self, start, stop):
+        """Positions lo, hi of the requests arriving in fine slots
+        start..stop-1: requests[lo:hi] and rows.take(lo, hi)."""
+        arrival = operator.attrgetter("arrival")
+        return (bisect.bisect_left(self.requests, start, key=arrival),
+                bisect.bisect_left(self.requests, stop, key=arrival))
 
     def by_fine_slot(self):
         slots = {}
@@ -118,11 +135,15 @@ class Workload:
 
 
 def generate_workload(cfg, scenario, horizon_fine):
-    """Draw the full request stream for one run; identical for every policy."""
+    """Draw the full request stream for one run; identical for every policy.
+
+    The stream is packed as it is drawn: each request is one row whose
+    entries are its public reads, by index in the sorted public object
+    list, then its private reads, from its ingress.
+    """
     rng = np.random.default_rng(cfg.seed)
-    catalog = type(scenario.catalog)(dict(scenario.catalog.sizes),
-                                     dict(scenario.catalog.visibility))
     publics = scenario.catalog.public_objects()
+    public_sizes = [scenario.catalog.sizes[o] for o in publics]
     probs = zipf_probabilities(len(publics), cfg.zipf_exponent)
     n_types = scenario.vms.n_types
     mix = np.array(cfg.vm_mix if cfg.vm_mix else [1.0 / n_types] * n_types,
@@ -141,6 +162,9 @@ def generate_workload(cfg, scenario, horizon_fine):
     n_clouds = scenario.topology.n_clouds
     requests = []
     schedule = []
+    private_ids = []
+    # one packed row per request
+    lengths, sources, sizes = [], array("i"), array("d")
     rate = 0.0
     req_id = 0
     for t in range(horizon_fine):
@@ -152,31 +176,44 @@ def generate_workload(cfg, scenario, horizon_fine):
             life = int(rng.integers(cfg.lifetime[0], cfg.lifetime[1] + 1))
             n_obj = int(rng.integers(cfg.objects_per_vm[0], cfg.objects_per_vm[1] + 1))
             picks = rank_cdf.searchsorted(rng.random(n_obj), side="right")
-            objects = sorted({publics[i] for i in picks})
-            volume = sum(catalog.size(o) for o in objects)
-            want = cfg.private_ratio * volume
+            # publics is sorted, so ascending indices give the names sorted
+            columns = sorted(set(picks.tolist()))
+            weights = [public_sizes[j] for j in columns]
+            want = cfg.private_ratio * sum(weights)
             n_priv = int(want) + (1 if rng.random() < want - int(want) else 0)
-            private = []
-            for j in range(n_priv):
-                pid = f"p{req_id}-{j}"
-                catalog.add(pid, 1, visibility="private")
-                private.append(pid)
-            req = Request(
+            private = [f"p{req_id}-{j}" for j in range(n_priv)]
+            ingress = int(rng.integers(n_clouds))
+            requests.append(Request(
                 req_id=req_id,
                 arrival=t,
                 duration=life,
-                ingress=int(rng.integers(n_clouds)),
-                demand={k: (1, tuple(objects + private))},
-            )
-            req.validate(catalog, n_types, n_clouds)
-            requests.append(req)
+                ingress=ingress,
+                demand={k: (1, tuple([publics[j] for j in columns] + private))},
+            ))
+            private_ids += private
+            lengths.append(len(columns) + n_priv)
+            sources.extend(columns + [len(publics) + ingress] * n_priv)
+            sizes.extend(weights + [1] * n_priv)
             req_id += 1
+    catalog = type(scenario.catalog)(dict(scenario.catalog.sizes),
+                                     dict(scenario.catalog.visibility))
+    grown = len(catalog.sizes) + len(private_ids)
+    catalog.sizes.update(zip(private_ids, itertools.repeat(1)))
+    catalog.visibility.update(zip(private_ids, itertools.repeat("private")))
+    if len(catalog.sizes) != grown:
+        taken = next(o for o in private_ids if o in scenario.catalog.sizes)
+        raise ValueError(f"duplicate object id {taken!r}")
+    for req in requests:
+        req.validate(catalog, n_types, n_clouds)
     digest = hashlib.sha256()
     for req in requests:
         digest.update(repr((req.req_id, req.arrival, req.duration, req.ingress,
                             sorted(req.demand.items()))).encode())
+    rows = PackedRows.from_lists(publics, n_clouds,
+                                 np.arange(len(requests) + 1), lengths,
+                                 sources, sizes)
     return Workload(requests, catalog, cfg, horizon_fine, schedule,
-                    digest.hexdigest())
+                    digest.hexdigest(), rows)
 
 
 def perturb_demand(demand, error_mean, rng, shape=10):
@@ -258,14 +295,15 @@ class RunReport:
         }
 
 
-def _arrivals_grid(workload, scenario, horizon_coarse):
-    per_slot = workload.by_fine_slot()
-    grid = []
-    for big in range(horizon_coarse):
-        base = big * scenario.fine_per_coarse
-        grid.append([per_slot.get(base + off, [])
-                     for off in range(scenario.fine_per_coarse)])
-    return grid
+def _coarse_slot_stream(workload, fine_per_coarse, slot):
+    """A coarse slot's requests, one list per fine slot, and their packed
+    rows: a contiguous range of the stream."""
+    base = slot * fine_per_coarse
+    lo, hi = workload.span(base, base + fine_per_coarse)
+    batches = [[] for _ in range(fine_per_coarse)]
+    for req in workload.requests[lo:hi]:
+        batches[req.arrival - base].append(req)
+    return batches, workload.rows.take(lo, hi)
 
 def _check_accounting(slots, decisions, budget, counters):
     """Slot accumulators must replay from the decision log, and the queue
@@ -298,6 +336,8 @@ def run_policy(policy, scenario, workload, horizon_coarse,
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
+    workload.rows.check(scenario.catalog.public_objects(),
+                        scenario.topology.n_clouds)
     started = time.perf_counter()
     counters = {"accounting_violations": 0, "queue_replay_violations": 0,
                 "dual_violations": 0, "ledger_violations": 0,
@@ -332,11 +372,12 @@ def run_policy(policy, scenario, workload, horizon_coarse,
     state = OrchestratorState()
     placement = PlacementProfile.empty(scenario.topology.n_clouds,
                                        scenario.cache_size)
-    grid = _arrivals_grid(workload, scenario, horizon_coarse)
     slots, decisions, placements = [], [], []
     for big in range(horizon_coarse):
+        batches, rows = _coarse_slot_stream(workload, scenario.fine_per_coarse,
+                                            big)
         report, placement, slot_decs, _ = run_coarse_slot(
-            state, grid[big], allocator, place, placement, catalog,
+            state, batches, rows, allocator, place, placement, catalog,
             scenario, window_hook=hook)
         slots.append(report)
         decisions.extend(slot_decs)
@@ -387,19 +428,20 @@ def lookahead_oracle(scenario, workload, n_frame, frame_index,
     """
     fpc = scenario.fine_per_coarse
     first = frame_index * n_frame
-    frame_reqs = [r for r in workload.requests
-                  if first * fpc <= r.arrival < (first + n_frame) * fpc]
+    topo = scenario.topology
+    workload.rows.check(scenario.catalog.public_objects(), topo.n_clouds)
+    lo, hi = workload.span(first * fpc, (first + n_frame) * fpc)
+    frame_reqs = workload.requests[lo:hi]
     if len(frame_reqs) > max_requests:
         raise ValueError(
             f"frame has {len(frame_reqs)} requests, oracle cap is {max_requests}")
     catalog = workload.catalog
-    topo = scenario.topology
     vms = scenario.vms
     # a fetch table that prices every public read at 0.0 leaves only the
-    # private streams in each transport-matrix entry
-    free = dict.fromkeys(scenario.catalog.public_objects(), 0.0)
-    private = transport_matrix(frame_reqs, [free] * topo.n_clouds, topo,
-                               catalog)
+    # private streams in each transport cost
+    free = dict.fromkeys(workload.rows.publics, 0.0)
+    private = cost_tables(frame_reqs, transport_rows(
+        workload.rows.take(lo, hi), [free] * topo.n_clouds, topo))
 
     options = []   # per request: (config or None, revenue, usage, private cost)
     for req, table in zip(frame_reqs, private):

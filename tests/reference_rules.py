@@ -1,7 +1,9 @@
 """Plain scalar rules kept as differential oracles for the fast paths.
 
 `unit_transport_costs` prices one request at a time, the way every request
-was priced before the per-slot transport matrix.  `ReferenceAllocator` is
+was priced before the per-slot transport matrix.  `reference_select_config`
+is the online allocator's config selection as it was before the per-slot
+score matrix: it scores every config with `_score_one`.  `ReferenceAllocator` is
 the primal-dual admission rule as it was before the per-shape usage cache
 and the window rows: it rebuilds each config's usage dict, keeps prices and
 baselines in dicts keyed by (cloud, resource, fine slot), walks them with a
@@ -14,7 +16,7 @@ loop over profiles, demand pairs and clouds.  `nearest_replica` resolves one
 (cloud, object) read at a time, and `reference_placement_cost` prices a
 demand matrix through it, the way placements were priced before the fetch
 table.  `reference_lookahead_oracle` is the frame oracle with its own
-placement enumeration, capacity dict and per-profile transport matrices.
+placement enumeration, capacity dict and per-profile transport tables.
 """
 
 import itertools
@@ -24,8 +26,7 @@ from edgeorch.allocator import (BONUS_SCALE, E_RATIO, REJECT_CAPACITY,
                                 OnlineAllocator, ScoredConfig,
                                 check_price_scaling)
 from edgeorch.model import (Lease, PlacementProfile, config_usage,
-                            enumerate_configs, fetch_latencies, ordered_sum,
-                            transport_matrix)
+                            enumerate_configs, fetch_latencies, ordered_sum)
 from edgeorch.placement import (PlacementSolution, _best_content,
                                 _integer_sizes, feasible_content_sets)
 
@@ -80,6 +81,23 @@ def unit_transport_costs(req, fetch, topo, catalog):
                 total += row.get(o, stream) * catalog.size(o)
             table[(k, i)] = total
     return table
+
+
+def reference_select_config(self, req, table, q_eff):
+    """Highest priced-out objective across all configs; first wins ties."""
+    # a config on clouds without a price row is charged 0.0
+    priced = self.dual.priced
+    best = None
+    for shape in self._shapes_for(req):
+        scored = self._score_one(req, shape, table, q_eff)
+        charge = (0.0 if priced.isdisjoint(shape.clouds)
+                  else self._charge(req, shape.rows))
+        objective = req.duration * scored[0] - charge
+        if best is None or objective > best[1]:
+            best = (shape, objective, scored)
+    shape, objective, (total, per_cloud, cost, revenue) = best
+    return ScoredConfig(shape.config, objective, total, per_cloud, revenue,
+                        cost, shape)
 
 
 class TripleDualState:
@@ -423,14 +441,14 @@ def reference_lookahead_oracle(scenario, workload, n_frame, frame_index,
         space *= len(sets)
     if space > profile_cap:
         raise ValueError(f"profile space {space} exceeds cap {profile_cap}")
-    # one transport matrix per candidate profile, over the frame's requests
-    matrices = [transport_matrix(
-                    frame_reqs,
-                    fetch_latencies(PlacementProfile(dict(zip(clouds, combo)),
-                                                     scenario.cache_size),
-                                    topo, demanded),
-                    topo, catalog)
-                for combo in itertools.product(*per_cloud_sets)]
+    # one set of transport tables per candidate profile, over the frame's
+    # requests
+    fetches = [fetch_latencies(PlacementProfile(dict(zip(clouds, combo)),
+                                                scenario.cache_size),
+                               topo, demanded)
+               for combo in itertools.product(*per_cloud_sets)]
+    matrices = [[unit_transport_costs(req, fetch, topo, catalog)
+                 for req in frame_reqs] for fetch in fetches]
 
     options = []   # per request: list of (config or None, revenue, usage)
     for req in frame_reqs:
@@ -447,7 +465,7 @@ def reference_lookahead_oracle(scenario, workload, n_frame, frame_index,
 
     def cost_under(n, config, tables):
         req, table = frame_reqs[n], tables[n]
-        return ordered_sum(req.demand[k][0] * table[k][i]
+        return ordered_sum(req.demand[k][0] * table[(k, i)]
                            for k, i in config.assignment.items())
 
     best = (0.0, None)   # any frame admits the all-reject solution

@@ -4,14 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from edgeorch.allocator import (BONUS_SCALE, E_RATIO, OnlineAllocator,
-                                ScoredConfig, check_price_scaling,
+from edgeorch.allocator import (BONUS_SCALE, E_RATIO, MyopicAllocator,
+                                OnlineAllocator, ScoredConfig,
+                                check_price_scaling,
                                 dual_feasibility_violations)
 from edgeorch.model import (DataCatalog, PlacementProfile, Request,
                             ResourceState, Topology, VMCatalog, config_usage,
-                            fetch_latencies, transport_matrix)
+                            cost_tables, fetch_latencies, pack_requests,
+                            transport_rows)
 from edgeorch.scenario import DATA_DIR, Scenario, load_scenario
-from reference_rules import ReferenceAllocator, ReferenceResourceState
+from edgeorch.simulator import WorkloadConfig, generate_workload, run_policy
+from reference_rules import (ReferenceAllocator, ReferenceResourceState,
+                             reference_select_config)
 
 
 def one_cloud_scenario():
@@ -69,10 +73,23 @@ def slot_fetch(scenario, placement):
                            scenario.catalog.public_objects())
 
 
+def slot_costs(scenario, fetch, requests, catalog=None):
+    """The requests' model.transport_rows over the fetch table."""
+    rows = pack_requests(requests, list(fetch[0]), scenario.topology.n_clouds,
+                         catalog or scenario.catalog)
+    return transport_rows(rows, fetch, scenario.topology)
+
+
 def cost_table(scenario, fetch, req):
-    """The request's row of a transport matrix over the fetch table."""
-    return transport_matrix([req], fetch, scenario.topology,
-                            scenario.catalog)[0]
+    """The request's transport table over the fetch table."""
+    return cost_tables([req], slot_costs(scenario, fetch, [req]))[0]
+
+
+def decide(alloc, scenario, fetch, req, q_eff):
+    """Price and score one request on its own, then decide it."""
+    costs = slot_costs(scenario, fetch, [req])
+    return alloc.decide(req, cost_tables([req], costs)[0],
+                        alloc.score_matrix([req], costs, q_eff)[0], q_eff)
 
 
 def test_scoring_prefers_the_cached_cloud():
@@ -92,7 +109,9 @@ def test_scoring_prefers_the_cached_cloud():
     assert cost == 40.0
     assert revenue == 40.0
 
-    scored = alloc.select_config(req, table, 1.0)
+    scores = alloc.score_matrix([req], slot_costs(scn, fetch, [req]), 1.0)[0]
+    assert scores == ([shape0, shape1], [360.0, 400.0])
+    scored = alloc.select_config(req, table, scores, 1.0)
     assert scored.config.assignment == {0: 1}
     assert scored.objective == 400.0
     assert scored.adjusted_revenue == 100.0
@@ -142,8 +161,7 @@ def test_reject_negative_objective():
     placement = PlacementProfile.empty(2, dict(scn.cache_size))
     req = Request(7, 0, 4, 0, {0: (1, ("o1",))})
     # q_eff 10 prices uncached o1 far above the 100-per-slot revenue
-    d = alloc.decide(req, cost_table(scn, slot_fetch(scn, placement), req),
-                     q_eff=10.0)
+    d = decide(alloc, scn, slot_fetch(scn, placement), req, q_eff=10.0)
     assert not d.accepted
     assert d.reason == "negative_objective"
     assert d.objective == -1600.0
@@ -251,10 +269,10 @@ def test_random_streams_keep_duals_feasible():
             req = Request(1000 * trial + n, 0, duration,
                           int(rng.integers(2)), demand)
             seen.append(req)
-            d = alloc.decide(req, cost_table(scn, fetch, req), q_eff=1.0)
+            d = decide(alloc, scn, fetch, req, q_eff=1.0)
             accepted += d.accepted
         assert alloc.counters["identity_violations"] == 0
-        tables = transport_matrix(seen, fetch, scn.topology, scn.catalog)
+        tables = cost_tables(seen, slot_costs(scn, fetch, seen))
         assert dual_feasibility_violations(alloc, seen, tables, 1.0) == 0
         assert accepted > 0
         assert all(v >= 0 for v in window_prices(alloc).values())
@@ -272,7 +290,7 @@ def test_prices_never_fall_within_a_window():
         objs = tuple(rng.choice(objects, size=1))
         req = Request(n, 0, int(rng.integers(1, 4)), int(rng.integers(2)),
                       {int(rng.integers(2)): (int(rng.integers(1, 3)), objs)})
-        alloc.decide(req, cost_table(scn, fetch, req), q_eff=1.0)
+        decide(alloc, scn, fetch, req, q_eff=1.0)
         prices = window_prices(alloc)
         assert set(floor) <= set(prices)
         for key, price in prices.items():
@@ -282,7 +300,9 @@ def test_prices_never_fall_within_a_window():
 
 def test_admission_matches_scalar_reference():
     """The per-shape, matrix-fed, row-priced admission path against the
-    scalar rule it replaced: equal decisions, and after every pricing window
+    scalar rule it replaced: the selection from the score matrix equals the
+    selection that scores every config with _score_one, priced clouds
+    included; equal decisions, and after every pricing window
     equal prices and baselines on every triple the reference touched, 0.0
     at every other price entry, and equal alphas, counters and ledger.  The windows mix one- and
     two-type requests (5 and 25 configs), public and private reads, queue
@@ -326,7 +346,8 @@ def test_admission_matches_scalar_reference():
                 batch.append(Request(req_id, t, int(rng.integers(1, 5)),
                                      int(rng.integers(5)), demand))
                 req_id += 1
-            tables = transport_matrix(batch, fetch, scn.topology, catalog)
+            costs = slot_costs(scn, fetch, batch, catalog)
+            tables = cost_tables(batch, costs)
             for alloc in (new, ref):
                 alloc.advance_fine_slot(t)
             if t == 5:
@@ -335,7 +356,12 @@ def test_admission_matches_scalar_reference():
                     ref.dual.beta[(i, 0, t)] = 1.5
             for n, (req, table) in enumerate(zip(batch, tables)):
                 q_eff = float(rng.choice([1.0, 250.0, 4000.0]))
-                got = new.decide(req, table, q_eff)
+                scores = new.score_matrix(batch, costs, q_eff)[n]
+                scored = new.select_config(req, table, scores, q_eff)
+                assert scored == reference_select_config(new, req, table, q_eff)
+                seen["priced"] += not new.dual.priced.isdisjoint(
+                    scored.shape.clouds)
+                got = new.admit(req, scored, q_eff)
                 want = ref.decide(req, fetch, q_eff)
                 assert got == want
                 seen[got.reason or "accepted"] += 1
@@ -355,5 +381,82 @@ def test_admission_matches_scalar_reference():
                     for (i, r), row in new.resources.committed.items()
                     for t, units in row.items()} == ref.resources.committed
     for what in ("accepted", "price_ceiling", "negative_objective",
-                 "no_feasible_config", "two_types", "ties"):
+                 "no_feasible_config", "two_types", "ties", "priced"):
         assert seen[what] > 0, seen
+
+
+def test_score_matrix_matches_scalar_scores():
+    """Each entry of a slot's score matrix equals, bit for bit, duration
+    times the total _score_one gives the config, and each entry of the
+    myopic rule's matrix the scalar config cost, on batches that mix
+    bundles of one, two and three type groups (5, 25 and 125 configs) with
+    public and private reads."""
+    base = load_scenario(DATA_DIR / "desk.json")
+    scn = replace(base, vms=VMCatalog(
+        recipes=base.vms.recipes + [[5.0, 5.0, 5.0]],
+        prices=base.vms.prices + [7.5]))
+    publics = scn.catalog.public_objects()
+    catalog = DataCatalog(dict(scn.catalog.sizes))
+    for j in range(6):
+        catalog.add(f"p{j}", 1 + j % 3, visibility="private")
+    ids = publics + [f"p{j}" for j in range(6)]
+    rng = np.random.default_rng(23)
+    online = OnlineAllocator(scn, ResourceState(dict(scn.capacity)))
+    myopic = MyopicAllocator(scn, ResourceState(dict(scn.capacity)))
+    groups = Counter()
+    for trial in range(8):
+        placement = PlacementProfile(
+            {i: [o for o in publics if rng.random() < 0.1] for i in range(5)},
+            dict(scn.cache_size))
+        fetch = fetch_latencies(placement, scn.topology, publics)
+        batch = []
+        for n in range(12):
+            demand = {}
+            for k in rng.permutation(3)[:int(rng.integers(1, 4))]:
+                picks = rng.choice(len(ids), size=int(rng.integers(0, 5)),
+                                   replace=False)
+                demand[int(k)] = (int(rng.integers(1, 4)),
+                                  tuple(ids[m] for m in sorted(picks)))
+            batch.append(Request(n, 0, int(rng.integers(1, 6)),
+                                 int(rng.integers(5)), demand))
+            groups[len(demand)] += 1
+        costs = slot_costs(scn, fetch, batch, catalog)
+        tables = cost_tables(batch, costs)
+        q_eff = float(rng.choice([1.0, 37.5, 4000.0]))
+        scores = online.score_matrix(batch, costs, q_eff)
+        spend = myopic.score_matrix(batch, costs, q_eff)
+        for req, table, row, cost_row in zip(batch, tables, scores, spend):
+            shapes = online._shapes_for(req)
+            scalar = [online._score_one(req, shape, table, q_eff)
+                      for shape in shapes]
+            assert row == (shapes, [req.duration * total
+                                    for total, _, _, _ in scalar])
+            assert cost_row == (myopic._shapes_for(req),
+                                [cost for _, _, cost, _ in scalar])
+    assert all(groups[g] > 0 for g in (1, 2, 3)), groups
+
+
+def test_selection_matches_reference_on_a_desk_stream(monkeypatch):
+    """Over a generated desk stream, where shadow prices build up on every
+    cloud, each selection from the score matrix equals the selection that
+    scores every config with _score_one."""
+    scn = load_scenario(DATA_DIR / "desk.json")
+    wl = generate_workload(WorkloadConfig(seed=3), scn,
+                           12 * scn.fine_per_coarse)
+    select = OnlineAllocator.select_config
+    seen = Counter()
+
+    def checked(self, req, table, scores, q_eff):
+        scored = select(self, req, table, scores, q_eff)
+        assert scored == reference_select_config(self, req, table, q_eff)
+        seen["selections"] += 1
+        seen["priced"] += bool(self.dual.priced)
+        seen["won_on_priced"] += not self.dual.priced.isdisjoint(
+            scored.shape.clouds)
+        return scored
+
+    monkeypatch.setattr(OnlineAllocator, "select_config", checked)
+    report = run_policy("proposed", scn, wl, 12)
+    assert seen["selections"] == len(report.decisions) > 0
+    assert seen["priced"] > seen["selections"] / 2, seen
+    assert seen["won_on_priced"] > 0, seen

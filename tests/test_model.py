@@ -3,8 +3,8 @@ import pytest
 
 from edgeorch.model import (DataCatalog, PlacementProfile, Request,
                             ResourceState, Topology, VMCatalog, config_usage,
-                            enumerate_configs, fetch_latencies,
-                            transport_matrix)
+                            cost_tables, enumerate_configs, fetch_latencies,
+                            pack_requests, transport_rows)
 from edgeorch.placement import random_placement_instance
 from reference_rules import (ORIGIN, ReferenceResourceState, nearest_replica,
                              unit_transport_costs)
@@ -17,6 +17,12 @@ def two_cloud_topo():
 def small_catalog():
     return DataCatalog({"o1": 2, "o2": 1, "p1": 1},
                        visibility={"p1": "private"})
+
+
+def price(requests, fetch, topo, catalog):
+    """Transport tables of requests packed by name and priced together."""
+    rows = pack_requests(requests, list(fetch[0]), topo.n_clouds, catalog)
+    return cost_tables(requests, transport_rows(rows, fetch, topo))
 
 
 def test_topology_validation():
@@ -81,7 +87,7 @@ def test_unit_transport_costs_table():
     placement = PlacementProfile({0: (), 1: ("o1",)}, {0: 4.0, 1: 4.0})
     fetch = fetch_latencies(placement, topo, catalog.public_objects())
     req = Request(1, 0, 4, 0, {0: (1, ("o1", "p1"))})
-    [table] = transport_matrix([req], fetch, topo, catalog)
+    [table] = price([req], fetch, topo, catalog)
     # at cloud 0: o1 from cloud 1 (20 * size 2), p1 at ingress, free
     assert table[0][0] == 40.0
     # at cloud 1: o1 local, p1 hauled from ingress 0 (20 * size 1)
@@ -95,7 +101,7 @@ def test_request_cost_and_revenue():
     placement = PlacementProfile.empty(2, {0: 4.0, 1: 4.0})
     req = Request(1, 0, 4, 0, {0: (2, ("o2",))})
     config = enumerate_configs(req, topo)[1]      # host both VMs at cloud 1
-    [table] = transport_matrix(
+    [table] = price(
         [req], fetch_latencies(placement, topo, catalog.public_objects()), topo,
         catalog)
     # o2 uncached: origin fetch at 120 from cloud 1, size 1, two VMs
@@ -124,10 +130,12 @@ def reference_transport_costs(req, placement, topo, catalog):
 
 
 def test_transport_costs_match_reference_rule():
-    """Every entry of the batched matrix equals, bit for bit, both the
-    per-lookup rule and the scalar per-request sum it replaced."""
+    """Every entry of the packed, batched cost rows equals, bit for bit,
+    both the per-lookup rule and the scalar per-request sum it replaced,
+    for whole batches and for any contiguous range of a batch's rows."""
     rng = np.random.default_rng(11)
-    seen = {"two_groups": 0, "private": 0, "public_only": 0}
+    seen = {"two_groups": 0, "three_groups": 0, "private": 0,
+            "public_only": 0}
     for trial in range(60):
         _, cache, topo, catalog = random_placement_instance(rng)
         publics = catalog.public_objects()
@@ -149,7 +157,8 @@ def test_transport_costs_match_reference_rule():
                                  tuple(ids[m] for m in sorted(picks)))
             requests.append(
                 Request(n, 0, 1, int(rng.integers(topo.n_clouds)), demand))
-        tables = transport_matrix(requests, fetch, topo, catalog)
+        rows = pack_requests(requests, publics, topo.n_clouds, catalog)
+        tables = cost_tables(requests, transport_rows(rows, fetch, topo))
         assert len(tables) == len(requests)
         for req, table in zip(requests, tables):
             reference = reference_transport_costs(req, placement, topo, catalog)
@@ -158,14 +167,19 @@ def test_transport_costs_match_reference_rule():
                        for i, cost in enumerate(row)}
             assert entries == reference
             objects = [o for _, objs in req.demand.values() for o in objs]
-            seen["two_groups"] += len(req.groups()) >= 2
+            seen["two_groups"] += len(req.groups()) == 2
+            seen["three_groups"] += len(req.groups()) == 3
             if any(o not in publics for o in objects):
                 seen["private"] += 1
             else:
                 seen["public_only"] += 1
+        lo, hi = sorted(rng.choice(len(requests) + 1, size=2))
+        assert cost_tables(requests[lo:hi], transport_rows(
+            rows.take(lo, hi), fetch, topo)) == tables[lo:hi]
         unknown = Request(99, 0, 1, 0, {0: (1, (publics[0], "nope"))})
         with pytest.raises(ValueError, match="nope"):
-            transport_matrix(requests + [unknown], fetch, topo, catalog)
+            pack_requests(requests + [unknown], publics, topo.n_clouds,
+                          catalog)
     assert all(count > 0 for count in seen.values()), seen
 
 

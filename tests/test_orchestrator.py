@@ -1,7 +1,8 @@
 import pytest
 
 from edgeorch.allocator import MyopicAllocator, OnlineAllocator
-from edgeorch.model import PlacementProfile, Request, ResourceState
+from edgeorch.model import (PlacementProfile, Request, ResourceState,
+                            pack_requests)
 from edgeorch.orchestrator import (OrchestratorState, SlotReport,
                                    drift_plus_penalty_value, run_coarse_slot,
                                    update_virtual_queue)
@@ -38,6 +39,13 @@ def test_effective_queue_modes():
     assert myopic.queue_weight(42.0) == 0.0
 
 
+def packed(scenario, arrivals):
+    """The arrivals' rows, packed by name."""
+    return pack_requests([req for batch in arrivals for req in batch],
+                         scenario.catalog.public_objects(),
+                         scenario.topology.n_clouds, scenario.catalog)
+
+
 def run_one_slot(scenario, arrivals, state=None):
     state = state or OrchestratorState()
     resources = ResourceState(dict(scenario.capacity))
@@ -49,8 +57,9 @@ def run_one_slot(scenario, arrivals, state=None):
         return greedy_place(demand, scenario.cache_size, scenario.topology,
                             scenario.catalog)
 
-    return run_coarse_slot(state, arrivals, allocator, place, placement,
-                           scenario.catalog, scenario), state
+    return run_coarse_slot(state, arrivals, packed(scenario, arrivals),
+                           allocator, place, placement, scenario.catalog,
+                           scenario), state
 
 
 def test_single_slot_accounting():
@@ -104,7 +113,7 @@ def test_window_hook_sees_each_busy_fine_slot():
     placement = PlacementProfile.empty(2, dict(scn.cache_size))
     arrivals = [[Request(1, 0, 1, 0, {0: (1, ())})], [],
                 [Request(2, 2, 1, 0, {0: (1, ())})], []]
-    run_coarse_slot(state, arrivals, allocator,
+    run_coarse_slot(state, arrivals, packed(scn, arrivals), allocator,
                     lambda demand: PlacementSolution(placement, 0.0, 0.0, []),
                     placement,
                     scn.catalog, scn, window_hook=hook)
@@ -119,7 +128,7 @@ def test_placement_swap_is_returned_not_applied():
     allocator = OnlineAllocator(scn, resources)
     placement = PlacementProfile.empty(2, dict(scn.cache_size))
     (report, new_placement, _, _) = run_coarse_slot(
-        state, [[], [], [], []], allocator,
+        state, [[], [], [], []], packed(scn, []), allocator,
         lambda demand: PlacementSolution(sentinel, 0.0, 0.0, []), placement,
         scn.catalog, scn)
     assert new_placement is sentinel

@@ -9,7 +9,7 @@ import scipy.stats
 
 from edgeorch.cli import resolve_data
 from edgeorch.model import (DataCatalog, Request, Topology, VMCatalog,
-                            ordered_sum)
+                            ordered_sum, pack_requests)
 from edgeorch.placement import DemandMatrix
 from edgeorch.scenario import DATA_DIR, Scenario, load_scenario
 from edgeorch.simulator import (POLICIES, RunReport, Workload, WorkloadConfig,
@@ -151,15 +151,28 @@ DRAW_VARIANTS = {
     "skewed_vm_mix": lambda n_types: {"vm_mix": _skewed_mix(n_types)},
     "unused_vm_type": lambda n_types: {
         "vm_mix": (1.0,) + (0.0,) * (n_types - 1)},
+    "private_ratio_0": lambda n_types: {"private_ratio": 0.0},
+    "private_ratio_2.7": lambda n_types: {"private_ratio": 2.7},
     "private_ratio_3.5": lambda n_types: {"private_ratio": 3.5},
+    "objects_per_vm_0_0": lambda n_types: {"objects_per_vm": (0, 0)},
     "objects_per_vm_2_5": lambda n_types: {"objects_per_vm": (2, 5)},
     "zipf_1.1": lambda n_types: {"zipf_exponent": 1.1},
 }
 
 
+def assert_same_rows(got, want, where):
+    assert (got.publics, got.n_clouds) == (want.publics, want.n_clouds), where
+    for name in ("starts", "offsets", "source", "size"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), (where, name)
+        assert (a == b).all(), (where, name)
+
+
 @pytest.mark.parametrize("scenario_name",
                          ["desk", "tiny", "stress", "paper_scale"])
 def test_draw_matches_reference_choice_loop(scenario_name):
+    """The draw against the plain choice loop, and the rows packed while
+    drawing against the requests packed by name."""
     scn = load_scenario(resolve_data(scenario_name, "scenario"))
     for spec in ("workload_default", "workload_error03"):
         with open(resolve_data(spec, "workload")) as fh:
@@ -174,6 +187,9 @@ def test_draw_matches_reference_choice_loop(scenario_name):
                 assert wl.requests == requests, where
                 assert wl.catalog.sizes == catalog.sizes, where
                 assert wl.catalog.visibility == catalog.visibility, where
+                assert_same_rows(wl.rows, pack_requests(
+                    requests, scn.catalog.public_objects(),
+                    scn.topology.n_clouds, catalog), where)
 
 
 def test_desk_stream_hash_is_pinned():
@@ -395,7 +411,45 @@ def hand_workload(scn, requests):
     return Workload(requests=requests, catalog=scn.catalog,
                     config=WorkloadConfig(seed=0),
                     horizon_fine=scn.fine_per_coarse,
-                    lambda_schedule=[], stream_hash="hand")
+                    lambda_schedule=[], stream_hash="hand",
+                    rows=pack_requests(requests,
+                                       scn.catalog.public_objects(),
+                                       scn.topology.n_clouds, scn.catalog))
+
+
+def test_stream_replayed_on_another_system_raises():
+    """A stream indexes its scenario's public objects and clouds, so a
+    scenario with other objects or another cloud count is refused."""
+    desk = load_scenario(DATA_DIR / "desk.json")
+    wl = generate_workload(WorkloadConfig(seed=0), desk,
+                           2 * desk.fine_per_coarse)
+    publics = desk.catalog.public_objects()
+    fewer = replace(desk, catalog=DataCatalog(
+        {o: desk.catalog.sizes[o] for o in publics[:25]}))
+    narrow = replace(desk, topology=Topology(
+        [row[:3] for row in desk.topology.w[:3]], desk.topology.origin[:3]))
+    for scn, match in ((fewer, "public object list"), (narrow, "5 clouds")):
+        for policy in POLICIES:
+            with pytest.raises(ValueError, match=match):
+                run_policy(policy, scn, wl, 2)
+        with pytest.raises(ValueError, match=match):
+            lookahead_oracle(scn, wl, 1, 0)
+    run_policy("proposed", desk, wl, 2)
+
+
+def test_workload_refuses_requests_out_of_arrival_order():
+    scn = load_scenario(DATA_DIR / "tiny.json")
+    reqs = [Request(0, 1, 1, 0, {0: (1, ())}), Request(1, 0, 1, 0, {0: (1, ())})]
+    with pytest.raises(ValueError, match="arrival order"):
+        hand_workload(scn, reqs)
+
+
+def test_private_id_taken_by_a_public_object_raises():
+    scn = load_scenario(DATA_DIR / "tiny.json")
+    scn.catalog.add("p0-0", 1)
+    cfg = WorkloadConfig(seed=0, lambda_range=(5.0, 5.0), private_ratio=1.0)
+    with pytest.raises(ValueError, match="duplicate object id 'p0-0'"):
+        generate_workload(cfg, scn, 4)
 
 
 def test_lookahead_oracle_single_request():
