@@ -102,13 +102,17 @@ class DataCatalog:
                 raise ValueError(f"object {o!r} must have a finite positive size")
             self.visibility.setdefault(o, "public")
 
-    def add(self, obj_id, size, visibility="public"):
-        if obj_id in self.sizes:
-            raise ValueError(f"duplicate object id {obj_id!r}")
-        if size <= 0:
-            raise ValueError(f"object {obj_id!r} must have positive size")
-        self.sizes[obj_id] = size
-        self.visibility[obj_id] = visibility
+    def add_many(self, obj_ids, size, visibility="public"):
+        """Insert objects of one size and visibility, all under new ids."""
+        if not 0 < size < math.inf:
+            raise ValueError("objects must have a finite positive size")
+        fresh = dict.fromkeys(obj_ids, size)
+        if len(fresh) < len(obj_ids) or not self.sizes.keys().isdisjoint(fresh):
+            taken = next(o for j, o in enumerate(obj_ids)
+                         if o in self.sizes or o in obj_ids[:j])
+            raise ValueError(f"duplicate object id {taken!r}")
+        self.sizes.update(fresh)
+        self.visibility.update(dict.fromkeys(fresh, visibility))
 
     def size(self, obj_id):
         try:
@@ -141,6 +145,7 @@ class Request:
             raise ValueError("request duration must be at least one fine slot")
         if not (0 <= self.ingress < n_clouds):
             raise ValueError("ingress cloud out of range")
+        known = catalog.sizes
         positive = 0
         for k, (count, objects) in self.demand.items():
             if not (0 <= k < n_types):
@@ -150,7 +155,8 @@ class Request:
             if count > 0:
                 positive += 1
             for o in objects:
-                catalog.size(o)  # raises on unknown ids
+                if o not in known:
+                    raise ValueError(f"unknown object id {o!r}")
         if positive == 0:
             raise ValueError("request demands no VMs")
 

@@ -21,7 +21,6 @@ import itertools
 import math
 import operator
 import time
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,8 +141,10 @@ def generate_workload(cfg, scenario, horizon_fine):
     list, then its private reads, from its ingress.
     """
     rng = np.random.default_rng(cfg.seed)
-    publics = scenario.catalog.public_objects()
-    public_sizes = [scenario.catalog.sizes[o] for o in publics]
+    catalog = type(scenario.catalog)(dict(scenario.catalog.sizes),
+                                     dict(scenario.catalog.visibility))
+    publics = catalog.public_objects()
+    public_sizes = [catalog.sizes[o] for o in publics]
     probs = zipf_probabilities(len(publics), cfg.zipf_exponent)
     n_types = scenario.vms.n_types
     mix = np.array(cfg.vm_mix if cfg.vm_mix else [1.0 / n_types] * n_types,
@@ -159,18 +160,19 @@ def generate_workload(cfg, scenario, horizon_fine):
     type_cdf /= type_cdf[-1]
     rank_cdf = probs.cumsum()
     rank_cdf /= rank_cdf[-1]
+    n_public = len(publics)
     n_clouds = scenario.topology.n_clouds
     requests = []
     schedule = []
-    private_ids = []
     # one packed row per request
-    lengths, sources, sizes = [], array("i"), array("d")
+    lengths, sources = [], []
     rate = 0.0
     req_id = 0
     for t in range(horizon_fine):
         if t % cfg.regime_length == 0:
             rate = float(rng.uniform(*cfg.lambda_range))
             schedule.append((t, rate))
+        drawn, private_ids = [], []
         for _ in range(int(rng.poisson(rate))):
             k = int(type_cdf.searchsorted(rng.random(), side="right"))
             life = int(rng.integers(cfg.lifetime[0], cfg.lifetime[1] + 1))
@@ -178,12 +180,11 @@ def generate_workload(cfg, scenario, horizon_fine):
             picks = rank_cdf.searchsorted(rng.random(n_obj), side="right")
             # publics is sorted, so ascending indices give the names sorted
             columns = sorted(set(picks.tolist()))
-            weights = [public_sizes[j] for j in columns]
-            want = cfg.private_ratio * sum(weights)
+            want = cfg.private_ratio * sum([public_sizes[j] for j in columns])
             n_priv = int(want) + (1 if rng.random() < want - int(want) else 0)
             private = [f"p{req_id}-{j}" for j in range(n_priv)]
             ingress = int(rng.integers(n_clouds))
-            requests.append(Request(
+            drawn.append(Request(
                 req_id=req_id,
                 arrival=t,
                 duration=life,
@@ -192,26 +193,22 @@ def generate_workload(cfg, scenario, horizon_fine):
             ))
             private_ids += private
             lengths.append(len(columns) + n_priv)
-            sources.extend(columns + [len(publics) + ingress] * n_priv)
-            sizes.extend(weights + [1] * n_priv)
+            sources += columns + [n_public + ingress] * n_priv
             req_id += 1
-    catalog = type(scenario.catalog)(dict(scenario.catalog.sizes),
-                                     dict(scenario.catalog.visibility))
-    grown = len(catalog.sizes) + len(private_ids)
-    catalog.sizes.update(zip(private_ids, itertools.repeat(1)))
-    catalog.visibility.update(zip(private_ids, itertools.repeat("private")))
-    if len(catalog.sizes) != grown:
-        taken = next(o for o in private_ids if o in scenario.catalog.sizes)
-        raise ValueError(f"duplicate object id {taken!r}")
-    for req in requests:
-        req.validate(catalog, n_types, n_clouds)
+        catalog.add_many(private_ids, 1, "private")
+        for req in drawn:
+            req.validate(catalog, n_types, n_clouds)
+        requests += drawn
     digest = hashlib.sha256()
     for req in requests:
         digest.update(repr((req.req_id, req.arrival, req.duration, req.ingress,
                             sorted(req.demand.items()))).encode())
+    source = np.asarray(sources, dtype=np.int32)
+    # every private object has size 1
+    source_size = np.concatenate([public_sizes, np.ones(n_clouds)])
     rows = PackedRows.from_lists(publics, n_clouds,
                                  np.arange(len(requests) + 1), lengths,
-                                 sources, sizes)
+                                 source, source_size[source])
     return Workload(requests, catalog, cfg, horizon_fine, schedule,
                     digest.hexdigest(), rows)
 

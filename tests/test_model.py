@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -140,7 +142,7 @@ def test_transport_costs_match_reference_rule():
         _, cache, topo, catalog = random_placement_instance(rng)
         publics = catalog.public_objects()
         for j in range(int(rng.integers(1, 6))):
-            catalog.add(f"p{j}", int(rng.integers(1, 4)), visibility="private")
+            catalog.add_many([f"p{j}"], int(rng.integers(1, 4)), "private")
         ids = publics + [o for o in catalog.sizes if o not in publics]
         placement = PlacementProfile(
             {i: [o for o in publics if rng.random() < 0.4] for i in cache},
@@ -300,5 +302,16 @@ def test_data_catalog():
     assert catalog.size("o1") == 2
     with pytest.raises(ValueError):
         catalog.size("missing")
-    catalog.add("o3", 3)
+    catalog.add_many(["o3"], 3)
     assert "o3" in catalog.public_objects()
+    catalog.add_many(["q1", "q2"], 2, "private")
+    assert catalog.size("q2") == 2 and not catalog.is_public("q1")
+    before = dict(catalog.sizes), dict(catalog.visibility)
+    with pytest.raises(ValueError, match="duplicate object id 'o3'"):
+        catalog.add_many(["q3", "o3"], 1)
+    with pytest.raises(ValueError, match="duplicate object id 'q3'"):
+        catalog.add_many(["q3", "q4", "q3"], 1)
+    for size in (0, -1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite positive size"):
+            catalog.add_many(["q3"], size)
+    assert (catalog.sizes, catalog.visibility) == before

@@ -125,10 +125,8 @@ def reference_workload(cfg, scenario, horizon_fine):
             volume = sum(catalog.size(o) for o in objects)
             want = cfg.private_ratio * volume
             n_priv = int(want) + (1 if rng.random() < want - int(want) else 0)
-            private = []
-            for j in range(n_priv):
-                catalog.add(f"p{req_id}-{j}", 1, visibility="private")
-                private.append(f"p{req_id}-{j}")
+            private = [f"p{req_id}-{j}" for j in range(n_priv)]
+            catalog.add_many(private, 1, "private")
             requests.append(Request(
                 req_id=req_id, arrival=t, duration=life,
                 ingress=int(rng.integers(n_clouds)),
@@ -446,7 +444,7 @@ def test_workload_refuses_requests_out_of_arrival_order():
 
 def test_private_id_taken_by_a_public_object_raises():
     scn = load_scenario(DATA_DIR / "tiny.json")
-    scn.catalog.add("p0-0", 1)
+    scn.catalog.add_many(["p0-0"], 1)
     cfg = WorkloadConfig(seed=0, lambda_range=(5.0, 5.0), private_ratio=1.0)
     with pytest.raises(ValueError, match="duplicate object id 'p0-0'"):
         generate_workload(cfg, scn, 4)
@@ -471,8 +469,7 @@ def test_lookahead_oracle_respects_budget():
     for r in range(3):
         scn.capacity[(0, r)] = 0.0
     privates = [f"q{j}" for j in range(5)]
-    for p in privates:
-        scn.catalog.add(p, 1, visibility="private")
+    scn.catalog.add_many(privates, 1, "private")
     req = Request(0, 0, 1, 0, {0: (1, tuple(privates))})
     wl = hand_workload(scn, [req])
     avg, combo = lookahead_oracle(scn, wl, n_frame=1, frame_index=0)

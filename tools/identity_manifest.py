@@ -12,11 +12,10 @@ outputs.  It covers
   * the stream_hash of every run cell.
 
 It imports edgeorch from the src/ directory next to it, writes its CSVs to
-a temporary directory that it removes, and takes a few minutes on two
-cores (`--workers` sets the experiment worker processes, default 2).
+a temporary directory that it removes, and takes a few minutes with its
+two experiment worker processes.
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -33,6 +32,7 @@ from edgeorch.verification import SUITE_NAMES, run_suite  # noqa: E402
 
 EXPERIMENTS = ("exp1_dynamics", "exp2_popularity")
 SEEDS = [0, 1, 2]
+WORKERS = 2
 TIMING_LINE = re.compile(r"elapsed|wallclock")
 
 
@@ -51,14 +51,14 @@ def suite_digests():
     return out
 
 
-def experiment_digests(workers):
+def experiment_digests():
     files, stream_hashes = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in EXPERIMENTS:
             spec = {**load_experiment(name), "seeds": SEEDS}
             out_dir = Path(tmp) / name
             with contextlib.redirect_stdout(io.StringIO()):   # its report lines
-                run_experiment(spec, out_dir, workers=workers)
+                run_experiment(spec, out_dir, workers=WORKERS)
             for path in sorted(out_dir.glob("*.csv")):
                 files[f"{name}/{path.name}"] = digest(path.read_bytes())
             summary = json.loads((out_dir / "summary.json").read_text())
@@ -70,12 +70,8 @@ def experiment_digests(workers):
     return files, stream_hashes
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, default=2,
-                        help="experiment worker processes")
-    args = parser.parse_args(argv)
-    files, stream_hashes = experiment_digests(args.workers)
+def main():
+    files, stream_hashes = experiment_digests()
     manifest = {"suites": suite_digests(), "files": files,
                 "stream_hash": stream_hashes}
     print(json.dumps(manifest, indent=1, sort_keys=True))
