@@ -6,6 +6,7 @@ Conventions used throughout the package:
   * a request leases one bundle of VMs for a contiguous span of fine slots
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,6 +22,37 @@ def ordered_sum(values):
     for value in values:
         total += value
     return total
+
+
+def _draws(rng):
+    """double() and integer(lo, hi): rng.random() and rng.integers(lo,
+    hi + 1) of a numpy Generator, bit for bit, without their per-call
+    argument handling.  Both call the bit generator's own functions
+    through its ctypes interface, on its state, so they interleave exactly
+    with the generator's other methods.  The caller keeps rng alive while
+    it uses them.
+    """
+    bits = rng.bit_generator.ctypes
+    double = functools.partial(bits.next_double, bits.state)
+    uint32 = functools.partial(bits.next_uint32, bits.state)
+
+    def integer(lo, hi):
+        span = hi - lo
+        if 0 < span < 0xFFFFFFFF:
+            # numpy's Lemire rejection over 32-bit draws; the threshold is
+            # 2**32 mod (span + 1)
+            excl = span + 1
+            m = uint32() * excl
+            if m & 0xFFFFFFFF < excl:
+                threshold = (0x100000000 - excl) % excl
+                while m & 0xFFFFFFFF < threshold:
+                    m = uint32() * excl
+            return lo + (m >> 32)
+        if span == 0:
+            return lo   # numpy draws nothing for a single value
+        return int(rng.integers(lo, hi + 1))
+
+    return double, integer
 
 
 class Topology:

@@ -75,13 +75,16 @@ def run_coarse_slot(state, arrivals, rows, allocator, place, placement,
         state.queue = update_virtual_queue(state.queue, state.prev_cost,
                                            scenario.budget)
     q_eff = allocator.queue_weight(state.queue)
-    fetch = fetch_latencies(placement, scenario.topology, rows.publics)
     # the placement is fixed for the slot, so every arrival's transport
-    # costs, and every config's price-free score, are known now
+    # costs, and every config's price-free score, are known now; a slot
+    # without arrivals needs neither
     requests = [req for batch in arrivals for req in batch]
-    costs = transport_rows(rows, fetch, scenario.topology)
-    tables = iter(cost_tables(requests, costs))
-    scores = iter(allocator.score_matrix(requests, costs, q_eff))
+    tables = scores = iter(())
+    if requests:
+        fetch = fetch_latencies(placement, scenario.topology, rows.publics)
+        costs = transport_rows(rows, fetch, scenario.topology)
+        tables = iter(cost_tables(requests, costs))
+        scores = iter(allocator.score_matrix(requests, costs, q_eff))
     base = state.slot_index * scenario.fine_per_coarse
     revenue = 0.0
     cost = 0.0

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PlacementProfile, fetch_latencies
+from .model import (DataCatalog, PlacementProfile, Topology, _draws,
+                    fetch_latencies)
 
 
 @dataclass
@@ -43,6 +44,7 @@ def aggregate_demand(accepted, catalog, slot):
     An object counts whether or not it was cached when the request was
     admitted: the matrix measures what tenants read, not what they missed.
     """
+    visibility, sizes = catalog.visibility, catalog.sizes
     entries = {}
     for req, config in accepted:
         for k, i in config.assignment.items():
@@ -50,10 +52,14 @@ def aggregate_demand(accepted, catalog, slot):
             if count <= 0:
                 continue
             for o in objects:
-                if not catalog.is_public(o):
-                    continue
+                try:
+                    if visibility[o] != "public":
+                        continue
+                    size = sizes[o]
+                except KeyError:
+                    raise ValueError(f"unknown object id {o!r}") from None
                 key = (i, o)
-                entries[key] = entries.get(key, 0.0) + count * catalog.size(o)
+                entries[key] = entries.get(key, 0.0) + count * size
     return DemandMatrix(slot, entries)
 
 
@@ -237,6 +243,19 @@ def feasible_content_sets(objects, catalog, capacity):
     return sorted(sets)
 
 
+def count_content_sets(objects, catalog, capacity):
+    """len(feasible_content_sets(objects, catalog, capacity)), counted by
+    total size instead of listed."""
+    sizes = _integer_sizes(objects, catalog)
+    cap = int(capacity)
+    ways = [1] + [0] * cap    # ways[c]: subsets so far whose sizes sum to c
+    for o in objects:
+        s = sizes[o]
+        for c in range(cap, s - 1, -1):
+            ways[c] += ways[c - s]
+    return sum(ways)
+
+
 def _scan_best(costs):
     """Index a left-to-right scan keeps as its best: start at 0, then move
     to the first later cost more than 1e-12 below the current best's.
@@ -311,10 +330,10 @@ def random_placement_instance(rng, max_space=20_000):
     instance whose exhaustive search space would exceed max_space so a batch
     of cross-checks stays cheap.
     """
-    from .model import DataCatalog, Topology
+    double, integer = _draws(rng)
     while True:
-        n_clouds = int(rng.integers(2, 4))
-        n_objects = int(rng.integers(2, 9))
+        n_clouds = integer(2, 3)
+        n_objects = integer(2, 8)
         w = [[0.0] * n_clouds for _ in range(n_clouds)]
         for i in range(n_clouds):
             for j in range(i + 1, n_clouds):
@@ -324,19 +343,18 @@ def random_placement_instance(rng, max_space=20_000):
         # so every instance stays the same
         rng.uniform(5, 10, n_clouds)
         topo = Topology(w, origin)
-        catalog = DataCatalog({f"o{j}": int(rng.integers(1, 4))
+        catalog = DataCatalog({f"o{j}": integer(1, 3)
                                for j in range(n_objects)})
-        cache = {i: float(rng.integers(1, 5)) for i in range(n_clouds)}
+        cache = {i: float(integer(1, 4)) for i in range(n_clouds)}
         entries = {}
         for i in range(n_clouds):
             for o in sorted(catalog.sizes):
-                if rng.random() < 0.6:
-                    entries[(i, o)] = float(rng.integers(1, 11))
+                if double() < 0.6:
+                    entries[(i, o)] = float(integer(1, 10))
         demand = DemandMatrix(0, entries)
-        space = 1
-        for i in range(n_clouds):
-            space *= len(feasible_content_sets(demand.objects(), catalog,
-                                               cache[i]))
+        space = math.prod(count_content_sets(demand.objects(), catalog,
+                                             cache[i])
+                          for i in range(n_clouds))
         if entries and space <= max_space:
             return demand, cache, topo, catalog
 

@@ -28,8 +28,8 @@ import numpy as np
 from .allocator import (MyopicAllocator, OnlineAllocator,
                         dual_feasibility_violations)
 from .model import (PackedRows, PlacementProfile, Request, ResourceState,
-                    config_usage, cost_tables, enumerate_configs, ordered_sum,
-                    transport_rows)
+                    _draws, config_usage, cost_tables, enumerate_configs,
+                    ordered_sum, transport_rows)
 from .orchestrator import OrchestratorState, run_coarse_slot, update_virtual_queue
 from .placement import (DemandMatrix, PlacementSolution, aggregate_demand,
                         brute_force_place, greedy_place, placement_cost,
@@ -154,16 +154,20 @@ def generate_workload(cfg, scenario, horizon_fine):
     if len(mix) != n_types or abs(mix.sum() - 1.0) > 1e-9:
         raise ValueError("vm_mix must give one probability per VM type")
     # rng.choice(n, p=p) is cdf.searchsorted(rng.random(), side="right")
-    # over this cdf; drawing it directly keeps the stream and skips
-    # choice's per-call argument checks
+    # over this cdf, which bisect_right finds on the cdf as a list; drawing
+    # it directly keeps the stream and skips choice's per-call checks
     type_cdf = mix.cumsum()
-    type_cdf /= type_cdf[-1]
+    type_cdf = (type_cdf / type_cdf[-1]).tolist()
     rank_cdf = probs.cumsum()
-    rank_cdf /= rank_cdf[-1]
+    rank_cdf = (rank_cdf / rank_cdf[-1]).tolist()
+    double, integer = _draws(rng)
+    life_lo, life_hi = cfg.lifetime
+    obj_lo, obj_hi = cfg.objects_per_vm
     n_public = len(publics)
     n_clouds = scenario.topology.n_clouds
     requests = []
     schedule = []
+    digest = hashlib.sha256()
     # one packed row per request
     lengths, sources = [], []
     rate = 0.0
@@ -174,23 +178,22 @@ def generate_workload(cfg, scenario, horizon_fine):
             schedule.append((t, rate))
         drawn, private_ids = [], []
         for _ in range(int(rng.poisson(rate))):
-            k = int(type_cdf.searchsorted(rng.random(), side="right"))
-            life = int(rng.integers(cfg.lifetime[0], cfg.lifetime[1] + 1))
-            n_obj = int(rng.integers(cfg.objects_per_vm[0], cfg.objects_per_vm[1] + 1))
-            picks = rank_cdf.searchsorted(rng.random(n_obj), side="right")
+            k = bisect.bisect_right(type_cdf, double())
+            life = integer(life_lo, life_hi)
+            n_obj = integer(obj_lo, obj_hi)
             # publics is sorted, so ascending indices give the names sorted
-            columns = sorted(set(picks.tolist()))
+            columns = sorted({bisect.bisect_right(rank_cdf, double())
+                              for _ in range(n_obj)})
             want = cfg.private_ratio * sum([public_sizes[j] for j in columns])
-            n_priv = int(want) + (1 if rng.random() < want - int(want) else 0)
+            n_priv = int(want) + (1 if double() < want - int(want) else 0)
             private = [f"p{req_id}-{j}" for j in range(n_priv)]
-            ingress = int(rng.integers(n_clouds))
-            drawn.append(Request(
-                req_id=req_id,
-                arrival=t,
-                duration=life,
-                ingress=ingress,
-                demand={k: (1, tuple([publics[j] for j in columns] + private))},
-            ))
+            ingress = integer(0, n_clouds - 1)
+            objects = tuple([publics[j] for j in columns] + private)
+            drawn.append(Request(req_id=req_id, arrival=t, duration=life,
+                                 ingress=ingress, demand={k: (1, objects)}))
+            # the repr of (id, arrival, duration, ingress, sorted demand items)
+            digest.update(repr((req_id, t, life, ingress,
+                                [(k, (1, objects))])).encode())
             private_ids += private
             lengths.append(len(columns) + n_priv)
             sources += columns + [n_public + ingress] * n_priv
@@ -199,10 +202,6 @@ def generate_workload(cfg, scenario, horizon_fine):
         for req in drawn:
             req.validate(catalog, n_types, n_clouds)
         requests += drawn
-    digest = hashlib.sha256()
-    for req in requests:
-        digest.update(repr((req.req_id, req.arrival, req.duration, req.ingress,
-                            sorted(req.demand.items()))).encode())
     source = np.asarray(sources, dtype=np.int32)
     # every private object has size 1
     source_size = np.concatenate([public_sizes, np.ones(n_clouds)])

@@ -1,5 +1,6 @@
 import pytest
 
+from edgeorch import orchestrator
 from edgeorch.allocator import MyopicAllocator, OnlineAllocator
 from edgeorch.model import (PlacementProfile, Request, ResourceState,
                             pack_requests)
@@ -134,3 +135,26 @@ def test_placement_swap_is_returned_not_applied():
     assert new_placement is sentinel
     assert report.placement_objective == 0.0
     assert report.placement_savings == 0.0
+
+
+def test_empty_slot_prices_nothing_but_still_advances(monkeypatch):
+    """A slot without arrivals builds no fetch table, cost rows or score
+    matrix, but advances every fine slot, updates the queue and places."""
+    def unused(*args):
+        raise AssertionError("priced an empty slot")
+
+    for name in ("fetch_latencies", "transport_rows", "cost_tables"):
+        monkeypatch.setattr(orchestrator, name, unused)
+    monkeypatch.setattr(OnlineAllocator, "score_matrix", unused)
+    advanced = []
+    advance = OnlineAllocator.advance_fine_slot
+    monkeypatch.setattr(OnlineAllocator, "advance_fine_slot",
+                        lambda self, t: advanced.append(t) or advance(self, t))
+    scn = load_scenario(DATA_DIR / "tiny.json")
+    state = OrchestratorState(queue=0.0, slot_index=1, prev_cost=100.0)
+    (report, placement, decisions, demand), state = run_one_slot(
+        scn, [[], [], [], []], state)
+    assert advanced == [4, 5, 6, 7]
+    assert report.queue == 40.0 and report.arrivals == 0 and decisions == []
+    assert demand.entries == {} and demand.slot == 1
+    placement.validate(scn.catalog)

@@ -9,7 +9,7 @@ from edgeorch.model import (AllocationConfig, DataCatalog, PlacementProfile,
                             Request, Topology, fetch_latencies)
 from edgeorch.placement import (DemandMatrix, _best_content, _scan_best,
                                 aggregate_demand, brute_force_place,
-                                feasible_content_sets,
+                                count_content_sets, feasible_content_sets,
                                 greedy_place, placement_cost,
                                 random_placement_instance,
                                 top_popularity_place)
@@ -44,6 +44,14 @@ def test_aggregate_demand_skips_zero_count_groups():
     demand = aggregate_demand([(req, AllocationConfig({0: 0, 1: 0}))],
                               catalog, slot=0)
     assert demand.entries == {}
+
+
+def test_aggregate_demand_refuses_unknown_ids():
+    catalog = DataCatalog({"o1": 1, "p1": 1}, visibility={"p1": "private"})
+    for objects in (("o1", "zz"), ("p1", "zz")):
+        req = Request(1, 0, 1, 0, {0: (1, objects)})
+        with pytest.raises(ValueError, match="unknown object id 'zz'"):
+            aggregate_demand([(req, AllocationConfig({0: 0}))], catalog, 0)
 
 
 def test_fetch_latency_and_cost():
@@ -141,6 +149,17 @@ def test_feasible_content_sets():
     catalog = DataCatalog({"a": 1, "b": 2, "c": 1})
     sets = feasible_content_sets(["a", "b", "c"], catalog, 2)
     assert sets == [(), ("a",), ("a", "c"), ("b",), ("c",)]
+
+
+def test_count_content_sets_matches_the_listed_sets():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        catalog = DataCatalog({f"o{j}": int(rng.integers(1, 5))
+                               for j in range(int(rng.integers(0, 9)))})
+        objects = [o for o in sorted(catalog.sizes) if rng.random() < 0.7]
+        capacity = float(rng.uniform(-1.5, 12))
+        assert count_content_sets(objects, catalog, capacity) == len(
+            feasible_content_sets(objects, catalog, capacity))
 
 
 def test_brute_force_space_cap():

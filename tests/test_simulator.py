@@ -155,6 +155,9 @@ DRAW_VARIANTS = {
     "objects_per_vm_0_0": lambda n_types: {"objects_per_vm": (0, 0)},
     "objects_per_vm_2_5": lambda n_types: {"objects_per_vm": (2, 5)},
     "zipf_1.1": lambda n_types: {"zipf_exponent": 1.1},
+    # spans this wide make the integer draw reject about a quarter of its
+    # 32-bit draws
+    "wide_lifetime": lambda n_types: {"lifetime": (1, 3 * 2**30)},
 }
 
 

@@ -9,7 +9,10 @@ outputs.  It covers
   * the 54 desk CSVs of exp1_dynamics and exp2_popularity (three policies,
     seeds 0-2, 150 coarse slots);
   * both experiments' summary.json, less wallclock_s;
-  * the stream_hash of every run cell.
+  * the stream_hash of every run cell;
+  * the streams drawn for the desk, tiny, stress and paper_scale
+    scenarios (default workload, seeds 0-2, 10 coarse slots): each one's
+    stream_hash, its packed rows and its catalog's object sizes.
 
 It imports edgeorch from the src/ directory next to it, writes its CSVs to
 a temporary directory that it removes, and takes a few minutes with its
@@ -27,12 +30,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from edgeorch.cli import load_experiment, run_experiment  # noqa: E402
+from edgeorch.cli import (load_experiment, resolve_data,  # noqa: E402
+                          run_experiment)
+from edgeorch.scenario import load_scenario  # noqa: E402
+from edgeorch.simulator import WorkloadConfig, generate_workload  # noqa: E402
 from edgeorch.verification import SUITE_NAMES, run_suite  # noqa: E402
 
 EXPERIMENTS = ("exp1_dynamics", "exp2_popularity")
 SEEDS = [0, 1, 2]
 WORKERS = 2
+STREAM_SCENARIOS = ("desk", "tiny", "stress", "paper_scale")
+STREAM_SLOTS = 10
+ROW_COLUMNS = ("starts", "offsets", "source", "size")
 TIMING_LINE = re.compile(r"elapsed|wallclock")
 
 
@@ -70,10 +79,33 @@ def experiment_digests():
     return files, stream_hashes
 
 
+def stream_digests():
+    out = {}
+    with open(resolve_data("workload_default", "workload")) as fh:
+        base = json.load(fh)
+    for name in STREAM_SCENARIOS:
+        scenario = load_scenario(resolve_data(name, "scenario"))
+        for seed in SEEDS:
+            stream = generate_workload(
+                WorkloadConfig.from_dict({**base, "seed": seed}), scenario,
+                STREAM_SLOTS * scenario.fine_per_coarse)
+            key = f"{name}/seed{seed}"
+            out[f"{key}.stream_hash"] = stream.stream_hash
+            rows = stream.rows
+            columns = [getattr(rows, c) for c in ROW_COLUMNS]
+            out[f"{key}.rows"] = digest(repr(
+                (rows.publics, rows.n_clouds,
+                 [(a.dtype.str, a.shape, digest(a.tobytes())) for a in columns])
+            ).encode())
+            out[f"{key}.catalog_sizes"] = digest(
+                repr(sorted(stream.catalog.sizes.items())).encode())
+    return out
+
+
 def main():
     files, stream_hashes = experiment_digests()
     manifest = {"suites": suite_digests(), "files": files,
-                "stream_hash": stream_hashes}
+                "stream_hash": stream_hashes, "streams": stream_digests()}
     print(json.dumps(manifest, indent=1, sort_keys=True))
     return 0
 
