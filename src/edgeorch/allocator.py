@@ -16,6 +16,7 @@ The myopic baselines admit through MyopicAllocator instead: the cheapest
 bundle that fits, behind a hard per-coarse-slot transport budget.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -125,12 +126,23 @@ class Decision:
         return self.verdict == "accepted"
 
 
+class Scores(NamedTuple):
+    """One request's configs in enumeration order and their values from
+    score_matrix, one entry per config.  Only the online rule fills the
+    last two; the myopic rule leaves them None."""
+
+    shapes: list
+    spend: list               # transport cost at the slot's placement
+    values: list              # duration * adjusted revenue
+    adjusted: object          # (config, cloud + 1) array: adjusted revenue
+                              # earned at each cloud, then the total
+
+
 class _AdmissionRule:
     """Ledger and per-shape config cache shared by both admission rules.
 
-    Admission rules price a request from its table of the slot's
-    model.cost_tables, {k: per-cloud cost of one type-k VM}, and rank its
-    configs by their row of the rule's score_matrix.
+    Admission rules rank a request's configs by its Scores from the rule's
+    score_matrix, the only valuation of a config.
     """
 
     def __init__(self, scenario, resources):
@@ -166,10 +178,9 @@ class _AdmissionRule:
         return shapes
 
     def score_matrix(self, requests, costs, q_eff):
-        """Each request's config Shapes and their values, in enumeration
-        order, from one array pass per request shape: a (shapes, values)
-        pair per request.  costs holds the requests' rows of
-        model.transport_rows: one per (request, positive type group)."""
+        """Each request's Scores, from one array pass per request shape.
+        costs holds the requests' rows of model.transport_rows: one per
+        (request, positive type group)."""
         by_shape = {}   # id of a cached shape list -> (shapes, members)
         row = 0
         for n, req in enumerate(requests):
@@ -184,12 +195,24 @@ class _AdmissionRule:
             # clouds[c, j]: the cloud config c puts group j on
             clouds = np.array([[i for _, i, _, _ in shape.terms]
                                for shape in shapes])
-            units = [costs[rows + j] for j in range(clouds.shape[1])]
-            block = self._values(shapes[0].terms, clouds, units,
-                                 np.array(durations), q_eff)
-            for n, values in zip(positions, block.tolist()):
-                scores[n] = (shapes, values)
+            terms = shapes[0].terms
+            units = [costs[rows + j] for j in range(len(terms))]
+            # transport cost per (request, config), summed from 0.0 in term
+            # order as a scalar loop would
+            spend = np.zeros((len(rows), len(shapes)))
+            for j, ((_, _, count, _), unit) in enumerate(zip(terms, units)):
+                spend += count * unit[:, clouds[:, j]]
+            values, adjusted = self._values(terms, clouds, units,
+                                            np.array(durations), q_eff)
+            for n, s, v, a in zip(positions, spend.tolist(), values,
+                                  adjusted):
+                scores[n] = Scores(shapes, s, v, a)
         return scores
+
+    def _values(self, terms, clouds, units, durations, q_eff):
+        """The values and adjusted parts of the requests' Scores: None
+        for the myopic rule, which reads spend only."""
+        return (itertools.repeat(None),) * 2
 
 
 class OnlineAllocator(_AdmissionRule):
@@ -210,22 +233,6 @@ class OnlineAllocator(_AdmissionRule):
         self.resources.advance(now)
         self.dual.advance(now)
 
-    def _score_one(self, req, shape, table, q_eff):
-        """Revenue per unit time net of cost-weighted transport, by cloud."""
-        v = self.scenario.v_weight
-        duration = req.duration
-        per_cloud = {}
-        cost = 0.0
-        for k, i, count, price in shape.terms:
-            unit = table[k][i]
-            cost += count * unit
-            value = count * (v * price - q_eff * unit / duration)
-            per_cloud[i] = per_cloud.get(i, 0.0) + value
-        total = 0.0
-        for i in shape.clouds:
-            total += per_cloud[i]
-        return total, per_cloud, cost, duration * shape.revenue_rate
-
     def _charge(self, req, rows):
         """Shadow-price charge of sorted usage rows over the request's span.
 
@@ -244,41 +251,47 @@ class OnlineAllocator(_AdmissionRule):
         return total
 
     def _values(self, terms, clouds, units, durations, q_eff):
-        """duration * adjusted revenue per (request, config): the IEEE
-        operations of _score_one, in its order.  Each group's value is
-        added to its cloud's sum, which starts from 0.0, and the total adds
-        the per-cloud sums, clouds ascending, to 0.0.  A cloud the config
-        does not use adds its untouched 0.0, which cannot change a sum
-        that started from +0.0."""
+        """values and adjusted of each request's Scores.  Each group's
+        value, count * (v * price - q_eff * unit / duration), is added to
+        its cloud's sum, which starts from 0.0; the total adds the
+        per-cloud sums, clouds ascending, to 0.0, and the value is duration
+        * total.  A cloud the config does not use adds its untouched 0.0,
+        which cannot change a sum that started from +0.0."""
+        n = self.topo.n_clouds
         v = self.scenario.v_weight
         configs = np.arange(len(clouds))
-        per_cloud = np.zeros((len(durations), len(clouds), self.topo.n_clouds))
+        adjusted = np.zeros((len(durations), len(clouds), n + 1))
         for j, ((_, _, count, price), unit) in enumerate(zip(terms, units)):
             value = count * (v * price - q_eff * unit / durations[:, None])
             # one entry per config: no index repeats within the addition
-            per_cloud[:, configs, clouds[:, j]] += value[:, clouds[:, j]]
-        total = np.zeros(per_cloud.shape[:2])
-        for i in range(self.topo.n_clouds):
-            total += per_cloud[:, :, i]
-        return durations[:, None] * total
+            adjusted[:, configs, clouds[:, j]] += value[:, clouds[:, j]]
+        total = adjusted[:, :, n]   # a view: the sums land in the last column
+        for i in range(n):
+            total += adjusted[:, :, i]
+        # adjusted stays an array, and select_config reads only the
+        # winner's row: per-request lists of it cost more than they save
+        return (durations[:, None] * total).tolist(), adjusted
 
-    def select_config(self, req, table, scores, q_eff):
+    def select_config(self, req, scores):
         """Highest priced-out objective across all configs; first wins ties.
-        scores: the request's (shapes, values) from score_matrix."""
-        # a config on clouds without a price row is charged 0.0
+        scores: the request's Scores from score_matrix."""
+        shapes, spend, values, adjusted = scores
+        # a config on clouds without a price row is charged 0.0, and
+        # subtracting 0.0 leaves its score as it is
         priced = self.dual.priced
-        best = None
-        for shape, score in zip(*scores):
-            charge = (0.0 if priced.isdisjoint(shape.clouds)
-                      else self._charge(req, shape.rows))
-            objective = score - charge
-            if best is None or objective > best[1]:
-                best = (shape, objective)
-        shape, objective = best
-        total, per_cloud, cost, revenue = self._score_one(req, shape, table,
-                                                          q_eff)
-        return ScoredConfig(shape.config, objective, total, per_cloud, revenue,
-                            cost, shape)
+        objective = None
+        for c, score in enumerate(values):
+            shape = shapes[c]
+            if not priced.isdisjoint(shape.clouds):
+                score -= self._charge(req, shape.rows)
+            if objective is None or score > objective:
+                objective, best = score, c
+        shape = shapes[best]
+        row = adjusted[best].tolist()
+        return ScoredConfig(shape.config, objective, row[-1],
+                            {i: row[i] for i in shape.clouds},
+                            req.duration * shape.revenue_rate, spend[best],
+                            shape)
 
     def admit(self, req, scored, q_eff):
         """Apply the accept/reject rule to the chosen config and settle duals."""
@@ -357,9 +370,8 @@ class OnlineAllocator(_AdmissionRule):
             revenue=0.0, transport_cost=0.0, q_eff=q_eff,
         )
 
-    def decide(self, req, table, scores, q_eff):
-        return self.admit(req, self.select_config(req, table, scores, q_eff),
-                          q_eff)
+    def decide(self, req, scores, q_eff):
+        return self.admit(req, self.select_config(req, scores), q_eff)
 
 
 class MyopicAllocator(_AdmissionRule):
@@ -383,18 +395,10 @@ class MyopicAllocator(_AdmissionRule):
         if now % self.scenario.fine_per_coarse == 0:
             self.slot_spend = 0.0
 
-    def _values(self, terms, clouds, units, durations, q_eff):
-        """Transport cost per (request, config), summed from 0.0 in term
-        order as a scalar loop would."""
-        total = np.zeros((len(durations), len(clouds)))
-        for j, ((_, _, count, _), unit) in enumerate(zip(terms, units)):
-            total += count * unit[:, clouds[:, j]]
-        return total
-
-    def decide(self, req, table, scores, q_eff):
-        shapes, costs = scores
+    def decide(self, req, scores, q_eff):
         # a stable sort: equal costs keep the enumeration order
-        ranked = sorted(zip(costs, shapes), key=lambda item: item[0])
+        ranked = sorted(zip(scores.spend, scores.shapes),
+                        key=lambda item: item[0])
         expiry = req.arrival + req.duration
         for cost, shape in ranked:
             if self.resources.fits(shape.usage, req.arrival, expiry):
@@ -416,20 +420,19 @@ class MyopicAllocator(_AdmissionRule):
             dual_delta=0.0, revenue=revenue, transport_cost=cost, q_eff=0.0)
 
 
-def dual_feasibility_violations(allocator, requests, tables, q_eff, tol=1e-7):
+def dual_feasibility_violations(allocator, requests, scores, tol=1e-7):
     """Replay every config of the given requests against the current duals.
 
     Covered means alpha plus the config's charge at today's prices reaches
-    its time-extended adjusted revenue.  Prices only grow within a window
-    and alpha is settled at decision time, so the count should be zero.
+    its time-extended adjusted revenue, the config's entry in values of the
+    request's Scores.  Prices only grow within a window and alpha is
+    settled at decision time, so the count should be zero.
     """
     bad = 0
-    for req, table in zip(requests, tables):
+    for req, row in zip(requests, scores):
         alpha = allocator.dual.alpha.get(req.req_id, 0.0)
-        for shape in allocator._shapes_for(req):
-            total, _, _, _ = allocator._score_one(req, shape, table, q_eff)
-            slack = alpha + allocator._charge(req, shape.rows) - req.duration * total
-            if slack < -tol:
+        for shape, value in zip(row.shapes, row.values):
+            if alpha + allocator._charge(req, shape.rows) - value < -tol:
                 bad += 1
     return bad
 

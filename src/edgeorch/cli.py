@@ -270,10 +270,17 @@ def run_experiment(spec, out_dir, seed_override=None, horizon_override=None,
     points = [(sweep["axis"], v) for v in sweep["values"]] if sweep else [(None, None)]
 
     streams = {}    # (seed, private_ratio point or None) -> its cells
+    keys = set()    # each cell's artifacts are named by its key
     for axis, value in points:
         draw = value if axis == "private_ratio" else None
         for policy in spec["policies"]:
             for seed in seeds:
+                key = _cell_key(policy, seed, axis, value)
+                if key in keys:
+                    raise ScenarioError(
+                        f"two run cells share the key {key!r}: repeated "
+                        "seeds, policies or sweep values")
+                keys.add(key)
                 streams.setdefault((seed, draw), []).append(
                     (axis, value, policy))
     tasks = [(spec, scenario_path, seed, horizon, cells)

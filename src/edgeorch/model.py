@@ -356,13 +356,6 @@ def transport_rows(rows, fetch, topo):
     return total
 
 
-def cost_tables(requests, costs):
-    """Each request's transport table, {k: [cost of hosting one type-k VM
-    at cloud i, for each cloud i]}, cut from its rows of transport_rows."""
-    rows = iter(costs.tolist())
-    return [{k: next(rows) for k in req.groups()} for req in requests]
-
-
 def config_usage(req, config, vm_catalog):
     """Resource units the config occupies: {(i, r): units} for positive usage."""
     usage = {}
@@ -406,13 +399,13 @@ class ResourceState:
         get = self.committed[key].get
         return [cap - get(t, 0.0) for t in range(start, stop)]
 
-    def fits(self, usage, start, expiry, slack=1e-9):
+    def fits(self, usage, start, expiry):
         capacity, committed = self.capacity, self.committed
         for key, units in usage.items():
             cap = capacity[key]
             get = committed[key].get
             for t in range(start, expiry):
-                if cap - get(t, 0.0) + slack < units:
+                if cap - get(t, 0.0) + 1e-9 < units:
                     return False
         return True
 

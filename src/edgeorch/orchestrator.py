@@ -14,7 +14,7 @@ time-average cost can exceed the budget by at most Q(T)/T.
 
 from dataclasses import dataclass, field
 
-from .model import cost_tables, fetch_latencies, transport_rows
+from .model import fetch_latencies, transport_rows
 from .placement import aggregate_demand
 
 
@@ -62,12 +62,12 @@ def run_coarse_slot(state, arrivals, rows, allocator, place, placement,
     rows: model.PackedRows of those requests, in the same order.
     allocator: admission rule with queue_weight(queue),
         advance_fine_slot(t), score_matrix(requests, costs, q_eff) and
-        decide(req, table, scores, q_eff) -> Decision, where costs are the
-        slot's model.transport_rows, table is the request's model.cost_tables
-        entry and scores its (shapes, values) from score_matrix.
+        decide(req, scores, q_eff) -> Decision, where costs are the slot's
+        model.transport_rows and scores the request's entry of
+        score_matrix.
     place: callable(DemandMatrix) -> PlacementSolution for the next slot.
-    window_hook: optional callable(fine slot, requests, tables, q_eff)
-        invoked when each fine slot's pricing window closes.
+    window_hook: optional callable(fine slot, requests, scores) invoked
+        when each fine slot's pricing window closes.
 
     Returns (SlotReport, new placement, decisions, demand).
     """
@@ -79,11 +79,10 @@ def run_coarse_slot(state, arrivals, rows, allocator, place, placement,
     # costs, and every config's price-free score, are known now; a slot
     # without arrivals needs neither
     requests = [req for batch in arrivals for req in batch]
-    tables = scores = iter(())
+    scores = iter(())
     if requests:
         fetch = fetch_latencies(placement, scenario.topology, rows.publics)
         costs = transport_rows(rows, fetch, scenario.topology)
-        tables = iter(cost_tables(requests, costs))
         scores = iter(allocator.score_matrix(requests, costs, q_eff))
     base = state.slot_index * scenario.fine_per_coarse
     revenue = 0.0
@@ -94,10 +93,10 @@ def run_coarse_slot(state, arrivals, rows, allocator, place, placement,
     for offset, batch in enumerate(arrivals):
         t = base + offset
         allocator.advance_fine_slot(t)
-        batch_tables = [next(tables) for _ in batch]
-        for req, table in zip(batch, batch_tables):
+        batch_scores = [next(scores) for _ in batch]
+        for req, scored in zip(batch, batch_scores):
             n_arrivals += 1
-            decision = allocator.decide(req, table, next(scores), q_eff)
+            decision = allocator.decide(req, scored, q_eff)
             decision.slot = state.slot_index
             decisions.append(decision)
             if decision.accepted:
@@ -105,7 +104,7 @@ def run_coarse_slot(state, arrivals, rows, allocator, place, placement,
                 cost += decision.transport_cost
                 accepted_pairs.append((req, decision.config))
         if window_hook is not None and batch:
-            window_hook(t, list(batch), batch_tables, q_eff)
+            window_hook(t, list(batch), batch_scores)
 
     demand = aggregate_demand(accepted_pairs, catalog, state.slot_index)
     solution = place(demand)

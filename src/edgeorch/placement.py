@@ -323,12 +323,12 @@ def brute_force_place(demand, cache_size, topo, catalog, cap=2_000_000):
     return profile, float(costs[best])
 
 
-def random_placement_instance(rng, max_space=20_000):
+def random_placement_instance(rng):
     """Small random instance for cross-checking greedy against brute force.
 
     Up to 3 clouds and 8 objects with integer sizes up to 3.  Redraws any
-    instance whose exhaustive search space would exceed max_space so a batch
-    of cross-checks stays cheap.
+    instance whose exhaustive search space would exceed 20,000 placement
+    profiles so a batch of cross-checks stays cheap.
     """
     double, integer = _draws(rng)
     while True:
@@ -355,7 +355,7 @@ def random_placement_instance(rng, max_space=20_000):
         space = math.prod(count_content_sets(demand.objects(), catalog,
                                              cache[i])
                           for i in range(n_clouds))
-        if entries and space <= max_space:
+        if entries and space <= 20_000:
             return demand, cache, topo, catalog
 
 

@@ -25,11 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import (MyopicAllocator, OnlineAllocator,
+from .allocator import (MyopicAllocator, OnlineAllocator, _AdmissionRule,
                         dual_feasibility_violations)
 from .model import (PackedRows, PlacementProfile, Request, ResourceState,
-                    _draws, config_usage, cost_tables, enumerate_configs,
-                    ordered_sum, transport_rows)
+                    _draws, ordered_sum, transport_rows)
 from .orchestrator import OrchestratorState, run_coarse_slot, update_virtual_queue
 from .placement import (DemandMatrix, PlacementSolution, aggregate_demand,
                         brute_force_place, greedy_place, placement_cost,
@@ -125,12 +124,6 @@ class Workload:
         arrival = operator.attrgetter("arrival")
         return (bisect.bisect_left(self.requests, start, key=arrival),
                 bisect.bisect_left(self.requests, stop, key=arrival))
-
-    def by_fine_slot(self):
-        slots = {}
-        for req in self.requests:
-            slots.setdefault(req.arrival, []).append(req)
-        return slots
 
 
 def generate_workload(cfg, scenario, horizon_fine):
@@ -301,6 +294,7 @@ def _coarse_slot_stream(workload, fine_per_coarse, slot):
         batches[req.arrival - base].append(req)
     return batches, workload.rows.take(lo, hi)
 
+
 def _check_accounting(slots, decisions, budget, counters):
     """Slot accumulators must replay from the decision log, and the queue
     trace from the cost series."""
@@ -359,11 +353,11 @@ def run_policy(policy, scenario, workload, horizon_coarse,
 
     hook = None
     if lemma5_windows:
-        def hook(t, seen, tables, q_eff):
+        def hook(t, seen, scores):
             if t in lemma5_windows:
                 counters["replayed_windows"] += 1
                 counters["dual_violations"] += dual_feasibility_violations(
-                    allocator, seen, tables, q_eff)
+                    allocator, seen, scores)
 
     state = OrchestratorState()
     placement = PlacementProfile.empty(scenario.topology.n_clouds,
@@ -432,23 +426,19 @@ def lookahead_oracle(scenario, workload, n_frame, frame_index,
         raise ValueError(
             f"frame has {len(frame_reqs)} requests, oracle cap is {max_requests}")
     catalog = workload.catalog
-    vms = scenario.vms
     # a fetch table that prices every public read at 0.0 leaves only the
-    # private streams in each transport cost
+    # private streams in each config's spend
     free = dict.fromkeys(workload.rows.publics, 0.0)
-    private = cost_tables(frame_reqs, transport_rows(
-        workload.rows.take(lo, hi), [free] * topo.n_clouds, topo))
+    private = transport_rows(workload.rows.take(lo, hi),
+                             [free] * topo.n_clouds, topo)
+    scores = _AdmissionRule(scenario, None).score_matrix(frame_reqs, private,
+                                                         0.0)
 
     options = []   # per request: (config or None, revenue, usage, private cost)
-    for req, table in zip(frame_reqs, private):
-        opts = [(None, 0.0, {}, 0.0)]
-        for config in enumerate_configs(req, topo):
-            rev = req.duration * ordered_sum(
-                vms.price(k) * req.demand[k][0] for k in config.assignment)
-            cost = ordered_sum(req.demand[k][0] * table[k][i]
-                               for k, i in config.assignment.items())
-            opts.append((config, rev, config_usage(req, config, vms), cost))
-        options.append(opts)
+    for req, (shapes, spend, _, _) in zip(frame_reqs, scores):
+        options.append([(None, 0.0, {}, 0.0)] + [
+            (shape.config, req.duration * shape.revenue_rate, shape.usage,
+             cost) for shape, cost in zip(shapes, spend)])
 
     best = (0.0, None)   # any frame admits the all-reject solution
     budget = n_frame * scenario.budget

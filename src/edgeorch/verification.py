@@ -6,6 +6,7 @@ numbers.  They back both `edgeorch verify <suite>` and the test suite.
 """
 
 import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -93,7 +94,7 @@ def suite_lemma5(seed=0, horizon=150, n_windows=100):
     """Replay every config of every request in sampled pricing windows
     against the duals the window closed with; count uncovered constraints."""
     _, workload = _exp1_stream(seed, horizon)
-    occupied = sorted(workload.by_fine_slot())
+    occupied = sorted({r.arrival for r in workload.requests})
     rng = np.random.default_rng(seed + 7)
     picks = rng.choice(len(occupied), size=min(n_windows, len(occupied)),
                        replace=False)
@@ -150,13 +151,11 @@ def _lemma7_one(seed):
     return seed, ok, worst, report.counters["scaling_warnings"]
 
 
-def suite_lemma7(n_runs=50, workers=None):
+def suite_lemma7(n_runs=50):
     """With the hard guard off, capacity overshoot in any (cloud, resource,
     slot) stays within one accepted bundle's footprint."""
     seeds = list(range(n_runs))
-    if workers is None:
-        import os
-        workers = min(8, os.cpu_count() or 1)
+    workers = min(8, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(workers) as ex:
             rows = list(ex.map(_lemma7_one, seeds))
@@ -240,7 +239,7 @@ def suite_prop2(n_instances=200, seed=77):
                         "super_failures": super_failures})
 
 
-def tiny_instances(n=20, per_frame_cap=4, n_frame=2, z=3, start=0):
+def tiny_instances(n=20, per_frame_cap=4, n_frame=2, z=3):
     """(seed, workload) for the first n workload seeds whose tiny streams
     keep every frame at or under the per-frame request cap, so the oracle's
     search stays exhaustive at the intended size."""
@@ -248,9 +247,9 @@ def tiny_instances(n=20, per_frame_cap=4, n_frame=2, z=3, start=0):
     cfg_base = dict(lambda_range=(0.0, 0.5), regime_length=4,
                     objects_per_vm=(1, 2), private_ratio=1.0)
     chosen = []
-    seed = start
+    seed = 0
     frame_fine = n_frame * scenario.fine_per_coarse
-    while len(chosen) < n and seed < start + 500:
+    while len(chosen) < n and seed < 500:
         cfg = WorkloadConfig(seed=seed, **cfg_base)
         wl = generate_workload(cfg, scenario, z * frame_fine)
         counts = [0] * z

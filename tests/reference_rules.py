@@ -1,9 +1,13 @@
 """Plain scalar rules kept as differential oracles for the fast paths.
 
 `unit_transport_costs` prices one request at a time, the way every request
-was priced before the per-slot transport matrix.  `reference_select_config`
-is the online allocator's config selection as it was before the per-slot
-score matrix: it scores every config with `_score_one`.  `ReferenceAllocator` is
+was priced before the per-slot transport matrix, and `cost_tables` cuts the
+same per-request tables from a slot's transport rows.  `reference_score_one`
+values one config of one request in scalar arithmetic, the way the online
+allocator did before the score matrix became its only valuation, and
+`reference_select_config` is the online allocator's config selection as it
+was before the per-slot score matrix: it scores every config with
+`reference_score_one`.  `ReferenceAllocator` is
 the primal-dual admission rule as it was before the per-shape usage cache
 and the window rows: it rebuilds each config's usage dict, keeps prices and
 baselines in dicts keyed by (cloud, resource, fine slot), walks them with a
@@ -83,13 +87,39 @@ def unit_transport_costs(req, fetch, topo, catalog):
     return table
 
 
+def cost_tables(requests, costs):
+    """Each request's transport table, {k: [cost of hosting one type-k VM
+    at cloud i, for each cloud i]}, cut from its rows of transport_rows."""
+    rows = iter(costs.tolist())
+    return [{k: next(rows) for k in req.groups()} for req in requests]
+
+
+def reference_score_one(allocator, req, shape, table, q_eff):
+    """One config's (adjusted revenue, per-cloud adjusted revenue,
+    transport cost, revenue): revenue per unit time net of cost-weighted
+    transport, by cloud.  table is the request's entry of cost_tables."""
+    v = allocator.scenario.v_weight
+    duration = req.duration
+    per_cloud = {}
+    cost = 0.0
+    for k, i, count, price in shape.terms:
+        unit = table[k][i]
+        cost += count * unit
+        value = count * (v * price - q_eff * unit / duration)
+        per_cloud[i] = per_cloud.get(i, 0.0) + value
+    total = 0.0
+    for i in shape.clouds:
+        total += per_cloud[i]
+    return total, per_cloud, cost, duration * shape.revenue_rate
+
+
 def reference_select_config(self, req, table, q_eff):
     """Highest priced-out objective across all configs; first wins ties."""
     # a config on clouds without a price row is charged 0.0
     priced = self.dual.priced
     best = None
     for shape in self._shapes_for(req):
-        scored = self._score_one(req, shape, table, q_eff)
+        scored = reference_score_one(self, req, shape, table, q_eff)
         charge = (0.0 if priced.isdisjoint(shape.clouds)
                   else self._charge(req, shape.rows))
         objective = req.duration * scored[0] - charge

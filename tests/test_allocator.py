@@ -10,11 +10,11 @@ from edgeorch.allocator import (BONUS_SCALE, E_RATIO, MyopicAllocator,
                                 dual_feasibility_violations)
 from edgeorch.model import (DataCatalog, PlacementProfile, Request,
                             ResourceState, Topology, VMCatalog, config_usage,
-                            cost_tables, fetch_latencies, pack_requests,
-                            transport_rows)
+                            fetch_latencies, pack_requests, transport_rows)
 from edgeorch.scenario import DATA_DIR, Scenario, load_scenario
 from edgeorch.simulator import WorkloadConfig, generate_workload, run_policy
 from reference_rules import (ReferenceAllocator, ReferenceResourceState,
+                             cost_tables, reference_score_one,
                              reference_select_config)
 
 
@@ -88,8 +88,7 @@ def cost_table(scenario, fetch, req):
 def decide(alloc, scenario, fetch, req, q_eff):
     """Price and score one request on its own, then decide it."""
     costs = slot_costs(scenario, fetch, [req])
-    return alloc.decide(req, cost_tables([req], costs)[0],
-                        alloc.score_matrix([req], costs, q_eff)[0], q_eff)
+    return alloc.decide(req, alloc.score_matrix([req], costs, q_eff)[0], q_eff)
 
 
 def test_scoring_prefers_the_cached_cloud():
@@ -102,7 +101,8 @@ def test_scoring_prefers_the_cached_cloud():
     shape0, shape1 = alloc._shapes_for(req)
     assert shape0.config.assignment == {0: 0}
     table = cost_table(scn, fetch, req)
-    total, per_cloud, cost, revenue = alloc._score_one(req, shape0, table, 1.0)
+    total, per_cloud, cost, revenue = reference_score_one(alloc, req, shape0,
+                                                          table, 1.0)
     # hosting at cloud 0 hauls o1 over the 20-latency link: 10*10 - 40/4
     assert total == 90.0
     assert per_cloud == {0: 90.0}
@@ -110,8 +110,13 @@ def test_scoring_prefers_the_cached_cloud():
     assert revenue == 40.0
 
     scores = alloc.score_matrix([req], slot_costs(scn, fetch, [req]), 1.0)[0]
-    assert scores == ([shape0, shape1], [360.0, 400.0])
-    scored = alloc.select_config(req, table, scores, 1.0)
+    assert scores.shapes == [shape0, shape1]
+    assert scores.values == [360.0, 400.0]
+    assert scores.spend == [40.0, 0.0]
+    # adjusted revenue at clouds 0 and 1, then the total
+    assert scores.adjusted.tolist() == [[90.0, 0.0, 90.0],
+                                        [0.0, 100.0, 100.0]]
+    scored = alloc.select_config(req, scores)
     assert scored.config.assignment == {0: 1}
     assert scored.objective == 400.0
     assert scored.adjusted_revenue == 100.0
@@ -272,8 +277,18 @@ def test_random_streams_keep_duals_feasible():
             d = decide(alloc, scn, fetch, req, q_eff=1.0)
             accepted += d.accepted
         assert alloc.counters["identity_violations"] == 0
-        tables = cost_tables(seen, slot_costs(scn, fetch, seen))
-        assert dual_feasibility_violations(alloc, seen, tables, 1.0) == 0
+        costs = slot_costs(scn, fetch, seen)
+        scores = alloc.score_matrix(seen, costs, 1.0)
+        assert dual_feasibility_violations(alloc, seen, scores) == 0
+        # the same count from the scalar valuation of every config
+        uncovered = 0
+        for req, table in zip(seen, cost_tables(seen, costs)):
+            alpha = alloc.dual.alpha.get(req.req_id, 0.0)
+            for shape in alloc._shapes_for(req):
+                total = reference_score_one(alloc, req, shape, table, 1.0)[0]
+                uncovered += (alpha + alloc._charge(req, shape.rows)
+                              - req.duration * total < -1e-7)
+        assert uncovered == 0
         assert accepted > 0
         assert all(v >= 0 for v in window_prices(alloc).values())
 
@@ -301,7 +316,7 @@ def test_prices_never_fall_within_a_window():
 def test_admission_matches_scalar_reference():
     """The per-shape, matrix-fed, row-priced admission path against the
     scalar rule it replaced: the selection from the score matrix equals the
-    selection that scores every config with _score_one, priced clouds
+    selection that scores every config with reference_score_one, priced clouds
     included; equal decisions, and after every pricing window
     equal prices and baselines on every triple the reference touched, 0.0
     at every other price entry, and equal alphas, counters and ledger.  The windows mix one- and
@@ -357,7 +372,7 @@ def test_admission_matches_scalar_reference():
             for n, (req, table) in enumerate(zip(batch, tables)):
                 q_eff = float(rng.choice([1.0, 250.0, 4000.0]))
                 scores = new.score_matrix(batch, costs, q_eff)[n]
-                scored = new.select_config(req, table, scores, q_eff)
+                scored = new.select_config(req, scores)
                 assert scored == reference_select_config(new, req, table, q_eff)
                 seen["priced"] += not new.dual.priced.isdisjoint(
                     scored.shape.clouds)
@@ -386,11 +401,14 @@ def test_admission_matches_scalar_reference():
 
 
 def test_score_matrix_matches_scalar_scores():
-    """Each entry of a slot's score matrix equals, bit for bit, duration
-    times the total _score_one gives the config, and each entry of the
-    myopic rule's matrix the scalar config cost, on batches that mix
-    bundles of one, two and three type groups (5, 25 and 125 configs) with
-    public and private reads."""
+    """Each part of a slot's score matrix equals, bit for bit, what the
+    scalar reference_score_one gives the config: the value is duration
+    times its total, the spend is its transport cost, and the adjusted
+    row holds its per-cloud values on the clouds the config uses, 0.0 at
+    the others, and then its total.  The myopic rule's matrix holds the
+    same spend and nothing else.  The batches mix bundles of one, two and
+    three type groups (5, 25 and 125 configs) with public and private
+    reads."""
     base = load_scenario(DATA_DIR / "desk.json")
     scn = replace(base, vms=VMCatalog(
         recipes=base.vms.recipes + [[5.0, 5.0, 5.0]],
@@ -427,34 +445,53 @@ def test_score_matrix_matches_scalar_scores():
         spend = myopic.score_matrix(batch, costs, q_eff)
         for req, table, row, cost_row in zip(batch, tables, scores, spend):
             shapes = online._shapes_for(req)
-            scalar = [online._score_one(req, shape, table, q_eff)
+            scalar = [reference_score_one(online, req, shape, table, q_eff)
                       for shape in shapes]
-            assert row == (shapes, [req.duration * total
-                                    for total, _, _, _ in scalar])
-            assert cost_row == (myopic._shapes_for(req),
-                                [cost for _, _, cost, _ in scalar])
+            assert row.shapes == shapes
+            assert row.values == [req.duration * total
+                                  for total, _, _, _ in scalar]
+            assert row.spend == [cost for _, _, cost, _ in scalar]
+            assert row.adjusted.shape == (len(shapes),
+                                          scn.topology.n_clouds + 1)
+            for shape, (*cloud_row, total), (want, per_cloud, _, _) in zip(
+                    shapes, row.adjusted.tolist(), scalar):
+                assert total == want
+                assert {i: cloud_row[i] for i in shape.clouds} == per_cloud
+                assert all(cloud_row[i] == 0.0 for i in scn.topology.clouds
+                           if i not in per_cloud)
+            assert cost_row == (myopic._shapes_for(req), row.spend,
+                                None, None)
     assert all(groups[g] > 0 for g in (1, 2, 3)), groups
 
 
 def test_selection_matches_reference_on_a_desk_stream(monkeypatch):
     """Over a generated desk stream, where shadow prices build up on every
     cloud, each selection from the score matrix equals the selection that
-    scores every config with _score_one."""
+    scores every config with reference_score_one."""
     scn = load_scenario(DATA_DIR / "desk.json")
     wl = generate_workload(WorkloadConfig(seed=3), scn,
                            12 * scn.fine_per_coarse)
     select = OnlineAllocator.select_config
+    score_matrix = OnlineAllocator.score_matrix
+    priced = {}   # req_id -> (its cost table, the slot's q_eff)
     seen = Counter()
 
-    def checked(self, req, table, scores, q_eff):
-        scored = select(self, req, table, scores, q_eff)
-        assert scored == reference_select_config(self, req, table, q_eff)
+    def scoring(self, requests, costs, q_eff):
+        for req, table in zip(requests, cost_tables(requests, costs)):
+            priced[req.req_id] = (table, q_eff)
+        return score_matrix(self, requests, costs, q_eff)
+
+    def checked(self, req, scores):
+        scored = select(self, req, scores)
+        assert scored == reference_select_config(self, req,
+                                                 *priced[req.req_id])
         seen["selections"] += 1
         seen["priced"] += bool(self.dual.priced)
         seen["won_on_priced"] += not self.dual.priced.isdisjoint(
             scored.shape.clouds)
         return scored
 
+    monkeypatch.setattr(OnlineAllocator, "score_matrix", scoring)
     monkeypatch.setattr(OnlineAllocator, "select_config", checked)
     report = run_policy("proposed", scn, wl, 12)
     assert seen["selections"] == len(report.decisions) > 0

@@ -376,6 +376,32 @@ def test_bad_runs_exit_2(tmp_path, capsys, case):
     assert not list(out.glob("*"))
 
 
+# spec edits that give two run cells one key, and that key: the cells would
+# write the same artifact files and summary entry
+COLLIDING_CELLS = {
+    "repeated_seed": ({"seeds": [0, 0]}, "proposed_s0"),
+    "repeated_policy": ({"policies": ["proposed", "myopic_coop",
+                                      "proposed"]}, "proposed_s0"),
+    "sweep_values_equal_under_g": (
+        {"policies": ["proposed"],
+         "sweep": {"axis": "v_weight", "values": [1000.0, 1000.0000001]}},
+        "proposed_s0_v_weight1000"),
+}
+
+
+@pytest.mark.parametrize("case", list(COLLIDING_CELLS))
+def test_colliding_cell_keys_exit_2_before_any_run(tmp_path, capsys,
+                                                   monkeypatch, case):
+    edits, key = COLLIDING_CELLS[case]
+    draws = count_draws(monkeypatch)
+    out = tmp_path / "z"
+    assert main(["run", str(mini_spec(tmp_path, **edits)),
+                 "--out", str(out)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert draws == []
+    assert not list(out.glob("*"))
+
+
 def test_svg_chart_is_deterministic(tmp_path):
     series = {"a": [1.0, 2.0, 1.5], "b": [0.5, 0.4, 0.9]}
     p1, p2 = tmp_path / "c1.svg", tmp_path / "c2.svg"

@@ -5,12 +5,11 @@ import pytest
 
 from edgeorch.model import (DataCatalog, PlacementProfile, Request,
                             ResourceState, Topology, VMCatalog, _draws,
-                            config_usage,
-                            cost_tables, enumerate_configs, fetch_latencies,
+                            config_usage, enumerate_configs, fetch_latencies,
                             pack_requests, transport_rows)
 from edgeorch.placement import random_placement_instance
-from reference_rules import (ORIGIN, ReferenceResourceState, nearest_replica,
-                             unit_transport_costs)
+from reference_rules import (ORIGIN, ReferenceResourceState, cost_tables,
+                             nearest_replica, unit_transport_costs)
 
 
 def two_cloud_topo():

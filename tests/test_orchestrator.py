@@ -105,8 +105,10 @@ def test_window_hook_sees_each_busy_fine_slot():
     scn = load_scenario(DATA_DIR / "tiny.json")
     calls = []
 
-    def hook(t, batch, tables, q_eff):
-        calls.append((t, [r.req_id for r in batch], q_eff))
+    def hook(t, batch, scores):
+        calls.append((t, [r.req_id for r in batch],
+                      [s.shapes == allocator._shapes_for(r)
+                       for r, s in zip(batch, scores)]))
 
     state = OrchestratorState()
     resources = ResourceState(dict(scn.capacity))
@@ -118,7 +120,7 @@ def test_window_hook_sees_each_busy_fine_slot():
                     lambda demand: PlacementSolution(placement, 0.0, 0.0, []),
                     placement,
                     scn.catalog, scn, window_hook=hook)
-    assert calls == [(0, [1], 1.0), (2, [2], 1.0)]
+    assert calls == [(0, [1], [True]), (2, [2], [True])]
 
 
 def test_placement_swap_is_returned_not_applied():
@@ -143,7 +145,7 @@ def test_empty_slot_prices_nothing_but_still_advances(monkeypatch):
     def unused(*args):
         raise AssertionError("priced an empty slot")
 
-    for name in ("fetch_latencies", "transport_rows", "cost_tables"):
+    for name in ("fetch_latencies", "transport_rows"):
         monkeypatch.setattr(orchestrator, name, unused)
     monkeypatch.setattr(OnlineAllocator, "score_matrix", unused)
     advanced = []

@@ -59,7 +59,6 @@ def test_workload_rate_zero_is_empty():
     wl = generate_workload(WorkloadConfig(seed=1, lambda_range=(0.0, 0.0)),
                            scn, 50)
     assert wl.requests == []
-    assert wl.by_fine_slot() == {}
     # private catalog untouched when nothing arrives
     assert wl.catalog.public_objects() == scn.catalog.public_objects()
 

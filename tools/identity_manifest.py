@@ -12,7 +12,9 @@ outputs.  It covers
   * the stream_hash of every run cell;
   * the streams drawn for the desk, tiny, stress and paper_scale
     scenarios (default workload, seeds 0-2, 10 coarse slots): each one's
-    stream_hash, its packed rows and its catalog's object sizes.
+    stream_hash, its packed rows and its catalog's object sizes;
+  * the replays of the seed-0 paper_scale stream under proposed and
+    myopic_coop: their decisions, slot reports, placements and counters.
 
 It imports edgeorch from the src/ directory next to it, writes its CSVs to
 a temporary directory that it removes, and takes a few minutes with its
@@ -33,7 +35,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from edgeorch.cli import (load_experiment, resolve_data,  # noqa: E402
                           run_experiment)
 from edgeorch.scenario import load_scenario  # noqa: E402
-from edgeorch.simulator import WorkloadConfig, generate_workload  # noqa: E402
+from edgeorch.simulator import (WorkloadConfig, generate_workload,  # noqa: E402
+                                run_policy)
 from edgeorch.verification import SUITE_NAMES, run_suite  # noqa: E402
 
 EXPERIMENTS = ("exp1_dynamics", "exp2_popularity")
@@ -42,6 +45,7 @@ WORKERS = 2
 STREAM_SCENARIOS = ("desk", "tiny", "stress", "paper_scale")
 STREAM_SLOTS = 10
 ROW_COLUMNS = ("starts", "offsets", "source", "size")
+REPLAY_POLICIES = ("proposed", "myopic_coop")
 TIMING_LINE = re.compile(r"elapsed|wallclock")
 
 
@@ -79,16 +83,20 @@ def experiment_digests():
     return files, stream_hashes
 
 
-def stream_digests():
-    out = {}
+def default_stream(scenario, seed):
+    """The default workload's stream over STREAM_SLOTS coarse slots."""
     with open(resolve_data("workload_default", "workload")) as fh:
         base = json.load(fh)
+    return generate_workload(WorkloadConfig.from_dict({**base, "seed": seed}),
+                             scenario, STREAM_SLOTS * scenario.fine_per_coarse)
+
+
+def stream_digests():
+    out = {}
     for name in STREAM_SCENARIOS:
         scenario = load_scenario(resolve_data(name, "scenario"))
         for seed in SEEDS:
-            stream = generate_workload(
-                WorkloadConfig.from_dict({**base, "seed": seed}), scenario,
-                STREAM_SLOTS * scenario.fine_per_coarse)
+            stream = default_stream(scenario, seed)
             key = f"{name}/seed{seed}"
             out[f"{key}.stream_hash"] = stream.stream_hash
             rows = stream.rows
@@ -102,10 +110,26 @@ def stream_digests():
     return out
 
 
+def replay_digests():
+    out = {}
+    scenario = load_scenario(resolve_data("paper_scale", "scenario"))
+    stream = default_stream(scenario, 0)
+    for policy in REPLAY_POLICIES:
+        report = run_policy(policy, scenario, stream, STREAM_SLOTS)
+        key = f"paper_scale/seed0/{policy}"
+        for part in ("decisions", "slots", "placements"):
+            out[f"{key}.{part}"] = digest(
+                repr(getattr(report, part)).encode())
+        out[f"{key}.counters"] = digest(
+            repr(sorted(report.counters.items())).encode())
+    return out
+
+
 def main():
     files, stream_hashes = experiment_digests()
     manifest = {"suites": suite_digests(), "files": files,
-                "stream_hash": stream_hashes, "streams": stream_digests()}
+                "stream_hash": stream_hashes, "streams": stream_digests(),
+                "replays": replay_digests()}
     print(json.dumps(manifest, indent=1, sort_keys=True))
     return 0
 
