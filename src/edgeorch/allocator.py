@@ -420,19 +420,19 @@ class MyopicAllocator(_AdmissionRule):
             dual_delta=0.0, revenue=revenue, transport_cost=cost, q_eff=0.0)
 
 
-def dual_feasibility_violations(allocator, requests, scores, tol=1e-7):
+def dual_feasibility_violations(allocator, requests, scores):
     """Replay every config of the given requests against the current duals.
 
     Covered means alpha plus the config's charge at today's prices reaches
     its time-extended adjusted revenue, the config's entry in values of the
     request's Scores.  Prices only grow within a window and alpha is
-    settled at decision time, so the count should be zero.
+    settled at decision time, so the count should be zero (to 1e-7).
     """
     bad = 0
     for req, row in zip(requests, scores):
         alpha = allocator.dual.alpha.get(req.req_id, 0.0)
         for shape, value in zip(row.shapes, row.values):
-            if alpha + allocator._charge(req, shape.rows) - value < -tol:
+            if alpha + allocator._charge(req, shape.rows) - value < -1e-7:
                 bad += 1
     return bad
 

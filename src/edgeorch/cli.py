@@ -14,12 +14,13 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .scenario import DATA_DIR, ScenarioError, load_scenario
+from .scenario import DATA_DIR, SCENARIO_KEYS, ScenarioError, load_scenario
 from .simulator import (POLICIES, WorkloadConfig, generate_workload,
                         run_policy)
 from .verification import SUITE_NAMES, run_suite
@@ -30,6 +31,7 @@ GRID_KEYS = {"scenario", "workload", "horizon", "seeds", "policies", "sweep",
              "overrides"}
 EXPERIMENT_KEYS = GRID_KEYS | {"name", "lookahead"}
 SWEEP_KEYS = {"axis", "values"}
+SWEEP_AXES = ("cache_ratio", "private_ratio", "v_weight", "budget")
 LOOKAHEAD_KEYS = {"instances", "n_frame", "frames"}
 
 
@@ -55,14 +57,19 @@ def resolve_data(name, kind=""):
 
 
 def load_experiment(name):
-    path = resolve_data(name, "experiment")
-    with open(path) as fh:
+    """The experiment spec a JSON file holds, its grid checked before any
+    stream is drawn."""
+    with open(resolve_data(name, "experiment")) as fh:
         spec = json.load(fh)
     for where, part, keys in (("experiment", spec, EXPERIMENT_KEYS),
-                              ("sweep", spec.get("sweep") or {}, SWEEP_KEYS),
-                              ("lookahead", spec.get("lookahead") or {},
-                               LOOKAHEAD_KEYS)):
-        unknown = set(part) - keys
+                              ("sweep", spec.get("sweep"), SWEEP_KEYS),
+                              ("lookahead", spec.get("lookahead"),
+                               LOOKAHEAD_KEYS),
+                              ("override", spec.get("overrides"),
+                               SCENARIO_KEYS)):
+        if part is not None and not isinstance(part, dict):
+            raise ScenarioError(f"{where} must be a JSON object")
+        unknown = set(part or ()) - keys
         if unknown:
             raise ScenarioError(f"unknown {where} keys: {sorted(unknown)}")
     # the lookahead suite draws its own instances, so it reads no grid key
@@ -78,6 +85,22 @@ def load_experiment(name):
     spec.setdefault("sweep", None)
     spec.setdefault("overrides", {})
     spec.setdefault("lookahead", None)
+    policies, sweep = spec["policies"], spec["sweep"]
+    if not (isinstance(policies, list) and policies
+            and all(p in POLICIES for p in policies)):
+        raise ScenarioError("policies must be a non-empty list drawn from "
+                            f"{list(POLICIES)}, got {policies!r}")
+    if sweep is not None:
+        axis, values = sweep.get("axis"), sweep.get("values")
+        if axis not in SWEEP_AXES:
+            raise ScenarioError(f"unknown sweep axis {axis!r}")
+        if not (isinstance(values, list) and values
+                and all(type(v) in (int, float) and math.isfinite(v)
+                        for v in values)
+                and (axis != "cache_ratio" or min(values) >= 0)):
+            raise ScenarioError("sweep values must be a non-empty list of "
+                                "finite numbers, non-negative for "
+                                f"cache_ratio, got {values!r}")
     return spec
 
 
@@ -89,12 +112,12 @@ def adjust_cache_ratio(scenario, ratio):
 
 
 def _build_cell(spec, scenario_path, axis, value, seed):
-    """Scenario and workload config for one run cell, sweeps applied."""
-    try:
-        # replace() reruns Scenario.__post_init__, which rejects bad values
-        scenario = replace(load_scenario(scenario_path), **spec["overrides"])
-    except TypeError as exc:
-        raise ScenarioError(f"bad scenario override: {exc}") from exc
+    """Scenario and workload config for one run cell, sweeps applied; the
+    scenario checks see the overrides and budget or v_weight points."""
+    overrides = dict(spec["overrides"])
+    if axis in ("v_weight", "budget"):
+        overrides[axis] = value
+    scenario = load_scenario(scenario_path, overrides)
     with open(resolve_data(spec["workload"], "workload")) as fh:
         data = json.load(fh)
     if "seed" in data:
@@ -105,10 +128,6 @@ def _build_cell(spec, scenario_path, axis, value, seed):
         adjust_cache_ratio(scenario, value)
     elif axis == "private_ratio":
         cfg = replace(cfg, private_ratio=value)
-    elif axis in ("v_weight", "budget"):
-        scenario = replace(scenario, **{axis: value})
-    elif axis is not None:
-        raise ScenarioError(f"unknown sweep axis {axis!r}")
     return scenario, cfg
 
 
@@ -178,7 +197,7 @@ def write_placements_csv(path, report):
                               objective, savings])
 
 
-def svg_line_chart(path, series, title, x_label="coarse slot"):
+def svg_line_chart(path, series, title):
     """Minimal multi-series line chart; series is {label: [values]}."""
     width, height, pad = 800, 320, 45
     colors = ["#1f6f8b", "#c0582b", "#5a8f29", "#7b4b94", "#9c9c2e"]
@@ -205,7 +224,7 @@ def svg_line_chart(path, series, title, x_label="coarse slot"):
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" '
         f'stroke="black"/>',
         f'<text x="{width / 2:.1f}" y="{height - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11">{x_label}</text>',
+        'font-family="sans-serif" font-size="11">coarse slot</text>',
         f'<text x="12" y="{pad - 8}" font-family="sans-serif" '
         f'font-size="11">{hi:.1f}</text>',
         f'<text x="12" y="{height - pad + 4}" font-family="sans-serif" '

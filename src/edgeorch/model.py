@@ -124,18 +124,18 @@ class VMCatalog:
 
 
 class DataCatalog:
-    """Object sizes and visibility. Private objects belong to a single request."""
+    """Object sizes.  The objects a catalog is built with are public; those
+    added later are private, each read by a single request."""
 
-    def __init__(self, sizes=None, visibility=None):
+    def __init__(self, sizes=None):
         self.sizes = dict(sizes) if sizes else {}
-        self.visibility = dict(visibility) if visibility else {}
         for o in self.sizes:
             if not 0 < self.sizes[o] < math.inf:
                 raise ValueError(f"object {o!r} must have a finite positive size")
-            self.visibility.setdefault(o, "public")
+        self.public = frozenset(self.sizes)
 
-    def add_many(self, obj_ids, size, visibility="public"):
-        """Insert objects of one size and visibility, all under new ids."""
+    def add_many(self, obj_ids, size):
+        """Insert private objects of one size, all under new ids."""
         if not 0 < size < math.inf:
             raise ValueError("objects must have a finite positive size")
         fresh = dict.fromkeys(obj_ids, size)
@@ -144,7 +144,6 @@ class DataCatalog:
                          if o in self.sizes or o in obj_ids[:j])
             raise ValueError(f"duplicate object id {taken!r}")
         self.sizes.update(fresh)
-        self.visibility.update(dict.fromkeys(fresh, visibility))
 
     def size(self, obj_id):
         try:
@@ -152,14 +151,8 @@ class DataCatalog:
         except KeyError:
             raise ValueError(f"unknown object id {obj_id!r}") from None
 
-    def is_public(self, obj_id):
-        try:
-            return self.visibility[obj_id] == "public"
-        except KeyError:
-            raise ValueError(f"unknown object id {obj_id!r}") from None
-
     def public_objects(self):
-        return sorted(o for o, v in self.visibility.items() if v == "public")
+        return sorted(self.public)
 
 
 @dataclass
@@ -236,8 +229,8 @@ class PlacementProfile:
         for i, objs in self.cached.items():
             used = 0
             for o in objs:
-                if not catalog.is_public(o):
-                    raise ValueError(f"private object {o!r} cached at cloud {i}")
+                if o not in catalog.public:
+                    raise ValueError(f"non-public object {o!r} cached at cloud {i}")
                 used += catalog.size(o)
             if used > self.cache_size.get(i, 0) + 1e-9:
                 raise ValueError(f"cache capacity exceeded at cloud {i}")

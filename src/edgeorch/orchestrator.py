@@ -12,6 +12,7 @@ The queue update max(Q + C - budget, 0) telescopes into the usual guarantee:
 time-average cost can exceed the budget by at most Q(T)/T.
 """
 
+import bisect
 from dataclasses import dataclass, field
 
 from .model import fetch_latencies, transport_rows
@@ -54,11 +55,12 @@ class OrchestratorState:
     queue_trace: list = field(default_factory=list)
 
 
-def run_coarse_slot(state, arrivals, rows, allocator, place, placement,
+def run_coarse_slot(state, requests, rows, allocator, place, placement,
                     catalog, scenario, window_hook=None):
     """Run one coarse slot end to end.
 
-    arrivals: one list of requests per fine slot of this coarse slot.
+    requests: the slot's arrivals, in arrival order; each is decided in
+        the fine slot of its arrival.
     rows: model.PackedRows of those requests, in the same order.
     allocator: admission rule with queue_weight(queue),
         advance_fine_slot(t), score_matrix(requests, costs, q_eff) and
@@ -67,10 +69,16 @@ def run_coarse_slot(state, arrivals, rows, allocator, place, placement,
         score_matrix.
     place: callable(DemandMatrix) -> PlacementSolution for the next slot.
     window_hook: optional callable(fine slot, requests, scores) invoked
-        when each fine slot's pricing window closes.
+        when the pricing window of each fine slot with arrivals closes.
 
     Returns (SlotReport, new placement, decisions, demand).
     """
+    base = state.slot_index * scenario.fine_per_coarse
+    span = range(base, base + scenario.fine_per_coarse)
+    arrivals = [req.arrival for req in requests]
+    if arrivals != sorted(arrivals) or not all(t in span for t in arrivals):
+        raise ValueError(f"coarse slot {state.slot_index} takes requests in "
+                         f"arrival order from fine slots {base} to {span[-1]}")
     if state.slot_index > 0:
         state.queue = update_virtual_queue(state.queue, state.prev_cost,
                                            scenario.budget)
@@ -78,24 +86,20 @@ def run_coarse_slot(state, arrivals, rows, allocator, place, placement,
     # the placement is fixed for the slot, so every arrival's transport
     # costs, and every config's price-free score, are known now; a slot
     # without arrivals needs neither
-    requests = [req for batch in arrivals for req in batch]
-    scores = iter(())
+    scores = []
     if requests:
         fetch = fetch_latencies(placement, scenario.topology, rows.publics)
         costs = transport_rows(rows, fetch, scenario.topology)
-        scores = iter(allocator.score_matrix(requests, costs, q_eff))
-    base = state.slot_index * scenario.fine_per_coarse
+        scores = allocator.score_matrix(requests, costs, q_eff)
     revenue = 0.0
     cost = 0.0
     decisions = []
     accepted_pairs = []
-    n_arrivals = 0
-    for offset, batch in enumerate(arrivals):
-        t = base + offset
+    first = 0
+    for t in span:
         allocator.advance_fine_slot(t)
-        batch_scores = [next(scores) for _ in batch]
-        for req, scored in zip(batch, batch_scores):
-            n_arrivals += 1
+        stop = bisect.bisect_right(arrivals, t, first)
+        for req, scored in zip(requests[first:stop], scores[first:stop]):
             decision = allocator.decide(req, scored, q_eff)
             decision.slot = state.slot_index
             decisions.append(decision)
@@ -103,8 +107,9 @@ def run_coarse_slot(state, arrivals, rows, allocator, place, placement,
                 revenue += decision.revenue
                 cost += decision.transport_cost
                 accepted_pairs.append((req, decision.config))
-        if window_hook is not None and batch:
-            window_hook(t, list(batch), batch_scores)
+        if window_hook is not None and stop > first:
+            window_hook(t, requests[first:stop], scores[first:stop])
+        first = stop
 
     demand = aggregate_demand(accepted_pairs, catalog, state.slot_index)
     solution = place(demand)
@@ -115,7 +120,7 @@ def run_coarse_slot(state, arrivals, rows, allocator, place, placement,
         cost=cost,
         queue=state.queue,
         q_eff=q_eff,
-        arrivals=n_arrivals,
+        arrivals=len(requests),
         accepted=len(accepted_pairs),
         dpp=drift_plus_penalty_value(scenario.v_weight, revenue, state.queue,
                                      cost, scenario.budget),

@@ -44,7 +44,7 @@ def aggregate_demand(accepted, catalog, slot):
     An object counts whether or not it was cached when the request was
     admitted: the matrix measures what tenants read, not what they missed.
     """
-    visibility, sizes = catalog.visibility, catalog.sizes
+    public, sizes = catalog.public, catalog.sizes
     entries = {}
     for req, config in accepted:
         for k, i in config.assignment.items():
@@ -52,14 +52,12 @@ def aggregate_demand(accepted, catalog, slot):
             if count <= 0:
                 continue
             for o in objects:
-                try:
-                    if visibility[o] != "public":
-                        continue
-                    size = sizes[o]
-                except KeyError:
-                    raise ValueError(f"unknown object id {o!r}") from None
+                if o not in public:
+                    if o not in sizes:
+                        raise ValueError(f"unknown object id {o!r}")
+                    continue
                 key = (i, o)
-                entries[key] = entries.get(key, 0.0) + count * size
+                entries[key] = entries.get(key, 0.0) + count * sizes[o]
     return DemandMatrix(slot, entries)
 
 

@@ -86,9 +86,10 @@ def _require(data, key, kind):
     if key not in data:
         raise ScenarioError(f"scenario is missing {key!r}")
     value = data[key]
-    if kind is float and isinstance(value, int):
+    # by type, as a bool is an int to isinstance
+    if kind is float and type(value) is int:
         value = float(value)
-    if not isinstance(value, kind):
+    if type(value) is not kind:
         raise ScenarioError(f"scenario field {key!r} has the wrong type")
     return value
 
@@ -103,6 +104,7 @@ def scenario_from_dict(data):
     unknown = set(data) - SCENARIO_KEYS
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
+    data = {"c_max": 0.0, "hard_capacity_guard": True, **data}
     try:
         latency = _require(data, "latency", list)
         origin = _require(data, "origin_latency", list)
@@ -137,14 +139,16 @@ def scenario_from_dict(data):
             fine_per_coarse=int(_require(data, "fine_per_coarse", int)),
             budget=float(_require(data, "budget", float)),
             v_weight=float(_require(data, "v_weight", float)),
-            c_max=float(data.get("c_max", 0.0)),
-            hard_capacity_guard=bool(data.get("hard_capacity_guard", True)),
+            c_max=_require(data, "c_max", float),
+            hard_capacity_guard=_require(data, "hard_capacity_guard", bool),
         )
     except (TypeError, KeyError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
 
-def load_scenario(path):
+def load_scenario(path, overrides=None):
+    """The scenario a JSON file defines, with any fields of overrides put
+    in place of the file's before it is checked."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -152,7 +156,7 @@ def load_scenario(path):
         raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"scenario {path} must be a JSON object")
-    return scenario_from_dict(data)
+    return scenario_from_dict({**data, **(overrides or {})})
 
 
 def make_stress_scenario():

@@ -27,8 +27,8 @@ import numpy as np
 
 from .allocator import (MyopicAllocator, OnlineAllocator, _AdmissionRule,
                         dual_feasibility_violations)
-from .model import (PackedRows, PlacementProfile, Request, ResourceState,
-                    _draws, ordered_sum, transport_rows)
+from .model import (DataCatalog, PackedRows, PlacementProfile, Request,
+                    ResourceState, _draws, ordered_sum, transport_rows)
 from .orchestrator import OrchestratorState, run_coarse_slot, update_virtual_queue
 from .placement import (DemandMatrix, PlacementSolution, aggregate_demand,
                         brute_force_place, greedy_place, placement_cost,
@@ -75,24 +75,15 @@ class WorkloadConfig:
 
     @classmethod
     def from_dict(cls, data):
-        known = {}
-        for name in cls.__dataclass_fields__:
-            if name in data:
-                value = data[name]
-                if isinstance(value, list):
-                    value = tuple(value)
-                known[name] = value
         extra = set(data) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown workload fields: {sorted(extra)}")
-        return cls(**known)
+        return cls(**{name: tuple(value) if isinstance(value, list) else value
+                      for name, value in data.items()})
 
     def to_dict(self):
-        out = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            out[name] = list(value) if isinstance(value, tuple) else value
-        return out
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in vars(self).items()}
 
 
 def zipf_probabilities(n, exponent):
@@ -106,7 +97,7 @@ def zipf_probabilities(n, exponent):
 @dataclass
 class Workload:
     requests: list            # in arrival order
-    catalog: object           # scenario catalog plus this stream's private objects
+    catalog: object           # public objects plus this stream's private ones
     config: WorkloadConfig
     horizon_fine: int
     lambda_schedule: list     # (first fine slot, rate)
@@ -134,10 +125,10 @@ def generate_workload(cfg, scenario, horizon_fine):
     list, then its private reads, from its ingress.
     """
     rng = np.random.default_rng(cfg.seed)
-    catalog = type(scenario.catalog)(dict(scenario.catalog.sizes),
-                                     dict(scenario.catalog.visibility))
-    publics = catalog.public_objects()
-    public_sizes = [catalog.sizes[o] for o in publics]
+    # the scenario's public objects; the stream's private ones join below
+    publics = scenario.catalog.public_objects()
+    public_sizes = [scenario.catalog.sizes[o] for o in publics]
+    catalog = DataCatalog(dict(zip(publics, public_sizes)))
     probs = zipf_probabilities(len(publics), cfg.zipf_exponent)
     n_types = scenario.vms.n_types
     mix = np.array(cfg.vm_mix if cfg.vm_mix else [1.0 / n_types] * n_types,
@@ -191,7 +182,7 @@ def generate_workload(cfg, scenario, horizon_fine):
             lengths.append(len(columns) + n_priv)
             sources += columns + [n_public + ingress] * n_priv
             req_id += 1
-        catalog.add_many(private_ids, 1, "private")
+        catalog.add_many(private_ids, 1)
         for req in drawn:
             req.validate(catalog, n_types, n_clouds)
         requests += drawn
@@ -205,17 +196,17 @@ def generate_workload(cfg, scenario, horizon_fine):
                     digest.hexdigest(), rows)
 
 
-def perturb_demand(demand, error_mean, rng, shape=10):
+def perturb_demand(demand, error_mean, rng):
     """Placement's noisy view of demand.
 
-    The per-slot error rate is a Poisson-derived fraction min(1, X/shape)
-    with X ~ Poisson(error_mean * shape), so its mean tracks error_mean.
+    The per-slot error rate is a Poisson-derived fraction min(1, X/10)
+    with X ~ Poisson(error_mean * 10), so its mean tracks error_mean.
     Each object in the set carrying the top half of total traffic loses all
     its demand entries with that probability.  Accounting keeps true costs.
     """
     if error_mean <= 0 or not demand.entries:
         return demand.copy(), 0.0, ()
-    eps = min(1.0, float(rng.poisson(error_mean * shape)) / shape)
+    eps = min(1.0, float(rng.poisson(error_mean * 10)) / 10)
     totals = demand.total_by_object()
     ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
     grand = ordered_sum(totals.values())
@@ -282,17 +273,6 @@ class RunReport:
             "stream_hash": self.stream_hash,
             "wallclock_s": round(self.wallclock, 3),
         }
-
-
-def _coarse_slot_stream(workload, fine_per_coarse, slot):
-    """A coarse slot's requests, one list per fine slot, and their packed
-    rows: a contiguous range of the stream."""
-    base = slot * fine_per_coarse
-    lo, hi = workload.span(base, base + fine_per_coarse)
-    batches = [[] for _ in range(fine_per_coarse)]
-    for req in workload.requests[lo:hi]:
-        batches[req.arrival - base].append(req)
-    return batches, workload.rows.take(lo, hi)
 
 
 def _check_accounting(slots, decisions, budget, counters):
@@ -364,11 +344,11 @@ def run_policy(policy, scenario, workload, horizon_coarse,
                                        scenario.cache_size)
     slots, decisions, placements = [], [], []
     for big in range(horizon_coarse):
-        batches, rows = _coarse_slot_stream(workload, scenario.fine_per_coarse,
-                                            big)
+        lo, hi = workload.span(big * scenario.fine_per_coarse,
+                               (big + 1) * scenario.fine_per_coarse)
         report, placement, slot_decs, _ = run_coarse_slot(
-            state, batches, rows, allocator, place, placement, catalog,
-            scenario, window_hook=hook)
+            state, workload.requests[lo:hi], workload.rows.take(lo, hi),
+            allocator, place, placement, catalog, scenario, window_hook=hook)
         slots.append(report)
         decisions.extend(slot_decs)
         placements.append((big, {i: sorted(placement.cached[i])

@@ -90,13 +90,13 @@ def suite_lemma1(seed=0, horizon=150):
                         "budget": budget, "horizon": t})
 
 
-def suite_lemma5(seed=0, horizon=150, n_windows=100):
-    """Replay every config of every request in sampled pricing windows
-    against the duals the window closed with; count uncovered constraints."""
+def suite_lemma5(seed=0, horizon=150):
+    """Replay every config of every request in up to 100 sampled pricing
+    windows against their closing duals; count uncovered constraints."""
     _, workload = _exp1_stream(seed, horizon)
     occupied = sorted({r.arrival for r in workload.requests})
     rng = np.random.default_rng(seed + 7)
-    picks = rng.choice(len(occupied), size=min(n_windows, len(occupied)),
+    picks = rng.choice(len(occupied), size=min(100, len(occupied)),
                        replace=False)
     windows = {occupied[i] for i in picks}
     _, _, report = _exp1_run(seed, horizon, windows=frozenset(windows))

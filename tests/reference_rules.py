@@ -461,7 +461,7 @@ def reference_lookahead_oracle(scenario, workload, n_frame, frame_index,
     catalog = workload.catalog
     topo = scenario.topology
     demanded = sorted({o for r in frame_reqs for _, objs in r.demand.values()
-                       for o in objs if catalog.is_public(o)})
+                       for o in objs if o in catalog.public})
     clouds = sorted(scenario.cache_size)
     per_cloud_sets = [feasible_content_sets(demanded, catalog,
                                             scenario.cache_size[i])

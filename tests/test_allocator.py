@@ -328,7 +328,7 @@ def test_admission_matches_scalar_reference():
     catalog = DataCatalog(dict(base.catalog.sizes))
     privates = [f"p{j}" for j in range(8)]
     for j, o in enumerate(privates):
-        catalog.add_many([o], 1 + j % 3, "private")
+        catalog.add_many([o], 1 + j % 3)
     tight = {(i, r): 120.0 for i in range(5) for r in range(3)}
     rng = np.random.default_rng(17)
     seen = Counter()
@@ -416,7 +416,7 @@ def test_score_matrix_matches_scalar_scores():
     publics = scn.catalog.public_objects()
     catalog = DataCatalog(dict(scn.catalog.sizes))
     for j in range(6):
-        catalog.add_many([f"p{j}"], 1 + j % 3, "private")
+        catalog.add_many([f"p{j}"], 1 + j % 3)
     ids = publics + [f"p{j}" for j in range(6)]
     rng = np.random.default_rng(23)
     online = OnlineAllocator(scn, ResourceState(dict(scn.capacity)))

@@ -402,6 +402,44 @@ def test_colliding_cell_keys_exit_2_before_any_run(tmp_path, capsys,
     assert not list(out.glob("*"))
 
 
+# spec edits whose grid fields or overrides are bad: each is refused
+# before any stream is drawn
+BAD_GRIDS = {
+    "sweep_not_an_object": {"sweep": ["budget", [1.0]]},
+    "sweep_without_values": {"sweep": {"axis": "budget"}},
+    "sweep_without_axis": {"sweep": {"values": [1.0]}},
+    "sweep_values_a_number": {"sweep": {"axis": "budget", "values": 5}},
+    "sweep_value_a_list": {"sweep": {"axis": "budget", "values": [[1]]}},
+    "sweep_values_empty": {"sweep": {"axis": "budget", "values": []}},
+    "sweep_value_nan": {"sweep": {"axis": "v_weight", "values": [math.nan]}},
+    "sweep_value_a_bool": {"sweep": {"axis": "budget", "values": [True]}},
+    "negative_cache_ratio": {"sweep": {"axis": "cache_ratio",
+                                       "values": [0.5, -0.5]}},
+    "policies_empty": {"policies": []},
+    "policies_a_string": {"policies": "proposed"},
+    "unknown_policy": {"policies": ["proposed", "clairvoyant"]},
+    "overrides_a_list": {"overrides": [["budget", 1.0]]},
+    "cache_size_for_two_of_five_clouds": {"scenario": "desk",
+                                          "overrides": {"cache_size": [1, 1]}},
+    "fractional_fine_per_coarse": {"overrides": {"fine_per_coarse": 2.5}},
+    "guard_a_string": {"overrides": {"hard_capacity_guard": "no"}},
+    **{f"{key}_a_bool": {"overrides": {key: True}}
+       for key in ("budget", "v_weight", "c_max", "fine_per_coarse")},
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_GRIDS))
+def test_bad_grid_fields_exit_2_before_any_draw(tmp_path, capsys,
+                                                monkeypatch, case):
+    draws = count_draws(monkeypatch)
+    out = tmp_path / "z"
+    assert main(["run", str(mini_spec(tmp_path, **BAD_GRIDS[case])),
+                 "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert draws == []
+    assert not list(out.glob("*.csv"))
+
+
 def test_svg_chart_is_deterministic(tmp_path):
     series = {"a": [1.0, 2.0, 1.5], "b": [0.5, 0.4, 0.9]}
     p1, p2 = tmp_path / "c1.svg", tmp_path / "c2.svg"

@@ -17,8 +17,9 @@ def two_cloud_topo():
 
 
 def small_catalog():
-    return DataCatalog({"o1": 2, "o2": 1, "p1": 1},
-                       visibility={"p1": "private"})
+    catalog = DataCatalog({"o1": 2, "o2": 1})
+    catalog.add_many(["p1"], 1)
+    return catalog
 
 
 def price(requests, fetch, topo, catalog):
@@ -122,7 +123,7 @@ def reference_transport_costs(req, placement, topo, catalog):
         for i in topo.clouds:
             total = 0.0
             for o in req.demand[k][1]:
-                if catalog.is_public(o):
+                if o in catalog.public:
                     lat = nearest_replica(i, o, placement, topo)[1]
                 else:
                     lat = topo.w[i][req.ingress]
@@ -142,7 +143,7 @@ def test_transport_costs_match_reference_rule():
         _, cache, topo, catalog = random_placement_instance(rng)
         publics = catalog.public_objects()
         for j in range(int(rng.integers(1, 6))):
-            catalog.add_many([f"p{j}"], int(rng.integers(1, 4)), "private")
+            catalog.add_many([f"p{j}"], int(rng.integers(1, 4)))
         ids = publics + [o for o in catalog.sizes if o not in publics]
         placement = PlacementProfile(
             {i: [o for o in publics if rng.random() < 0.4] for i in cache},
@@ -297,24 +298,45 @@ def test_high_water_tracks_peaks_across_advances():
 
 def test_data_catalog():
     catalog = small_catalog()
+    # the objects a catalog is built with are its public set; added
+    # objects are private
+    assert catalog.public == {"o1", "o2"}
     assert catalog.public_objects() == ["o1", "o2"]
-    assert not catalog.is_public("p1")
-    assert catalog.size("o1") == 2
+    assert catalog.size("o1") == 2 and catalog.size("p1") == 1
     with pytest.raises(ValueError):
         catalog.size("missing")
     catalog.add_many(["o3"], 3)
-    assert "o3" in catalog.public_objects()
-    catalog.add_many(["q1", "q2"], 2, "private")
-    assert catalog.size("q2") == 2 and not catalog.is_public("q1")
-    before = dict(catalog.sizes), dict(catalog.visibility)
+    assert catalog.size("o3") == 3 and catalog.public_objects() == ["o1", "o2"]
+    catalog.add_many(["q1", "q2"], 2)
+    assert catalog.size("q2") == 2 and "q1" not in catalog.public
+    before = dict(catalog.sizes), catalog.public
     with pytest.raises(ValueError, match="duplicate object id 'o3'"):
         catalog.add_many(["q3", "o3"], 1)
+    with pytest.raises(ValueError, match="duplicate object id 'o1'"):
+        catalog.add_many(["o1"], 1)
     with pytest.raises(ValueError, match="duplicate object id 'q3'"):
         catalog.add_many(["q3", "q4", "q3"], 1)
     for size in (0, -1, math.inf, math.nan):
         with pytest.raises(ValueError, match="finite positive size"):
             catalog.add_many(["q3"], size)
-    assert (catalog.sizes, catalog.visibility) == before
+    assert (catalog.sizes, catalog.public) == before
+
+
+def test_placement_profile_validate():
+    """A cache holds public objects only, within its size."""
+    catalog = small_catalog()
+    PlacementProfile({0: ("o1", "o2"), 1: ()}, {0: 3.0, 1: 0.0}).validate(
+        catalog)
+    with pytest.raises(ValueError, match="non-public object 'p1' cached at "
+                                         "cloud 1"):
+        PlacementProfile({0: (), 1: ("p1",)}, {0: 3.0, 1: 3.0}).validate(
+            catalog)
+    with pytest.raises(ValueError, match="non-public object 'zz'"):
+        PlacementProfile({0: ("zz",)}, {0: 3.0}).validate(catalog)
+    for cached, room in (({0: ("o1", "o2")}, {0: 2.0}),
+                         ({0: ("o2",)}, {}), ({1: ("o1",)}, {1: 1.5})):
+        with pytest.raises(ValueError, match="cache capacity exceeded"):
+            PlacementProfile(cached, room).validate(catalog)
 
 
 def test_draws_match_the_generator():

@@ -40,14 +40,13 @@ def test_effective_queue_modes():
     assert myopic.queue_weight(42.0) == 0.0
 
 
-def packed(scenario, arrivals):
-    """The arrivals' rows, packed by name."""
-    return pack_requests([req for batch in arrivals for req in batch],
-                         scenario.catalog.public_objects(),
+def packed(scenario, requests):
+    """The requests' rows, packed by name."""
+    return pack_requests(requests, scenario.catalog.public_objects(),
                          scenario.topology.n_clouds, scenario.catalog)
 
 
-def run_one_slot(scenario, arrivals, state=None):
+def run_one_slot(scenario, requests, state=None):
     state = state or OrchestratorState()
     resources = ResourceState(dict(scenario.capacity))
     allocator = OnlineAllocator(scenario, resources)
@@ -58,7 +57,7 @@ def run_one_slot(scenario, arrivals, state=None):
         return greedy_place(demand, scenario.cache_size, scenario.topology,
                             scenario.catalog)
 
-    return run_coarse_slot(state, arrivals, packed(scenario, arrivals),
+    return run_coarse_slot(state, requests, packed(scenario, requests),
                            allocator, place, placement, scenario.catalog,
                            scenario), state
 
@@ -67,8 +66,7 @@ def test_single_slot_accounting():
     scn = load_scenario(DATA_DIR / "tiny.json")
     reqs = [Request(1, 0, 2, 0, {0: (1, ("o000",))}),
             Request(2, 1, 1, 1, {1: (1, ("o001",))})]
-    arrivals = [[reqs[0]], [reqs[1]], [], []]
-    (report, new_placement, decisions, demand), state = run_one_slot(scn, arrivals)
+    (report, new_placement, decisions, demand), state = run_one_slot(scn, reqs)
 
     assert report.slot == 0
     assert report.queue == 0.0          # no update before the first slot
@@ -94,7 +92,7 @@ def test_single_slot_accounting():
 def test_queue_updates_at_slot_start():
     scn = load_scenario(DATA_DIR / "tiny.json")
     state = OrchestratorState(queue=0.0, slot_index=1, prev_cost=100.0)
-    (report, _, _, _), state = run_one_slot(scn, [[], [], [], []], state)
+    (report, _, _, _), state = run_one_slot(scn, [], state)
     # 100 spent against a budget of 60 leaves a backlog of 40
     assert report.queue == 40.0
     assert report.q_eff == 40.0
@@ -114,13 +112,14 @@ def test_window_hook_sees_each_busy_fine_slot():
     resources = ResourceState(dict(scn.capacity))
     allocator = OnlineAllocator(scn, resources)
     placement = PlacementProfile.empty(2, dict(scn.cache_size))
-    arrivals = [[Request(1, 0, 1, 0, {0: (1, ())})], [],
-                [Request(2, 2, 1, 0, {0: (1, ())})], []]
-    run_coarse_slot(state, arrivals, packed(scn, arrivals), allocator,
+    requests = [Request(1, 0, 1, 0, {0: (1, ())}),
+                Request(2, 2, 1, 0, {0: (1, ())}),
+                Request(3, 2, 1, 1, {1: (1, ())})]
+    run_coarse_slot(state, requests, packed(scn, requests), allocator,
                     lambda demand: PlacementSolution(placement, 0.0, 0.0, []),
                     placement,
                     scn.catalog, scn, window_hook=hook)
-    assert calls == [(0, [1], [True]), (2, [2], [True])]
+    assert calls == [(0, [1], [True]), (2, [2, 3], [True, True])]
 
 
 def test_placement_swap_is_returned_not_applied():
@@ -131,7 +130,7 @@ def test_placement_swap_is_returned_not_applied():
     allocator = OnlineAllocator(scn, resources)
     placement = PlacementProfile.empty(2, dict(scn.cache_size))
     (report, new_placement, _, _) = run_coarse_slot(
-        state, [[], [], [], []], packed(scn, []), allocator,
+        state, [], packed(scn, []), allocator,
         lambda demand: PlacementSolution(sentinel, 0.0, 0.0, []), placement,
         scn.catalog, scn)
     assert new_placement is sentinel
@@ -155,8 +154,28 @@ def test_empty_slot_prices_nothing_but_still_advances(monkeypatch):
     scn = load_scenario(DATA_DIR / "tiny.json")
     state = OrchestratorState(queue=0.0, slot_index=1, prev_cost=100.0)
     (report, placement, decisions, demand), state = run_one_slot(
-        scn, [[], [], [], []], state)
+        scn, [], state)
     assert advanced == [4, 5, 6, 7]
     assert report.queue == 40.0 and report.arrivals == 0 and decisions == []
     assert demand.entries == {} and demand.slot == 1
     placement.validate(scn.catalog)
+
+
+@pytest.mark.parametrize("arrivals", [(5, 4), (4, 8), (7, 8), (3, 5)],
+                         ids=["out_of_order", "past_the_slot", "next_slot",
+                              "previous_slot"])
+def test_requests_out_of_order_or_outside_the_slot_raise(arrivals,
+                                                         monkeypatch):
+    """Slot 1 spans fine slots 4..7; a request out of arrival order or
+    from another slot is refused before the queue or a fine slot moves."""
+    advanced = []
+    monkeypatch.setattr(OnlineAllocator, "advance_fine_slot",
+                        lambda self, t: advanced.append(t))
+    scn = load_scenario(DATA_DIR / "tiny.json")
+    requests = [Request(n, t, 1, 0, {0: (1, ("o000",))})
+                for n, t in enumerate(arrivals)]
+    state = OrchestratorState(queue=0.0, slot_index=1, prev_cost=100.0)
+    with pytest.raises(ValueError, match="arrival order from fine slots 4 to 7"):
+        run_one_slot(scn, requests, state)
+    assert state == OrchestratorState(queue=0.0, slot_index=1, prev_cost=100.0)
+    assert advanced == []

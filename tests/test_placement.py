@@ -23,8 +23,8 @@ def pair_topo(origin=(100.0, 110.0)):
 
 
 def test_aggregate_demand_counts_public_reads():
-    catalog = DataCatalog({"o1": 2, "o2": 1, "p1": 3},
-                          visibility={"p1": "private"})
+    catalog = DataCatalog({"o1": 2, "o2": 1})
+    catalog.add_many(["p1"], 3)
     req1 = Request(1, 0, 1, 0, {0: (2, ("o1", "p1"))})
     req2 = Request(2, 0, 1, 0, {0: (1, ("o1",)), 1: (1, ("o2",))})
     accepted = [
@@ -47,7 +47,8 @@ def test_aggregate_demand_skips_zero_count_groups():
 
 
 def test_aggregate_demand_refuses_unknown_ids():
-    catalog = DataCatalog({"o1": 1, "p1": 1}, visibility={"p1": "private"})
+    catalog = DataCatalog({"o1": 1})
+    catalog.add_many(["p1"], 1)
     for objects in (("o1", "zz"), ("p1", "zz")):
         req = Request(1, 0, 1, 0, {0: (1, objects)})
         with pytest.raises(ValueError, match="unknown object id 'zz'"):

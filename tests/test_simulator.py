@@ -75,8 +75,8 @@ def test_workload_shape_and_validation():
         assert 1 <= req.duration <= 5
         (count, objects), = req.demand.values()
         assert count == 1
-        publics = [o for o in objects if wl.catalog.is_public(o)]
-        privates = [o for o in objects if not wl.catalog.is_public(o)]
+        publics = [o for o in objects if o in wl.catalog.public]
+        privates = [o for o in objects if o not in wl.catalog.public]
         assert 1 <= len(publics) <= 3
         # unit sizes and an integer ratio make the private count exact
         assert len(privates) == 2 * len(publics)
@@ -103,8 +103,8 @@ def reference_workload(cfg, scenario, horizon_fine):
     """The plain draw loop that generate_workload replaces: one rng.choice
     for the VM type and one for the Zipf ranks of each request."""
     rng = np.random.default_rng(cfg.seed)
-    catalog = DataCatalog(scenario.catalog.sizes, scenario.catalog.visibility)
     publics = scenario.catalog.public_objects()
+    catalog = DataCatalog({o: scenario.catalog.sizes[o] for o in publics})
     probs = zipf_probabilities(len(publics), cfg.zipf_exponent)
     n_types = scenario.vms.n_types
     mix = np.array(cfg.vm_mix if cfg.vm_mix else [1.0 / n_types] * n_types)
@@ -125,7 +125,7 @@ def reference_workload(cfg, scenario, horizon_fine):
             want = cfg.private_ratio * volume
             n_priv = int(want) + (1 if rng.random() < want - int(want) else 0)
             private = [f"p{req_id}-{j}" for j in range(n_priv)]
-            catalog.add_many(private, 1, "private")
+            catalog.add_many(private, 1)
             requests.append(Request(
                 req_id=req_id, arrival=t, duration=life,
                 ingress=int(rng.integers(n_clouds)),
@@ -186,7 +186,7 @@ def test_draw_matches_reference_choice_loop(scenario_name):
                 assert wl.stream_hash == digest, where
                 assert wl.requests == requests, where
                 assert wl.catalog.sizes == catalog.sizes, where
-                assert wl.catalog.visibility == catalog.visibility, where
+                assert wl.catalog.public == catalog.public, where
                 assert_same_rows(wl.rows, pack_requests(
                     requests, scn.catalog.public_objects(),
                     scn.topology.n_clouds, catalog), where)
@@ -257,7 +257,7 @@ def test_fractional_private_ratio_tracks_volume():
     privates = publics = 0
     for req in wl.requests:
         (_, objects), = req.demand.values()
-        pub = sum(1 for o in objects if wl.catalog.is_public(o))
+        pub = sum(1 for o in objects if o in wl.catalog.public)
         publics += pub
         privates += len(objects) - pub
     assert 0.45 < privates / publics < 0.55
@@ -445,11 +445,33 @@ def test_workload_refuses_requests_out_of_arrival_order():
 
 
 def test_private_id_taken_by_a_public_object_raises():
-    scn = load_scenario(DATA_DIR / "tiny.json")
-    scn.catalog.add_many(["p0-0"], 1)
+    tiny = load_scenario(DATA_DIR / "tiny.json")
+    scn = replace(tiny, catalog=DataCatalog({**tiny.catalog.sizes, "p0-0": 1}))
+    assert "p0-0" in scn.catalog.public
     cfg = WorkloadConfig(seed=0, lambda_range=(5.0, 5.0), private_ratio=1.0)
     with pytest.raises(ValueError, match="duplicate object id 'p0-0'"):
         generate_workload(cfg, scn, 4)
+
+
+def test_scenario_private_objects_stay_out_of_the_stream():
+    """A private object added to a scenario catalog does not become public
+    in, or join, the catalog of a stream drawn over it: the stream draws
+    the same requests and holds the same public list as over the bare
+    scenario."""
+    cfg = WorkloadConfig(seed=0, lambda_range=(5.0, 5.0), private_ratio=1.0)
+    bare = generate_workload(cfg, load_scenario(DATA_DIR / "tiny.json"), 8)
+    scn = load_scenario(DATA_DIR / "tiny.json")
+    publics = scn.catalog.public_objects()
+    scn.catalog.add_many(["p0-0", "q0"], 1)
+    wl = generate_workload(cfg, scn, 8)
+    assert wl.catalog.public_objects() == publics == bare.catalog.public_objects()
+    assert wl.rows.publics == tuple(publics)
+    # the first request reads the private object the scenario also names
+    [(_, objects)] = wl.requests[0].demand.values()
+    assert objects[-1] == "p0-0"
+    assert "q0" not in wl.catalog.sizes
+    assert wl.catalog.sizes == bare.catalog.sizes
+    assert wl.stream_hash == bare.stream_hash
 
 
 def test_lookahead_oracle_single_request():
@@ -471,7 +493,7 @@ def test_lookahead_oracle_respects_budget():
     for r in range(3):
         scn.capacity[(0, r)] = 0.0
     privates = [f"q{j}" for j in range(5)]
-    scn.catalog.add_many(privates, 1, "private")
+    scn.catalog.add_many(privates, 1)
     req = Request(0, 0, 1, 0, {0: (1, tuple(privates))})
     wl = hand_workload(scn, [req])
     avg, combo = lookahead_oracle(scn, wl, n_frame=1, frame_index=0)

@@ -12,7 +12,8 @@ outputs.  It covers
   * the stream_hash of every run cell;
   * the streams drawn for the desk, tiny, stress and paper_scale
     scenarios (default workload, seeds 0-2, 10 coarse slots): each one's
-    stream_hash, its packed rows and its catalog's object sizes;
+    stream_hash, its packed rows, its catalog's object sizes and its
+    catalog's public object list;
   * the replays of the seed-0 paper_scale stream under proposed and
     myopic_coop: their decisions, slot reports, placements and counters.
 
@@ -107,6 +108,8 @@ def stream_digests():
             ).encode())
             out[f"{key}.catalog_sizes"] = digest(
                 repr(sorted(stream.catalog.sizes.items())).encode())
+            out[f"{key}.public_objects"] = digest(
+                repr(stream.catalog.public_objects()).encode())
     return out
 
 
