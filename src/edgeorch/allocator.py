@@ -16,14 +16,14 @@ The myopic baselines admit through MyopicAllocator instead: the cheapest
 bundle that fits, behind a hard per-coarse-slot transport budget.
 """
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import config_usage, enumerate_configs
+from .model import config_usage, enumerate_configs, ordered_sum
 
 E_RATIO = math.e / (math.e - 1.0)
 BONUS_SCALE = 1.0 / (math.e - 1.0)
@@ -96,13 +96,14 @@ class Shape(NamedTuple):
 
 @dataclass
 class ScoredConfig:
+    # a reject that reads only the objective leaves the rest None
     config: object
     objective: float          # L * adjusted revenue - shadow-price charge
-    adjusted_revenue: float   # sum of the per-cloud values below
-    per_cloud: dict           # cloud -> adjusted revenue earned there
-    revenue: float            # realized revenue if accepted (price * count * L)
-    transport_cost: float     # one-shot transport cost at current placement
-    shape: Shape              # the config's usage rows, which admit prices
+    adjusted_revenue: float = None  # sum of the per-cloud values below
+    per_cloud: dict = None    # cloud -> adjusted revenue earned there
+    revenue: float = None     # realized revenue if accepted (price * count * L)
+    transport_cost: float = None  # one-shot transport cost at current placement
+    shape: Shape = None       # the config's usage rows, which admit prices
 
 
 @dataclass
@@ -126,23 +127,24 @@ class Decision:
         return self.verdict == "accepted"
 
 
-class Scores(NamedTuple):
-    """One request's configs in enumeration order and their values from
-    score_matrix, one entry per config.  Only the online rule fills the
-    last two; the myopic rule leaves them None."""
+class ShapeScores(NamedTuple):
+    """Score arrays of a slot's requests of one shape: row m is its m-th
+    request, column c the c-th config.  The myopic rule fills spend only."""
 
     shapes: list
-    spend: list               # transport cost at the slot's placement
-    values: list              # duration * adjusted revenue
-    adjusted: object          # (config, cloud + 1) array: adjusted revenue
+    spend: np.ndarray         # transport cost at the slot's placement
+    values: np.ndarray        # duration * adjusted revenue
+    adjusted: np.ndarray      # (request, config, cloud + 1): adjusted revenue
                               # earned at each cloud, then the total
+    best: list                # per request: its first config of highest value
+    top: list                 # per request: that config's value
 
 
 class _AdmissionRule:
     """Ledger and per-shape config cache shared by both admission rules.
 
-    Admission rules rank a request's configs by its Scores from the rule's
-    score_matrix, the only valuation of a config.
+    Admission rules rank a request's configs by the rule's score_matrix,
+    the only valuation of a config.
     """
 
     def __init__(self, scenario, resources):
@@ -163,24 +165,20 @@ class _AdmissionRule:
             shapes = []
             for config in enumerate_configs(req, self.topo):
                 usage = config_usage(req, config, self.vms)
-                dims = {}
-                for (i, r) in usage:
-                    dims[i] = dims.get(i, 0) + 1
                 terms = tuple((k, i, req.demand[k][0], self.vms.price(k))
                               for k, i in config.assignment.items())
-                revenue_rate = 0.0
-                for _, _, count, price in terms:
-                    revenue_rate += count * price
                 shapes.append(Shape(
-                    config, usage, sorted(usage.items()), dims, terms,
-                    sorted(set(config.assignment.values())), revenue_rate))
+                    config, usage, sorted(usage.items()),
+                    Counter(i for i, _ in usage), terms,
+                    sorted(set(config.assignment.values())),
+                    ordered_sum(count * price for _, _, count, price in terms)))
             self._shape_cache[key] = shapes
         return shapes
 
     def score_matrix(self, requests, costs, q_eff):
-        """Each request's Scores, from one array pass per request shape.
-        costs holds the requests' rows of model.transport_rows: one per
-        (request, positive type group)."""
+        """Each request's (ShapeScores, row) entry, from one array pass per
+        request shape.  costs holds the requests' rows of
+        model.transport_rows: one per (request, positive type group)."""
         by_shape = {}   # id of a cached shape list -> (shapes, members)
         row = 0
         for n, req in enumerate(requests):
@@ -188,7 +186,7 @@ class _AdmissionRule:
             members = by_shape.setdefault(id(shapes), (shapes, []))[1]
             members.append((n, row, req.duration))
             row += len(shapes[0].terms)
-        scores = [None] * len(requests)
+        entries = [None] * len(requests)
         for shapes, members in by_shape.values():
             positions, rows, durations = zip(*members)
             rows = np.array(rows)
@@ -202,17 +200,16 @@ class _AdmissionRule:
             spend = np.zeros((len(rows), len(shapes)))
             for j, ((_, _, count, _), unit) in enumerate(zip(terms, units)):
                 spend += count * unit[:, clouds[:, j]]
-            values, adjusted = self._values(terms, clouds, units,
-                                            np.array(durations), q_eff)
-            for n, s, v, a in zip(positions, spend.tolist(), values,
-                                  adjusted):
-                scores[n] = Scores(shapes, s, v, a)
-        return scores
+            group = ShapeScores(shapes, spend, *self._values(
+                terms, clouds, units, np.array(durations), q_eff))
+            for m, n in enumerate(positions):
+                entries[n] = (group, m)
+        return entries
 
     def _values(self, terms, clouds, units, durations, q_eff):
-        """The values and adjusted parts of the requests' Scores: None
-        for the myopic rule, which reads spend only."""
-        return (itertools.repeat(None),) * 2
+        """The last four parts of ShapeScores; the myopic rule reads spend
+        only."""
+        return (None,) * 4
 
 
 class OnlineAllocator(_AdmissionRule):
@@ -251,7 +248,7 @@ class OnlineAllocator(_AdmissionRule):
         return total
 
     def _values(self, terms, clouds, units, durations, q_eff):
-        """values and adjusted of each request's Scores.  Each group's
+        """values, adjusted, best and top of ShapeScores.  Each group's
         value, count * (v * price - q_eff * unit / duration), is added to
         its cloud's sum, which starts from 0.0; the total adds the
         per-cloud sums, clouds ascending, to 0.0, and the value is duration
@@ -268,34 +265,39 @@ class OnlineAllocator(_AdmissionRule):
         total = adjusted[:, :, n]   # a view: the sums land in the last column
         for i in range(n):
             total += adjusted[:, :, i]
-        # adjusted stays an array, and select_config reads only the
-        # winner's row: per-request lists of it cost more than they save
-        return (durations[:, None] * total).tolist(), adjusted
+        values = durations[:, None] * total
+        return (values, adjusted, *first_max(values))
 
     def select_config(self, req, scores):
         """Highest priced-out objective across all configs; first wins ties.
-        scores: the request's Scores from score_matrix."""
-        shapes, spend, values, adjusted = scores
-        # a config on clouds without a price row is charged 0.0, and
-        # subtracting 0.0 leaves its score as it is
+        scores: the request's (ShapeScores, row) entry of score_matrix.  In
+        a window with no price row that is the row's first argmax, and a
+        negative one is a reject whose ScoredConfig holds it alone."""
+        (shapes, spend, values, adjusted, firsts, tops), m = scores
         priced = self.dual.priced
-        objective = None
-        for c, score in enumerate(values):
-            shape = shapes[c]
-            if not priced.isdisjoint(shape.clouds):
-                score -= self._charge(req, shape.rows)
-            if objective is None or score > objective:
-                objective, best = score, c
+        if not priced:
+            best, objective = firsts[m], tops[m]
+            if objective < 0.0:
+                return ScoredConfig(None, objective)
+        else:
+            # a config on clouds without a price row is charged 0.0, and
+            # subtracting 0.0 leaves its score as it is
+            objective = None
+            for c, score in enumerate(values[m].tolist()):
+                shape = shapes[c]
+                if not priced.isdisjoint(shape.clouds):
+                    score -= self._charge(req, shape.rows)
+                if objective is None or score > objective:
+                    objective, best = score, c
         shape = shapes[best]
-        row = adjusted[best].tolist()
+        row = adjusted[m, best].tolist()
         return ScoredConfig(shape.config, objective, row[-1],
                             {i: row[i] for i in shape.clouds},
-                            req.duration * shape.revenue_rate, spend[best],
-                            shape)
+                            req.duration * shape.revenue_rate,
+                            spend.item(m, best), shape)
 
     def admit(self, req, scored, q_eff):
         """Apply the accept/reject rule to the chosen config and settle duals."""
-        config = scored.config
         if scored.objective < 0.0:
             return self._reject(req, scored, REJECT_NEGATIVE, q_eff)
 
@@ -352,7 +354,7 @@ class OnlineAllocator(_AdmissionRule):
 
         return Decision(
             req_id=req.req_id, arrival=req.arrival, duration=req.duration,
-            verdict="accepted", reason=None, config=config,
+            verdict="accepted", reason=None, config=scored.config,
             objective=scored.objective, primal_delta=primal_delta,
             dual_delta=dual_delta, revenue=scored.revenue,
             transport_cost=scored.transport_cost, q_eff=q_eff,
@@ -396,15 +398,17 @@ class MyopicAllocator(_AdmissionRule):
             self.slot_spend = 0.0
 
     def decide(self, req, scores, q_eff):
-        # a stable sort: equal costs keep the enumeration order
-        ranked = sorted(zip(scores.spend, scores.shapes),
-                        key=lambda item: item[0])
+        group, m = scores
+        spend = group.spend[m].tolist()
         expiry = req.arrival + req.duration
-        for cost, shape in ranked:
+        # a stable sort: equal costs keep the enumeration order
+        for c in sorted(range(len(spend)), key=spend.__getitem__):
+            shape = group.shapes[c]
             if self.resources.fits(shape.usage, req.arrival, expiry):
                 break
         else:
             return self._decision(req, REJECT_CAPACITY, None, 0.0, 0.0, 0.0)
+        cost = spend[c]
         if self.slot_spend + cost > self.scenario.budget + 1e-9:
             return self._decision(req, REJECT_SLOT_BUDGET, None, -cost, 0.0, 0.0)
         self.resources.lease(req.req_id, shape.usage, req.arrival, expiry)
@@ -420,18 +424,26 @@ class MyopicAllocator(_AdmissionRule):
             dual_delta=0.0, revenue=revenue, transport_cost=cost, q_eff=0.0)
 
 
+def first_max(values):
+    """Each row's first argmax, as a loop with a strict > finds it, and the
+    value there, whose sign values.max would lose on -0.0 beside 0.0."""
+    best = values.argmax(axis=1)
+    return best.tolist(), values[np.arange(len(best)), best].tolist()
+
+
 def dual_feasibility_violations(allocator, requests, scores):
     """Replay every config of the given requests against the current duals.
 
     Covered means alpha plus the config's charge at today's prices reaches
     its time-extended adjusted revenue, the config's entry in values of the
-    request's Scores.  Prices only grow within a window and alpha is
-    settled at decision time, so the count should be zero (to 1e-7).
+    request's ShapeScores; scores holds the requests' entries of
+    score_matrix.  Prices only grow within a window and alpha is settled
+    at decision time, so the count should be zero (to 1e-7).
     """
     bad = 0
-    for req, row in zip(requests, scores):
+    for req, (group, m) in zip(requests, scores):
         alpha = allocator.dual.alpha.get(req.req_id, 0.0)
-        for shape, value in zip(row.shapes, row.values):
+        for shape, value in zip(group.shapes, group.values[m].tolist()):
             if alpha + allocator._charge(req, shape.rows) - value < -1e-7:
                 bad += 1
     return bad

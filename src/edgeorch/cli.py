@@ -132,10 +132,7 @@ def _build_cell(spec, scenario_path, axis, value, seed):
 
 
 def _cell_key(policy, seed, axis, value):
-    tag = f"{policy}_s{seed}"
-    if axis is not None:
-        tag += f"_{axis}{value:g}"
-    return tag
+    return f"{policy}_s{seed}" + (f"_{axis}{value:g}" if axis else "")
 
 
 def _run_stream(args):
@@ -144,16 +141,14 @@ def _run_stream(args):
     The cells share a seed and a private_ratio, the only sweep axis that
     changes the draw, so the first cell's stream serves them all.
     """
-    spec, scenario_path, seed, horizon, cells = args
+    horizon, cells = args
     workload = None
     results = []
-    for axis, value, policy in cells:
-        scenario, cfg = _build_cell(spec, scenario_path, axis, value, seed)
+    for key, policy, scenario, cfg in cells:
         if workload is None:
             workload = generate_workload(cfg, scenario,
                                          horizon * scenario.fine_per_coarse)
-        results.append((_cell_key(policy, seed, axis, value),
-                        run_policy(policy, scenario, workload, horizon)))
+        results.append((key, run_policy(policy, scenario, workload, horizon)))
     return results
 
 
@@ -288,12 +283,14 @@ def run_experiment(spec, out_dir, seed_override=None, horizon_override=None,
     sweep = spec["sweep"]
     points = [(sweep["axis"], v) for v in sweep["values"]] if sweep else [(None, None)]
 
+    # every cell is built, so its inputs are checked, before any draw
     streams = {}    # (seed, private_ratio point or None) -> its cells
     keys = set()    # each cell's artifacts are named by its key
     for axis, value in points:
         draw = value if axis == "private_ratio" else None
-        for policy in spec["policies"]:
-            for seed in seeds:
+        for seed in seeds:
+            scenario, cfg = _build_cell(spec, scenario_path, axis, value, seed)
+            for policy in spec["policies"]:
                 key = _cell_key(policy, seed, axis, value)
                 if key in keys:
                     raise ScenarioError(
@@ -301,9 +298,8 @@ def run_experiment(spec, out_dir, seed_override=None, horizon_override=None,
                         "seeds, policies or sweep values")
                 keys.add(key)
                 streams.setdefault((seed, draw), []).append(
-                    (axis, value, policy))
-    tasks = [(spec, scenario_path, seed, horizon, cells)
-             for (seed, _), cells in streams.items()]
+                    (key, policy, scenario, cfg))
+    tasks = [(horizon, cells) for cells in streams.values()]
     log.info("experiment %s: %d cells over %d streams", spec["name"],
              sum(len(cells) for cells in streams.values()), len(tasks))
     if workers > 1:

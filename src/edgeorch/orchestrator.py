@@ -65,11 +65,13 @@ def run_coarse_slot(state, requests, rows, allocator, place, placement,
     allocator: admission rule with queue_weight(queue),
         advance_fine_slot(t), score_matrix(requests, costs, q_eff) and
         decide(req, scores, q_eff) -> Decision, where costs are the slot's
-        model.transport_rows and scores the request's entry of
-        score_matrix.
+        model.transport_rows, score_matrix returns one entry per request,
+        its (allocator.ShapeScores, row) in the slot's per-shape score
+        arrays, and scores is the request's entry.
     place: callable(DemandMatrix) -> PlacementSolution for the next slot.
     window_hook: optional callable(fine slot, requests, scores) invoked
-        when the pricing window of each fine slot with arrivals closes.
+        when the pricing window of each fine slot with arrivals closes,
+        with those requests and their score_matrix entries.
 
     Returns (SlotReport, new placement, decisions, demand).
     """

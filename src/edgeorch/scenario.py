@@ -91,7 +91,17 @@ def _require(data, key, kind):
         value = float(value)
     if type(value) is not kind:
         raise ScenarioError(f"scenario field {key!r} has the wrong type")
+    if kind in (list, dict) and not _numbers_only(value):
+        raise ScenarioError(f"scenario field {key!r} must hold only numbers")
     return value
+
+
+def _numbers_only(value):
+    """Whether every leaf of a JSON list or object is an int or a float."""
+    if isinstance(value, (list, dict)):
+        return all(map(_numbers_only, (value.values()
+                                       if isinstance(value, dict) else value)))
+    return type(value) in (int, float)   # by type: a bool is an int
 
 
 SCENARIO_KEYS = {"name", "latency", "origin_latency", "resources", "recipes",

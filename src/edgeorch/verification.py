@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .allocator import _AdmissionRule
 from .model import PlacementProfile, config_usage
 from .orchestrator import update_virtual_queue
 from .placement import (brute_force_place, greedy_place, placement_cost,
@@ -267,10 +268,11 @@ def suite_theorem1(n_instances=20, n_frame=2, z=3):
     scenario = load_scenario(DATA_DIR / "tiny.json")
     instances = tiny_instances(n_instances, n_frame=n_frame, z=z)
     rows = []
+    rule = _AdmissionRule(scenario, None)   # one shape cache for every frame
     for seed, workload in instances:
         report = run_policy("proposed", scenario, workload, z * n_frame)
-        oracle = [lookahead_oracle(scenario, workload, n_frame, f)[0]
-                  for f in range(z)]
+        oracle = [lookahead_oracle(scenario, workload, n_frame, f,
+                                   rule=rule)[0] for f in range(z)]
         ok, lhs, rhs = theorem1_check(report, oracle, scenario.drift_bound,
                                       n_frame, scenario.v_weight)
         rows.append({"seed": seed, "lhs": lhs, "rhs": rhs, "ok": ok,

@@ -1,3 +1,4 @@
+import struct
 from collections import Counter
 from dataclasses import replace
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 
 from edgeorch.allocator import (BONUS_SCALE, E_RATIO, MyopicAllocator,
-                                OnlineAllocator, ScoredConfig,
+                                OnlineAllocator, ScoredConfig, ShapeScores,
                                 check_price_scaling,
                                 dual_feasibility_violations)
+from edgeorch.allocator import first_max as alloc_first_max
 from edgeorch.model import (DataCatalog, PlacementProfile, Request,
                             ResourceState, Topology, VMCatalog, config_usage,
                             fetch_latencies, pack_requests, transport_rows)
@@ -46,6 +48,30 @@ def two_cloud_scenario():
         budget=100.0,
         v_weight=10.0,
     )
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def check_selection(alloc, req, entry, scored, want):
+    """select_config's pick from the request's score_matrix entry against
+    want, the reference's pick.  A fast-path reject, in a window with no
+    price row, carries its objective alone: the objective is want's, bit
+    for bit, and the row's first argmax is want's config.  Any other pick
+    equals want field for field.  Returns whether it was a fast-path
+    reject."""
+    group, m = entry
+    if scored.config is None:
+        assert not alloc.dual.priced
+        assert scored == ScoredConfig(None, want.objective)
+        assert bits(scored.objective) == bits(want.objective)
+        assert want.objective < 0.0
+        assert group.shapes[group.best[m]] is want.shape
+        return True
+    assert scored == want
+    assert bits(scored.objective) == bits(want.objective)
+    return False
 
 
 def fresh(scenario):
@@ -109,14 +135,17 @@ def test_scoring_prefers_the_cached_cloud():
     assert cost == 40.0
     assert revenue == 40.0
 
-    scores = alloc.score_matrix([req], slot_costs(scn, fetch, [req]), 1.0)[0]
-    assert scores.shapes == [shape0, shape1]
-    assert scores.values == [360.0, 400.0]
-    assert scores.spend == [40.0, 0.0]
+    entry = alloc.score_matrix([req], slot_costs(scn, fetch, [req]), 1.0)[0]
+    group, m = entry
+    assert group.shapes == [shape0, shape1]
+    assert group.values[m].tolist() == [360.0, 400.0]
+    assert group.spend[m].tolist() == [40.0, 0.0]
     # adjusted revenue at clouds 0 and 1, then the total
-    assert scores.adjusted.tolist() == [[90.0, 0.0, 90.0],
-                                        [0.0, 100.0, 100.0]]
-    scored = alloc.select_config(req, scores)
+    assert group.adjusted[m].tolist() == [[90.0, 0.0, 90.0],
+                                          [0.0, 100.0, 100.0]]
+    # the first config of highest value, and that value
+    assert (group.best[m], group.top[m]) == (1, 400.0)
+    scored = alloc.select_config(req, entry)
     assert scored.config.assignment == {0: 1}
     assert scored.objective == 400.0
     assert scored.adjusted_revenue == 100.0
@@ -371,11 +400,12 @@ def test_admission_matches_scalar_reference():
                     ref.dual.beta[(i, 0, t)] = 1.5
             for n, (req, table) in enumerate(zip(batch, tables)):
                 q_eff = float(rng.choice([1.0, 250.0, 4000.0]))
-                scores = new.score_matrix(batch, costs, q_eff)[n]
-                scored = new.select_config(req, scores)
-                assert scored == reference_select_config(new, req, table, q_eff)
-                seen["priced"] += not new.dual.priced.isdisjoint(
-                    scored.shape.clouds)
+                entry = new.score_matrix(batch, costs, q_eff)[n]
+                scored = new.select_config(req, entry)
+                check_selection(new, req, entry, scored,
+                                reference_select_config(new, req, table, q_eff))
+                seen["priced"] += scored.shape is not None and not (
+                    new.dual.priced.isdisjoint(scored.shape.clouds))
                 got = new.admit(req, scored, q_eff)
                 want = ref.decide(req, fetch, q_eff)
                 assert got == want
@@ -443,57 +473,186 @@ def test_score_matrix_matches_scalar_scores():
         q_eff = float(rng.choice([1.0, 37.5, 4000.0]))
         scores = online.score_matrix(batch, costs, q_eff)
         spend = myopic.score_matrix(batch, costs, q_eff)
-        for req, table, row, cost_row in zip(batch, tables, scores, spend):
+        for req, table, (group, m), (bare, b) in zip(batch, tables, scores,
+                                                     spend):
             shapes = online._shapes_for(req)
             scalar = [reference_score_one(online, req, shape, table, q_eff)
                       for shape in shapes]
-            assert row.shapes == shapes
-            assert row.values == [req.duration * total
-                                  for total, _, _, _ in scalar]
-            assert row.spend == [cost for _, _, cost, _ in scalar]
-            assert row.adjusted.shape == (len(shapes),
-                                          scn.topology.n_clouds + 1)
+            values = [req.duration * total for total, _, _, _ in scalar]
+            assert group.shapes == shapes
+            assert group.values[m].tolist() == values
+            assert group.spend[m].tolist() == [cost for _, _, cost, _ in scalar]
+            assert group.adjusted[m].shape == (len(shapes),
+                                               scn.topology.n_clouds + 1)
             for shape, (*cloud_row, total), (want, per_cloud, _, _) in zip(
-                    shapes, row.adjusted.tolist(), scalar):
+                    shapes, group.adjusted[m].tolist(), scalar):
                 assert total == want
                 assert {i: cloud_row[i] for i in shape.clouds} == per_cloud
                 assert all(cloud_row[i] == 0.0 for i in scn.topology.clouds
                            if i not in per_cloud)
-            assert cost_row == (myopic._shapes_for(req), row.spend,
-                                None, None)
+            # the first config of highest value, as a strict > loop finds it
+            assert group.best[m] == max(range(len(values)),
+                                        key=lambda c: (values[c], -c))
+            assert bits(group.top[m]) == bits(values[group.best[m]])
+            assert bare.shapes == shapes
+            assert bare.spend[b].tolist() == group.spend[m].tolist()
+            assert bare[2:] == (None,) * 4
     assert all(groups[g] > 0 for g in (1, 2, 3)), groups
+
+
+def replay_checking_selections(monkeypatch, scn, wl, horizon):
+    """Replay the stream under proposed, checking every selection from the
+    score matrix against reference_select_config, which scores every
+    config with reference_score_one; returns the replay and counts of
+    what the selections met."""
+    select = OnlineAllocator.select_config
+    score_matrix = OnlineAllocator.score_matrix
+    priced = {}   # req_id -> (its cost table, the slot's q_eff)
+    entries = {}  # req_id -> its score_matrix entry
+    seen = Counter()
+
+    def scoring(self, requests, costs, q_eff):
+        scores = score_matrix(self, requests, costs, q_eff)
+        for req, table, entry in zip(requests, cost_tables(requests, costs),
+                                     scores):
+            priced[req.req_id] = (table, q_eff)
+            entries[req.req_id] = entry
+        return scores
+
+    def checked(self, req, scores):
+        assert scores is entries[req.req_id]
+        scored = select(self, req, scores)
+        seen["fast_rejects"] += check_selection(
+            self, req, scores, scored,
+            reference_select_config(self, req, *priced[req.req_id]))
+        seen["selections"] += 1
+        seen["priced"] += bool(self.dual.priced)
+        seen["won_on_priced"] += scored.shape is not None and not (
+            self.dual.priced.isdisjoint(scored.shape.clouds))
+        return scored
+
+    monkeypatch.setattr(OnlineAllocator, "score_matrix", scoring)
+    monkeypatch.setattr(OnlineAllocator, "select_config", checked)
+    report = run_policy("proposed", scn, wl, horizon)
+    assert seen["selections"] == len(report.decisions) > 0
+    return report, seen
 
 
 def test_selection_matches_reference_on_a_desk_stream(monkeypatch):
     """Over a generated desk stream, where shadow prices build up on every
     cloud, each selection from the score matrix equals the selection that
-    scores every config with reference_score_one."""
+    scores every config with reference_score_one; a fast-path reject in a
+    window with no price row carries the reference's objective, bit for
+    bit, and its row's first argmax is the reference's config."""
     scn = load_scenario(DATA_DIR / "desk.json")
     wl = generate_workload(WorkloadConfig(seed=3), scn,
                            12 * scn.fine_per_coarse)
-    select = OnlineAllocator.select_config
-    score_matrix = OnlineAllocator.score_matrix
-    priced = {}   # req_id -> (its cost table, the slot's q_eff)
-    seen = Counter()
-
-    def scoring(self, requests, costs, q_eff):
-        for req, table in zip(requests, cost_tables(requests, costs)):
-            priced[req.req_id] = (table, q_eff)
-        return score_matrix(self, requests, costs, q_eff)
-
-    def checked(self, req, scores):
-        scored = select(self, req, scores)
-        assert scored == reference_select_config(self, req,
-                                                 *priced[req.req_id])
-        seen["selections"] += 1
-        seen["priced"] += bool(self.dual.priced)
-        seen["won_on_priced"] += not self.dual.priced.isdisjoint(
-            scored.shape.clouds)
-        return scored
-
-    monkeypatch.setattr(OnlineAllocator, "score_matrix", scoring)
-    monkeypatch.setattr(OnlineAllocator, "select_config", checked)
-    report = run_policy("proposed", scn, wl, 12)
-    assert seen["selections"] == len(report.decisions) > 0
+    _, seen = replay_checking_selections(monkeypatch, scn, wl, 12)
     assert seen["priced"] > seen["selections"] / 2, seen
     assert seen["won_on_priced"] > 0, seen
+    assert seen["fast_rejects"] > 0, seen
+
+
+def test_selection_matches_reference_on_paper_scale_slots(monkeypatch):
+    """The same check over whole paper_scale slots, where many decisions
+    meet a window with no price row, rejects and accepts among them."""
+    scn = load_scenario(DATA_DIR / "paper_scale.json")
+    wl = generate_workload(WorkloadConfig(seed=1), scn,
+                           2 * scn.fine_per_coarse)
+    report, seen = replay_checking_selections(monkeypatch, scn, wl, 2)
+    unpriced = seen["selections"] - seen["priced"]
+    assert 0 < seen["fast_rejects"] < unpriced, seen
+    assert seen["won_on_priced"] > 0, seen
+    assert report.totals["accepted"] > 0
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 3.0, 2.0, 3.0, 3.0], [2.0, 2.0, 2.0, 2.0, 2.0],
+     [0.5, 0.25, 0.5, 0.125, 0.5]],
+    [[-0.0, 0.0, 0.0, -0.0, -1.0], [0.0, -0.0, -0.0, 0.0, -1.0],
+     [-1.0, -0.0, -2.0, 0.0, -0.0], [-0.0, 0.0, -1.0, -1.0, -1.0],
+     [0.0, -0.0, -1.0, -1.0, -1.0]],
+    [[-3.0, -1.0, -2.0, -1.0, -5.0], [-1e-300, -1e300, -2e-300, -1.0, -1.0],
+     [-4.0, -4.0, -4.0, -4.0, -4.0]],
+], ids=["ties", "signed_zeros", "all_negative"])
+def test_first_argmax_on_hand_made_rows(rows):
+    """select_config in a window with no price row, on hand-made values,
+    against the kept loop (the same rows in a window whose only price row
+    is on a cloud no config uses, so every charge is skipped) and against
+    a plain loop with a strict >: the same config, and the same objective
+    bit for bit; a negative one is a reject that carries it alone."""
+    scn = load_scenario(DATA_DIR / "desk.json")
+    alloc = fresh(scn)
+    req = Request(0, 0, 2, 0, {0: (1, ())})
+    shapes = alloc._shapes_for(req)
+    values = np.array(rows)
+    adjusted = np.zeros(values.shape + (scn.topology.n_clouds + 1,))
+    adjusted[:, :, -1] = values / req.duration
+    for m, (c, _) in enumerate(zip(*alloc_first_max(values))):
+        adjusted[m, c, shapes[c].clouds[0]] = values[m, c] / req.duration
+    group = ShapeScores(shapes, np.ones(values.shape), values, adjusted,
+                        *alloc_first_max(values))
+    for m, row in enumerate(rows):
+        want = None
+        for c, value in enumerate(row):
+            if want is None or value > row[want]:
+                want = c
+        assert group.best[m] == want
+        assert bits(group.top[m]) == bits(row[want])
+        alloc.dual.priced.clear()
+        fast = alloc.select_config(req, (group, m))
+        alloc.dual.priced.add(scn.topology.n_clouds)
+        loop = alloc.select_config(req, (group, m))
+        assert loop.config == shapes[want].config
+        assert bits(loop.objective) == bits(fast.objective) == bits(row[want])
+        if row[want] < 0.0:
+            assert fast == ScoredConfig(None, row[want])
+        else:
+            assert fast == loop
+
+
+def test_unpriced_selection_matches_reference_on_bundles():
+    """Requests of one, two and three type groups (5, 25 and 125 configs)
+    are selected and admitted one by one; each window starts with no price
+    row, so its first requests take the fast path.  Every selection
+    matches reference_select_config (see check_selection), and both paths
+    meet accepts and rejects on every group count."""
+    base = load_scenario(DATA_DIR / "desk.json")
+    scn = replace(base, vms=VMCatalog(
+        recipes=base.vms.recipes + [[5.0, 5.0, 5.0]],
+        prices=base.vms.prices + [7.5]))
+    publics = scn.catalog.public_objects()
+    rng = np.random.default_rng(31)
+    alloc = fresh(scn)
+    seen = Counter()
+    for t in range(60):
+        alloc.advance_fine_slot(t)
+        placement = PlacementProfile(
+            {i: [o for o in publics if rng.random() < 0.1] for i in range(5)},
+            dict(scn.cache_size))
+        fetch = slot_fetch(scn, placement)
+        batch = []
+        for n in range(4):
+            demand = {}
+            for k in rng.permutation(3)[:1 + t % 3]:
+                picks = rng.choice(len(publics), size=int(rng.integers(0, 4)),
+                                   replace=False)
+                demand[int(k)] = (int(rng.integers(1, 4)),
+                                  tuple(publics[j] for j in sorted(picks)))
+            batch.append(Request(100 * t + n, t, int(rng.integers(1, 4)),
+                                 int(rng.integers(5)), demand))
+        costs = slot_costs(scn, fetch, batch)
+        q_eff = float(rng.choice([1.0, 4000.0, 1e5]))
+        for req, table, entry in zip(batch, cost_tables(batch, costs),
+                                     alloc.score_matrix(batch, costs, q_eff)):
+            unpriced = not alloc.dual.priced
+            scored = alloc.select_config(req, entry)
+            check_selection(alloc, req, entry, scored,
+                            reference_select_config(alloc, req, table, q_eff))
+            decision = alloc.admit(req, scored, q_eff)
+            seen[(len(req.groups()), unpriced, decision.accepted)] += 1
+    assert alloc.counters["identity_violations"] == 0
+    for groups in (1, 2, 3):
+        for unpriced in (True, False):
+            for accepted in (True, False):
+                assert seen[(groups, unpriced, accepted)] > 0, seen

@@ -425,6 +425,14 @@ BAD_GRIDS = {
     "guard_a_string": {"overrides": {"hard_capacity_guard": "no"}},
     **{f"{key}_a_bool": {"overrides": {key: True}}
        for key in ("budget", "v_weight", "c_max", "fine_per_coarse")},
+    "bools_in_capacity_and_cache_size": {"overrides": {
+        "capacity": [[True, True, True], [True, True, True]],
+        "cache_size": [True, False]}},
+    # a bad point after a good one, and after a good seed, is found before
+    # the good cells are drawn
+    **{f"{axis}_point_negative": {"seeds": [0, 1], "sweep": {
+        "axis": axis, "values": [0.5, -5.0]}}
+       for axis in ("budget", "v_weight", "private_ratio")},
 }
 
 

@@ -105,8 +105,8 @@ def test_window_hook_sees_each_busy_fine_slot():
 
     def hook(t, batch, scores):
         calls.append((t, [r.req_id for r in batch],
-                      [s.shapes == allocator._shapes_for(r)
-                       for r, s in zip(batch, scores)]))
+                      [group.shapes == allocator._shapes_for(r)
+                       for r, (group, _) in zip(batch, scores)]))
 
     state = OrchestratorState()
     resources = ResourceState(dict(scn.capacity))

@@ -54,6 +54,34 @@ def test_from_dict_field_checks():
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("path, value", [
+    (("capacity", 0, 1), True),
+    (("cache_size", 1), False),
+    (("latency", 0, 0), False),
+    (("origin_latency", 1), "120"),
+    (("prices", 0), True),
+    (("recipes", 1, 0), None),
+    (("objects", "o000"), True),
+    (("objects", "o001"), "1"),
+], ids=["capacity_true", "cache_size_false", "latency_false",
+        "origin_latency_string", "price_true", "recipe_null", "size_true",
+        "size_string"])
+def test_list_and_object_fields_hold_only_numbers(tmp_path, path, value):
+    """A bool, a string or null among a list or object field's numbers is
+    refused, not read as a number."""
+    data = load_scenario(DATA_DIR / "tiny.json").to_dict()
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ScenarioError, match=path[0]):
+        scenario_from_dict(data)
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match=path[0]):
+        load_scenario(file)
+
+
 def test_unknown_scenario_keys_are_rejected(tmp_path):
     data = load_scenario(DATA_DIR / "desk.json").to_dict()
     assert set(data) == SCENARIO_KEYS

@@ -14,8 +14,9 @@ outputs.  It covers
     scenarios (default workload, seeds 0-2, 10 coarse slots): each one's
     stream_hash, its packed rows, its catalog's object sizes and its
     catalog's public object list;
-  * the replays of the seed-0 paper_scale stream under proposed and
-    myopic_coop: their decisions, slot reports, placements and counters.
+  * the replays of the paper_scale streams of seed 0 under proposed and
+    myopic_coop, and of seeds 1 and 2 under proposed: their decisions,
+    slot reports, placements and counters.
 
 It imports edgeorch from the src/ directory next to it, writes its CSVs to
 a temporary directory that it removes, and takes a few minutes with its
@@ -46,7 +47,9 @@ WORKERS = 2
 STREAM_SCENARIOS = ("desk", "tiny", "stress", "paper_scale")
 STREAM_SLOTS = 10
 ROW_COLUMNS = ("starts", "offsets", "source", "size")
-REPLAY_POLICIES = ("proposed", "myopic_coop")
+# (seed, policy) pairs replayed on the paper_scale stream
+REPLAYS = ((0, "proposed"), (0, "myopic_coop"), (1, "proposed"),
+           (2, "proposed"))
 TIMING_LINE = re.compile(r"elapsed|wallclock")
 
 
@@ -116,10 +119,12 @@ def stream_digests():
 def replay_digests():
     out = {}
     scenario = load_scenario(resolve_data("paper_scale", "scenario"))
-    stream = default_stream(scenario, 0)
-    for policy in REPLAY_POLICIES:
-        report = run_policy(policy, scenario, stream, STREAM_SLOTS)
-        key = f"paper_scale/seed0/{policy}"
+    streams = {}
+    for seed, policy in REPLAYS:
+        if seed not in streams:
+            streams[seed] = default_stream(scenario, seed)
+        report = run_policy(policy, scenario, streams[seed], STREAM_SLOTS)
+        key = f"paper_scale/seed{seed}/{policy}"
         for part in ("decisions", "slots", "placements"):
             out[f"{key}.{part}"] = digest(
                 repr(getattr(report, part)).encode())
