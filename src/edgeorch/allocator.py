@@ -17,13 +17,12 @@ bundle that fits, behind a hard per-coarse-slot transport budget.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import config_usage, enumerate_configs, ordered_sum
+from .model import config_usage, enumerate_configs
 
 E_RATIO = math.e / (math.e - 1.0)
 BONUS_SCALE = 1.0 / (math.e - 1.0)
@@ -165,13 +164,17 @@ class _AdmissionRule:
             shapes = []
             for config in enumerate_configs(req, self.topo):
                 usage = config_usage(req, config, self.vms)
+                dims = {}
+                for (i, r) in usage:
+                    dims[i] = dims.get(i, 0) + 1
                 terms = tuple((k, i, req.demand[k][0], self.vms.price(k))
                               for k, i in config.assignment.items())
+                revenue_rate = 0.0
+                for _, _, count, price in terms:
+                    revenue_rate += count * price
                 shapes.append(Shape(
-                    config, usage, sorted(usage.items()),
-                    Counter(i for i, _ in usage), terms,
-                    sorted(set(config.assignment.values())),
-                    ordered_sum(count * price for _, _, count, price in terms)))
+                    config, usage, sorted(usage.items()), dims, terms,
+                    sorted(set(config.assignment.values())), revenue_rate))
             self._shape_cache[key] = shapes
         return shapes
 
@@ -298,6 +301,7 @@ class OnlineAllocator(_AdmissionRule):
 
     def admit(self, req, scored, q_eff):
         """Apply the accept/reject rule to the chosen config and settle duals."""
+        config = scored.config
         if scored.objective < 0.0:
             return self._reject(req, scored, REJECT_NEGATIVE, q_eff)
 
@@ -354,7 +358,7 @@ class OnlineAllocator(_AdmissionRule):
 
         return Decision(
             req_id=req.req_id, arrival=req.arrival, duration=req.duration,
-            verdict="accepted", reason=None, config=scored.config,
+            verdict="accepted", reason=None, config=config,
             objective=scored.objective, primal_delta=primal_delta,
             dual_delta=dual_delta, revenue=scored.revenue,
             transport_cost=scored.transport_cost, q_eff=q_eff,

@@ -111,9 +111,10 @@ def adjust_cache_ratio(scenario, ratio):
     scenario.cache_size = {i: per_cloud for i in scenario.cache_size}
 
 
-def _build_cell(spec, scenario_path, axis, value, seed):
-    """Scenario and workload config for one run cell, sweeps applied; the
-    scenario checks see the overrides and budget or v_weight points."""
+def _build_point(spec, scenario_path, axis, value):
+    """Scenario and seed-0 workload config for one sweep point, the point
+    applied; the scenario checks see the overrides and budget or v_weight
+    points.  The point's seeds share the scenario."""
     overrides = dict(spec["overrides"])
     if axis in ("v_weight", "budget"):
         overrides[axis] = value
@@ -123,7 +124,7 @@ def _build_cell(spec, scenario_path, axis, value, seed):
     if "seed" in data:
         raise ScenarioError(f"workload {spec['workload']!r} names a seed; "
                             "the spec's seeds choose it")
-    cfg = WorkloadConfig.from_dict({**data, "seed": seed})
+    cfg = WorkloadConfig.from_dict(data)
     if axis == "cache_ratio":
         adjust_cache_ratio(scenario, value)
     elif axis == "private_ratio":
@@ -132,7 +133,10 @@ def _build_cell(spec, scenario_path, axis, value, seed):
 
 
 def _cell_key(policy, seed, axis, value):
-    return f"{policy}_s{seed}" + (f"_{axis}{value:g}" if axis else "")
+    tag = f"{policy}_s{seed}"
+    if axis is not None:
+        tag += f"_{axis}{value:g}"
+    return tag
 
 
 def _run_stream(args):
@@ -283,13 +287,14 @@ def run_experiment(spec, out_dir, seed_override=None, horizon_override=None,
     sweep = spec["sweep"]
     points = [(sweep["axis"], v) for v in sweep["values"]] if sweep else [(None, None)]
 
-    # every cell is built, so its inputs are checked, before any draw
+    # every point is built, so its inputs are checked, before any draw
     streams = {}    # (seed, private_ratio point or None) -> its cells
     keys = set()    # each cell's artifacts are named by its key
     for axis, value in points:
         draw = value if axis == "private_ratio" else None
+        scenario, cfg = _build_point(spec, scenario_path, axis, value)
         for seed in seeds:
-            scenario, cfg = _build_cell(spec, scenario_path, axis, value, seed)
+            seeded = replace(cfg, seed=seed)
             for policy in spec["policies"]:
                 key = _cell_key(policy, seed, axis, value)
                 if key in keys:
@@ -298,7 +303,7 @@ def run_experiment(spec, out_dir, seed_override=None, horizon_override=None,
                         "seeds, policies or sweep values")
                 keys.add(key)
                 streams.setdefault((seed, draw), []).append(
-                    (key, policy, scenario, cfg))
+                    (key, policy, scenario, seeded))
     tasks = [(horizon, cells) for cells in streams.values()]
     log.info("experiment %s: %d cells over %d streams", spec["name"],
              sum(len(cells) for cells in streams.values()), len(tasks))

@@ -61,7 +61,11 @@ class Topology:
     def __init__(self, latency, origin_latency):
         self.w = [list(map(float, row)) for row in latency]
         self.origin = [float(x) for x in origin_latency]
-        self.n_clouds = n = len(self.w)
+        self.n_clouds = len(self.w)
+        self._validate()
+
+    def _validate(self):
+        n = self.n_clouds
         if n == 0:
             raise ValueError("topology has no clouds")
         for i, row in enumerate(self.w):
@@ -111,6 +115,9 @@ class VMCatalog:
     @property
     def n_types(self):
         return len(self.recipes)
+
+    def footprint(self, k, r):
+        return self.recipes[k][r]
 
     def price(self, k):
         return self.prices[k]
@@ -196,11 +203,15 @@ def enumerate_configs(req, topo):
     The group for type k (all its VMs plus the data they read) is never split
     across clouds, so a request with G positive types has n_clouds**G configs.
     """
+    if topo.n_clouds == 0:
+        raise ValueError("topology has no clouds")
     groups = req.groups()
     if not groups:
         raise ValueError("request demands no VMs")
-    return [AllocationConfig(dict(zip(groups, combo))) for combo
-            in itertools.product(topo.clouds, repeat=len(groups))]
+    configs = []
+    for combo in itertools.product(range(topo.n_clouds), repeat=len(groups)):
+        configs.append(AllocationConfig(dict(zip(groups, combo))))
+    return configs
 
 
 class PlacementProfile:
@@ -344,7 +355,7 @@ def config_usage(req, config, vm_catalog):
     for k, i in config.assignment.items():
         count = req.demand[k][0]
         for r in range(vm_catalog.n_resources):
-            units = count * vm_catalog.recipes[k][r]
+            units = count * vm_catalog.footprint(k, r)
             if units > 0:
                 usage[(i, r)] = usage.get((i, r), 0.0) + units
     return usage

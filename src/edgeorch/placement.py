@@ -34,6 +34,9 @@ class DemandMatrix:
             totals[o] = totals.get(o, 0.0) + d
         return totals
 
+    def copy(self):
+        return DemandMatrix(self.slot, dict(self.entries))
+
 
 def aggregate_demand(accepted, catalog, slot):
     """Size-weighted public-object demand per cloud from accepted bundles.

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import (MyopicAllocator, OnlineAllocator, _AdmissionRule,
+from .allocator import (MyopicAllocator, OnlineAllocator,
                         dual_feasibility_violations)
 from .model import (DataCatalog, PackedRows, PlacementProfile, Request,
                     ResourceState, _draws, ordered_sum, transport_rows)
@@ -205,7 +205,7 @@ def perturb_demand(demand, error_mean, rng):
     its demand entries with that probability.  Accounting keeps true costs.
     """
     if error_mean <= 0 or not demand.entries:
-        return DemandMatrix(demand.slot, dict(demand.entries)), 0.0, ()
+        return demand.copy(), 0.0, ()
     eps = min(1.0, float(rng.poisson(error_mean * 10)) / 10)
     totals = demand.total_by_object()
     ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -240,11 +240,22 @@ class RunReport:
     high_water: dict = field(default_factory=dict)   # (cloud, resource) -> peak units
 
     @property
+    def time_avg_revenue(self):
+        return self.totals["revenue"] / max(self.horizon_coarse, 1)
+
+    @property
+    def time_avg_cost(self):
+        return self.totals["cost"] / max(self.horizon_coarse, 1)
+
+    @property
     def acceptance_rate(self):
         return self.totals["accepted"] / max(self.totals["arrivals"], 1)
 
+    @property
+    def final_queue(self):
+        return self.queue_trace[-1] if self.queue_trace else 0.0
+
     def summary(self):
-        slots = max(self.horizon_coarse, 1)
         return {
             "policy": self.policy,
             "scenario": self.scenario_name,
@@ -255,9 +266,9 @@ class RunReport:
             "acceptance_rate": self.acceptance_rate,
             "total_revenue": self.totals["revenue"],
             "total_cost": self.totals["cost"],
-            "time_avg_revenue": self.totals["revenue"] / slots,
-            "time_avg_cost": self.totals["cost"] / slots,
-            "final_queue": self.queue_trace[-1] if self.queue_trace else 0.0,
+            "time_avg_revenue": self.time_avg_revenue,
+            "time_avg_cost": self.time_avg_cost,
+            "final_queue": self.final_queue,
             "counters": dict(self.counters),
             "stream_hash": self.stream_hash,
             "wallclock_s": round(self.wallclock, 3),
@@ -303,8 +314,10 @@ def run_policy(policy, scenario, workload, horizon_coarse,
                 "replayed_windows": 0}
     catalog = workload.catalog
     resources = ResourceState(scenario.capacity)
-    allocator = (OnlineAllocator if policy == "proposed"
-                 else MyopicAllocator)(scenario, resources)
+    if policy == "proposed":
+        allocator = OnlineAllocator(scenario, resources)
+    else:
+        allocator = MyopicAllocator(scenario, resources)
     cooperative = policy != "myopic_nocoop"
     perturb_rng = np.random.default_rng([workload.config.seed, 101])
 
@@ -371,8 +384,7 @@ def run_policy(policy, scenario, workload, horizon_coarse,
     )
 
 
-def lookahead_oracle(scenario, workload, n_frame, frame_index,
-                     max_requests=16, rule=None):
+def lookahead_oracle(rule, workload, n_frame, frame_index, max_requests=16):
     """Clairvoyant optimum of one frame of n_frame coarse slots.
 
     Exhausts every accept/config combination that fits a fresh capacity
@@ -383,9 +395,10 @@ def lookahead_oracle(scenario, workload, n_frame, frame_index,
     private streams.  Returns the frame's per-slot average revenue and the
     best assignment found.
 
-    rule: an allocator._AdmissionRule of this scenario, whose config
-    shapes the frames of one caller can share; a fresh one by default.
+    rule: an allocator._AdmissionRule, which values the frame's configs
+    under its own scenario; the frames of one caller share its shape cache.
     """
+    scenario = rule.scenario
     fpc = scenario.fine_per_coarse
     first = frame_index * n_frame
     topo = scenario.topology
@@ -401,7 +414,7 @@ def lookahead_oracle(scenario, workload, n_frame, frame_index,
     free = dict.fromkeys(workload.rows.publics, 0.0)
     private = transport_rows(workload.rows.take(lo, hi),
                              [free] * topo.n_clouds, topo)
-    rule = rule or _AdmissionRule(scenario, None)
+
     options = []   # per request: (config or None, revenue, usage, private cost)
     for req, (group, m) in zip(frame_reqs,
                                rule.score_matrix(frame_reqs, private, 0.0)):

@@ -271,8 +271,8 @@ def suite_theorem1(n_instances=20, n_frame=2, z=3):
     rule = _AdmissionRule(scenario, None)   # one shape cache for every frame
     for seed, workload in instances:
         report = run_policy("proposed", scenario, workload, z * n_frame)
-        oracle = [lookahead_oracle(scenario, workload, n_frame, f,
-                                   rule=rule)[0] for f in range(z)]
+        oracle = [lookahead_oracle(rule, workload, n_frame, f)[0]
+                  for f in range(z)]
         ok, lhs, rhs = theorem1_check(report, oracle, scenario.drift_bound,
                                       n_frame, scenario.v_weight)
         rows.append({"seed": seed, "lhs": lhs, "rhs": rhs, "ok": ok,

@@ -149,9 +149,15 @@ def test_cells_that_share_a_draw_share_one_stream(tmp_path, monkeypatch):
     spec = load_experiment(str(mini_spec(
         tmp_path, seeds=[0, 1],
         sweep={"axis": "cache_ratio", "values": [0.5, 0.9]})))
+    loads = []
+    real_load = cli.load_scenario
+    monkeypatch.setattr(cli, "load_scenario",
+                        lambda *args: loads.append(args) or real_load(*args))
     assert run_experiment(spec, tmp_path / "cache") == 0
     assert len(list((tmp_path / "cache").glob("*_slots.csv"))) == 8
     assert sorted(draws) == [(0, 2.0), (1, 2.0)]
+    # one scenario per point, which its seeds share
+    assert len(loads) == 2
     # nothing outlives the call: a second run draws again
     assert run_experiment(spec, tmp_path / "again") == 0
     assert len(draws) == 4
@@ -287,7 +293,7 @@ def test_budget_overrides_rederive_only_an_omitted_c_max(tmp_path):
 
     def drift(path, axis=None, value=None, **overrides):
         cell = {**spec, "overrides": overrides}
-        return cli._build_cell(cell, path, axis, value, 0)[0].drift_bound
+        return cli._build_point(cell, path, axis, value)[0].drift_bound
 
     # B = max(c_max, budget)**2 / 2, where an omitted c_max is 3 x the
     # budget in force, however it is set

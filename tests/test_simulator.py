@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from edgeorch.allocator import _AdmissionRule
 from edgeorch.cli import resolve_data
 from edgeorch.model import (DataCatalog, Request, Topology, VMCatalog,
                             ordered_sum, pack_requests)
@@ -433,7 +434,7 @@ def test_stream_replayed_on_another_system_raises():
             with pytest.raises(ValueError, match=match):
                 run_policy(policy, scn, wl, 2)
         with pytest.raises(ValueError, match=match):
-            lookahead_oracle(scn, wl, 1, 0)
+            oracle(scn, wl, 1, 0)
     run_policy("proposed", desk, wl, 2)
 
 
@@ -474,15 +475,19 @@ def test_scenario_private_objects_stay_out_of_the_stream():
     assert wl.stream_hash == bare.stream_hash
 
 
+def oracle(scn, wl, *args, **kwargs):
+    return lookahead_oracle(_AdmissionRule(scn, None), wl, *args, **kwargs)
+
+
 def test_lookahead_oracle_single_request():
     scn = load_scenario(DATA_DIR / "tiny.json")
     req = Request(0, 0, 2, 0, {0: (1, ("o000",))})
     wl = hand_workload(scn, [req])
-    avg, combo = lookahead_oracle(scn, wl, n_frame=1, frame_index=0)
+    avg, combo = oracle(scn, wl, n_frame=1, frame_index=0)
     # caching o000 anywhere makes the bundle free, so it is accepted: L * p
     assert avg == 20.0
     assert combo is not None
-    empty, combo = lookahead_oracle(scn, wl, n_frame=1, frame_index=1)
+    empty, combo = oracle(scn, wl, n_frame=1, frame_index=1)
     assert (empty, combo) == (0.0, None)
 
 
@@ -496,11 +501,11 @@ def test_lookahead_oracle_respects_budget():
     scn.catalog.add_many(privates, 1)
     req = Request(0, 0, 1, 0, {0: (1, tuple(privates))})
     wl = hand_workload(scn, [req])
-    avg, combo = lookahead_oracle(scn, wl, n_frame=1, frame_index=0)
+    avg, combo = oracle(scn, wl, n_frame=1, frame_index=0)
     # five private units over the inter-cloud link cost at least 100 > 60
     assert (avg, combo) == (0.0, None)
     scn.budget = 1000.0
-    avg, combo = lookahead_oracle(scn, wl, n_frame=1, frame_index=0)
+    avg, combo = oracle(scn, wl, n_frame=1, frame_index=0)
     assert avg == 10.0
 
 
@@ -509,7 +514,7 @@ def test_lookahead_oracle_caps_frame_size():
     reqs = [Request(n, 0, 1, 0, {0: (1, ())}) for n in range(5)]
     wl = hand_workload(scn, reqs)
     with pytest.raises(ValueError):
-        lookahead_oracle(scn, wl, n_frame=1, frame_index=0, max_requests=4)
+        oracle(scn, wl, n_frame=1, frame_index=0, max_requests=4)
 
 
 def tiny_frames(capacity, budget):
@@ -534,16 +539,17 @@ def tiny_frames(capacity, budget):
 
 def test_lookahead_oracle_matches_reference():
     scn = load_scenario(DATA_DIR / "tiny.json")
-    for _, wl in tiny_instances(20):
+    shared = _AdmissionRule(scn, None)   # one rule for every frame, as
+    for _, wl in tiny_instances(20):     # the theorem1 suite shares it
         for frame in range(3):
-            assert (lookahead_oracle(scn, wl, 2, frame)
+            assert (lookahead_oracle(shared, wl, 2, frame)
                     == reference_lookahead_oracle(scn, wl, 2, frame))
     # where a constraint binds, relaxing it raises the reference value
     capacity_binds = budget_binds = 0
     for capacity in (30.0, 40.0):
         for budget in (20.0, 60.0):
             for scn, wl, frame in tiny_frames(capacity, budget):
-                got = lookahead_oracle(scn, wl, 2, frame)
+                got = oracle(scn, wl, 2, frame)
                 assert got == reference_lookahead_oracle(scn, wl, 2, frame)
                 roomy = replace(scn, capacity=dict.fromkeys(scn.capacity, 1e9))
                 rich = replace(scn, budget=1e9)
