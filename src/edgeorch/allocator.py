@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import config_usage, enumerate_configs
+from .model import config_usage, enumerate_configs, ordered_sum
 
 E_RATIO = math.e / (math.e - 1.0)
 BONUS_SCALE = 1.0 / (math.e - 1.0)
@@ -167,14 +167,12 @@ class _AdmissionRule:
                 dims = {}
                 for (i, r) in usage:
                     dims[i] = dims.get(i, 0) + 1
-                terms = tuple((k, i, req.demand[k][0], self.vms.price(k))
+                terms = tuple((k, i, req.demand[k][0], self.vms.prices[k])
                               for k, i in config.assignment.items())
-                revenue_rate = 0.0
-                for _, _, count, price in terms:
-                    revenue_rate += count * price
                 shapes.append(Shape(
                     config, usage, sorted(usage.items()), dims, terms,
-                    sorted(set(config.assignment.values())), revenue_rate))
+                    sorted(set(config.assignment.values())),
+                    ordered_sum(count * price for _, _, count, price in terms)))
             self._shape_cache[key] = shapes
         return shapes
 
@@ -213,6 +211,15 @@ class _AdmissionRule:
         """The last four parts of ShapeScores; the myopic rule reads spend
         only."""
         return (None,) * 4
+
+    @staticmethod
+    def _decision(req, reason, objective, config=None, revenue=0.0, cost=0.0,
+                  q_eff=0.0, primal_delta=0.0, dual_delta=0.0):
+        """The Decision on req: rejected for reason, accepted if it is None."""
+        return Decision(req.req_id, req.arrival, req.duration,
+                        "rejected" if reason else "accepted", reason, config,
+                        objective, primal_delta, dual_delta, revenue, cost,
+                        q_eff)
 
 
 class OnlineAllocator(_AdmissionRule):
@@ -301,7 +308,6 @@ class OnlineAllocator(_AdmissionRule):
 
     def admit(self, req, scored, q_eff):
         """Apply the accept/reject rule to the chosen config and settle duals."""
-        config = scored.config
         if scored.objective < 0.0:
             return self._reject(req, scored, REJECT_NEGATIVE, q_eff)
 
@@ -356,25 +362,17 @@ class OnlineAllocator(_AdmissionRule):
         self.counters["scaling_warnings"] += len(
             check_price_scaling(scored, usage, dims))
 
-        return Decision(
-            req_id=req.req_id, arrival=req.arrival, duration=req.duration,
-            verdict="accepted", reason=None, config=config,
-            objective=scored.objective, primal_delta=primal_delta,
-            dual_delta=dual_delta, revenue=scored.revenue,
-            transport_cost=scored.transport_cost, q_eff=q_eff,
-        )
+        return self._decision(req, None, scored.objective, scored.config,
+                              scored.revenue, scored.transport_cost, q_eff,
+                              primal_delta, dual_delta)
 
     def _reject(self, req, scored, reason, q_eff):
         # keep the dual feasible for rejected requests too: their constraint
         # is covered by the best objective seen at decision time
         alpha = max(0.0, scored.objective)
         self.dual.alpha[req.req_id] = alpha
-        return Decision(
-            req_id=req.req_id, arrival=req.arrival, duration=req.duration,
-            verdict="rejected", reason=reason, config=None,
-            objective=scored.objective, primal_delta=0.0, dual_delta=alpha,
-            revenue=0.0, transport_cost=0.0, q_eff=q_eff,
-        )
+        return self._decision(req, reason, scored.objective, q_eff=q_eff,
+                              dual_delta=alpha)
 
     def decide(self, req, scores, q_eff):
         return self.admit(req, self.select_config(req, scores), q_eff)
@@ -411,21 +409,14 @@ class MyopicAllocator(_AdmissionRule):
             if self.resources.fits(shape.usage, req.arrival, expiry):
                 break
         else:
-            return self._decision(req, REJECT_CAPACITY, None, 0.0, 0.0, 0.0)
+            return self._decision(req, REJECT_CAPACITY, 0.0)
         cost = spend[c]
         if self.slot_spend + cost > self.scenario.budget + 1e-9:
-            return self._decision(req, REJECT_SLOT_BUDGET, None, -cost, 0.0, 0.0)
+            return self._decision(req, REJECT_SLOT_BUDGET, -cost)
         self.resources.lease(req.req_id, shape.usage, req.arrival, expiry)
         self.slot_spend += cost
-        return self._decision(req, None, shape.config, -cost,
+        return self._decision(req, None, -cost, shape.config,
                               req.duration * shape.revenue_rate, cost)
-
-    def _decision(self, req, reason, config, objective, revenue, cost):
-        return Decision(
-            req_id=req.req_id, arrival=req.arrival, duration=req.duration,
-            verdict="rejected" if reason else "accepted", reason=reason,
-            config=config, objective=objective, primal_delta=0.0,
-            dual_delta=0.0, revenue=revenue, transport_cost=cost, q_eff=0.0)
 
 
 def first_max(values):

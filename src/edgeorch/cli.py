@@ -85,6 +85,10 @@ def load_experiment(name):
     spec.setdefault("sweep", None)
     spec.setdefault("overrides", {})
     spec.setdefault("lookahead", None)
+    for key, value in (spec["lookahead"] or {}).items():
+        if type(value) is not int or value < 1:
+            raise ScenarioError(f"lookahead {key} must be a positive integer, "
+                                f"got {value!r}")
     policies, sweep = spec["policies"], spec["sweep"]
     if not (isinstance(policies, list) and policies
             and all(p in POLICIES for p in policies)):
@@ -243,9 +247,8 @@ def svg_line_chart(path, series, title):
 
 def run_lookahead_experiment(spec, out_dir):
     cfg = spec["lookahead"]
-    result = run_suite("theorem1", n_instances=int(cfg.get("instances", 20)),
-                       n_frame=int(cfg.get("n_frame", 2)),
-                       z=int(cfg.get("frames", 3)))
+    result = run_suite("theorem1", n_instances=cfg.get("instances", 20),
+                       n_frame=cfg.get("n_frame", 2), z=cfg.get("frames", 3))
     with open(out_dir / "lookahead.csv", "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["seed", "achieved", "bound", "margin", "ok"])

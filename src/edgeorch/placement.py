@@ -34,9 +34,6 @@ class DemandMatrix:
             totals[o] = totals.get(o, 0.0) + d
         return totals
 
-    def copy(self):
-        return DemandMatrix(self.slot, dict(self.entries))
-
 
 def aggregate_demand(accepted, catalog, slot):
     """Size-weighted public-object demand per cloud from accepted bundles.
@@ -301,17 +298,10 @@ def brute_force_place(demand, cache_size, topo, catalog, cap=2_000_000):
     cost = np.zeros(shape)
     for i, o, d in pairs:
         lat = topo.origin[i]
-        own = None
         for n, c in enumerate(clouds):
             mask = held[n].get(o)
-            if mask is None:
-                continue
-            if c == i:
-                own = mask
-            else:
+            if mask is not None:   # its own cache at the zero diagonal
                 lat = np.minimum(lat, np.where(mask, topo.w[i][c], np.inf))
-        if own is not None:
-            lat = np.where(own, 0.0, lat)
         cost += float(d) * lat
     costs = cost.ravel()
     best = _scan_best(costs)

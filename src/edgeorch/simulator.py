@@ -51,9 +51,14 @@ class WorkloadConfig:
 
     def __post_init__(self):
         """Reject numbers the draw cannot use; draws nothing."""
+        if not all(isinstance(xs, (tuple, list)) for xs in (
+                self.lambda_range, self.lifetime, self.objects_per_vm,
+                self.vm_mix)):
+            raise ValueError("workload lambda_range, lifetime, objects_per_vm "
+                             "and vm_mix must be lists")
         ints = (self.regime_length, *self.lifetime, *self.objects_per_vm)
         reals = (*self.lambda_range, self.zipf_exponent, self.private_ratio,
-                 self.error_mean)
+                 self.error_mean, *self.vm_mix)
         if any(isinstance(x, bool) or not isinstance(x, kind)
                for xs, kind in ((ints, int), (reals, (int, float)))
                for x in xs):
@@ -72,6 +77,10 @@ class WorkloadConfig:
             if not floor <= value < math.inf:   # also false for NaN
                 raise ValueError(f"workload {name} must be finite and at "
                                  f"least {floor}")
+        if not all(0 <= x < math.inf for x in self.vm_mix) or (
+                self.vm_mix and abs(math.fsum(self.vm_mix) - 1.0) > 1e-9):
+            raise ValueError("workload vm_mix must hold finite, non-negative "
+                             "probabilities that sum to 1")
 
     @classmethod
     def from_dict(cls, data):
@@ -133,9 +142,7 @@ def generate_workload(cfg, scenario, horizon_fine):
     n_types = scenario.vms.n_types
     mix = np.array(cfg.vm_mix if cfg.vm_mix else [1.0 / n_types] * n_types,
                    dtype=float)
-    if not (np.isfinite(mix).all() and (mix >= 0).all()):
-        raise ValueError("vm_mix probabilities must be finite and non-negative")
-    if len(mix) != n_types or abs(mix.sum() - 1.0) > 1e-9:
+    if len(mix) != n_types:
         raise ValueError("vm_mix must give one probability per VM type")
     # rng.choice(n, p=p) is cdf.searchsorted(rng.random(), side="right")
     # over this cdf, which bisect_right finds on the cdf as a list; drawing
@@ -205,7 +212,7 @@ def perturb_demand(demand, error_mean, rng):
     its demand entries with that probability.  Accounting keeps true costs.
     """
     if error_mean <= 0 or not demand.entries:
-        return demand.copy(), 0.0, ()
+        return DemandMatrix(demand.slot, dict(demand.entries)), 0.0, ()
     eps = min(1.0, float(rng.poisson(error_mean * 10)) / 10)
     totals = demand.total_by_object()
     ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -240,22 +247,11 @@ class RunReport:
     high_water: dict = field(default_factory=dict)   # (cloud, resource) -> peak units
 
     @property
-    def time_avg_revenue(self):
-        return self.totals["revenue"] / max(self.horizon_coarse, 1)
-
-    @property
-    def time_avg_cost(self):
-        return self.totals["cost"] / max(self.horizon_coarse, 1)
-
-    @property
     def acceptance_rate(self):
         return self.totals["accepted"] / max(self.totals["arrivals"], 1)
 
-    @property
-    def final_queue(self):
-        return self.queue_trace[-1] if self.queue_trace else 0.0
-
     def summary(self):
+        slots = max(self.horizon_coarse, 1)
         return {
             "policy": self.policy,
             "scenario": self.scenario_name,
@@ -266,9 +262,9 @@ class RunReport:
             "acceptance_rate": self.acceptance_rate,
             "total_revenue": self.totals["revenue"],
             "total_cost": self.totals["cost"],
-            "time_avg_revenue": self.time_avg_revenue,
-            "time_avg_cost": self.time_avg_cost,
-            "final_queue": self.final_queue,
+            "time_avg_revenue": self.totals["revenue"] / slots,
+            "time_avg_cost": self.totals["cost"] / slots,
+            "final_queue": self.queue_trace[-1] if self.queue_trace else 0.0,
             "counters": dict(self.counters),
             "stream_hash": self.stream_hash,
             "wallclock_s": round(self.wallclock, 3),

@@ -36,35 +36,32 @@ class SuiteResult:
     wallclock: float = 0.0
 
 
-_stream_cache = {}   # (seed, horizon) -> (scenario, workload)
-_exp1_cache = {}     # (seed, horizon, windows) -> (scenario, workload, report)
+_exp1_cache = {}     # horizon -> (scenario, workload, windows, report)
 
 
-def _exp1_stream(seed, horizon):
-    """The desk scenario and its request stream, drawn once per (seed, horizon)."""
-    key = (seed, horizon)
-    if key not in _stream_cache:
+def _exp1_run(horizon):
+    """The desk replay lemma1, lemma5 and lemma6 share: the seed-0 stream
+    under the proposed policy, with up to 100 pricing windows, picked at
+    random among the fine slots with arrivals, replayed against their
+    closing duals.  That replay only reads the duals, so the run is the
+    one it would be without it."""
+    if horizon not in _exp1_cache:
         scenario = load_scenario(DATA_DIR / "desk.json")
-        workload = generate_workload(WorkloadConfig(seed=seed), scenario,
+        workload = generate_workload(WorkloadConfig(), scenario,
                                      horizon * scenario.fine_per_coarse)
-        _stream_cache[key] = (scenario, workload)
-    return _stream_cache[key]
-
-
-def _exp1_run(seed=0, horizon=150, windows=None):
-    """The shared reference run: desk scenario, stream seed, proposed policy."""
-    key = (seed, horizon, tuple(sorted(windows)) if windows else None)
-    if key not in _exp1_cache:
-        scenario, workload = _exp1_stream(seed, horizon)
+        occupied = sorted({r.arrival for r in workload.requests})
+        picks = np.random.default_rng(7).choice(
+            len(occupied), size=min(100, len(occupied)), replace=False)
+        windows = {occupied[i] for i in picks}
         report = run_policy("proposed", scenario, workload, horizon,
                             lemma5_windows=windows)
-        _exp1_cache[key] = (scenario, workload, report)
-    return _exp1_cache[key]
+        _exp1_cache[horizon] = (scenario, workload, windows, report)
+    return _exp1_cache[horizon]
 
 
-def suite_lemma1(seed=0, horizon=150):
+def suite_lemma1(horizon=150):
     """Queue recursion replay plus the telescoped budget bound."""
-    scenario, _, report = _exp1_run(seed, horizon)
+    scenario, _, _, report = _exp1_run(horizon)
     budget = scenario.budget
     q = 0.0
     replay_ok = True
@@ -91,16 +88,10 @@ def suite_lemma1(seed=0, horizon=150):
                         "budget": budget, "horizon": t})
 
 
-def suite_lemma5(seed=0, horizon=150):
+def suite_lemma5(horizon=150):
     """Replay every config of every request in up to 100 sampled pricing
     windows against their closing duals; count uncovered constraints."""
-    _, workload = _exp1_stream(seed, horizon)
-    occupied = sorted({r.arrival for r in workload.requests})
-    rng = np.random.default_rng(seed + 7)
-    picks = rng.choice(len(occupied), size=min(100, len(occupied)),
-                       replace=False)
-    windows = {occupied[i] for i in picks}
-    _, _, report = _exp1_run(seed, horizon, windows=frozenset(windows))
+    _, _, windows, report = _exp1_run(horizon)
     replayed = report.counters["replayed_windows"]
     violations = report.counters["dual_violations"]
     lines = [
@@ -112,10 +103,10 @@ def suite_lemma5(seed=0, horizon=150):
                        {"replayed": replayed, "violations": violations})
 
 
-def suite_lemma6(seed=0, horizon=150):
+def suite_lemma6(horizon=150):
     """Every acceptance must move the dual objective by exactly e/(e-1)
     times the primal objective; the allocator checks this inline."""
-    _, _, report = _exp1_run(seed, horizon)
+    _, _, _, report = _exp1_run(horizon)
     accepted = report.totals["accepted"]
     violations = report.counters["identity_violations"]
     lines = [
@@ -152,9 +143,10 @@ def _lemma7_one(seed):
     return seed, ok, worst, report.counters["scaling_warnings"]
 
 
-def suite_lemma7(n_runs=50):
+def suite_lemma7():
     """With the hard guard off, capacity overshoot in any (cloud, resource,
-    slot) stays within one accepted bundle's footprint."""
+    slot) stays within one accepted bundle's footprint, over 50 seeds."""
+    n_runs = 50
     seeds = list(range(n_runs))
     workers = min(8, os.cpu_count() or 1)
     if workers > 1:
@@ -177,11 +169,11 @@ def suite_lemma7(n_runs=50):
                        {"worst": worst, "warnings": warned, "bad_seeds": bad})
 
 
-def suite_prop2(n_instances=200, seed=77):
+def suite_prop2(n_instances=200):
     """Greedy placement keeps at least half the optimum's savings, and the
     cost function it exploits is supermodular."""
     started = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(77)
     ratios = []
     half_failures = 0
     super_failures = 0
@@ -240,10 +232,10 @@ def suite_prop2(n_instances=200, seed=77):
                         "super_failures": super_failures})
 
 
-def tiny_instances(n=20, per_frame_cap=4, n_frame=2, z=3):
+def tiny_instances(n=20, n_frame=2, z=3):
     """(seed, workload) for the first n workload seeds whose tiny streams
-    keep every frame at or under the per-frame request cap, so the oracle's
-    search stays exhaustive at the intended size."""
+    keep every frame at or under 4 requests, so the oracle's search stays
+    exhaustive at the intended size."""
     scenario = load_scenario(DATA_DIR / "tiny.json")
     cfg_base = dict(lambda_range=(0.0, 0.5), regime_length=4,
                     objects_per_vm=(1, 2), private_ratio=1.0)
@@ -256,7 +248,7 @@ def tiny_instances(n=20, per_frame_cap=4, n_frame=2, z=3):
         counts = [0] * z
         for req in wl.requests:
             counts[req.arrival // frame_fine] += 1
-        if max(counts, default=0) <= per_frame_cap:
+        if max(counts, default=0) <= 4:
             chosen.append((seed, wl))
         seed += 1
     return chosen

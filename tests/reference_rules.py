@@ -179,8 +179,8 @@ class ReferenceAllocator(OnlineAllocator):
             count = req.demand[k][0]
             unit = table[(k, i)]
             cost += count * unit
-            revenue_rate += count * self.vms.price(k)
-            value = count * (v * self.vms.price(k) - q_eff * unit / req.duration)
+            revenue_rate += count * self.vms.prices[k]
+            value = count * (v * self.vms.prices[k] - q_eff * unit / req.duration)
             per_cloud[i] = per_cloud.get(i, 0.0) + value
         total = 0.0
         for i in sorted(per_cloud):
@@ -485,7 +485,7 @@ def reference_lookahead_oracle(scenario, workload, n_frame, frame_index,
         opts = [(None, 0.0, {})]
         for config in enumerate_configs(req, topo):
             rev = req.duration * ordered_sum(
-                scenario.vms.price(k) * req.demand[k][0]
+                scenario.vms.prices[k] * req.demand[k][0]
                 for k in config.assignment)
             opts.append((config, rev, config_usage(req, config, scenario.vms)))
         options.append(opts)

@@ -351,6 +351,11 @@ BAD_RUNS = {
                                       {}, []),
     "empty_lookahead_with_every_grid_key": ({"lookahead": {}, **GRID_VALUES},
                                             {}, []),
+    **{f"lookahead_{key}_{name}": ({"lookahead": {key: value}}, {}, [])
+       for key, name, value in (
+           ("n_frame", "zero", 0), ("frames", "zero", 0),
+           ("instances", "negative", -1), ("instances", "a_bool", True),
+           ("instances", "a_string", "2"), ("n_frame", "fraction", 2.5))},
     "horizon_flag_zero": ({}, {}, ["--horizon", "0"]),
     "horizon_flag_negative": ({}, {}, ["--horizon", "-3"]),
     "horizon_fraction": ({"horizon": 2.7}, {}, []),
@@ -361,14 +366,22 @@ BAD_RUNS = {
     "nan_zipf_exponent": ({}, {"zipf_exponent": math.nan}, []),
     "reversed_lambda_range": ({}, {"lambda_range": [5.0, 1.0]}, []),
     "zero_lifetime": ({}, {"lifetime": [0, 3]}, []),
+    "lifetime_a_number": ({}, {"lifetime": 3}, []),
+    "vm_mix_bools": ({}, {"vm_mix": [True, False]}, []),
+    "vm_mix_strings": ({}, {"vm_mix": ["0.5", "0.5"]}, []),
+    "vm_mix_null_entry": ({}, {"vm_mix": [None, 1.0]}, []),
+    "vm_mix_null": ({}, {"vm_mix": None}, []),
+    "vm_mix_off_sum": ({}, {"vm_mix": [0.9, 0.2]}, []),
+    "vm_mix_negative": ({}, {"vm_mix": [1.2, -0.2]}, []),
     "negative_private_ratio_point": (
         {"sweep": {"axis": "private_ratio", "values": [0.5, -1.0]}}, {}, []),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_RUNS))
-def test_bad_runs_exit_2(tmp_path, capsys, case):
+def test_bad_runs_exit_2(tmp_path, capsys, monkeypatch, case):
     edits, workload, flags = BAD_RUNS[case]
+    draws = count_draws(monkeypatch)
     if "lookahead" in edits:
         spec = tmp_path / "look.json"
         spec.write_text(json.dumps({"name": "look", **edits}))
@@ -379,6 +392,7 @@ def test_bad_runs_exit_2(tmp_path, capsys, case):
     out = tmp_path / "z"
     assert main(["run", str(spec), "--out", str(out), *flags]) == 2
     assert "error:" in capsys.readouterr().err
+    assert draws == []
     assert not list(out.glob("*"))
 
 

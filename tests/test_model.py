@@ -111,7 +111,7 @@ def test_request_cost_and_revenue():
     assert sum(req.demand[k][0] * table[k][i]
                for k, i in config.assignment.items()) == 240.0
     # 4 slots * 10 * 2
-    assert req.duration * sum(vms.price(k) * req.demand[k][0]
+    assert req.duration * sum(vms.prices[k] * req.demand[k][0]
                               for k in config.assignment) == 80.0
 
 

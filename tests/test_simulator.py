@@ -17,7 +17,7 @@ from edgeorch.simulator import (POLICIES, RunReport, Workload, WorkloadConfig,
                                 _check_accounting, generate_workload,
                                 lookahead_oracle, perturb_demand, run_policy,
                                 theorem1_check, zipf_probabilities)
-from edgeorch.verification import _exp1_stream, tiny_instances
+from edgeorch.verification import _exp1_run, tiny_instances
 from reference_rules import reference_lookahead_oracle
 
 
@@ -195,7 +195,7 @@ def test_draw_matches_reference_choice_loop(scenario_name):
 
 def test_desk_stream_hash_is_pinned():
     """The 150-slot desk stream at seed 0, the one the desk suites replay."""
-    _, wl = _exp1_stream(0, 150)
+    _, wl, _, _ = _exp1_run(150)
     assert len(wl.requests) == 36477
     assert wl.stream_hash == \
         "84e114d5a7301ad11a232493185ccf72cbfa984c381827ba173971568541ef34"

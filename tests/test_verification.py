@@ -42,7 +42,7 @@ def test_prop2_stores_the_ratio_it_prints_when_nothing_can_be_saved(monkeypatch)
 
 
 def test_tiny_instance_seeds_respect_cap():
-    instances = tiny_instances(n=5, per_frame_cap=4, n_frame=2, z=3)
+    instances = tiny_instances(n=5, n_frame=2, z=3)
     seeds = [seed for seed, _ in instances]
     assert len(seeds) == 5
     assert seeds == sorted(seeds)
@@ -82,12 +82,34 @@ def test_lemma5_generates_its_stream_once(monkeypatch):
         return generate_workload(*args, **kwargs)
 
     monkeypatch.setattr(verification, "generate_workload", counting)
-    monkeypatch.setattr(verification, "_stream_cache", {})
     monkeypatch.setattr(verification, "_exp1_cache", {})
     result = verification.suite_lemma5(horizon=20)
     assert result.data["replayed"] > 0
     # the window picks and the replay share one draw of the stream
     assert len(calls) == 1
+
+
+def test_desk_suites_share_one_replay(monkeypatch):
+    """lemma1, lemma5 and lemma6 at one horizon read one draw and one
+    windowed replay of the desk stream."""
+    calls = {"generate_workload": 0, "run_policy": 0}
+
+    def counting(name):
+        original = getattr(verification, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verification, name, counting(name))
+    monkeypatch.setattr(verification, "_exp1_cache", {})
+    results = [run_suite(name, horizon=20)
+               for name in ("lemma1", "lemma5", "lemma6")]
+    assert all(result.lines for result in results)
+    assert results[1].data["replayed"] > 0
+    assert calls == {"generate_workload": 1, "run_policy": 1}
 
 
 def test_lemma6_counts_its_run_once(monkeypatch):

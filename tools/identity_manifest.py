@@ -8,7 +8,10 @@ outputs.  It covers
   * the data and lines of the six invariant suites, less elapsed times;
   * the 54 desk CSVs of exp1_dynamics and exp2_popularity (three policies,
     seeds 0-2, 150 coarse slots);
-  * both experiments' summary.json, less wallclock_s;
+  * the 27 CSVs of the seed-0 cells of the exp3_cache_size,
+    exp4_data_ratio and exp6_v_budget sweeps (cache ratio, private ratio
+    and v_weight points, 150 coarse slots);
+  * each of those five experiments' summary.json, less wallclock_s;
   * the stream_hash of every run cell;
   * the streams drawn for the desk, tiny, stress and paper_scale
     scenarios (default workload, seeds 0-2, 10 coarse slots): each one's
@@ -41,8 +44,11 @@ from edgeorch.simulator import (WorkloadConfig, generate_workload,  # noqa: E402
                                 run_policy)
 from edgeorch.verification import SUITE_NAMES, run_suite  # noqa: E402
 
-EXPERIMENTS = ("exp1_dynamics", "exp2_popularity")
 SEEDS = [0, 1, 2]
+# experiment -> the seeds it is run with
+EXPERIMENTS = {"exp1_dynamics": SEEDS, "exp2_popularity": SEEDS,
+               "exp3_cache_size": [0], "exp4_data_ratio": [0],
+               "exp6_v_budget": [0]}
 WORKERS = 2
 STREAM_SCENARIOS = ("desk", "tiny", "stress", "paper_scale")
 STREAM_SLOTS = 10
@@ -71,8 +77,8 @@ def suite_digests():
 def experiment_digests():
     files, stream_hashes = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name in EXPERIMENTS:
-            spec = {**load_experiment(name), "seeds": SEEDS}
+        for name, seeds in EXPERIMENTS.items():
+            spec = {**load_experiment(name), "seeds": seeds}
             out_dir = Path(tmp) / name
             with contextlib.redirect_stdout(io.StringIO()):   # its report lines
                 run_experiment(spec, out_dir, workers=WORKERS)
