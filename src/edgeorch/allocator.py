@@ -95,14 +95,13 @@ class Shape(NamedTuple):
 
 @dataclass
 class ScoredConfig:
-    # a reject that reads only the objective leaves the rest None
     config: object
     objective: float          # L * adjusted revenue - shadow-price charge
-    adjusted_revenue: float = None  # sum of the per-cloud values below
-    per_cloud: dict = None    # cloud -> adjusted revenue earned there
-    revenue: float = None     # realized revenue if accepted (price * count * L)
-    transport_cost: float = None  # one-shot transport cost at current placement
-    shape: Shape = None       # the config's usage rows, which admit prices
+    adjusted_revenue: float   # sum of the per-cloud values below
+    per_cloud: dict           # cloud -> adjusted revenue earned there
+    revenue: float            # realized revenue if accepted (price * count * L)
+    transport_cost: float     # one-shot transport cost at current placement
+    shape: Shape              # the config's usage rows, which admit prices
 
 
 @dataclass
@@ -135,8 +134,7 @@ class ShapeScores(NamedTuple):
     values: np.ndarray        # duration * adjusted revenue
     adjusted: np.ndarray      # (request, config, cloud + 1): adjusted revenue
                               # earned at each cloud, then the total
-    best: list                # per request: its first config of highest value
-    top: list                 # per request: that config's value
+    top: list                 # per request: its highest value
 
 
 class _AdmissionRule:
@@ -155,10 +153,9 @@ class _AdmissionRule:
         self._shape_cache = {}
 
     def _shapes_for(self, req):
-        """The request's config Shapes in enumeration order.  They depend
-        only on the request's (type, count) pairs, so they are built once
-        per such pair list."""
-        key = tuple([(k, group[0]) for k, group in req.demand.items()])
+        """The request's config Shapes in enumeration order, built once per
+        Request.key(), which is all they depend on."""
+        key = req.key()
         shapes = self._shape_cache.get(key)
         if shapes is None:
             shapes = []
@@ -176,41 +173,46 @@ class _AdmissionRule:
             self._shape_cache[key] = shapes
         return shapes
 
-    def score_matrix(self, requests, costs, q_eff):
+    def score_matrix(self, requests, rows, costs, q_eff):
         """Each request's (ShapeScores, row) entry, from one array pass per
-        request shape.  costs holds the requests' rows of
-        model.transport_rows: one per (request, positive type group)."""
-        by_shape = {}   # id of a cached shape list -> (shapes, members)
-        row = 0
-        for n, req in enumerate(requests):
-            shapes = self._shapes_for(req)
-            members = by_shape.setdefault(id(shapes), (shapes, []))[1]
-            members.append((n, row, req.duration))
-            row += len(shapes[0].terms)
-        entries = [None] * len(requests)
-        for shapes, members in by_shape.values():
-            positions, rows, durations = zip(*members)
-            rows = np.array(rows)
+        request kind.  rows: the requests' model.PackedRows; costs: their
+        model.transport_rows, one per (request, positive type group)."""
+        # a stable sort keeps each kind's requests in slot order
+        order = rows.kinds.argsort(kind="stable")
+        kinds = rows.kinds[order]
+        cuts = np.flatnonzero(kinds[1:] != kinds[:-1]) + 1
+        bounds = sorted({0, *cuts.tolist(), len(order)})   # [0] if empty
+        durations = np.array([req.duration for req in requests])
+        groups = []
+        group, row = np.empty((2, len(order)), dtype=np.intp)
+        for lo, hi in zip(bounds, bounds[1:]):
+            members = order[lo:hi]
+            group[members] = len(groups)
+            row[members] = np.arange(hi - lo)
+            shapes = self._shapes_for(requests[members[0]])
             # clouds[c, j]: the cloud config c puts group j on
             clouds = np.array([[i for _, i, _, _ in shape.terms]
                                for shape in shapes])
             terms = shapes[0].terms
-            units = [costs[rows + j] for j in range(len(terms))]
+            units = [costs[rows.starts[members] + j] for j in range(len(terms))]
             # transport cost per (request, config), summed from 0.0 in term
             # order as a scalar loop would
-            spend = np.zeros((len(rows), len(shapes)))
+            spend = np.zeros((len(members), len(shapes)))
             for j, ((_, _, count, _), unit) in enumerate(zip(terms, units)):
                 spend += count * unit[:, clouds[:, j]]
-            group = ShapeScores(shapes, spend, *self._values(
-                terms, clouds, units, np.array(durations), q_eff))
-            for m, n in enumerate(positions):
-                entries[n] = (group, m)
-        return entries
+            groups.append(ShapeScores(shapes, spend, *self._values(
+                terms, clouds, units, durations[members], q_eff)))
+        return list(zip(map(groups.__getitem__, group.tolist()), row.tolist()))
 
     def _values(self, terms, clouds, units, durations, q_eff):
-        """The last four parts of ShapeScores; the myopic rule reads spend
+        """The last three parts of ShapeScores; the myopic rule reads spend
         only."""
-        return (None,) * 4
+        return (None,) * 3
+
+    def decide_window(self, requests, scores, q_eff):
+        """Decide one fine slot's arrivals, in order, from their entries."""
+        return [self.decide(req, entry, q_eff)
+                for req, entry in zip(requests, scores)]
 
     @staticmethod
     def _decision(req, reason, objective, config=None, revenue=0.0, cost=0.0,
@@ -258,12 +260,13 @@ class OnlineAllocator(_AdmissionRule):
         return total
 
     def _values(self, terms, clouds, units, durations, q_eff):
-        """values, adjusted, best and top of ShapeScores.  Each group's
-        value, count * (v * price - q_eff * unit / duration), is added to
-        its cloud's sum, which starts from 0.0; the total adds the
-        per-cloud sums, clouds ascending, to 0.0, and the value is duration
-        * total.  A cloud the config does not use adds its untouched 0.0,
-        which cannot change a sum that started from +0.0."""
+        """values, adjusted and top of ShapeScores.  Each group's value,
+        count * (v * price - q_eff * unit / duration), is added to its
+        cloud's sum, which starts from 0.0; the total adds the per-cloud
+        sums, clouds ascending, to 0.0, and the value is duration * total.
+        A cloud the config does not use adds its untouched 0.0, which
+        cannot change a sum that started from +0.0.  A negative top is
+        exact; a zero one may not carry the first argmax's sign."""
         n = self.topo.n_clouds
         v = self.scenario.v_weight
         configs = np.arange(len(clouds))
@@ -276,29 +279,22 @@ class OnlineAllocator(_AdmissionRule):
         for i in range(n):
             total += adjusted[:, :, i]
         values = durations[:, None] * total
-        return (values, adjusted, *first_max(values))
+        return values, adjusted, values.max(axis=1).tolist()
 
     def select_config(self, req, scores):
         """Highest priced-out objective across all configs; first wins ties.
-        scores: the request's (ShapeScores, row) entry of score_matrix.  In
-        a window with no price row that is the row's first argmax, and a
-        negative one is a reject whose ScoredConfig holds it alone."""
-        (shapes, spend, values, adjusted, firsts, tops), m = scores
+        scores: the request's (ShapeScores, row) entry of score_matrix."""
+        (shapes, spend, values, adjusted, _), m = scores
         priced = self.dual.priced
-        if not priced:
-            best, objective = firsts[m], tops[m]
-            if objective < 0.0:
-                return ScoredConfig(None, objective)
-        else:
-            # a config on clouds without a price row is charged 0.0, and
-            # subtracting 0.0 leaves its score as it is
-            objective = None
-            for c, score in enumerate(values[m].tolist()):
-                shape = shapes[c]
-                if not priced.isdisjoint(shape.clouds):
-                    score -= self._charge(req, shape.rows)
-                if objective is None or score > objective:
-                    objective, best = score, c
+        # a config on clouds without a price row is charged 0.0, and
+        # subtracting 0.0 leaves its score as it is
+        objective = None
+        for c, score in enumerate(values[m].tolist()):
+            shape = shapes[c]
+            if not priced.isdisjoint(shape.clouds):
+                score -= self._charge(req, shape.rows)
+            if objective is None or score > objective:
+                objective, best = score, c
         shape = shapes[best]
         row = adjusted[m, best].tolist()
         return ScoredConfig(shape.config, objective, row[-1],
@@ -377,6 +373,22 @@ class OnlineAllocator(_AdmissionRule):
     def decide(self, req, scores, q_eff):
         return self.admit(req, self.select_config(req, scores), q_eff)
 
+    def decide_window(self, requests, scores, q_eff):
+        """Decide one fine slot's arrivals in order.  Nothing is priced
+        before the first arrival with a non-negative top, whose admission
+        prices its rows, so each one before it is a negative-objective
+        reject with alpha 0.0, read from its top; the rest go to decide."""
+        decisions, dual = [], self.dual
+        for req, entry in zip(requests, scores):
+            group, m = entry
+            if dual.priced or group.top[m] >= 0.0:
+                decisions.append(self.decide(req, entry, q_eff))
+            else:
+                dual.alpha[req.req_id] = 0.0
+                decisions.append(self._decision(
+                    req, REJECT_NEGATIVE, group.top[m], q_eff=q_eff))
+        return decisions
+
 
 class MyopicAllocator(_AdmissionRule):
     """Cheapest feasible bundle behind a hard per-coarse-slot budget.
@@ -417,13 +429,6 @@ class MyopicAllocator(_AdmissionRule):
         self.slot_spend += cost
         return self._decision(req, None, -cost, shape.config,
                               req.duration * shape.revenue_rate, cost)
-
-
-def first_max(values):
-    """Each row's first argmax, as a loop with a strict > finds it, and the
-    value there, whose sign values.max would lose on -0.0 beside 0.0."""
-    best = values.argmax(axis=1)
-    return best.tolist(), values[np.arange(len(best)), best].tolist()
 
 
 def dual_feasibility_violations(allocator, requests, scores):

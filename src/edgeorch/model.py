@@ -179,6 +179,10 @@ class Request:
         """Positive-count type groups in ascending type order."""
         return sorted(k for k, (n, _) in self.demand.items() if n > 0)
 
+    def key(self):
+        """Its (type, count) pairs, in demand order: what its configs use."""
+        return tuple([(k, group[0]) for k, group in self.demand.items()])
+
 
 @dataclass
 class AllocationConfig:
@@ -248,24 +252,30 @@ class PackedRows(NamedTuple):
     the group lists its objects: a source column and the object's size.  A
     public object's source is its index in `publics`; any other object is
     private and streams from the request's ingress, source len(publics) +
-    ingress.
+    ingress.  Request n is of kind kinds[n], and keys[kinds[n]] is its
+    Request.key(); keys are numbered in order of first appearance.
     """
 
     publics: tuple            # public object ids the sources index
     n_clouds: int             # clouds the ingress sources cover
+    keys: tuple               # Request.key() of each kind
+    kinds: np.ndarray         # int32, per request
     starts: np.ndarray
     offsets: np.ndarray
     source: np.ndarray        # int32: room for any object and cloud count
     size: np.ndarray
 
     @classmethod
-    def from_lists(cls, publics, n_clouds, starts, lengths, sources, sizes):
-        """Rows from per-request row starts, per-row entry counts and the
-        entries' sources and sizes, concatenated in order."""
+    def from_lists(cls, publics, n_clouds, keys, kinds, starts, lengths,
+                   sources, sizes):
+        """Rows from kind keys, per-request kinds and row starts, per-row
+        entry counts and the entries' sources and sizes, in order."""
         offsets = np.zeros(len(lengths) + 1, dtype=np.intp)
         np.cumsum(lengths, out=offsets[1:])
-        return cls(tuple(publics), n_clouds, np.asarray(starts, dtype=np.intp),
-                   offsets, np.asarray(sources, dtype=np.int32),
+        return cls(tuple(publics), n_clouds, tuple(keys),
+                   np.asarray(kinds, dtype=np.int32),
+                   np.asarray(starts, dtype=np.intp), offsets,
+                   np.asarray(sources, dtype=np.int32),
                    np.asarray(sizes, dtype=float))
 
     def take(self, lo, hi):
@@ -273,7 +283,7 @@ class PackedRows(NamedTuple):
         starts = self.starts[lo:hi + 1]
         offsets = self.offsets[starts[0]:starts[-1] + 1]
         first, last = offsets[0], offsets[-1]
-        return self._replace(starts=starts - starts[0],
+        return self._replace(kinds=self.kinds[lo:hi], starts=starts - starts[0],
                              offsets=offsets - first,
                              source=self.source[first:last],
                              size=self.size[first:last])
@@ -293,21 +303,22 @@ def pack_requests(requests, publics, n_clouds, catalog):
     """Pack requests by object name; an unknown id raises ValueError."""
     column = {o: j for j, o in enumerate(publics)}
     sizes = catalog.sizes
-    starts, lengths, sources, weights = [0], [], [], []
+    kind_of, kinds, starts, lengths, sources, weights = {}, [], [0], [], [], []
     try:
         for req in requests:
+            kinds.append(kind_of.setdefault(req.key(), len(kind_of)))
             stream = len(column) + req.ingress
-            keys = req.groups()
-            for k in keys:
+            groups = req.groups()
+            for k in groups:
                 objects = req.demand[k][1]
                 lengths.append(len(objects))
                 sources += [column.get(o, stream) for o in objects]
                 weights += [sizes[o] for o in objects]
-            starts.append(starts[-1] + len(keys))
+            starts.append(starts[-1] + len(groups))
     except KeyError as exc:
         raise ValueError(f"unknown object id {exc.args[0]!r}") from None
-    return PackedRows.from_lists(publics, n_clouds, starts, lengths, sources,
-                                 weights)
+    return PackedRows.from_lists(publics, n_clouds, kind_of, kinds, starts,
+                                 lengths, sources, weights)
 
 
 def transport_rows(rows, fetch, topo):

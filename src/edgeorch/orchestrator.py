@@ -63,11 +63,11 @@ def run_coarse_slot(state, requests, rows, allocator, place, placement,
         the fine slot of its arrival.
     rows: model.PackedRows of those requests, in the same order.
     allocator: admission rule with queue_weight(queue),
-        advance_fine_slot(t), score_matrix(requests, costs, q_eff) and
-        decide(req, scores, q_eff) -> Decision, where costs are the slot's
-        model.transport_rows, score_matrix returns one entry per request,
-        its (allocator.ShapeScores, row) in the slot's per-shape score
-        arrays, and scores is the request's entry.
+        advance_fine_slot(t), score_matrix(requests, rows, costs, q_eff)
+        and decide_window(requests, scores, q_eff) -> decisions, where
+        costs are the slot's model.transport_rows, score_matrix returns
+        one entry per request, its (allocator.ShapeScores, row), and
+        decide_window decides one fine slot's arrivals from their entries.
     place: callable(DemandMatrix) -> PlacementSolution for the next slot.
     window_hook: optional callable(fine slot, requests, scores) invoked
         when the pricing window of each fine slot with arrivals closes,
@@ -92,7 +92,7 @@ def run_coarse_slot(state, requests, rows, allocator, place, placement,
     if requests:
         fetch = fetch_latencies(placement, scenario.topology, rows.publics)
         costs = transport_rows(rows, fetch, scenario.topology)
-        scores = allocator.score_matrix(requests, costs, q_eff)
+        scores = allocator.score_matrix(requests, rows, costs, q_eff)
     revenue = 0.0
     cost = 0.0
     decisions = []
@@ -101,15 +101,17 @@ def run_coarse_slot(state, requests, rows, allocator, place, placement,
     for t in span:
         allocator.advance_fine_slot(t)
         stop = bisect.bisect_right(arrivals, t, first)
-        for req, scored in zip(requests[first:stop], scores[first:stop]):
-            decision = allocator.decide(req, scored, q_eff)
+        if stop == first:
+            continue
+        for req, decision in zip(requests[first:stop], allocator.decide_window(
+                requests[first:stop], scores[first:stop], q_eff)):
             decision.slot = state.slot_index
             decisions.append(decision)
             if decision.accepted:
                 revenue += decision.revenue
                 cost += decision.transport_cost
                 accepted_pairs.append((req, decision.config))
-        if window_hook is not None and stop > first:
+        if window_hook is not None:
             window_hook(t, requests[first:stop], scores[first:stop])
         first = stop
 

@@ -159,8 +159,8 @@ def generate_workload(cfg, scenario, horizon_fine):
     requests = []
     schedule = []
     digest = hashlib.sha256()
-    # one packed row per request
-    lengths, sources = [], []
+    # one packed row per request; kind_of numbers the types drawn in order
+    kind_of, kinds, lengths, sources = {}, [], [], []
     rate = 0.0
     req_id = 0
     for t in range(horizon_fine):
@@ -186,6 +186,7 @@ def generate_workload(cfg, scenario, horizon_fine):
             digest.update(repr((req_id, t, life, ingress,
                                 [(k, (1, objects))])).encode())
             private_ids += private
+            kinds.append(kind_of.setdefault(k, len(kind_of)))
             lengths.append(len(columns) + n_priv)
             sources += columns + [n_public + ingress] * n_priv
             req_id += 1
@@ -197,6 +198,7 @@ def generate_workload(cfg, scenario, horizon_fine):
     # every private object has size 1
     source_size = np.concatenate([public_sizes, np.ones(n_clouds)])
     rows = PackedRows.from_lists(publics, n_clouds,
+                                 [((k, 1),) for k in kind_of], kinds,
                                  np.arange(len(requests) + 1), lengths,
                                  source, source_size[source])
     return Workload(requests, catalog, cfg, horizon_fine, schedule,
@@ -408,12 +410,12 @@ def lookahead_oracle(rule, workload, n_frame, frame_index, max_requests=16):
     # a fetch table that prices every public read at 0.0 leaves only the
     # private streams in each config's spend
     free = dict.fromkeys(workload.rows.publics, 0.0)
-    private = transport_rows(workload.rows.take(lo, hi),
-                             [free] * topo.n_clouds, topo)
+    rows = workload.rows.take(lo, hi)
+    private = transport_rows(rows, [free] * topo.n_clouds, topo)
 
     options = []   # per request: (config or None, revenue, usage, private cost)
-    for req, (group, m) in zip(frame_reqs,
-                               rule.score_matrix(frame_reqs, private, 0.0)):
+    for req, (group, m) in zip(frame_reqs, rule.score_matrix(
+            frame_reqs, rows, private, 0.0)):
         options.append([(None, 0.0, {}, 0.0)] + [
             (shape.config, req.duration * shape.revenue_rate, shape.usage,
              cost) for shape, cost in zip(group.shapes,
@@ -421,28 +423,32 @@ def lookahead_oracle(rule, workload, n_frame, frame_index, max_requests=16):
 
     best = (0.0, None)   # any frame admits the all-reject solution
     budget = n_frame * scenario.budget
+    placed = {}   # a slot's accepted (request, option) pairs -> their cost
     for combo in itertools.product(*[range(len(o)) for o in options]):
-        picked = [(frame_reqs[n], *options[n][pick])
+        picked = [(n, pick, frame_reqs[n], *options[n][pick])
                   for n, pick in enumerate(combo) if pick]
-        revenue = ordered_sum(rev for _, _, rev, _, _ in picked)
+        revenue = ordered_sum(p[4] for p in picked)
         if revenue <= best[0]:
             continue
         ledger = ResourceState(scenario.capacity)
-        for req, _, _, usage, _ in picked:
+        for _, _, req, _, _, usage, _ in picked:
             span = (req.arrival, req.arrival + req.duration)
             if not ledger.fits(usage, *span):
                 break
             ledger.lease(req.req_id, usage, *span)
         else:
             total_cost = 0.0
-            for s in range(first, first + n_frame):
-                accepted = [(req, config, cost) for req, config, _, _, cost
-                            in picked if req.arrival // fpc == s]
-                if accepted:
+            # requests come in arrival order, so a slot's picks are one run
+            for s, run in itertools.groupby(
+                    picked, lambda p: p[2].arrival // fpc):
+                run = list(run)
+                key = tuple(p[:2] for p in run)
+                if key not in placed:
                     _, public = brute_force_place(
-                        aggregate_demand([a[:2] for a in accepted], catalog, s),
+                        aggregate_demand([p[2:4] for p in run], catalog, s),
                         scenario.cache_size, topo, catalog)
-                    total_cost += public + ordered_sum(c for _, _, c in accepted)
+                    placed[key] = public + ordered_sum(p[6] for p in run)
+                total_cost += placed[key]
             if total_cost <= budget + 1e-9:
                 best = (revenue, combo)
     return best[0] / n_frame, best[1]

@@ -1,3 +1,4 @@
+import functools
 import struct
 from collections import Counter
 from dataclasses import replace
@@ -5,14 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from edgeorch.allocator import (BONUS_SCALE, E_RATIO, MyopicAllocator,
-                                OnlineAllocator, ScoredConfig, ShapeScores,
+from edgeorch.allocator import (BONUS_SCALE, E_RATIO, REJECT_NEGATIVE,
+                                Decision, MyopicAllocator, OnlineAllocator,
+                                ScoredConfig, ShapeScores, _AdmissionRule,
                                 check_price_scaling,
                                 dual_feasibility_violations)
-from edgeorch.allocator import first_max as alloc_first_max
 from edgeorch.model import (DataCatalog, PlacementProfile, Request,
                             ResourceState, Topology, VMCatalog, config_usage,
                             fetch_latencies, pack_requests, transport_rows)
+from edgeorch.orchestrator import OrchestratorState, run_coarse_slot
+from edgeorch.placement import greedy_place
 from edgeorch.scenario import DATA_DIR, Scenario, load_scenario
 from edgeorch.simulator import WorkloadConfig, generate_workload, run_policy
 from reference_rules import (ReferenceAllocator, ReferenceResourceState,
@@ -54,24 +57,11 @@ def bits(x):
     return struct.pack("<d", x)
 
 
-def check_selection(alloc, req, entry, scored, want):
-    """select_config's pick from the request's score_matrix entry against
-    want, the reference's pick.  A fast-path reject, in a window with no
-    price row, carries its objective alone: the objective is want's, bit
-    for bit, and the row's first argmax is want's config.  Any other pick
-    equals want field for field.  Returns whether it was a fast-path
-    reject."""
-    group, m = entry
-    if scored.config is None:
-        assert not alloc.dual.priced
-        assert scored == ScoredConfig(None, want.objective)
-        assert bits(scored.objective) == bits(want.objective)
-        assert want.objective < 0.0
-        assert group.shapes[group.best[m]] is want.shape
-        return True
+def check_selection(scored, want):
+    """select_config's pick against want, the reference's pick: equal field
+    for field, and the objective bit for bit."""
     assert scored == want
     assert bits(scored.objective) == bits(want.objective)
-    return False
 
 
 def fresh(scenario):
@@ -99,11 +89,23 @@ def slot_fetch(scenario, placement):
                            scenario.catalog.public_objects())
 
 
+def slot_rows(scenario, fetch, requests, catalog=None):
+    """The requests' model.PackedRows over the fetch table's objects."""
+    return pack_requests(requests, list(fetch[0]), scenario.topology.n_clouds,
+                         catalog or scenario.catalog)
+
+
 def slot_costs(scenario, fetch, requests, catalog=None):
     """The requests' model.transport_rows over the fetch table."""
-    rows = pack_requests(requests, list(fetch[0]), scenario.topology.n_clouds,
-                         catalog or scenario.catalog)
-    return transport_rows(rows, fetch, scenario.topology)
+    return transport_rows(slot_rows(scenario, fetch, requests, catalog),
+                          fetch, scenario.topology)
+
+
+def slot_scores(alloc, scenario, fetch, requests, q_eff, catalog=None):
+    """The requests' score_matrix over the fetch table."""
+    rows = slot_rows(scenario, fetch, requests, catalog)
+    return alloc.score_matrix(requests, rows, transport_rows(
+        rows, fetch, scenario.topology), q_eff)
 
 
 def cost_table(scenario, fetch, req):
@@ -113,8 +115,8 @@ def cost_table(scenario, fetch, req):
 
 def decide(alloc, scenario, fetch, req, q_eff):
     """Price and score one request on its own, then decide it."""
-    costs = slot_costs(scenario, fetch, [req])
-    return alloc.decide(req, alloc.score_matrix([req], costs, q_eff)[0], q_eff)
+    return alloc.decide(req, slot_scores(alloc, scenario, fetch, [req],
+                                         q_eff)[0], q_eff)
 
 
 def test_scoring_prefers_the_cached_cloud():
@@ -135,7 +137,7 @@ def test_scoring_prefers_the_cached_cloud():
     assert cost == 40.0
     assert revenue == 40.0
 
-    entry = alloc.score_matrix([req], slot_costs(scn, fetch, [req]), 1.0)[0]
+    entry = slot_scores(alloc, scn, fetch, [req], 1.0)[0]
     group, m = entry
     assert group.shapes == [shape0, shape1]
     assert group.values[m].tolist() == [360.0, 400.0]
@@ -143,8 +145,8 @@ def test_scoring_prefers_the_cached_cloud():
     # adjusted revenue at clouds 0 and 1, then the total
     assert group.adjusted[m].tolist() == [[90.0, 0.0, 90.0],
                                           [0.0, 100.0, 100.0]]
-    # the first config of highest value, and that value
-    assert (group.best[m], group.top[m]) == (1, 400.0)
+    # the highest value
+    assert group.top[m] == 400.0
     scored = alloc.select_config(req, entry)
     assert scored.config.assignment == {0: 1}
     assert scored.objective == 400.0
@@ -307,7 +309,7 @@ def test_random_streams_keep_duals_feasible():
             accepted += d.accepted
         assert alloc.counters["identity_violations"] == 0
         costs = slot_costs(scn, fetch, seen)
-        scores = alloc.score_matrix(seen, costs, 1.0)
+        scores = slot_scores(alloc, scn, fetch, seen, 1.0)
         assert dual_feasibility_violations(alloc, seen, scores) == 0
         # the same count from the scalar valuation of every config
         uncovered = 0
@@ -400,12 +402,13 @@ def test_admission_matches_scalar_reference():
                     ref.dual.beta[(i, 0, t)] = 1.5
             for n, (req, table) in enumerate(zip(batch, tables)):
                 q_eff = float(rng.choice([1.0, 250.0, 4000.0]))
-                entry = new.score_matrix(batch, costs, q_eff)[n]
+                entry = slot_scores(new, scn, fetch, batch, q_eff,
+                                    catalog)[n]
                 scored = new.select_config(req, entry)
-                check_selection(new, req, entry, scored,
-                                reference_select_config(new, req, table, q_eff))
-                seen["priced"] += scored.shape is not None and not (
-                    new.dual.priced.isdisjoint(scored.shape.clouds))
+                check_selection(scored, reference_select_config(new, req, table,
+                                                                q_eff))
+                seen["priced"] += not new.dual.priced.isdisjoint(
+                    scored.shape.clouds)
                 got = new.admit(req, scored, q_eff)
                 want = ref.decide(req, fetch, q_eff)
                 assert got == want
@@ -437,8 +440,9 @@ def test_score_matrix_matches_scalar_scores():
     row holds its per-cloud values on the clouds the config uses, 0.0 at
     the others, and then its total.  The myopic rule's matrix holds the
     same spend and nothing else.  The batches mix bundles of one, two and
-    three type groups (5, 25 and 125 configs) with public and private
-    reads."""
+    three type groups (5, 25 and 125 configs), some with a zero-count type
+    in their demand, with public and private reads.  Each request's
+    ShapeScores holds the Shapes _shapes_for caches under its key."""
     base = load_scenario(DATA_DIR / "desk.json")
     scn = replace(base, vms=VMCatalog(
         recipes=base.vms.recipes + [[5.0, 5.0, 5.0]],
@@ -465,21 +469,24 @@ def test_score_matrix_matches_scalar_scores():
                                    replace=False)
                 demand[int(k)] = (int(rng.integers(1, 4)),
                                   tuple(ids[m] for m in sorted(picks)))
+            if n % 3 == 2 and len(demand) < 3:   # a zero-count type, last
+                demand[min({0, 1, 2} - set(demand))] = (0, ())
             batch.append(Request(n, 0, int(rng.integers(1, 6)),
                                  int(rng.integers(5)), demand))
-            groups[len(demand)] += 1
+            groups[len(batch[-1].groups()), len(demand)] += 1
         costs = slot_costs(scn, fetch, batch, catalog)
         tables = cost_tables(batch, costs)
         q_eff = float(rng.choice([1.0, 37.5, 4000.0]))
-        scores = online.score_matrix(batch, costs, q_eff)
-        spend = myopic.score_matrix(batch, costs, q_eff)
+        scores = slot_scores(online, scn, fetch, batch, q_eff, catalog)
+        spend = slot_scores(myopic, scn, fetch, batch, q_eff, catalog)
         for req, table, (group, m), (bare, b) in zip(batch, tables, scores,
                                                      spend):
             shapes = online._shapes_for(req)
             scalar = [reference_score_one(online, req, shape, table, q_eff)
                       for shape in shapes]
             values = [req.duration * total for total, _, _, _ in scalar]
-            assert group.shapes == shapes
+            # grouped by kind: the Shapes cached under the request's key
+            assert group.shapes is shapes
             assert group.values[m].tolist() == values
             assert group.spend[m].tolist() == [cost for _, _, cost, _ in scalar]
             assert group.adjusted[m].shape == (len(shapes),
@@ -490,29 +497,32 @@ def test_score_matrix_matches_scalar_scores():
                 assert {i: cloud_row[i] for i in shape.clouds} == per_cloud
                 assert all(cloud_row[i] == 0.0 for i in scn.topology.clouds
                            if i not in per_cloud)
-            # the first config of highest value, as a strict > loop finds it
-            assert group.best[m] == max(range(len(values)),
-                                        key=lambda c: (values[c], -c))
-            assert bits(group.top[m]) == bits(values[group.best[m]])
+            assert group.top[m] == max(values)
             assert bare.shapes == shapes
             assert bare.spend[b].tolist() == group.spend[m].tolist()
-            assert bare[2:] == (None,) * 4
-    assert all(groups[g] > 0 for g in (1, 2, 3)), groups
+            assert bare[2:] == (None,) * 3
+    # 1, 2 and 3 groups, and 1 and 2 groups with a zero-count type
+    assert all(groups[g, g] > 0 for g in (1, 2, 3)), groups
+    assert all(groups[g, g + 1] > 0 for g in (1, 2)), groups
 
 
 def replay_checking_selections(monkeypatch, scn, wl, horizon):
-    """Replay the stream under proposed, checking every selection from the
-    score matrix against reference_select_config, which scores every
-    config with reference_score_one; returns the replay and counts of
-    what the selections met."""
+    """Replay the stream under proposed, checking every decision against
+    reference_select_config, which scores every config with
+    reference_score_one.  A selection from the score matrix equals the
+    reference's pick.  A window's leading arrivals whose reference
+    objective is negative, while nothing is priced, are rejected without
+    a selection: each carries the reference's objective, bit for bit, and
+    alpha 0.0.  Returns the replay and counts of what the decisions met."""
     select = OnlineAllocator.select_config
     score_matrix = OnlineAllocator.score_matrix
+    decide_window = OnlineAllocator.decide_window
     priced = {}   # req_id -> (its cost table, the slot's q_eff)
     entries = {}  # req_id -> its score_matrix entry
     seen = Counter()
 
-    def scoring(self, requests, costs, q_eff):
-        scores = score_matrix(self, requests, costs, q_eff)
+    def scoring(self, requests, rows, costs, q_eff):
+        scores = score_matrix(self, requests, rows, costs, q_eff)
         for req, table, entry in zip(requests, cost_tables(requests, costs),
                                      scores):
             priced[req.req_id] = (table, q_eff)
@@ -520,50 +530,93 @@ def replay_checking_selections(monkeypatch, scn, wl, horizon):
         return scores
 
     def checked(self, req, scores):
-        assert scores is entries[req.req_id]
+        group, m = entries[req.req_id]
+        assert scores[0] is group and scores[1] == m
         scored = select(self, req, scores)
-        seen["fast_rejects"] += check_selection(
-            self, req, scores, scored,
-            reference_select_config(self, req, *priced[req.req_id]))
+        check_selection(scored, reference_select_config(
+            self, req, *priced[req.req_id]))
         seen["selections"] += 1
         seen["priced"] += bool(self.dual.priced)
-        seen["won_on_priced"] += scored.shape is not None and not (
-            self.dual.priced.isdisjoint(scored.shape.clouds))
+        seen["won_on_priced"] += not self.dual.priced.isdisjoint(
+            scored.shape.clouds)
         return scored
+
+    def windowed(self, requests, scores, q_eff):
+        prefix = []   # the reference's picks of the unpriced negative prefix
+        if not self.dual.priced:
+            for req in requests:
+                want = reference_select_config(self, req, *priced[req.req_id])
+                if want.objective >= 0.0:
+                    break
+                prefix.append(want)
+        before = seen["selections"]
+        decisions = decide_window(self, requests, scores, q_eff)
+        assert seen["selections"] - before == len(requests) - len(prefix)
+        for d, want in zip(decisions, prefix):
+            assert (d.reason, d.config, d.dual_delta) == (
+                REJECT_NEGATIVE, None, 0.0)
+            assert bits(d.objective) == bits(want.objective)
+            assert self.dual.alpha[d.req_id] == 0.0
+        seen["prefix_rejects"] += len(prefix)
+        return decisions
 
     monkeypatch.setattr(OnlineAllocator, "score_matrix", scoring)
     monkeypatch.setattr(OnlineAllocator, "select_config", checked)
+    monkeypatch.setattr(OnlineAllocator, "decide_window", windowed)
     report = run_policy("proposed", scn, wl, horizon)
-    assert seen["selections"] == len(report.decisions) > 0
+    assert (seen["selections"] + seen["prefix_rejects"]
+            == len(report.decisions) > 0)
     return report, seen
 
 
 def test_selection_matches_reference_on_a_desk_stream(monkeypatch):
     """Over a generated desk stream, where shadow prices build up on every
     cloud, each selection from the score matrix equals the selection that
-    scores every config with reference_score_one; a fast-path reject in a
-    window with no price row carries the reference's objective, bit for
-    bit, and its row's first argmax is the reference's config."""
+    scores every config with reference_score_one, and each reject of a
+    window's unpriced prefix carries the reference's objective."""
     scn = load_scenario(DATA_DIR / "desk.json")
     wl = generate_workload(WorkloadConfig(seed=3), scn,
                            12 * scn.fine_per_coarse)
     _, seen = replay_checking_selections(monkeypatch, scn, wl, 12)
     assert seen["priced"] > seen["selections"] / 2, seen
     assert seen["won_on_priced"] > 0, seen
-    assert seen["fast_rejects"] > 0, seen
+    assert seen["prefix_rejects"] > 0, seen
 
 
 def test_selection_matches_reference_on_paper_scale_slots(monkeypatch):
-    """The same check over whole paper_scale slots, where many decisions
+    """The same check over whole paper_scale slots, where most decisions
     meet a window with no price row, rejects and accepts among them."""
     scn = load_scenario(DATA_DIR / "paper_scale.json")
     wl = generate_workload(WorkloadConfig(seed=1), scn,
                            2 * scn.fine_per_coarse)
     report, seen = replay_checking_selections(monkeypatch, scn, wl, 2)
     unpriced = seen["selections"] - seen["priced"]
-    assert 0 < seen["fast_rejects"] < unpriced, seen
+    assert 0 < unpriced < seen["prefix_rejects"], seen
     assert seen["won_on_priced"] > 0, seen
     assert report.totals["accepted"] > 0
+
+
+def hand_group(alloc, req, rows):
+    """ShapeScores of the request's shape with hand-made values, one row
+    per request of that shape, and each row's pick by a plain loop with a
+    strict >.  A row's adjusted revenue is its value over the duration, all
+    of it at the first cloud of the picked config."""
+    shapes = alloc._shapes_for(req)
+    wants = []
+    for row in rows:
+        want = None
+        for c, value in enumerate(row):
+            if want is None or value > row[want]:
+                want = c
+        wants.append(want)
+    values = np.array(rows)
+    adjusted = np.zeros(values.shape + (alloc.topo.n_clouds + 1,))
+    adjusted[:, :, -1] = values / req.duration
+    for m, c in enumerate(wants):
+        adjusted[m, c, shapes[c].clouds[0]] = values[m, c] / req.duration
+    # top as OnlineAllocator._values takes it
+    return ShapeScores(shapes, np.ones(values.shape), values, adjusted,
+                       values.max(axis=1).tolist()), wants
 
 
 @pytest.mark.parametrize("rows", [
@@ -576,47 +629,42 @@ def test_selection_matches_reference_on_paper_scale_slots(monkeypatch):
      [-4.0, -4.0, -4.0, -4.0, -4.0]],
 ], ids=["ties", "signed_zeros", "all_negative"])
 def test_first_argmax_on_hand_made_rows(rows):
-    """select_config in a window with no price row, on hand-made values,
-    against the kept loop (the same rows in a window whose only price row
-    is on a cloud no config uses, so every charge is skipped) and against
-    a plain loop with a strict >: the same config, and the same objective
-    bit for bit; a negative one is a reject that carries it alone."""
+    """select_config on hand-made values, in a window with no price row
+    and in one whose only price row is on a cloud no config uses (so every
+    charge is skipped), against a plain loop with a strict >: the same
+    pick, and the same objective bit for bit.  Decided as a window of its
+    own, a row with a negative top is a reject that carries it alone."""
     scn = load_scenario(DATA_DIR / "desk.json")
     alloc = fresh(scn)
     req = Request(0, 0, 2, 0, {0: (1, ())})
     shapes = alloc._shapes_for(req)
-    values = np.array(rows)
-    adjusted = np.zeros(values.shape + (scn.topology.n_clouds + 1,))
-    adjusted[:, :, -1] = values / req.duration
-    for m, (c, _) in enumerate(zip(*alloc_first_max(values))):
-        adjusted[m, c, shapes[c].clouds[0]] = values[m, c] / req.duration
-    group = ShapeScores(shapes, np.ones(values.shape), values, adjusted,
-                        *alloc_first_max(values))
-    for m, row in enumerate(rows):
-        want = None
-        for c, value in enumerate(row):
-            if want is None or value > row[want]:
-                want = c
-        assert group.best[m] == want
-        assert bits(group.top[m]) == bits(row[want])
+    group, wants = hand_group(alloc, req, rows)
+    for m, (row, want) in enumerate(zip(rows, wants)):
         alloc.dual.priced.clear()
-        fast = alloc.select_config(req, (group, m))
+        unpriced = alloc.select_config(req, (group, m))
         alloc.dual.priced.add(scn.topology.n_clouds)
-        loop = alloc.select_config(req, (group, m))
-        assert loop.config == shapes[want].config
-        assert bits(loop.objective) == bits(fast.objective) == bits(row[want])
+        skipped = alloc.select_config(req, (group, m))
+        assert unpriced == skipped
+        assert unpriced.config == shapes[want].config
+        assert (bits(unpriced.objective) == bits(skipped.objective)
+                == bits(row[want]))
         if row[want] < 0.0:
-            assert fast == ScoredConfig(None, row[want])
-        else:
-            assert fast == loop
+            assert bits(group.top[m]) == bits(row[want])
+            alone = fresh(scn)
+            [d] = alone.decide_window([req], [(group, m)], 1.0)
+            assert d == Decision(0, 0, 2, "rejected", REJECT_NEGATIVE, None,
+                                 row[want], 0.0, 0.0, 0.0, 0.0, 1.0)
+            assert bits(d.objective) == bits(row[want])
+            assert alone.dual.alpha == {0: 0.0}
 
 
 def test_unpriced_selection_matches_reference_on_bundles():
     """Requests of one, two and three type groups (5, 25 and 125 configs)
     are selected and admitted one by one; each window starts with no price
-    row, so its first requests take the fast path.  Every selection
-    matches reference_select_config (see check_selection), and both paths
-    meet accepts and rejects on every group count."""
+    row, so its first requests are charged nothing.  Every selection
+    matches reference_select_config (see check_selection), and windows
+    with and without a price row meet accepts and rejects on every group
+    count."""
     base = load_scenario(DATA_DIR / "desk.json")
     scn = replace(base, vms=VMCatalog(
         recipes=base.vms.recipes + [[5.0, 5.0, 5.0]],
@@ -644,11 +692,12 @@ def test_unpriced_selection_matches_reference_on_bundles():
         costs = slot_costs(scn, fetch, batch)
         q_eff = float(rng.choice([1.0, 4000.0, 1e5]))
         for req, table, entry in zip(batch, cost_tables(batch, costs),
-                                     alloc.score_matrix(batch, costs, q_eff)):
+                                     slot_scores(alloc, scn, fetch, batch,
+                                                 q_eff)):
             unpriced = not alloc.dual.priced
             scored = alloc.select_config(req, entry)
-            check_selection(alloc, req, entry, scored,
-                            reference_select_config(alloc, req, table, q_eff))
+            check_selection(scored, reference_select_config(alloc, req, table,
+                                                            q_eff))
             decision = alloc.admit(req, scored, q_eff)
             seen[(len(req.groups()), unpriced, decision.accepted)] += 1
     assert alloc.counters["identity_violations"] == 0
@@ -656,3 +705,123 @@ def test_unpriced_selection_matches_reference_on_bundles():
         for unpriced in (True, False):
             for accepted in (True, False):
                 assert seen[(groups, unpriced, accepted)] > 0, seen
+
+
+def counting_selections(alloc):
+    """Count the allocator's select_config calls in a Counter it returns."""
+    calls = Counter()
+    select = alloc.select_config
+
+    def counted(req, scores):
+        calls["selections"] += 1
+        return select(req, scores)
+
+    alloc.select_config = counted
+    return calls
+
+
+def test_hand_made_windows():
+    """decide_window on hand-made rows, each window on a fresh allocator.
+    An all-negative window is rejected from its tops alone, with alpha
+    0.0 and no selection.  A negative top after a non-negative one goes
+    through decide, because the first admission prices its rows.  A -0.0
+    top is no reject, and an empty window decides nothing."""
+    scn = load_scenario(DATA_DIR / "desk.json")
+    rows = [[-3.0, -1.0, -2.0, -1.0, -5.0], [-1e-300, -2.0, -1.0, -1.0, -4.0],
+            [10.0, 30.0, 20.0, 30.0, 5.0], [-6.0, -7.0, -5.0, -8.0, -9.0],
+            [-0.0, -1.0, -2.0, -0.0, -1.0]]
+    requests = [Request(n, 0, 2, 0, {0: (1, ())}) for n in range(len(rows))]
+    group, _ = hand_group(fresh(scn), requests[0], rows)
+
+    def window(*picks):
+        alloc = fresh(scn)
+        calls = counting_selections(alloc)
+        decisions = alloc.decide_window([requests[m] for m in picks],
+                                        [(group, m) for m in picks], 50.0)
+        return alloc, decisions, calls["selections"]
+
+    alloc, decisions, selections = window(0, 1)
+    assert selections == 0
+    assert decisions == [Decision(m, 0, 2, "rejected", REJECT_NEGATIVE, None,
+                                  group.top[m], 0.0, 0.0, 0.0, 0.0, 50.0)
+                         for m in (0, 1)]
+    assert [bits(d.objective) for d in decisions] == [bits(-1.0),
+                                                       bits(-1e-300)]
+    assert alloc.dual.alpha == {0: 0.0, 1: 0.0}
+
+    alloc, (first, then), selections = window(2, 3)
+    assert selections == 2 and first.accepted
+    assert alloc.dual.priced
+    assert then.reason == REJECT_NEGATIVE and then.objective <= -5.0
+    assert alloc.dual.alpha[3] == 0.0
+
+    alloc, [d], selections = window(4)
+    assert bits(group.top[4]) in (bits(0.0), bits(-0.0))
+    assert selections == 1 and d.reason != REJECT_NEGATIVE
+    assert bits(d.objective) == bits(-0.0)
+
+    alloc, decisions, selections = window()
+    assert (decisions, selections, alloc.dual.alpha) == ([], 0, {})
+
+
+def replay_slots(scn, wl, n_slots, plain):
+    """The first n_slots coarse slots of the stream under a fresh proposed
+    allocator, each fine slot decided by decide_window, or, if plain, by
+    a plain loop over decide.  Returns the allocator, its decisions and
+    slot reports, and its select_config calls."""
+    alloc = fresh(scn)
+    if plain:
+        alloc.decide_window = functools.partial(_AdmissionRule.decide_window,
+                                                alloc)
+    calls = counting_selections(alloc)
+    state = OrchestratorState()
+    placement = PlacementProfile.empty(scn.topology.n_clouds, scn.cache_size)
+    decisions, reports = [], []
+    for big in range(n_slots):
+        lo, hi = wl.span(big * scn.fine_per_coarse,
+                         (big + 1) * scn.fine_per_coarse)
+        report, placement, slot_decisions, _ = run_coarse_slot(
+            state, wl.requests[lo:hi], wl.rows.take(lo, hi), alloc,
+            functools.partial(greedy_place, cache_size=scn.cache_size,
+                              topo=scn.topology, catalog=wl.catalog),
+            placement, wl.catalog, scn)
+        decisions += slot_decisions
+        reports.append(report)
+    return alloc, decisions, reports, calls["selections"]
+
+
+@pytest.mark.parametrize("name, slots", [("desk", 12), ("paper_scale", 2)])
+def test_window_decisions_match_a_per_request_replay(name, slots):
+    """decide_window over every busy fine slot of whole slots against a
+    plain per-request decide replay on a fresh allocator: equal decisions
+    and slot reports, field for field and float for float (repr tells
+    -0.0 from 0.0), equal alphas and counters.  The windows reject their
+    unpriced negative prefixes without a selection."""
+    scn = load_scenario(DATA_DIR / f"{name}.json")
+    wl = generate_workload(WorkloadConfig(seed=2), scn,
+                           slots * scn.fine_per_coarse)
+    window, got, got_reports, selected = replay_slots(scn, wl, slots, False)
+    plain, want, want_reports, all_selected = replay_slots(scn, wl, slots,
+                                                           True)
+    assert repr(got) == repr(want)
+    assert repr(got_reports) == repr(want_reports)
+    assert repr(sorted(window.dual.alpha.items())) == repr(
+        sorted(plain.dual.alpha.items()))
+    assert window.counters == plain.counters
+    assert all_selected == len(want)
+    prefix = len(got) - selected
+    assert 0 < prefix <= sum(d.reason == REJECT_NEGATIVE for d in got)
+    assert sum(d.accepted for d in got) > 0
+
+
+def test_empty_slot_scores_nothing():
+    """A slot without requests has no score_matrix entries, under either
+    rule."""
+    scn = load_scenario(DATA_DIR / "tiny.json")
+    rows = pack_requests([], scn.catalog.public_objects(),
+                         scn.topology.n_clouds, scn.catalog)
+    costs = np.zeros((0, scn.topology.n_clouds))
+    for rule in (fresh(scn), MyopicAllocator(scn, ResourceState(
+            dict(scn.capacity)))):
+        assert rule.score_matrix([], rows, costs, 1.0) == []
+        assert rule.decide_window([], [], 1.0) == []

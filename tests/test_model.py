@@ -177,13 +177,39 @@ def test_transport_costs_match_reference_rule():
             else:
                 seen["public_only"] += 1
         lo, hi = sorted(rng.choice(len(requests) + 1, size=2))
+        part = rows.take(lo, hi)
         assert cost_tables(requests[lo:hi], transport_rows(
-            rows.take(lo, hi), fetch, topo)) == tables[lo:hi]
+            part, fetch, topo)) == tables[lo:hi]
+        assert part.keys == rows.keys
+        assert part.kinds.tolist() == rows.kinds[lo:hi].tolist()
         unknown = Request(99, 0, 1, 0, {0: (1, (publics[0], "nope"))})
         with pytest.raises(ValueError, match="nope"):
             pack_requests(requests + [unknown], publics, topo.n_clouds,
                           catalog)
     assert all(count > 0 for count in seen.values()), seen
+
+
+def test_pack_requests_numbers_kinds_by_first_appearance():
+    """A request's kind indexes its Request.key() in keys, numbered in
+    order of first appearance.  The key is every (type, count) pair in
+    demand order, so a zero-count type or another order is another kind,
+    while the objects, ingress, arrival and duration do not matter."""
+    catalog = small_catalog()
+    requests = [Request(0, 0, 1, 0, {1: (1, ("o1",)), 0: (2, ())}),
+                Request(1, 0, 3, 1, {0: (1, ("o2", "p1"))}),
+                Request(2, 1, 1, 0, {0: (2, ()), 1: (1, ())}),
+                Request(3, 2, 2, 1, {1: (1, ("o2",)), 0: (2, ("o1",))}),
+                Request(4, 2, 1, 0, {0: (1, ()), 1: (0, ("o1",))}),
+                Request(5, 3, 1, 1, {0: (1, ("o1",))})]
+    rows = pack_requests(requests, ["o1", "o2"], 2, catalog)
+    assert rows.keys == (((1, 1), (0, 2)), ((0, 1),), ((0, 2), (1, 1)),
+                         ((0, 1), (1, 0)))
+    assert rows.kinds.dtype == np.int32
+    assert rows.kinds.tolist() == [0, 1, 2, 0, 3, 1]
+    assert all(rows.keys[kind] == req.key()
+               for req, kind in zip(requests, rows.kinds.tolist()))
+    empty = pack_requests([], ["o1", "o2"], 2, catalog)
+    assert empty.keys == () and empty.kinds.tolist() == []
 
 
 def test_config_usage_drops_zero_rows():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from edgeorch import simulator
 from edgeorch.allocator import _AdmissionRule
 from edgeorch.cli import resolve_data
 from edgeorch.model import (DataCatalog, Request, Topology, VMCatalog,
@@ -162,8 +163,9 @@ DRAW_VARIANTS = {
 
 
 def assert_same_rows(got, want, where):
-    assert (got.publics, got.n_clouds) == (want.publics, want.n_clouds), where
-    for name in ("starts", "offsets", "source", "size"):
+    assert ((got.publics, got.n_clouds, got.keys)
+            == (want.publics, want.n_clouds, want.keys)), where
+    for name in ("kinds", "starts", "offsets", "source", "size"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), (where, name)
         assert (a == b).all(), (where, name)
@@ -559,6 +561,30 @@ def test_lookahead_oracle_matches_reference():
                     reference_lookahead_oracle(rich, wl, 2, frame)[0] > got[0])
     assert capacity_binds >= 5
     assert budget_binds >= 5
+
+
+def test_lookahead_oracle_places_each_slot_choice_once(monkeypatch):
+    """Within a frame, the oracle prices each slot's set of accepted
+    (request, config) pairs once, however many combinations share it."""
+    placed = []
+    aggregate = simulator.aggregate_demand
+
+    def recording(accepted, catalog, slot):
+        placed.append(tuple((req.req_id, tuple(config.assignment.items()))
+                            for req, config in accepted))
+        return aggregate(accepted, catalog, slot)
+
+    monkeypatch.setattr(simulator, "aggregate_demand", recording)
+    scn = load_scenario(DATA_DIR / "tiny.json")
+    rule = _AdmissionRule(scn, None)
+    searches = 0
+    for _, wl in tiny_instances(20):
+        for frame in range(3):
+            placed.clear()
+            lookahead_oracle(rule, wl, 2, frame)
+            assert len(placed) == len(set(placed))
+            searches += len(placed)
+    assert searches > 0
 
 
 def stub_report(revenue, horizon):

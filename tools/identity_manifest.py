@@ -15,8 +15,9 @@ outputs.  It covers
   * the stream_hash of every run cell;
   * the streams drawn for the desk, tiny, stress and paper_scale
     scenarios (default workload, seeds 0-2, 10 coarse slots): each one's
-    stream_hash, its packed rows, its catalog's object sizes and its
-    catalog's public object list;
+    stream_hash, its packed rows, its packed request kinds with the keys
+    they index, its catalog's object sizes and its catalog's public
+    object list;
   * the replays of the paper_scale streams of seed 0 under proposed and
     myopic_coop, and of seeds 1 and 2 under proposed: their decisions,
     slot reports, placements and counters.
@@ -115,6 +116,9 @@ def stream_digests():
                 (rows.publics, rows.n_clouds,
                  [(a.dtype.str, a.shape, digest(a.tobytes())) for a in columns])
             ).encode())
+            out[f"{key}.kinds"] = digest(repr(
+                (rows.keys, rows.kinds.dtype.str, rows.kinds.shape,
+                 digest(rows.kinds.tobytes()))).encode())
             out[f"{key}.catalog_sizes"] = digest(
                 repr(sorted(stream.catalog.sizes.items())).encode())
             out[f"{key}.public_objects"] = digest(
