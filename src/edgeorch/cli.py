@@ -144,19 +144,26 @@ def _cell_key(policy, seed, axis, value):
 
 
 def _run_stream(args):
-    """Replay one drawn stream under each of its cells; (key, report) pairs.
+    """Replay one drawn stream under each of its cells and write each cell's
+    CSVs into out_dir; (key, summary, per-slot series) triples, no report.
 
     The cells share a seed and a private_ratio, the only sweep axis that
     changes the draw, so the first cell's stream serves them all.
     """
-    horizon, cells = args
+    out_dir, horizon, cells = args
     workload = None
     results = []
     for key, policy, scenario, cfg in cells:
         if workload is None:
             workload = generate_workload(cfg, scenario,
                                          horizon * scenario.fine_per_coarse)
-        results.append((key, run_policy(policy, scenario, workload, horizon)))
+        report = run_policy(policy, scenario, workload, horizon)
+        write_slots_csv(out_dir / f"{key}_slots.csv", report)
+        write_decisions_csv(out_dir / f"{key}_decisions.csv", report)
+        write_placements_csv(out_dir / f"{key}_placements.csv", report)
+        results.append((key, report.summary(), {
+            metric: [getattr(s, metric) for s in report.slots]
+            for metric in ("revenue", "cost", "queue")}))
     return results
 
 
@@ -266,6 +273,8 @@ def run_lookahead_experiment(spec, out_dir):
 
 def run_experiment(spec, out_dir, seed_override=None, horizon_override=None,
                    scenario_override=None, svg=False, workers=1):
+    if type(workers) is not int or workers < 1:
+        raise ScenarioError(f"workers must be a positive integer, got {workers!r}")
     # the lookahead suite draws its own instances on tiny.json
     lookahead = spec["lookahead"] is not None
     if lookahead and (svg or (seed_override, horizon_override,
@@ -307,35 +316,28 @@ def run_experiment(spec, out_dir, seed_override=None, horizon_override=None,
                 keys.add(key)
                 streams.setdefault((seed, draw), []).append(
                     (key, policy, scenario, seeded))
-    tasks = [(horizon, cells) for cells in streams.values()]
+    tasks = [(out_dir, horizon, cells) for cells in streams.values()]
     log.info("experiment %s: %d cells over %d streams", spec["name"],
              sum(len(cells) for cells in streams.values()), len(tasks))
+    # a pool forks all its processes at once, so it gets no more than streams
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(workers) as ex:
             per_stream = list(ex.map(_run_stream, tasks))
     else:
         per_stream = [_run_stream(task) for task in tasks]
-    results = [pair for pairs in per_stream for pair in pairs]
+    results = [cell for cells in per_stream for cell in cells]
 
-    summaries = {}
-    for key, report in results:
-        write_slots_csv(out_dir / f"{key}_slots.csv", report)
-        write_decisions_csv(out_dir / f"{key}_decisions.csv", report)
-        write_placements_csv(out_dir / f"{key}_placements.csv", report)
-        summaries[key] = report.summary()
+    if svg:
+        for metric in ("revenue", "cost", "queue"):
+            svg_line_chart(out_dir / f"chart_{metric}.svg",
+                           {key: series[metric] for key, _, series in results},
+                           f"{spec['name']}: per-slot {metric}")
+    # written last, so a summary.json marks a finished run
+    summaries = {key: summary for key, summary, _ in results}
     (out_dir / "summary.json").write_text(
         json.dumps({"name": spec["name"], "horizon": horizon,
                     "runs": summaries}, indent=2, sort_keys=True) + "\n")
-
-    if svg:
-        by_metric = {"revenue": {}, "cost": {}, "queue": {}}
-        for key, report in results:
-            by_metric["revenue"][key] = [s.revenue for s in report.slots]
-            by_metric["cost"][key] = [s.cost for s in report.slots]
-            by_metric["queue"][key] = [s.queue for s in report.slots]
-        for metric, series in by_metric.items():
-            svg_line_chart(out_dir / f"chart_{metric}.svg", series,
-                           f"{spec['name']}: per-slot {metric}")
 
     for key in sorted(summaries):
         s = summaries[key]

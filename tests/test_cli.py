@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import math
+import pickle
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from edgeorch.cli import (DATA_DIR, _cell_key, _fmt_config,
                           resolve_data, run_experiment, svg_line_chart)
 from edgeorch.model import AllocationConfig
 from edgeorch.scenario import ScenarioError, load_scenario
+from edgeorch.simulator import POLICIES
 
 
 def test_resolve_data():
@@ -175,12 +178,18 @@ def test_workers_write_the_same_artifacts(tmp_path):
         tmp_path, seeds=[0, 1],
         sweep={"axis": "cache_ratio", "values": [0.5, 0.9]})))
     one, two = tmp_path / "one", tmp_path / "two"
-    assert run_experiment(spec, one, workers=1) == 0
-    assert run_experiment(spec, two, workers=2) == 0
-    names = sorted(p.name for p in one.glob("*.csv"))
+    assert run_experiment(spec, one, svg=True, workers=1) == 0
+    assert run_experiment(spec, two, svg=True, workers=2) == 0
+
+    def artifacts(out, suffix):
+        return sorted(p.name for p in out.glob(f"*.{suffix}"))
+
+    names = artifacts(one, "csv")
     assert len(names) == 24
-    assert names == sorted(p.name for p in two.glob("*.csv"))
-    for name in names:
+    charts = artifacts(one, "svg")
+    assert charts == ["chart_cost.svg", "chart_queue.svg", "chart_revenue.svg"]
+    assert names == artifacts(two, "csv") and charts == artifacts(two, "svg")
+    for name in names + charts:
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
     def runs(out):
@@ -190,6 +199,59 @@ def test_workers_write_the_same_artifacts(tmp_path):
         return summary
 
     assert runs(one) == runs(two)
+
+
+def test_run_stream_writes_its_cells_and_returns_no_report(tmp_path):
+    spec = {"workload": "workload_default", "overrides": {}}
+    scenario, cfg = cli._build_point(spec, DATA_DIR / "desk.json", None, None)
+    cfg = replace(cfg, seed=0)
+    cells = [(f"{policy}_s0", policy, scenario, cfg) for policy in POLICIES]
+    results = cli._run_stream((tmp_path, 20, cells))
+    assert [key for key, _, _ in results] == [key for key, _, _, _ in cells]
+    assert len(list(tmp_path.glob("*.csv"))) == 3 * len(cells)
+    for key, summary, series in results:
+        assert type(summary) is dict and summary["horizon_coarse"] == 20
+        assert sorted(series) == ["cost", "queue", "revenue"]
+        with open(tmp_path / f"{key}_slots.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        for metric, values in series.items():
+            assert [repr(v) for v in values] == [row[metric] for row in rows]
+    # only summaries and series cross back from a worker: a few KB
+    data = pickle.dumps(results)
+    assert b"RunReport" not in data
+    assert len(data) < 8 * 1024
+
+
+def test_no_more_worker_processes_than_streams(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size and maps
+        in-process, so no process starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # two seeds draw two streams
+    spec = load_experiment(str(mini_spec(tmp_path, seeds=[0, 1])))
+    assert run_experiment(spec, tmp_path / "two", workers=8) == 0
+    assert sizes == [2]
+    assert len(list((tmp_path / "two").glob("*_slots.csv"))) == 4
+    # one stream runs in-process
+    spec = load_experiment(str(mini_spec(tmp_path)))
+    assert run_experiment(spec, tmp_path / "one", workers=8) == 0
+    assert sizes == [2]
+    assert (tmp_path / "one" / "summary.json").exists()
 
 
 def test_unknown_inputs_exit_2(tmp_path):
@@ -358,6 +420,8 @@ BAD_RUNS = {
            ("instances", "a_string", "2"), ("n_frame", "fraction", 2.5))},
     "horizon_flag_zero": ({}, {}, ["--horizon", "0"]),
     "horizon_flag_negative": ({}, {}, ["--horizon", "-3"]),
+    "workers_flag_zero": ({}, {}, ["--workers", "0"]),
+    "workers_flag_negative": ({}, {}, ["--workers", "-2"]),
     "horizon_fraction": ({"horizon": 2.7}, {}, []),
     "seeds_empty": ({"seeds": []}, {}, []),
     "regime_length_zero": ({}, {"regime_length": 0}, []),

@@ -11,6 +11,8 @@ outputs.  It covers
   * the 27 CSVs of the seed-0 cells of the exp3_cache_size,
     exp4_data_ratio and exp6_v_budget sweeps (cache ratio, private ratio
     and v_weight points, 150 coarse slots);
+  * the three charts of exp1_dynamics, which is run with svg=True, so the
+    per-slot series that cross back from the workers are covered;
   * each of those five experiments' summary.json, less wallclock_s;
   * the stream_hash of every run cell;
   * the streams drawn for the desk, tiny, stress and paper_scale
@@ -50,6 +52,8 @@ SEEDS = [0, 1, 2]
 EXPERIMENTS = {"exp1_dynamics": SEEDS, "exp2_popularity": SEEDS,
                "exp3_cache_size": [0], "exp4_data_ratio": [0],
                "exp6_v_budget": [0]}
+# experiments also run with svg=True, their charts hashed
+SVG_EXPERIMENTS = ("exp1_dynamics",)
 WORKERS = 2
 STREAM_SCENARIOS = ("desk", "tiny", "stress", "paper_scale")
 STREAM_SLOTS = 10
@@ -82,8 +86,10 @@ def experiment_digests():
             spec = {**load_experiment(name), "seeds": seeds}
             out_dir = Path(tmp) / name
             with contextlib.redirect_stdout(io.StringIO()):   # its report lines
-                run_experiment(spec, out_dir, workers=WORKERS)
-            for path in sorted(out_dir.glob("*.csv")):
+                run_experiment(spec, out_dir, svg=name in SVG_EXPERIMENTS,
+                               workers=WORKERS)
+            for path in sorted(out_dir.glob("*.csv")) + sorted(
+                    out_dir.glob("*.svg")):
                 files[f"{name}/{path.name}"] = digest(path.read_bytes())
             summary = json.loads((out_dir / "summary.json").read_text())
             for key, run in sorted(summary["runs"].items()):
