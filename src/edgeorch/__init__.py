@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 from .allocator import Decision, OnlineAllocator
 from .model import (DataCatalog, PlacementProfile, Request, ResourceState,
                     Topology, VMCatalog)
-from .orchestrator import (OrchestratorState, run_coarse_slot,
-                           update_virtual_queue)
+from .orchestrator import run_coarse_slot, update_virtual_queue
 from .placement import DemandMatrix, aggregate_demand, greedy_place
 from .scenario import Scenario, load_scenario
 from .simulator import RunReport, WorkloadConfig, generate_workload, run_policy

@@ -117,7 +117,6 @@ class Decision:
     dual_delta: float
     revenue: float
     transport_cost: float
-    q_eff: float
     slot: int = -1            # coarse slot, stamped by run_coarse_slot
 
     @property
@@ -209,19 +208,18 @@ class _AdmissionRule:
         only."""
         return (None,) * 3
 
-    def decide_window(self, requests, scores, q_eff):
+    def decide_window(self, requests, scores):
         """Decide one fine slot's arrivals, in order, from their entries."""
-        return [self.decide(req, entry, q_eff)
+        return [self.decide(req, entry)
                 for req, entry in zip(requests, scores)]
 
     @staticmethod
     def _decision(req, reason, objective, config=None, revenue=0.0, cost=0.0,
-                  q_eff=0.0, primal_delta=0.0, dual_delta=0.0):
+                  primal_delta=0.0, dual_delta=0.0):
         """The Decision on req: rejected for reason, accepted if it is None."""
         return Decision(req.req_id, req.arrival, req.duration,
                         "rejected" if reason else "accepted", reason, config,
-                        objective, primal_delta, dual_delta, revenue, cost,
-                        q_eff)
+                        objective, primal_delta, dual_delta, revenue, cost)
 
 
 class OnlineAllocator(_AdmissionRule):
@@ -302,10 +300,10 @@ class OnlineAllocator(_AdmissionRule):
                             req.duration * shape.revenue_rate,
                             spend.item(m, best), shape)
 
-    def admit(self, req, scored, q_eff):
+    def admit(self, req, scored):
         """Apply the accept/reject rule to the chosen config and settle duals."""
         if scored.objective < 0.0:
-            return self._reject(req, scored, REJECT_NEGATIVE, q_eff)
+            return self._reject(req, scored, REJECT_NEGATIVE)
 
         shape = scored.shape
         usage, dims = shape.usage, shape.dims
@@ -319,12 +317,12 @@ class OnlineAllocator(_AdmissionRule):
             # set, turns the request away
             for d in range(lo, hi):
                 if prices[d] > 1.0 or caps[d] <= 0.0:
-                    return self._reject(req, scored, REJECT_CEILING, q_eff)
+                    return self._reject(req, scored, REJECT_CEILING)
             windows.append((key[0], units, prices, caps))
 
         if self.scenario.hard_capacity_guard and not self.resources.fits(
                 usage, req.arrival, req.arrival + req.duration):
-            return self._reject(req, scored, REJECT_CAPACITY, q_eff)
+            return self._reject(req, scored, REJECT_CAPACITY)
 
         # dims counts the resources per cloud this config prices; the bonus
         # is amortized over them so the dual increment telescopes exactly
@@ -359,21 +357,20 @@ class OnlineAllocator(_AdmissionRule):
             check_price_scaling(scored, usage, dims))
 
         return self._decision(req, None, scored.objective, scored.config,
-                              scored.revenue, scored.transport_cost, q_eff,
+                              scored.revenue, scored.transport_cost,
                               primal_delta, dual_delta)
 
-    def _reject(self, req, scored, reason, q_eff):
+    def _reject(self, req, scored, reason):
         # keep the dual feasible for rejected requests too: their constraint
         # is covered by the best objective seen at decision time
         alpha = max(0.0, scored.objective)
         self.dual.alpha[req.req_id] = alpha
-        return self._decision(req, reason, scored.objective, q_eff=q_eff,
-                              dual_delta=alpha)
+        return self._decision(req, reason, scored.objective, dual_delta=alpha)
 
-    def decide(self, req, scores, q_eff):
-        return self.admit(req, self.select_config(req, scores), q_eff)
+    def decide(self, req, scores):
+        return self.admit(req, self.select_config(req, scores))
 
-    def decide_window(self, requests, scores, q_eff):
+    def decide_window(self, requests, scores):
         """Decide one fine slot's arrivals in order.  Nothing is priced
         before the first arrival with a non-negative top, whose admission
         prices its rows, so each one before it is a negative-objective
@@ -382,11 +379,11 @@ class OnlineAllocator(_AdmissionRule):
         for req, entry in zip(requests, scores):
             group, m = entry
             if dual.priced or group.top[m] >= 0.0:
-                decisions.append(self.decide(req, entry, q_eff))
+                decisions.append(self.decide(req, entry))
             else:
                 dual.alpha[req.req_id] = 0.0
-                decisions.append(self._decision(
-                    req, REJECT_NEGATIVE, group.top[m], q_eff=q_eff))
+                decisions.append(self._decision(req, REJECT_NEGATIVE,
+                                                group.top[m]))
         return decisions
 
 
@@ -411,7 +408,7 @@ class MyopicAllocator(_AdmissionRule):
         if now % self.scenario.fine_per_coarse == 0:
             self.slot_spend = 0.0
 
-    def decide(self, req, scores, q_eff):
+    def decide(self, req, scores):
         group, m = scores
         spend = group.spend[m].tolist()
         expiry = req.arrival + req.duration

@@ -61,6 +61,8 @@ def load_experiment(name):
     stream is drawn."""
     with open(resolve_data(name, "experiment")) as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"experiment {name} must be a JSON object")
     for where, part, keys in (("experiment", spec, EXPERIMENT_KEYS),
                               ("sweep", spec.get("sweep"), SWEEP_KEYS),
                               ("lookahead", spec.get("lookahead"),
@@ -81,6 +83,10 @@ def load_experiment(name):
             "name", "scenario", "workload", "horizon", "seeds"):
         if field not in spec:
             raise ScenarioError(f"experiment spec missing {field!r}")
+    for field in ("name", "scenario", "workload"):
+        if not isinstance(spec.get(field, ""), str):
+            raise ScenarioError(f"experiment {field} must be a string, got "
+                                f"{spec[field]!r}")
     spec.setdefault("policies", list(POLICIES))
     spec.setdefault("sweep", None)
     spec.setdefault("overrides", {})
@@ -125,6 +131,9 @@ def _build_point(spec, scenario_path, axis, value):
     scenario = load_scenario(scenario_path, overrides)
     with open(resolve_data(spec["workload"], "workload")) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ScenarioError(f"workload {spec['workload']!r} must be a JSON "
+                            "object")
     if "seed" in data:
         raise ScenarioError(f"workload {spec['workload']!r} names a seed; "
                             "the spec's seeds choose it")
@@ -186,6 +195,7 @@ def write_slots_csv(path, report):
 
 
 def write_decisions_csv(path, report):
+    q_eff = [s.q_eff for s in report.slots]   # a decision's is its slot's
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["req_id", "slot", "arrival", "duration", "verdict",
@@ -194,7 +204,7 @@ def write_decisions_csv(path, report):
         for d in report.decisions:
             out.writerow([d.req_id, d.slot, d.arrival, d.duration, d.verdict,
                           d.reason or "", _fmt_config(d.config), d.objective,
-                          d.revenue, d.transport_cost, d.q_eff])
+                          d.revenue, d.transport_cost, q_eff[d.slot]])
 
 
 def write_placements_csv(path, report):
@@ -316,6 +326,9 @@ def run_experiment(spec, out_dir, seed_override=None, horizon_override=None,
                 keys.add(key)
                 streams.setdefault((seed, draw), []).append(
                     (key, policy, scenario, seeded))
+    # a summary.json marks a finished run of this spec: none is left from
+    # an earlier one
+    (out_dir / "summary.json").unlink(missing_ok=True)
     tasks = [(out_dir, horizon, cells) for cells in streams.values()]
     log.info("experiment %s: %d cells over %d streams", spec["name"],
              sum(len(cells) for cells in streams.values()), len(tasks))

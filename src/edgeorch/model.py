@@ -383,7 +383,6 @@ class ResourceState:
         self.leases = {}      # req_id -> Lease
         self.now = 0
         self.end = 0          # first fine slot after every lease
-        self.high_water = {}  # (i, r) -> max commitment ever seen
 
     def free_row(self, key, start, stop):
         """Free units of one (cloud, resource) in fine slots start..stop-1."""
@@ -408,17 +407,11 @@ class ResourceState:
             raise ValueError("lease cannot start in the past")
         if req_id in self.leases:
             raise ValueError(f"request {req_id} already holds a lease")
-        high_water = self.high_water
         for key, units in usage.items():
             row = self.committed.setdefault(key, {})
             get = row.get
-            peak = 0.0
             for t in range(start, expiry):
-                level = row[t] = get(t, 0.0) + units
-                if level > peak:
-                    peak = level
-            if peak > high_water.get(key, 0.0):
-                high_water[key] = peak
+                row[t] = get(t, 0.0) + units
         self.leases[req_id] = Lease(req_id, start, expiry, dict(usage))
         if expiry > self.end:
             self.end = expiry

@@ -1,10 +1,10 @@
 """Two-timescale control loop around the allocator and the placement engine.
 
-A coarse slot spans a fixed number of fine slots.  At its start the virtual
-queue absorbs the previous slot's transport spend relative to the budget;
-during the slot every arriving request goes to the admission rule with the
-queue weight that rule derives from the backlog; at its end the slot's
-demand drives a placement refresh that takes effect for the next slot.
+A coarse slot spans a fixed number of fine slots.  The caller carries the
+virtual queue, which after each slot absorbs its transport spend relative
+to the budget; during a slot every arriving request goes to the admission
+rule with the queue weight that rule derives from the backlog; at its end
+the slot's demand drives a placement refresh for the next slot.
 Every policy runs through this loop: policies differ only in the admission
 rule and the placement callable they pass in.
 
@@ -13,7 +13,7 @@ time-average cost can exceed the budget by at most Q(T)/T.
 """
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import fetch_latencies, transport_rows
 from .placement import aggregate_demand
@@ -47,24 +47,16 @@ class SlotReport:
         return self.accepted / self.arrivals if self.arrivals else 1.0
 
 
-@dataclass
-class OrchestratorState:
-    queue: float = 0.0
-    slot_index: int = 0
-    prev_cost: float = 0.0
-    queue_trace: list = field(default_factory=list)
-
-
-def run_coarse_slot(state, requests, rows, allocator, place, placement,
-                    catalog, scenario, window_hook=None):
-    """Run one coarse slot end to end.
+def run_coarse_slot(slot, queue, requests, rows, allocator, place,
+                    placement, catalog, scenario, window_hook=None):
+    """Run coarse slot `slot` end to end under virtual queue `queue`.
 
     requests: the slot's arrivals, in arrival order; each is decided in
         the fine slot of its arrival.
     rows: model.PackedRows of those requests, in the same order.
     allocator: admission rule with queue_weight(queue),
         advance_fine_slot(t), score_matrix(requests, rows, costs, q_eff)
-        and decide_window(requests, scores, q_eff) -> decisions, where
+        and decide_window(requests, scores) -> decisions, where
         costs are the slot's model.transport_rows, score_matrix returns
         one entry per request, its (allocator.ShapeScores, row), and
         decide_window decides one fine slot's arrivals from their entries.
@@ -73,18 +65,15 @@ def run_coarse_slot(state, requests, rows, allocator, place, placement,
         when the pricing window of each fine slot with arrivals closes,
         with those requests and their score_matrix entries.
 
-    Returns (SlotReport, new placement, decisions, demand).
+    Returns (SlotReport, new placement, decisions).
     """
-    base = state.slot_index * scenario.fine_per_coarse
+    base = slot * scenario.fine_per_coarse
     span = range(base, base + scenario.fine_per_coarse)
     arrivals = [req.arrival for req in requests]
     if arrivals != sorted(arrivals) or not all(t in span for t in arrivals):
-        raise ValueError(f"coarse slot {state.slot_index} takes requests in "
+        raise ValueError(f"coarse slot {slot} takes requests in "
                          f"arrival order from fine slots {base} to {span[-1]}")
-    if state.slot_index > 0:
-        state.queue = update_virtual_queue(state.queue, state.prev_cost,
-                                           scenario.budget)
-    q_eff = allocator.queue_weight(state.queue)
+    q_eff = allocator.queue_weight(queue)
     # the placement is fixed for the slot, so every arrival's transport
     # costs, and every config's price-free score, are known now; a slot
     # without arrivals needs neither
@@ -104,8 +93,8 @@ def run_coarse_slot(state, requests, rows, allocator, place, placement,
         if stop == first:
             continue
         for req, decision in zip(requests[first:stop], allocator.decide_window(
-                requests[first:stop], scores[first:stop], q_eff)):
-            decision.slot = state.slot_index
+                requests[first:stop], scores[first:stop])):
+            decision.slot = slot
             decisions.append(decision)
             if decision.accepted:
                 revenue += decision.revenue
@@ -115,23 +104,19 @@ def run_coarse_slot(state, requests, rows, allocator, place, placement,
             window_hook(t, requests[first:stop], scores[first:stop])
         first = stop
 
-    demand = aggregate_demand(accepted_pairs, catalog, state.slot_index)
-    solution = place(demand)
+    solution = place(aggregate_demand(accepted_pairs, catalog))
 
     report = SlotReport(
-        slot=state.slot_index,
+        slot=slot,
         revenue=revenue,
         cost=cost,
-        queue=state.queue,
+        queue=queue,
         q_eff=q_eff,
         arrivals=len(requests),
         accepted=len(accepted_pairs),
-        dpp=drift_plus_penalty_value(scenario.v_weight, revenue, state.queue,
-                                     cost, scenario.budget),
+        dpp=drift_plus_penalty_value(scenario.v_weight, revenue, queue, cost,
+                                     scenario.budget),
         placement_objective=solution.objective,
         placement_savings=solution.savings,
     )
-    state.queue_trace.append(state.queue)
-    state.prev_cost = cost
-    state.slot_index += 1
-    return report, solution.profile, decisions, demand
+    return report, solution.profile, decisions

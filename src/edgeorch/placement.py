@@ -20,9 +20,12 @@ from .model import (DataCatalog, PlacementProfile, Topology, _draws,
                     fetch_latencies)
 
 
+# the most placement profiles brute_force_place scores
+BRUTE_FORCE_CAP = 2_000_000
+
+
 @dataclass
 class DemandMatrix:
-    slot: int
     entries: dict             # (cloud, object id) -> size-weighted demand
 
     def objects(self):
@@ -35,7 +38,7 @@ class DemandMatrix:
         return totals
 
 
-def aggregate_demand(accepted, catalog, slot):
+def aggregate_demand(accepted, catalog):
     """Size-weighted public-object demand per cloud from accepted bundles.
 
     An object counts whether or not it was cached when the request was
@@ -55,7 +58,7 @@ def aggregate_demand(accepted, catalog, slot):
                     continue
                 key = (i, o)
                 entries[key] = entries.get(key, 0.0) + count * sizes[o]
-    return DemandMatrix(slot, entries)
+    return DemandMatrix(entries)
 
 
 def placement_cost(placement, demand, topo):
@@ -266,12 +269,12 @@ def _scan_best(costs):
     return best
 
 
-def brute_force_place(demand, cache_size, topo, catalog, cap=2_000_000):
+def brute_force_place(demand, cache_size, topo, catalog):
     """Exhaustive minimum-cost placement over demanded objects.
 
     Only objects with positive demand are considered; caching anything else
     can never lower the cost.  Raises when the product of per-cloud feasible
-    sets exceeds the cap.
+    sets exceeds BRUTE_FORCE_CAP.
 
     Every profile is scored in one array pass.  Axis n of the cost array
     runs over cloud n's content sets, so its flat order is the order of
@@ -284,8 +287,9 @@ def brute_force_place(demand, cache_size, topo, catalog, cap=2_000_000):
     per_cloud = [feasible_content_sets(objects, catalog, cache_size[i]) for i in clouds]
     shape = tuple(len(sets) for sets in per_cloud)
     space = math.prod(shape)
-    if space > cap:
-        raise ValueError(f"brute force search space {space} exceeds cap {cap}")
+    if space > BRUTE_FORCE_CAP:
+        raise ValueError(f"brute force search space {space} exceeds cap "
+                         f"{BRUTE_FORCE_CAP}")
     held = []   # per cloud: o -> which of its content sets hold o, on its axis
     for n, sets in enumerate(per_cloud):
         member = {}
@@ -339,7 +343,7 @@ def random_placement_instance(rng):
             for o in sorted(catalog.sizes):
                 if double() < 0.6:
                     entries[(i, o)] = float(integer(1, 10))
-        demand = DemandMatrix(0, entries)
+        demand = DemandMatrix(entries)
         space = math.prod(count_content_sets(demand.objects(), catalog,
                                              cache[i])
                           for i in range(n_clouds))

@@ -21,7 +21,7 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +29,14 @@ from .allocator import (MyopicAllocator, OnlineAllocator,
                         dual_feasibility_violations)
 from .model import (DataCatalog, PackedRows, PlacementProfile, Request,
                     ResourceState, _draws, ordered_sum, transport_rows)
-from .orchestrator import OrchestratorState, run_coarse_slot, update_virtual_queue
+from .orchestrator import run_coarse_slot, update_virtual_queue
 from .placement import (DemandMatrix, PlacementSolution, aggregate_demand,
                         brute_force_place, greedy_place, placement_cost,
                         top_popularity_place)
 
 POLICIES = ("proposed", "myopic_coop", "myopic_nocoop")
+# the most requests one lookahead_oracle frame may hold
+ORACLE_MAX_REQUESTS = 16
 
 
 @dataclass
@@ -90,10 +92,6 @@ class WorkloadConfig:
         return cls(**{name: tuple(value) if isinstance(value, list) else value
                       for name, value in data.items()})
 
-    def to_dict(self):
-        return {name: list(value) if isinstance(value, tuple) else value
-                for name, value in vars(self).items()}
-
 
 def zipf_probabilities(n, exponent):
     """Rank popularity: p(rank) proportional to 1/rank**exponent."""
@@ -108,7 +106,6 @@ class Workload:
     requests: list            # in arrival order
     catalog: object           # public objects plus this stream's private ones
     config: WorkloadConfig
-    horizon_fine: int
     lambda_schedule: list     # (first fine slot, rate)
     stream_hash: str
     rows: PackedRows          # the requests' object reads, packed in order
@@ -201,8 +198,8 @@ def generate_workload(cfg, scenario, horizon_fine):
                                  [((k, 1),) for k in kind_of], kinds,
                                  np.arange(len(requests) + 1), lengths,
                                  source, source_size[source])
-    return Workload(requests, catalog, cfg, horizon_fine, schedule,
-                    digest.hexdigest(), rows)
+    return Workload(requests, catalog, cfg, schedule, digest.hexdigest(),
+                    rows)
 
 
 def perturb_demand(demand, error_mean, rng):
@@ -214,7 +211,7 @@ def perturb_demand(demand, error_mean, rng):
     its demand entries with that probability.  Accounting keeps true costs.
     """
     if error_mean <= 0 or not demand.entries:
-        return DemandMatrix(demand.slot, dict(demand.entries)), 0.0, ()
+        return DemandMatrix(dict(demand.entries)), 0.0, ()
     eps = min(1.0, float(rng.poisson(error_mean * 10)) / 10)
     totals = demand.total_by_object()
     ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -229,7 +226,7 @@ def perturb_demand(demand, error_mean, rng):
     zeroed = tuple(o for o in top if rng.random() < eps)
     gone = set(zeroed)
     entries = {key: d for key, d in demand.entries.items() if key[1] not in gone}
-    return DemandMatrix(demand.slot, entries), eps, zeroed
+    return DemandMatrix(entries), eps, zeroed
 
 
 @dataclass
@@ -246,7 +243,6 @@ class RunReport:
     counters: dict
     stream_hash: str
     wallclock: float
-    high_water: dict = field(default_factory=dict)   # (cloud, resource) -> peak units
 
     @property
     def acceptance_rate(self):
@@ -337,16 +333,17 @@ def run_policy(policy, scenario, workload, horizon_coarse,
                 counters["dual_violations"] += dual_feasibility_violations(
                     allocator, seen, scores)
 
-    state = OrchestratorState()
+    queue = 0.0
     placement = PlacementProfile.empty(scenario.topology.n_clouds,
                                        scenario.cache_size)
     slots, decisions, placements = [], [], []
     for big in range(horizon_coarse):
         lo, hi = workload.span(big * scenario.fine_per_coarse,
                                (big + 1) * scenario.fine_per_coarse)
-        report, placement, slot_decs, _ = run_coarse_slot(
-            state, workload.requests[lo:hi], workload.rows.take(lo, hi),
+        report, placement, slot_decs = run_coarse_slot(
+            big, queue, workload.requests[lo:hi], workload.rows.take(lo, hi),
             allocator, place, placement, catalog, scenario, window_hook=hook)
+        queue = update_virtual_queue(queue, report.cost, scenario.budget)
         slots.append(report)
         decisions.extend(slot_decs)
         placements.append((big, {i: sorted(placement.cached[i])
@@ -373,16 +370,15 @@ def run_policy(policy, scenario, workload, horizon_coarse,
         slots=slots,
         decisions=decisions,
         placements=placements,
-        queue_trace=state.queue_trace,
+        queue_trace=[s.queue for s in slots],
         totals=totals,
         counters=counters,
         stream_hash=workload.stream_hash,
         wallclock=time.perf_counter() - started,
-        high_water=dict(resources.high_water),
     )
 
 
-def lookahead_oracle(rule, workload, n_frame, frame_index, max_requests=16):
+def lookahead_oracle(rule, workload, n_frame, frame_index):
     """Clairvoyant optimum of one frame of n_frame coarse slots.
 
     Exhausts every accept/config combination that fits a fresh capacity
@@ -403,9 +399,9 @@ def lookahead_oracle(rule, workload, n_frame, frame_index, max_requests=16):
     workload.rows.check(scenario.catalog.public_objects(), topo.n_clouds)
     lo, hi = workload.span(first * fpc, (first + n_frame) * fpc)
     frame_reqs = workload.requests[lo:hi]
-    if len(frame_reqs) > max_requests:
-        raise ValueError(
-            f"frame has {len(frame_reqs)} requests, oracle cap is {max_requests}")
+    if len(frame_reqs) > ORACLE_MAX_REQUESTS:
+        raise ValueError(f"frame has {len(frame_reqs)} requests, oracle cap "
+                         f"is {ORACLE_MAX_REQUESTS}")
     catalog = workload.catalog
     # a fetch table that prices every public read at 0.0 leaves only the
     # private streams in each config's spend
@@ -439,13 +435,13 @@ def lookahead_oracle(rule, workload, n_frame, frame_index, max_requests=16):
         else:
             total_cost = 0.0
             # requests come in arrival order, so a slot's picks are one run
-            for s, run in itertools.groupby(
+            for _, run in itertools.groupby(
                     picked, lambda p: p[2].arrival // fpc):
                 run = list(run)
                 key = tuple(p[:2] for p in run)
                 if key not in placed:
                     _, public = brute_force_place(
-                        aggregate_demand([p[2:4] for p in run], catalog, s),
+                        aggregate_demand([p[2:4] for p in run], catalog),
                         scenario.cache_size, topo, catalog)
                     placed[key] = public + ordered_sum(p[6] for p in run)
                 total_cost += placed[key]

@@ -127,16 +127,22 @@ def _lemma7_one(seed):
     workload = generate_workload(cfg, scenario, 10 * scenario.fine_per_coarse)
     report = run_policy("proposed", scenario, workload, 10)
     by_req = {r.req_id: r for r in workload.requests}
-    bundle_peak = {}
+    # accepts leased their usage in decision order, so the levels summed
+    # from 0.0 in that order, and their peaks, are the ledger's
+    bundle_peak, level, peak = {}, {}, {}
     for d in report.decisions:
         if d.accepted:
-            usage = config_usage(by_req[d.req_id], d.config, scenario.vms)
+            req = by_req[d.req_id]
+            usage = config_usage(req, d.config, scenario.vms)
             for (i, r), units in usage.items():
                 bundle_peak[r] = max(bundle_peak.get(r, 0.0), units)
+                for t in range(req.arrival, req.arrival + req.duration):
+                    held = level[(i, r, t)] = level.get((i, r, t), 0.0) + units
+                    peak[(i, r)] = max(peak.get((i, r), 0.0), held)
     worst = 0.0
     ok = True
-    for (i, r), peak in report.high_water.items():
-        over = peak - scenario.capacity[(i, r)]
+    for (i, r), high in peak.items():
+        over = high - scenario.capacity[(i, r)]
         worst = max(worst, over)
         if over > bundle_peak.get(r, 0.0) + 1e-9:
             ok = False

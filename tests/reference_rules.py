@@ -209,10 +209,10 @@ class ReferenceAllocator(OnlineAllocator):
                                     revenue, cost, None)
         return best
 
-    def admit(self, req, scored, q_eff):
+    def admit(self, req, scored):
         config = scored.config
         if scored.objective < 0.0:
-            return self._reject(req, scored, REJECT_NEGATIVE, q_eff)
+            return self._reject(req, scored, REJECT_NEGATIVE)
 
         usage = config_usage(req, config, self.vms)
         span = range(req.arrival, req.arrival + req.duration)
@@ -220,13 +220,13 @@ class ReferenceAllocator(OnlineAllocator):
             for t in span:
                 triple = (key[0], key[1], t)
                 if self._price(triple) > 1.0:
-                    return self._reject(req, scored, REJECT_CEILING, q_eff)
+                    return self._reject(req, scored, REJECT_CEILING)
                 if self._capacity_at_window_start(triple) <= 0.0:
-                    return self._reject(req, scored, REJECT_CEILING, q_eff)
+                    return self._reject(req, scored, REJECT_CEILING)
 
         if self.scenario.hard_capacity_guard and not self.resources.fits(
                 usage, req.arrival, req.arrival + req.duration):
-            return self._reject(req, scored, REJECT_CAPACITY, q_eff)
+            return self._reject(req, scored, REJECT_CAPACITY)
 
         dims = {}
         for (i, r) in usage:
@@ -270,11 +270,11 @@ class ReferenceAllocator(OnlineAllocator):
             verdict="accepted", reason=None, config=config,
             objective=scored.objective, primal_delta=primal_delta,
             dual_delta=dual_delta, revenue=scored.revenue,
-            transport_cost=scored.transport_cost, q_eff=q_eff,
+            transport_cost=scored.transport_cost,
         )
 
     def decide(self, req, fetch, q_eff):
-        return self.admit(req, self.select_config(req, fetch, q_eff), q_eff)
+        return self.admit(req, self.select_config(req, fetch, q_eff))
 
 
 class ReferenceResourceState:

@@ -14,7 +14,7 @@ from edgeorch.allocator import (BONUS_SCALE, E_RATIO, REJECT_NEGATIVE,
 from edgeorch.model import (DataCatalog, PlacementProfile, Request,
                             ResourceState, Topology, VMCatalog, config_usage,
                             fetch_latencies, pack_requests, transport_rows)
-from edgeorch.orchestrator import OrchestratorState, run_coarse_slot
+from edgeorch.orchestrator import run_coarse_slot, update_virtual_queue
 from edgeorch.placement import greedy_place
 from edgeorch.scenario import DATA_DIR, Scenario, load_scenario
 from edgeorch.simulator import WorkloadConfig, generate_workload, run_policy
@@ -114,9 +114,9 @@ def cost_table(scenario, fetch, req):
 
 
 def decide(alloc, scenario, fetch, req, q_eff):
-    """Price and score one request on its own, then decide it."""
+    """Price and score one request on its own under q_eff, then decide it."""
     return alloc.decide(req, slot_scores(alloc, scenario, fetch, [req],
-                                         q_eff)[0], q_eff)
+                                         q_eff)[0])
 
 
 def test_scoring_prefers_the_cached_cloud():
@@ -165,7 +165,7 @@ def test_accept_updates_prices_and_duals():
                           adjusted_revenue=50.0, per_cloud={0: 50.0},
                           revenue=100.0, transport_cost=0.0, shape=shape)
 
-    d = alloc.admit(req, scored, q_eff=1.0)
+    d = alloc.admit(req, scored)
     assert d.accepted
     assert d.primal_delta == 100.0
     # alpha 100 plus four capacity triples each granting cap * bonus
@@ -214,7 +214,7 @@ def test_reject_price_ceiling_and_alpha_cover():
     scored = ScoredConfig(config=shape.config, objective=10.0,
                           adjusted_revenue=10.0, per_cloud={0: 10.0},
                           revenue=50.0, transport_cost=0.0, shape=shape)
-    d = alloc.admit(req, scored, q_eff=1.0)
+    d = alloc.admit(req, scored)
     assert d.reason == "price_ceiling"
     # the rejected request's constraint stays covered by its best objective
     assert alloc.dual.alpha[3] == 10.0
@@ -229,7 +229,7 @@ def test_reject_when_window_started_full():
     scored = ScoredConfig(config=shape.config, objective=10.0,
                           adjusted_revenue=10.0, per_cloud={0: 10.0},
                           revenue=50.0, transport_cost=0.0, shape=shape)
-    d = alloc.admit(req, scored, q_eff=1.0)
+    d = alloc.admit(req, scored)
     assert d.reason == "price_ceiling"
 
 
@@ -242,7 +242,7 @@ def test_reject_no_feasible_config():
     scored = ScoredConfig(config=shape.config, objective=10.0,
                           adjusted_revenue=10.0, per_cloud={0: 10.0},
                           revenue=50.0, transport_cost=0.0, shape=shape)
-    d = alloc.admit(req, scored, q_eff=1.0)
+    d = alloc.admit(req, scored)
     assert d.reason == "no_feasible_config"
 
 
@@ -250,7 +250,7 @@ def test_advance_fine_slot_restarts_window():
     scn = one_cloud_scenario()
     alloc = fresh(scn)
     req = Request(1, 0, 2, 0, {0: (1, ())})
-    alloc.admit(req, alloc_scored(alloc, req), q_eff=1.0)
+    alloc.admit(req, alloc_scored(alloc, req))
     assert alloc.dual.beta
     alloc.advance_fine_slot(1)
     assert alloc.dual.beta == {}
@@ -409,7 +409,7 @@ def test_admission_matches_scalar_reference():
                                                                 q_eff))
                 seen["priced"] += not new.dual.priced.isdisjoint(
                     scored.shape.clouds)
-                got = new.admit(req, scored, q_eff)
+                got = new.admit(req, scored)
                 want = ref.decide(req, fetch, q_eff)
                 assert got == want
                 seen[got.reason or "accepted"] += 1
@@ -541,7 +541,7 @@ def replay_checking_selections(monkeypatch, scn, wl, horizon):
             scored.shape.clouds)
         return scored
 
-    def windowed(self, requests, scores, q_eff):
+    def windowed(self, requests, scores):
         prefix = []   # the reference's picks of the unpriced negative prefix
         if not self.dual.priced:
             for req in requests:
@@ -550,7 +550,7 @@ def replay_checking_selections(monkeypatch, scn, wl, horizon):
                     break
                 prefix.append(want)
         before = seen["selections"]
-        decisions = decide_window(self, requests, scores, q_eff)
+        decisions = decide_window(self, requests, scores)
         assert seen["selections"] - before == len(requests) - len(prefix)
         for d, want in zip(decisions, prefix):
             assert (d.reason, d.config, d.dual_delta) == (
@@ -651,9 +651,9 @@ def test_first_argmax_on_hand_made_rows(rows):
         if row[want] < 0.0:
             assert bits(group.top[m]) == bits(row[want])
             alone = fresh(scn)
-            [d] = alone.decide_window([req], [(group, m)], 1.0)
+            [d] = alone.decide_window([req], [(group, m)])
             assert d == Decision(0, 0, 2, "rejected", REJECT_NEGATIVE, None,
-                                 row[want], 0.0, 0.0, 0.0, 0.0, 1.0)
+                                 row[want], 0.0, 0.0, 0.0, 0.0)
             assert bits(d.objective) == bits(row[want])
             assert alone.dual.alpha == {0: 0.0}
 
@@ -698,7 +698,7 @@ def test_unpriced_selection_matches_reference_on_bundles():
             scored = alloc.select_config(req, entry)
             check_selection(scored, reference_select_config(alloc, req, table,
                                                             q_eff))
-            decision = alloc.admit(req, scored, q_eff)
+            decision = alloc.admit(req, scored)
             seen[(len(req.groups()), unpriced, decision.accepted)] += 1
     assert alloc.counters["identity_violations"] == 0
     for groups in (1, 2, 3):
@@ -737,13 +737,13 @@ def test_hand_made_windows():
         alloc = fresh(scn)
         calls = counting_selections(alloc)
         decisions = alloc.decide_window([requests[m] for m in picks],
-                                        [(group, m) for m in picks], 50.0)
+                                        [(group, m) for m in picks])
         return alloc, decisions, calls["selections"]
 
     alloc, decisions, selections = window(0, 1)
     assert selections == 0
     assert decisions == [Decision(m, 0, 2, "rejected", REJECT_NEGATIVE, None,
-                                  group.top[m], 0.0, 0.0, 0.0, 0.0, 50.0)
+                                  group.top[m], 0.0, 0.0, 0.0, 0.0)
                          for m in (0, 1)]
     assert [bits(d.objective) for d in decisions] == [bits(-1.0),
                                                        bits(-1e-300)]
@@ -774,17 +774,18 @@ def replay_slots(scn, wl, n_slots, plain):
         alloc.decide_window = functools.partial(_AdmissionRule.decide_window,
                                                 alloc)
     calls = counting_selections(alloc)
-    state = OrchestratorState()
+    queue = 0.0
     placement = PlacementProfile.empty(scn.topology.n_clouds, scn.cache_size)
     decisions, reports = [], []
     for big in range(n_slots):
         lo, hi = wl.span(big * scn.fine_per_coarse,
                          (big + 1) * scn.fine_per_coarse)
-        report, placement, slot_decisions, _ = run_coarse_slot(
-            state, wl.requests[lo:hi], wl.rows.take(lo, hi), alloc,
+        report, placement, slot_decisions = run_coarse_slot(
+            big, queue, wl.requests[lo:hi], wl.rows.take(lo, hi), alloc,
             functools.partial(greedy_place, cache_size=scn.cache_size,
                               topo=scn.topology, catalog=wl.catalog),
             placement, wl.catalog, scn)
+        queue = update_virtual_queue(queue, report.cost, scn.budget)
         decisions += slot_decisions
         reports.append(report)
     return alloc, decisions, reports, calls["selections"]
@@ -824,4 +825,4 @@ def test_empty_slot_scores_nothing():
     for rule in (fresh(scn), MyopicAllocator(scn, ResourceState(
             dict(scn.capacity)))):
         assert rule.score_matrix([], rows, costs, 1.0) == []
-        assert rule.decide_window([], [], 1.0) == []
+        assert rule.decide_window([], []) == []

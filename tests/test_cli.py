@@ -124,6 +124,50 @@ def test_run_with_svg_and_overrides(tmp_path):
         assert len(list(csv.reader(fh))) == 2  # horizon override applied
 
 
+def test_decision_rows_carry_their_slot_q_eff(tmp_path):
+    """Each decisions CSV row carries the q_eff its slot's row of the
+    slots CSV shows: the proposed rule's queue weight, which moves from
+    slot to slot, and the myopic rule's 0.0."""
+    out = tmp_path / "out"
+    assert main(["run", str(mini_spec(tmp_path, horizon=4)),
+                 "--out", str(out)]) == 0
+    seen = {}
+    for key in ("proposed_s0", "myopic_coop_s0"):
+        with open(out / f"{key}_slots.csv") as fh:
+            q_eff = {row["slot"]: row["q_eff"] for row in csv.DictReader(fh)}
+        with open(out / f"{key}_decisions.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(row["q_eff"] == q_eff[row["slot"]]
+                            for row in rows)
+        seen[key] = {row["q_eff"] for row in rows}
+    assert len(seen["proposed_s0"]) > 2
+    assert seen["myopic_coop_s0"] == {"0.0"}
+
+
+def test_failed_rerun_leaves_no_summary(tmp_path, monkeypatch):
+    """A summary.json marks a finished run of this spec: one that an
+    earlier run left is removed before the first draw, so a rerun that
+    fails on its second cell leaves none."""
+    out = tmp_path / "out"
+    assert main(["run", str(mini_spec(tmp_path)), "--out", str(out)]) == 0
+    assert (out / "summary.json").exists()
+    runs = []
+    real = cli.run_policy
+
+    def failing(policy, *args):
+        runs.append(policy)
+        if len(runs) == 2:
+            raise RuntimeError("the second cell fails")
+        return real(policy, *args)
+
+    monkeypatch.setattr(cli, "run_policy", failing)
+    with pytest.raises(RuntimeError, match="the second cell fails"):
+        main(["run", str(mini_spec(tmp_path, horizon=3)), "--out", str(out)])
+    assert runs == ["proposed", "myopic_coop"]
+    assert (out / "proposed_s0_slots.csv").exists()
+    assert not (out / "summary.json").exists()
+
+
 def test_sweep_axis_names_cells(tmp_path):
     spec = mini_spec(tmp_path, policies=["proposed"],
                      sweep={"axis": "v_weight", "values": [1000.0, 2000.0]})
@@ -405,8 +449,22 @@ LOOK = {"instances": 1, "n_frame": 2, "frames": 3}
 
 # (spec edits, workload-file edits, command-line flags) of runs that must
 # exit 2; edits that name "lookahead" start from a bare lookahead spec,
-# the others from mini_spec
+# the others from mini_spec, and edits that are not a JSON object are the
+# whole spec or workload file
 BAD_RUNS = {
+    **{f"{part}_file_{name}": (value, {}, []) if part == "spec" else
+       ({}, value, [])
+       for part, cases in (("spec", (("a_list", []), ("a_number", 5),
+                                     ("null", None), ("a_string", "x"))),
+                           ("workload", (("a_list", []), ("a_number", 5),
+                                         ("null", None), ("true", True))))
+       for name, value in cases},
+    **{f"{field}_{name}": ({field: value}, {}, [])
+       for field in ("scenario", "workload")
+       for name, value in (("a_number", 3), ("null", None),
+                           ("a_list", ["tiny"]))},
+    "name_a_number": ({"name": 5}, {}, []),
+    "name_a_list": ({"name": ["mini"]}, {}, []),
     **{f"lookahead_with_{key}": ({"lookahead": LOOK, key: value}, {}, [])
        for key, value in GRID_VALUES.items()},
     "lookahead_with_every_grid_key": ({"lookahead": LOOK, **GRID_VALUES},
@@ -446,13 +504,19 @@ BAD_RUNS = {
 def test_bad_runs_exit_2(tmp_path, capsys, monkeypatch, case):
     edits, workload, flags = BAD_RUNS[case]
     draws = count_draws(monkeypatch)
-    if "lookahead" in edits:
+    if not isinstance(edits, dict):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(edits))
+    elif "lookahead" in edits:
         spec = tmp_path / "look.json"
         spec.write_text(json.dumps({"name": "look", **edits}))
     else:
-        data = json.loads((DATA_DIR / "workload_default.json").read_text())
-        (tmp_path / "wl.json").write_text(json.dumps({**data, **workload}))
-        spec = mini_spec(tmp_path, workload=str(tmp_path / "wl.json"), **edits)
+        if isinstance(workload, dict):
+            data = json.loads((DATA_DIR / "workload_default.json").read_text())
+            workload = {**data, **workload}
+        (tmp_path / "wl.json").write_text(json.dumps(workload))
+        spec = mini_spec(tmp_path, **{"workload": str(tmp_path / "wl.json"),
+                                      **edits})
     out = tmp_path / "z"
     assert main(["run", str(spec), "--out", str(out), *flags]) == 2
     assert "error:" in capsys.readouterr().err

@@ -308,18 +308,9 @@ def test_resource_state_matches_triple_reference():
             assert new.now == ref.now
             assert {(i, r, t): units for (i, r), row in new.committed.items()
                     for t, units in row.items()} == ref.committed
-            assert new.high_water == ref.high_water
             assert new.leases == ref.leases
             assert new.audit() == ref.audit() is None
     assert all(count > 0 for count in seen.values()), seen
-
-
-def test_high_water_tracks_peaks_across_advances():
-    state = ResourceState({(0, 0): 10.0})
-    state.lease("a", {(0, 0): 7.0}, 0, 2)
-    state.advance(2)
-    state.lease("b", {(0, 0): 3.0}, 2, 3)
-    assert state.high_water[(0, 0)] == 7.0
 
 
 def test_data_catalog():

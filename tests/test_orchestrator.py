@@ -4,9 +4,8 @@ from edgeorch import orchestrator
 from edgeorch.allocator import MyopicAllocator, OnlineAllocator
 from edgeorch.model import (PlacementProfile, Request, ResourceState,
                             pack_requests)
-from edgeorch.orchestrator import (OrchestratorState, SlotReport,
-                                   drift_plus_penalty_value, run_coarse_slot,
-                                   update_virtual_queue)
+from edgeorch.orchestrator import (SlotReport, drift_plus_penalty_value,
+                                   run_coarse_slot, update_virtual_queue)
 from edgeorch.placement import PlacementSolution, greedy_place
 from edgeorch.scenario import DATA_DIR, load_scenario
 
@@ -46,30 +45,33 @@ def packed(scenario, requests):
                          scenario.topology.n_clouds, scenario.catalog)
 
 
-def run_one_slot(scenario, requests, state=None):
-    state = state or OrchestratorState()
+def run_one_slot(scenario, requests, slot=0, queue=0.0):
+    """run_coarse_slot's three results under the proposed rule and greedy
+    placement, and the demand matrices its place callable received."""
     resources = ResourceState(dict(scenario.capacity))
     allocator = OnlineAllocator(scenario, resources)
     placement = PlacementProfile.empty(scenario.topology.n_clouds,
                                        dict(scenario.cache_size))
+    demands = []
 
     def place(demand):
+        demands.append(demand)
         return greedy_place(demand, scenario.cache_size, scenario.topology,
                             scenario.catalog)
 
-    return run_coarse_slot(state, requests, packed(scenario, requests),
+    return run_coarse_slot(slot, queue, requests, packed(scenario, requests),
                            allocator, place, placement, scenario.catalog,
-                           scenario), state
+                           scenario), demands
 
 
 def test_single_slot_accounting():
     scn = load_scenario(DATA_DIR / "tiny.json")
     reqs = [Request(1, 0, 2, 0, {0: (1, ("o000",))}),
             Request(2, 1, 1, 1, {1: (1, ("o001",))})]
-    (report, new_placement, decisions, demand), state = run_one_slot(scn, reqs)
+    (report, new_placement, decisions), [demand] = run_one_slot(scn, reqs)
 
     assert report.slot == 0
-    assert report.queue == 0.0          # no update before the first slot
+    assert report.queue == 0.0
     assert report.q_eff == 1.0
     assert report.arrivals == 2
     assert [d.req_id for d in decisions] == [1, 2]
@@ -83,20 +85,40 @@ def test_single_slot_accounting():
                                    for d in accepted
                                    for k in d.config.assignment
                                    for o in reqs[d.req_id - 1].demand[k][1]}
-    assert state.slot_index == 1
-    assert state.prev_cost == report.cost
-    assert state.queue_trace == [0.0]
     new_placement.validate(scn.catalog)
 
 
-def test_queue_updates_at_slot_start():
+@pytest.mark.parametrize("queue", [0.0, 0.5, 40.0, 1234.5])
+def test_slot_reports_the_queue_it_is_given(queue):
+    """The slot decides under the queue it is handed, and the rule's
+    weight of it, whatever slot it is; it updates no queue itself."""
     scn = load_scenario(DATA_DIR / "tiny.json")
-    state = OrchestratorState(queue=0.0, slot_index=1, prev_cost=100.0)
-    (report, _, _, _), state = run_one_slot(scn, [], state)
-    # 100 spent against a budget of 60 leaves a backlog of 40
-    assert report.queue == 40.0
-    assert report.q_eff == 40.0
-    assert state.queue_trace[-1] == 40.0
+    reqs = [Request(1, 4, 2, 0, {0: (1, ("o000",))}),
+            Request(2, 6, 1, 1, {1: (1, ("o001",))})]
+    (report, _, decisions), _ = run_one_slot(scn, reqs, slot=1, queue=queue)
+    assert report.slot == 1 and [d.slot for d in decisions] == [1, 1]
+    assert report.queue == queue
+    assert report.q_eff == max(queue, 1.0)
+    assert report.dpp == drift_plus_penalty_value(
+        scn.v_weight, report.revenue, queue, report.cost, scn.budget)
+
+
+def test_place_receives_the_slot_demand():
+    """place gets the slot's demand matrix: the size-weighted public reads
+    of its accepted requests, at the clouds their configs chose."""
+    scn = load_scenario(DATA_DIR / "tiny.json")
+    reqs = [Request(1, 0, 1, 0, {0: (2, ("o000", "o001"))}),
+            Request(2, 1, 1, 1, {1: (1, ("o001",))})]
+    (_, _, decisions), [demand] = run_one_slot(scn, reqs)
+    want = {}
+    for d in decisions:
+        if d.accepted:
+            for k, i in d.config.assignment.items():
+                count, objects = reqs[d.req_id - 1].demand[k]
+                for o in objects:
+                    want[(i, o)] = (want.get((i, o), 0.0)
+                                    + count * scn.catalog.sizes[o])
+    assert want and demand.entries == want
 
 
 def test_window_hook_sees_each_busy_fine_slot():
@@ -108,14 +130,13 @@ def test_window_hook_sees_each_busy_fine_slot():
                       [group.shapes == allocator._shapes_for(r)
                        for r, (group, _) in zip(batch, scores)]))
 
-    state = OrchestratorState()
     resources = ResourceState(dict(scn.capacity))
     allocator = OnlineAllocator(scn, resources)
     placement = PlacementProfile.empty(2, dict(scn.cache_size))
     requests = [Request(1, 0, 1, 0, {0: (1, ())}),
                 Request(2, 2, 1, 0, {0: (1, ())}),
                 Request(3, 2, 1, 1, {1: (1, ())})]
-    run_coarse_slot(state, requests, packed(scn, requests), allocator,
+    run_coarse_slot(0, 0.0, requests, packed(scn, requests), allocator,
                     lambda demand: PlacementSolution(placement, 0.0, 0.0, []),
                     placement,
                     scn.catalog, scn, window_hook=hook)
@@ -125,12 +146,11 @@ def test_window_hook_sees_each_busy_fine_slot():
 def test_placement_swap_is_returned_not_applied():
     scn = load_scenario(DATA_DIR / "tiny.json")
     sentinel = PlacementProfile({0: ("o000",), 1: ()}, dict(scn.cache_size))
-    state = OrchestratorState()
     resources = ResourceState(dict(scn.capacity))
     allocator = OnlineAllocator(scn, resources)
     placement = PlacementProfile.empty(2, dict(scn.cache_size))
-    (report, new_placement, _, _) = run_coarse_slot(
-        state, [], packed(scn, []), allocator,
+    (report, new_placement, _) = run_coarse_slot(
+        0, 0.0, [], packed(scn, []), allocator,
         lambda demand: PlacementSolution(sentinel, 0.0, 0.0, []), placement,
         scn.catalog, scn)
     assert new_placement is sentinel
@@ -140,7 +160,7 @@ def test_placement_swap_is_returned_not_applied():
 
 def test_empty_slot_prices_nothing_but_still_advances(monkeypatch):
     """A slot without arrivals builds no fetch table, cost rows or score
-    matrix, but advances every fine slot, updates the queue and places."""
+    matrix, but advances every fine slot, reports its queue and places."""
     def unused(*args):
         raise AssertionError("priced an empty slot")
 
@@ -152,12 +172,11 @@ def test_empty_slot_prices_nothing_but_still_advances(monkeypatch):
     monkeypatch.setattr(OnlineAllocator, "advance_fine_slot",
                         lambda self, t: advanced.append(t) or advance(self, t))
     scn = load_scenario(DATA_DIR / "tiny.json")
-    state = OrchestratorState(queue=0.0, slot_index=1, prev_cost=100.0)
-    (report, placement, decisions, demand), state = run_one_slot(
-        scn, [], state)
+    (report, placement, decisions), [demand] = run_one_slot(
+        scn, [], slot=1, queue=40.0)
     assert advanced == [4, 5, 6, 7]
     assert report.queue == 40.0 and report.arrivals == 0 and decisions == []
-    assert demand.entries == {} and demand.slot == 1
+    assert demand.entries == {}
     placement.validate(scn.catalog)
 
 
@@ -167,15 +186,13 @@ def test_empty_slot_prices_nothing_but_still_advances(monkeypatch):
 def test_requests_out_of_order_or_outside_the_slot_raise(arrivals,
                                                          monkeypatch):
     """Slot 1 spans fine slots 4..7; a request out of arrival order or
-    from another slot is refused before the queue or a fine slot moves."""
+    from another slot is refused before a fine slot moves."""
     advanced = []
     monkeypatch.setattr(OnlineAllocator, "advance_fine_slot",
                         lambda self, t: advanced.append(t))
     scn = load_scenario(DATA_DIR / "tiny.json")
     requests = [Request(n, t, 1, 0, {0: (1, ("o000",))})
                 for n, t in enumerate(arrivals)]
-    state = OrchestratorState(queue=0.0, slot_index=1, prev_cost=100.0)
     with pytest.raises(ValueError, match="arrival order from fine slots 4 to 7"):
-        run_one_slot(scn, requests, state)
-    assert state == OrchestratorState(queue=0.0, slot_index=1, prev_cost=100.0)
+        run_one_slot(scn, requests, slot=1, queue=40.0)
     assert advanced == []

