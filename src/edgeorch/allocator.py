@@ -37,12 +37,12 @@ class DualState:
     """Shadow prices for the current fine slot's packing problem.
 
     Prices and capacity baselines are kept as one row per (cloud, resource)
-    the window has touched, indexed by fine slot minus the window start.
-    An entry no admission has priced yet reads 0.0.
+    the window has touched, indexed by offset from the arrival, which is
+    the window start.  An entry no admission has priced yet reads 0.0.
     """
 
     def __init__(self):
-        self.start = 0        # first fine slot of the window
+        self.start = 0        # the window's fine slot: its requests' arrival
         self.beta = {}        # (cloud, resource) -> [price by offset]
         self.baseline = {}    # (cloud, resource) -> [capacity at window start by offset]
         self.priced = set()   # clouds holding a price row
@@ -53,14 +53,6 @@ class DualState:
         self.beta.clear()
         self.baseline.clear()
         self.priced.clear()
-
-    def offset(self, req):
-        """Offset of the request's arrival into the window's rows."""
-        lo = req.arrival - self.start
-        if lo < 0:
-            raise ValueError(f"request {req.req_id} arrives before its "
-                             "pricing window")
-        return lo
 
     def rows(self, key, stop, ledger):
         """The price and baseline rows of one (cloud, resource), covering
@@ -247,13 +239,12 @@ class OnlineAllocator(_AdmissionRule):
         +0.0 or nothing, which leaves a sum started at 0.0 unchanged.
         """
         get = self.dual.beta.get
-        lo = self.dual.offset(req)
-        hi = lo + req.duration
+        duration = req.duration
         total = 0.0
         for key, units in rows:
             prices = get(key)
             if prices is not None:
-                for price in prices[lo:hi]:
+                for price in prices[:duration]:
                     total += units * price
         return total
 
@@ -308,14 +299,13 @@ class OnlineAllocator(_AdmissionRule):
         shape = scored.shape
         usage, dims = shape.usage, shape.dims
         dual = self.dual
-        lo = dual.offset(req)
-        hi = lo + req.duration
+        span = range(req.duration)
         windows = []
         for key, units in shape.rows:
-            prices, caps = dual.rows(key, hi, self.resources)
+            prices, caps = dual.rows(key, req.duration, self.resources)
             # a price past 1, or nothing free when the window's prices were
             # set, turns the request away
-            for d in range(lo, hi):
+            for d in span:
                 if prices[d] > 1.0 or caps[d] <= 0.0:
                     return self._reject(req, scored, REJECT_CEILING)
             windows.append((key[0], units, prices, caps))
@@ -330,7 +320,7 @@ class OnlineAllocator(_AdmissionRule):
         bonus_total = 0.0
         for i, units, prices, caps in windows:
             share = scored.per_cloud.get(i, 0.0) / dims[i]
-            for d in range(lo, hi):
+            for d in span:
                 pre = prices[d]
                 cap = caps[d]
                 charge += units * pre
@@ -371,11 +361,15 @@ class OnlineAllocator(_AdmissionRule):
         return self.admit(req, self.select_config(req, scores))
 
     def decide_window(self, requests, scores):
-        """Decide one fine slot's arrivals in order.  Nothing is priced
-        before the first arrival with a non-negative top, whose admission
-        prices its rows, so each one before it is a negative-objective
-        reject with alpha 0.0, read from its top; the rest go to decide."""
+        """Decide one fine slot's arrivals in order; a request arriving
+        elsewhere than dual.start raises ValueError before any is decided.
+        Nothing is priced before the first arrival with a non-negative top,
+        whose admission prices its rows, so each one before it is a
+        negative-objective reject with alpha 0.0, read from its top; the
+        rest go to decide."""
         decisions, dual = [], self.dual
+        if any(req.arrival != dual.start for req in requests):
+            raise ValueError(f"window {dual.start} takes only its arrivals")
         for req, entry in zip(requests, scores):
             group, m = entry
             if dual.priced or group.top[m] >= 0.0:

@@ -39,14 +39,14 @@ def resolve_data(name, kind=""):
     """A bare name means a bundled file; anything with a path stays a path.
 
     A file of that bare name in the current directory still wins, with a
-    warning that it shadows the bundled one.
+    warning that it shadows the bundled one.  Only files resolve.
     """
     p = Path(name)
     bundled = None
     if "/" not in str(name):
         bundled = next((c for c in (DATA_DIR / name, DATA_DIR / f"{name}.json")
-                        if c.exists()), None)
-    if p.exists():
+                        if c.is_file()), None)
+    if p.is_file():
         if bundled is not None:
             log.warning("%s %s in the current directory shadows bundled %s",
                         kind or "file", p.resolve(), bundled)
@@ -138,6 +138,9 @@ def _build_point(spec, scenario_path, axis, value):
         raise ScenarioError(f"workload {spec['workload']!r} names a seed; "
                             "the spec's seeds choose it")
     cfg = WorkloadConfig.from_dict(data)
+    if cfg.vm_mix and len(cfg.vm_mix) != scenario.vms.n_types:
+        raise ScenarioError(f"workload vm_mix gives {len(cfg.vm_mix)} "
+                            f"probabilities for {scenario.vms.n_types} VM types")
     if axis == "cache_ratio":
         adjust_cache_ratio(scenario, value)
     elif axis == "private_ratio":
@@ -292,8 +295,11 @@ def run_experiment(spec, out_dir, seed_override=None, horizon_override=None,
         raise ScenarioError("lookahead specs take no --seed, --horizon, "
                             "--scenario or --svg")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
+        raise ScenarioError(f"output {out_dir} or a parent of it exists and "
+                            "is not a directory")
     if lookahead:
+        out_dir.mkdir(parents=True, exist_ok=True)
         return run_lookahead_experiment(spec, out_dir)
 
     scenario_path = resolve_data(scenario_override or spec["scenario"],
@@ -326,8 +332,10 @@ def run_experiment(spec, out_dir, seed_override=None, horizon_override=None,
                 keys.add(key)
                 streams.setdefault((seed, draw), []).append(
                     (key, policy, scenario, seeded))
-    # a summary.json marks a finished run of this spec: none is left from
+    # every input is checked, so the output directory is made now; a
+    # summary.json marks a finished run of this spec: none is left from
     # an earlier one
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.json").unlink(missing_ok=True)
     tasks = [(out_dir, horizon, cells) for cells in streams.values()]
     log.info("experiment %s: %d cells over %d streams", spec["name"],

@@ -106,7 +106,6 @@ class Workload:
     requests: list            # in arrival order
     catalog: object           # public objects plus this stream's private ones
     config: WorkloadConfig
-    lambda_schedule: list     # (first fine slot, rate)
     stream_hash: str
     rows: PackedRows          # the requests' object reads, packed in order
 
@@ -154,7 +153,6 @@ def generate_workload(cfg, scenario, horizon_fine):
     n_public = len(publics)
     n_clouds = scenario.topology.n_clouds
     requests = []
-    schedule = []
     digest = hashlib.sha256()
     # one packed row per request; kind_of numbers the types drawn in order
     kind_of, kinds, lengths, sources = {}, [], [], []
@@ -163,7 +161,6 @@ def generate_workload(cfg, scenario, horizon_fine):
     for t in range(horizon_fine):
         if t % cfg.regime_length == 0:
             rate = float(rng.uniform(*cfg.lambda_range))
-            schedule.append((t, rate))
         drawn, private_ids = [], []
         for _ in range(int(rng.poisson(rate))):
             k = bisect.bisect_right(type_cdf, double())
@@ -198,8 +195,7 @@ def generate_workload(cfg, scenario, horizon_fine):
                                  [((k, 1),) for k in kind_of], kinds,
                                  np.arange(len(requests) + 1), lengths,
                                  source, source_size[source])
-    return Workload(requests, catalog, cfg, schedule, digest.hexdigest(),
-                    rows)
+    return Workload(requests, catalog, cfg, digest.hexdigest(), rows)
 
 
 def perturb_demand(demand, error_mean, rng):
@@ -211,7 +207,7 @@ def perturb_demand(demand, error_mean, rng):
     its demand entries with that probability.  Accounting keeps true costs.
     """
     if error_mean <= 0 or not demand.entries:
-        return DemandMatrix(dict(demand.entries)), 0.0, ()
+        return DemandMatrix(dict(demand.entries))
     eps = min(1.0, float(rng.poisson(error_mean * 10)) / 10)
     totals = demand.total_by_object()
     ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -223,10 +219,9 @@ def perturb_demand(demand, error_mean, rng):
         running += d
         if running >= 0.5 * grand:
             break
-    zeroed = tuple(o for o in top if rng.random() < eps)
-    gone = set(zeroed)
+    gone = {o for o in top if rng.random() < eps}
     entries = {key: d for key, d in demand.entries.items() if key[1] not in gone}
-    return DemandMatrix(entries), eps, zeroed
+    return DemandMatrix(entries)
 
 
 @dataclass
@@ -316,8 +311,7 @@ def run_policy(policy, scenario, workload, horizon_coarse,
     perturb_rng = np.random.default_rng([workload.config.seed, 101])
 
     def place(demand):
-        view, _, _ = perturb_demand(demand, workload.config.error_mean,
-                                    perturb_rng)
+        view = perturb_demand(demand, workload.config.error_mean, perturb_rng)
         if cooperative:
             return greedy_place(view, scenario.cache_size, scenario.topology,
                                 catalog)

@@ -764,6 +764,26 @@ def test_hand_made_windows():
     assert (decisions, selections, alloc.dual.alpha) == ([], 0, {})
 
 
+def test_window_refuses_a_request_from_another_fine_slot():
+    """decide_window prices only the arrivals of its own fine slot: a
+    window holding a later arrival, or an earlier one whose negative top
+    would be rejected unpriced, raises ValueError and decides nothing."""
+    scn = load_scenario(DATA_DIR / "desk.json")
+    here, later, earlier = (Request(n, t, 2, 0, {0: (1, ())})
+                            for n, t in enumerate((3, 4, 2)))
+    group, _ = hand_group(fresh(scn), here, [[10.0, 30.0, 20.0, 30.0, 5.0],
+                                             [-3.0, -1.0, -2.0, -1.0, -5.0]])
+    for window in ([(here, 0), (later, 0)], [(earlier, 1)]):
+        alloc = fresh(scn)
+        alloc.advance_fine_slot(3)
+        calls = counting_selections(alloc)
+        with pytest.raises(ValueError, match="window 3"):
+            alloc.decide_window([req for req, _ in window],
+                                [(group, m) for _, m in window])
+        assert calls["selections"] == 0
+        assert (alloc.dual.alpha, alloc.dual.priced) == ({}, set())
+
+
 def replay_slots(scn, wl, n_slots, plain):
     """The first n_slots coarse slots of the stream under a fresh proposed
     allocator, each fine slot decided by decide_window, or, if plain, by

@@ -24,6 +24,8 @@ def test_resolve_data():
     assert resolve_data(str(direct)) == direct
     with pytest.raises(FileNotFoundError):
         resolve_data("no_such_thing")
+    with pytest.raises(FileNotFoundError):
+        resolve_data(str(DATA_DIR))
 
 
 def test_resolve_data_warns_when_a_local_file_shadows_bundled(
@@ -449,8 +451,9 @@ LOOK = {"instances": 1, "n_frame": 2, "frames": 3}
 
 # (spec edits, workload-file edits, command-line flags) of runs that must
 # exit 2; edits that name "lookahead" start from a bare lookahead spec,
-# the others from mini_spec, and edits that are not a JSON object are the
-# whole spec or workload file
+# the others from mini_spec, edits that are a path are the experiment
+# itself, and edits that are not a JSON object are the whole spec or
+# workload file; {tmp} in a flag is the test's directory
 BAD_RUNS = {
     **{f"{part}_file_{name}": (value, {}, []) if part == "spec" else
        ({}, value, [])
@@ -463,6 +466,13 @@ BAD_RUNS = {
        for field in ("scenario", "workload")
        for name, value in (("a_number", 3), ("null", None),
                            ("a_list", ["tiny"]))},
+    **{f"{field}_a_directory": ({field: str(DATA_DIR)}, {}, [])
+       for field in ("scenario", "workload")},
+    "scenario_dot": ({"scenario": "."}, {}, []),
+    "experiment_a_directory": (DATA_DIR, {}, []),
+    "scenario_flag_a_directory": ({}, {}, ["--scenario", str(DATA_DIR)]),
+    "out_flag_an_existing_file": ({}, {}, ["--out", "{tmp}/wl.json"]),
+    "out_flag_under_a_file": ({}, {}, ["--out", "{tmp}/wl.json/z"]),
     "name_a_number": ({"name": 5}, {}, []),
     "name_a_list": ({"name": ["mini"]}, {}, []),
     **{f"lookahead_with_{key}": ({"lookahead": LOOK, key: value}, {}, [])
@@ -495,6 +505,8 @@ BAD_RUNS = {
     "vm_mix_null": ({}, {"vm_mix": None}, []),
     "vm_mix_off_sum": ({}, {"vm_mix": [0.9, 0.2]}, []),
     "vm_mix_negative": ({}, {"vm_mix": [1.2, -0.2]}, []),
+    # tiny has two VM types
+    "vm_mix_wrong_length": ({}, {"vm_mix": [0.2, 0.3, 0.5]}, []),
     "negative_private_ratio_point": (
         {"sweep": {"axis": "private_ratio", "values": [0.5, -1.0]}}, {}, []),
 }
@@ -504,7 +516,9 @@ BAD_RUNS = {
 def test_bad_runs_exit_2(tmp_path, capsys, monkeypatch, case):
     edits, workload, flags = BAD_RUNS[case]
     draws = count_draws(monkeypatch)
-    if not isinstance(edits, dict):
+    if isinstance(edits, Path):
+        spec = edits
+    elif not isinstance(edits, dict):
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps(edits))
     elif "lookahead" in edits:
@@ -518,10 +532,11 @@ def test_bad_runs_exit_2(tmp_path, capsys, monkeypatch, case):
         spec = mini_spec(tmp_path, **{"workload": str(tmp_path / "wl.json"),
                                       **edits})
     out = tmp_path / "z"
-    assert main(["run", str(spec), "--out", str(out), *flags]) == 2
+    assert main(["run", str(spec), "--out", str(out),
+                 *[flag.format(tmp=tmp_path) for flag in flags]]) == 2
     assert "error:" in capsys.readouterr().err
     assert draws == []
-    assert not list(out.glob("*"))
+    assert not out.exists()
 
 
 # spec edits that give two run cells one key, and that key: the cells would

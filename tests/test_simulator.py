@@ -51,7 +51,6 @@ def test_workload_is_deterministic():
     b = generate_workload(cfg, scn, 100)
     assert a.stream_hash == b.stream_hash
     assert [r.req_id for r in a.requests] == [r.req_id for r in b.requests]
-    assert a.lambda_schedule == b.lambda_schedule
     c = generate_workload(WorkloadConfig(seed=6, lambda_range=(0.0, 4.0)),
                           scn, 100)
     assert c.stream_hash != a.stream_hash
@@ -71,8 +70,6 @@ def test_workload_shape_and_validation():
     cfg = WorkloadConfig(seed=2, lambda_range=(2.0, 6.0), private_ratio=2.0)
     wl = generate_workload(cfg, scn, 120)
     assert wl.requests
-    regimes = [t for t, _ in wl.lambda_schedule]
-    assert regimes == [0, 25, 50, 75, 100]
     for req in wl.requests:
         assert 0 <= req.arrival < 120
         assert 1 <= req.duration <= 5
@@ -283,23 +280,18 @@ class FakeRng:
 
 def test_perturb_demand_no_error_is_identity():
     demand = DemandMatrix({(0, "A"): 10.0, (1, "C"): 1.0})
-    view, eps, zeroed = perturb_demand(demand, 0.0, FakeRng(99, []))
+    view = perturb_demand(demand, 0.0, FakeRng(99, []))
     assert view.entries == demand.entries
     assert view.entries is not demand.entries
-    assert (eps, zeroed) == (0.0, ())
 
 
 def test_perturb_demand_drops_hot_objects():
     demand = DemandMatrix({(0, "A"): 10.0, (0, "B"): 5.0, (1, "C"): 1.0})
     # X=4 over shape 10 gives eps 0.4; A alone carries half the traffic
-    view, eps, zeroed = perturb_demand(demand, 0.3, FakeRng(4, [0.3]))
-    assert eps == 0.4
-    assert zeroed == ("A",)
+    view = perturb_demand(demand, 0.3, FakeRng(4, [0.3]))
     assert view.entries == {(0, "B"): 5.0, (1, "C"): 1.0}
-    # a huge draw saturates the error rate at 1
-    view, eps, zeroed = perturb_demand(demand, 0.3, FakeRng(25, [0.99]))
-    assert eps == 1.0
-    assert zeroed == ("A",)
+    view = perturb_demand(demand, 0.3, FakeRng(25, [0.99]))
+    assert view.entries == {(0, "B"): 5.0, (1, "C"): 1.0}
 
 
 def shared_workload(scn, seed=0, horizon_coarse=4):
@@ -435,7 +427,7 @@ def test_zero_capacity_accepts_nothing():
 def hand_workload(scn, requests):
     return Workload(requests=requests, catalog=scn.catalog,
                     config=WorkloadConfig(seed=0),
-                    lambda_schedule=[], stream_hash="hand",
+                    stream_hash="hand",
                     rows=pack_requests(requests,
                                        scn.catalog.public_objects(),
                                        scn.topology.n_clouds, scn.catalog))
