@@ -117,7 +117,10 @@ def load_experiment(name):
 def adjust_cache_ratio(scenario, ratio):
     universal = sum(scenario.catalog.sizes[o]
                     for o in scenario.catalog.public_objects())
-    per_cloud = float(int(ratio * universal / scenario.topology.n_clouds))
+    per_cloud = ratio * universal / scenario.topology.n_clouds
+    if per_cloud == math.inf:
+        raise ScenarioError(f"cache_ratio {ratio:g} overflows the cache size")
+    per_cloud = float(int(per_cloud))
     scenario.cache_size = {i: per_cloud for i in scenario.cache_size}
 
 

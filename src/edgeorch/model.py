@@ -92,8 +92,10 @@ class VMCatalog:
 
     def __init__(self, recipes, prices, resources=None):
         self.recipes = [list(map(float, g)) for g in recipes]
+        if not self.recipes:
+            raise ValueError("a VM catalog needs at least one VM type")
         self.prices = [float(p) for p in prices]
-        self.n_resources = len(self.recipes[0]) if self.recipes else 0
+        self.n_resources = len(self.recipes[0])
         self.resources = list(resources) if resources else [f"r{r}" for r in range(self.n_resources)]
         if len(self.recipes) != len(self.prices):
             raise ValueError("recipes and prices length mismatch")

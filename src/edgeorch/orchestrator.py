@@ -4,7 +4,7 @@ A coarse slot spans a fixed number of fine slots.  The caller carries the
 virtual queue, which after each slot absorbs its transport spend relative
 to the budget; during a slot every arriving request goes to the admission
 rule with the queue weight that rule derives from the backlog; at its end
-the slot's demand drives a placement refresh for the next slot.
+the slot's accepted requests drive a placement refresh for the next slot.
 Every policy runs through this loop: policies differ only in the admission
 rule and the placement callable they pass in.
 
@@ -16,7 +16,6 @@ import bisect
 from dataclasses import dataclass
 
 from .model import fetch_latencies, transport_rows
-from .placement import aggregate_demand
 
 
 def update_virtual_queue(queue, cost, budget):
@@ -48,25 +47,26 @@ class SlotReport:
 
 
 def run_coarse_slot(slot, queue, requests, rows, allocator, place,
-                    placement, catalog, scenario, window_hook=None):
+                    placement, window_hook=None):
     """Run coarse slot `slot` end to end under virtual queue `queue`.
 
     requests: the slot's arrivals, in arrival order; each is decided in
         the fine slot of its arrival.
     rows: model.PackedRows of those requests, in the same order.
-    allocator: admission rule with queue_weight(queue),
+    allocator: admission rule over its scenario, with queue_weight(queue),
         advance_fine_slot(t), score_matrix(requests, rows, costs, q_eff)
         and decide_window(requests, scores) -> decisions, where
         costs are the slot's model.transport_rows, score_matrix returns
         one entry per request, its (allocator.ShapeScores, row), and
         decide_window decides one fine slot's arrivals from their entries.
-    place: callable(DemandMatrix) -> PlacementSolution for the next slot.
+    place: callable(accepted [(request, config)]) -> next PlacementSolution.
     window_hook: optional callable(fine slot, requests, scores) invoked
         when the pricing window of each fine slot with arrivals closes,
         with those requests and their score_matrix entries.
 
     Returns (SlotReport, new placement, decisions).
     """
+    scenario = allocator.scenario
     base = slot * scenario.fine_per_coarse
     span = range(base, base + scenario.fine_per_coarse)
     arrivals = [req.arrival for req in requests]
@@ -104,7 +104,7 @@ def run_coarse_slot(slot, queue, requests, rows, allocator, place,
             window_hook(t, requests[first:stop], scores[first:stop])
         first = stop
 
-    solution = place(aggregate_demand(accepted_pairs, catalog))
+    solution = place(accepted_pairs)
 
     report = SlotReport(
         slot=slot,

@@ -97,6 +97,10 @@ def _best_content(items, capacity):
     """
     n = len(items)
     cap = int(capacity)
+    # every row is constant above the total weight, at least n since each
+    # weight is a whole unit, so a larger cache chooses as that total does
+    if cap > n:
+        cap = min(cap, sum(w for _, w, _ in items))
     if n == 0 or cap <= 0:
         return (), 0.0
     best = [[0.0] * (cap + 1) for _ in range(n + 1)]
@@ -351,9 +355,9 @@ def random_placement_instance(rng):
             return demand, cache, topo, catalog
 
 
-def top_popularity_place(demand, cache_size, catalog):
-    """Each cloud independently caches its own hottest objects by demand
-    density until its cache is full.  No coordination across clouds."""
+def top_popularity_place(demand, cache_size, topo, catalog):
+    """Each cloud caches its own hottest objects by demand density until its
+    cache is full, with no coordination; costed as placement_cost sums."""
     sizes = _integer_sizes(demand.objects(), catalog)
     per_cloud = {}
     for (i, o), d in demand.entries.items():
@@ -371,4 +375,9 @@ def top_popularity_place(demand, cache_size, catalog):
         cached[i] = tuple(chosen)
     profile = PlacementProfile(cached, cache_size)
     profile.validate(catalog)
-    return profile
+    fetch = fetch_latencies(profile, topo, {o for _, o in demand.entries})
+    objective = empty = 0.0
+    for (i, o), d in sorted(demand.entries.items()):
+        objective += d * fetch[i][o]
+        empty += d * topo.origin[i]
+    return PlacementSolution(profile, objective, empty - objective, [])

@@ -114,18 +114,28 @@ def scenario_from_dict(data):
     unknown = set(data) - SCENARIO_KEYS
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
-    data = {"c_max": 0.0, "hard_capacity_guard": True, **data}
+    data = {"name": "scenario", "c_max": 0.0, "hard_capacity_guard": True,
+            **data}
     try:
         latency = _require(data, "latency", list)
         origin = _require(data, "origin_latency", list)
         topo = Topology(latency, origin)
+        names = data.get("resources")
         vms = VMCatalog(
             _require(data, "recipes", list),
             _require(data, "prices", list),
-            data.get("resources"),
+            names,
         )
+        if names is not None and not (
+                type(names) is list and len(names) == vms.n_resources
+                and all(type(r) is str for r in names)):
+            raise ScenarioError("scenario resources must list one name per "
+                                "resource")
         objects = _require(data, "objects", dict)
         catalog = DataCatalog({o: s for o, s in objects.items()})
+        # caches and placement count whole units
+        if any(s % 1 for s in objects.values()):
+            raise ScenarioError("scenario object sizes must be whole numbers")
         cap_rows = _require(data, "capacity", list)
         if len(cap_rows) != topo.n_clouds:
             raise ScenarioError("capacity rows must match cloud count")
@@ -140,7 +150,7 @@ def scenario_from_dict(data):
             raise ScenarioError("cache_size must list one entry per cloud")
         cache_size = {i: float(s) for i, s in enumerate(cache_row)}
         return Scenario(
-            name=data.get("name", "scenario"),
+            name=_require(data, "name", str),
             topology=topo,
             vms=vms,
             catalog=catalog,

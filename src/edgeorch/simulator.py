@@ -30,9 +30,8 @@ from .allocator import (MyopicAllocator, OnlineAllocator,
 from .model import (DataCatalog, PackedRows, PlacementProfile, Request,
                     ResourceState, _draws, ordered_sum, transport_rows)
 from .orchestrator import run_coarse_slot, update_virtual_queue
-from .placement import (DemandMatrix, PlacementSolution, aggregate_demand,
-                        brute_force_place, greedy_place, placement_cost,
-                        top_popularity_place)
+from .placement import (DemandMatrix, aggregate_demand, brute_force_place,
+                        greedy_place, top_popularity_place)
 
 POLICIES = ("proposed", "myopic_coop", "myopic_nocoop")
 # the most requests one lookahead_oracle frame may hold
@@ -301,23 +300,19 @@ def run_policy(policy, scenario, workload, horizon_coarse,
     counters = {"accounting_violations": 0, "queue_replay_violations": 0,
                 "dual_violations": 0, "ledger_violations": 0,
                 "replayed_windows": 0}
-    catalog = workload.catalog
     resources = ResourceState(scenario.capacity)
-    if policy == "proposed":
-        allocator = OnlineAllocator(scenario, resources)
-    else:
-        allocator = MyopicAllocator(scenario, resources)
-    cooperative = policy != "myopic_nocoop"
+    allocator = (OnlineAllocator if policy == "proposed"
+                 else MyopicAllocator)(scenario, resources)
+    rule = ("top_popularity_place" if policy == "myopic_nocoop"
+            else "greedy_place")
     perturb_rng = np.random.default_rng([workload.config.seed, 101])
 
-    def place(demand):
-        view = perturb_demand(demand, workload.config.error_mean, perturb_rng)
-        if cooperative:
-            return greedy_place(view, scenario.cache_size, scenario.topology,
-                                catalog)
-        profile = top_popularity_place(view, scenario.cache_size, catalog)
-        return PlacementSolution(
-            profile, placement_cost(profile, view, scenario.topology), 0.0, [])
+    def place(accepted):
+        view = perturb_demand(aggregate_demand(accepted, workload.catalog),
+                              workload.config.error_mean, perturb_rng)
+        # looked up at each call, so a wrapper set on this module fires
+        return globals()[rule](view, scenario.cache_size, scenario.topology,
+                               workload.catalog)
 
     hook = None
     if lemma5_windows:
@@ -336,7 +331,7 @@ def run_policy(policy, scenario, workload, horizon_coarse,
                                (big + 1) * scenario.fine_per_coarse)
         report, placement, slot_decs = run_coarse_slot(
             big, queue, workload.requests[lo:hi], workload.rows.take(lo, hi),
-            allocator, place, placement, catalog, scenario, window_hook=hook)
+            allocator, place, placement, window_hook=hook)
         queue = update_virtual_queue(queue, report.cost, scenario.budget)
         slots.append(report)
         decisions.extend(slot_decs)

@@ -15,7 +15,7 @@ from edgeorch.model import (DataCatalog, PlacementProfile, Request,
                             ResourceState, Topology, VMCatalog, config_usage,
                             fetch_latencies, pack_requests, transport_rows)
 from edgeorch.orchestrator import run_coarse_slot, update_virtual_queue
-from edgeorch.placement import greedy_place
+from edgeorch.placement import aggregate_demand, greedy_place
 from edgeorch.scenario import DATA_DIR, Scenario, load_scenario
 from edgeorch.simulator import WorkloadConfig, generate_workload, run_policy
 from reference_rules import (ReferenceAllocator, ReferenceResourceState,
@@ -802,9 +802,10 @@ def replay_slots(scn, wl, n_slots, plain):
                          (big + 1) * scn.fine_per_coarse)
         report, placement, slot_decisions = run_coarse_slot(
             big, queue, wl.requests[lo:hi], wl.rows.take(lo, hi), alloc,
-            functools.partial(greedy_place, cache_size=scn.cache_size,
-                              topo=scn.topology, catalog=wl.catalog),
-            placement, wl.catalog, scn)
+            lambda accepted: greedy_place(
+                aggregate_demand(accepted, wl.catalog), scn.cache_size,
+                scn.topology, wl.catalog),
+            placement)
         queue = update_virtual_queue(queue, report.cost, scn.budget)
         decisions += slot_decisions
         reports.append(report)

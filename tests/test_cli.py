@@ -509,6 +509,18 @@ BAD_RUNS = {
     "vm_mix_wrong_length": ({}, {"vm_mix": [0.2, 0.3, 0.5]}, []),
     "negative_private_ratio_point": (
         {"sweep": {"axis": "private_ratio", "values": [0.5, -1.0]}}, {}, []),
+    # tiny's per-cloud cache of 1e308 times its 3 units overflows
+    "cache_ratio_overflow": (
+        {"sweep": {"axis": "cache_ratio", "values": [1e308]}}, {}, []),
+    "no_vm_types": ({"overrides": {"recipes": [], "prices": [],
+                                   "capacity": [[], []]}}, {}, []),
+    # tiny has three resources
+    **{f"resources_{name}": ({"overrides": {"resources": value}}, {}, [])
+       for name, value in (("a_string", "abc"), ("too_few", ["a"]),
+                           ("numbers", [1, 2, 3]))},
+    "scenario_name_a_number": ({"overrides": {"name": 5}}, {}, []),
+    "fractional_object_size": ({"overrides": {"objects": {
+        "o000": 1.5, "o001": 1, "o002": 1}}}, {}, []),
 }
 
 
@@ -537,6 +549,22 @@ def test_bad_runs_exit_2(tmp_path, capsys, monkeypatch, case):
     assert "error:" in capsys.readouterr().err
     assert draws == []
     assert not out.exists()
+
+
+def test_cache_past_the_demand_runs_as_a_full_cache(tmp_path):
+    """A cache far larger than tiny's three unit objects, past what a
+    knapsack table could index, writes the CSVs a cache holding all three
+    writes."""
+    got = {}
+    for cache in (1e300, 3):
+        out = tmp_path / f"cache{cache:g}"
+        spec = mini_spec(tmp_path, horizon=4, seeds=[0, 1],
+                         policies=list(POLICIES),
+                         overrides={"cache_size": [cache, cache]})
+        assert main(["run", str(spec), "--out", str(out)]) == 0
+        got[cache] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    assert len(got[3]) == 18
+    assert got[1e300] == got[3]
 
 
 # spec edits that give two run cells one key, and that key: the cells would
@@ -626,7 +654,11 @@ def test_svg_chart_is_deterministic(tmp_path):
 # workload_default.json, seeds 0-2, 20 coarse slots.  The myopic slots
 # digests changed once, when the myopic baselines moved onto the shared
 # control loop and their `dpp` column began to carry the drift-plus-penalty
-# value instead of a 0.0 placeholder; every other digest dates from before.
+# value instead of a 0.0 placeholder.  The myopic_nocoop slots and
+# placements digests changed once more, when the popularity baseline began
+# to return its own placement solution and their savings columns began to
+# carry the empty-cache cost minus the objective instead of a 0.0
+# placeholder; every other digest dates from before.
 PINNED_DIGESTS = {
     "myopic_coop_s0_decisions.csv":
         "d2eb965c1b1c1b42420eeeb024d0e81b5650686a62f4d2d1014e5070c4484a70",
@@ -649,21 +681,21 @@ PINNED_DIGESTS = {
     "myopic_nocoop_s0_decisions.csv":
         "f3f268c291be34c5a8adb470b6edfa2a150456425bfd81718a6610d68e4db319",
     "myopic_nocoop_s0_placements.csv":
-        "f49a0932513df051c64bdd8de4f0417a67c9d39dfd1faafaa6c4a5a9e8aa8c39",
+        "d67693bb7d77c238ba3bc352abf495e3dcba0cc7b3b8608b7551b675cdfb845b",
     "myopic_nocoop_s0_slots.csv":
-        "7c0b52412419a3a2b412a3fdf248252140d2fc086c0d74b30d59429708d68961",
+        "e6531bc155bdb9008e4bbb534b53b7e9dcd9992fb70ed40495760f8a8b29de93",
     "myopic_nocoop_s1_decisions.csv":
         "aa15e1bea68f1e6fc490e2dd4524490490f58ed50516e79541cf8952e739f151",
     "myopic_nocoop_s1_placements.csv":
-        "33b4727a60a790991abbb190b3ee82563b4bf998d678dd4c61330116bf566717",
+        "890c656a0d31f29e1e0943d6113dc768075f2c8e1d5c744c3a1f1597170f6f21",
     "myopic_nocoop_s1_slots.csv":
-        "344efe69680f76d07d6d24e200f3af2f133790f306c9f28074e7f9090e763036",
+        "8460b2d52f414273954c11e90b485d6e54809e2a5481ecfce607d525f43d5c1a",
     "myopic_nocoop_s2_decisions.csv":
         "f1a8acd50c577c5a12477fc90299ba71b936bff10c9a5594b06b535eabfa4d69",
     "myopic_nocoop_s2_placements.csv":
-        "f6b2e3c62e745cc1bd77a17a3765e34b8f62e50113950d0c9ad459a2f46aeb1a",
+        "f204bd32c318af07221e3aaf3560ce7d8a02bbaa39c3becc24002788011c9e64",
     "myopic_nocoop_s2_slots.csv":
-        "b1a1d8185eae555a90879a358f1dc737451df21eb0cba7369a5c32c2d001f508",
+        "c8e0beab22b46b7b135aa6cbb829925b81e35fed763ee1413dd356a83125b7c1",
     "proposed_s0_decisions.csv":
         "65ce16d6d7157b759647b87518998479741ccb4314a4f1ea8cd96e099238de56",
     "proposed_s0_placements.csv":

@@ -43,6 +43,8 @@ def test_topology_validation():
 def test_vm_catalog_rejects_empty_recipe():
     with pytest.raises(ValueError):
         VMCatalog(recipes=[[0.0, 0.0]], prices=[10.0])
+    with pytest.raises(ValueError, match="at least one VM type"):
+        VMCatalog(recipes=[], prices=[])
 
 
 def test_request_validation():

@@ -6,7 +6,8 @@ from edgeorch.model import (PlacementProfile, Request, ResourceState,
                             pack_requests)
 from edgeorch.orchestrator import (SlotReport, drift_plus_penalty_value,
                                    run_coarse_slot, update_virtual_queue)
-from edgeorch.placement import PlacementSolution, greedy_place
+from edgeorch.placement import (PlacementSolution, aggregate_demand,
+                                greedy_place)
 from edgeorch.scenario import DATA_DIR, load_scenario
 
 
@@ -47,21 +48,21 @@ def packed(scenario, requests):
 
 def run_one_slot(scenario, requests, slot=0, queue=0.0):
     """run_coarse_slot's three results under the proposed rule and greedy
-    placement, and the demand matrices its place callable received."""
+    placement, and the demand matrix of each list of accepted (request,
+    config) pairs its place callable received."""
     resources = ResourceState(dict(scenario.capacity))
     allocator = OnlineAllocator(scenario, resources)
     placement = PlacementProfile.empty(scenario.topology.n_clouds,
                                        dict(scenario.cache_size))
     demands = []
 
-    def place(demand):
-        demands.append(demand)
-        return greedy_place(demand, scenario.cache_size, scenario.topology,
-                            scenario.catalog)
+    def place(accepted):
+        demands.append(aggregate_demand(accepted, scenario.catalog))
+        return greedy_place(demands[-1], scenario.cache_size,
+                            scenario.topology, scenario.catalog)
 
     return run_coarse_slot(slot, queue, requests, packed(scenario, requests),
-                           allocator, place, placement, scenario.catalog,
-                           scenario), demands
+                           allocator, place, placement), demands
 
 
 def test_single_slot_accounting():
@@ -104,8 +105,9 @@ def test_slot_reports_the_queue_it_is_given(queue):
 
 
 def test_place_receives_the_slot_demand():
-    """place gets the slot's demand matrix: the size-weighted public reads
-    of its accepted requests, at the clouds their configs chose."""
+    """place gets the slot's accepted pairs, whose demand matrix holds the
+    size-weighted public reads of its accepted requests, at the clouds
+    their configs chose."""
     scn = load_scenario(DATA_DIR / "tiny.json")
     reqs = [Request(1, 0, 1, 0, {0: (2, ("o000", "o001"))}),
             Request(2, 1, 1, 1, {1: (1, ("o001",))})]
@@ -137,9 +139,9 @@ def test_window_hook_sees_each_busy_fine_slot():
                 Request(2, 2, 1, 0, {0: (1, ())}),
                 Request(3, 2, 1, 1, {1: (1, ())})]
     run_coarse_slot(0, 0.0, requests, packed(scn, requests), allocator,
-                    lambda demand: PlacementSolution(placement, 0.0, 0.0, []),
-                    placement,
-                    scn.catalog, scn, window_hook=hook)
+                    lambda accepted: PlacementSolution(placement, 0.0, 0.0,
+                                                       []),
+                    placement, window_hook=hook)
     assert calls == [(0, [1], [True]), (2, [2, 3], [True, True])]
 
 
@@ -151,8 +153,8 @@ def test_placement_swap_is_returned_not_applied():
     placement = PlacementProfile.empty(2, dict(scn.cache_size))
     (report, new_placement, _) = run_coarse_slot(
         0, 0.0, [], packed(scn, []), allocator,
-        lambda demand: PlacementSolution(sentinel, 0.0, 0.0, []), placement,
-        scn.catalog, scn)
+        lambda accepted: PlacementSolution(sentinel, 0.0, 0.0, []),
+        placement)
     assert new_placement is sentinel
     assert report.placement_objective == 0.0
     assert report.placement_savings == 0.0

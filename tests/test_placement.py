@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -65,9 +66,9 @@ def test_fetch_latency_and_cost():
 
 
 def test_fetch_table_and_costs_match_nearest_replica_oracle():
-    """The fetch table, placement_cost and greedy's own objective and
-    savings equal the one-lookup-at-a-time nearest-replica rule, bit for
-    bit, on random profiles."""
+    """The fetch table, placement_cost and the greedy's and the popularity
+    baseline's own objectives and savings equal the one-lookup-at-a-time
+    nearest-replica rule, bit for bit, on random profiles."""
     rng = np.random.default_rng(41)
     for _ in range(300):
         demand, cache, topo, catalog = random_placement_instance(rng)
@@ -86,12 +87,13 @@ def test_fetch_table_and_costs_match_nearest_replica_oracle():
             for i in topo.clouds]
         assert placement_cost(profile, demand, topo) == \
             reference_placement_cost(profile, demand, topo)
-        sol = greedy_place(demand, cache, topo, catalog)
         empty = PlacementProfile.empty(len(cache), cache)
-        objective = reference_placement_cost(sol.profile, demand, topo)
-        assert sol.objective == objective
-        assert sol.savings == \
-            reference_placement_cost(empty, demand, topo) - objective
+        for rule in (greedy_place, top_popularity_place):
+            sol = rule(demand, cache, topo, catalog)
+            objective = reference_placement_cost(sol.profile, demand, topo)
+            assert sol.objective == objective
+            assert sol.savings == \
+                reference_placement_cost(empty, demand, topo) - objective
 
 
 def test_best_content_knapsack():
@@ -259,10 +261,52 @@ def test_scan_best_on_random_near_ties():
 def test_top_popularity_ranks_by_density():
     catalog = DataCatalog({"big": 3, "small": 1})
     demand = DemandMatrix({(0, "big"): 9.0, (0, "small"): 4.0})
-    profile = top_popularity_place(demand, {0: 3.0, 1: 3.0}, catalog)
+    profile = top_popularity_place(demand, {0: 3.0, 1: 3.0}, pair_topo(),
+                                   catalog).profile
     # small wins on per-unit demand, after which big no longer fits
     assert profile.cached[0] == frozenset({"small"})
     assert profile.cached[1] == frozenset()
+
+
+def test_top_popularity_solution_prices_its_profile():
+    """The popularity baseline's objective is placement_cost of its profile,
+    replicas at other clouds included, and its savings the empty-cache
+    cost, summed in sorted (cloud, object) order, minus that objective;
+    both bit for bit, with no greedy rounds."""
+    topo = pair_topo()
+    catalog = DataCatalog({"big": 3, "mid": 2, "small": 1})
+    # unsorted, with sums whose rounding depends on their order
+    demand = DemandMatrix({(1, "small"): 0.3, (1, "big"): 6.1,
+                           (0, "small"): 4.7, (0, "big"): 9.3,
+                           (1, "mid"): 0.1})
+    sol = top_popularity_place(demand, {0: 3.0, 1: 0.0}, topo, catalog)
+    # cloud 0 keeps small, the densest, after which big no longer fits;
+    # cloud 1 has no room and reads small from cloud 0
+    assert sol.profile.cached == {0: frozenset({"small"}), 1: frozenset()}
+    assert sol.objective == placement_cost(sol.profile, demand, topo)
+    assert sol.objective == 9.3 * 100.0 + 0.0 + 6.1 * 110.0 + 0.1 * 110.0 \
+        + 0.3 * 20.0
+    empty = 0.0
+    for (i, _), d in sorted(demand.entries.items()):
+        empty += d * topo.origin[i]
+    assert sol.savings == empty - sol.objective
+    assert sol.rounds == []
+
+
+def test_best_content_past_the_total_weight_chooses_as_the_total():
+    """Any capacity at or above the items' total weight, however large,
+    gives the knapsack of exactly that total, ties and all."""
+    rng = np.random.default_rng(8)
+    for _ in range(1000):
+        n = int(rng.integers(1, 13))
+        # few distinct values, so equal-value optima are common
+        items = [(f"o{j:02d}", int(rng.integers(1, 4)),
+                  float(rng.integers(1, 4)) / 2) for j in range(n)]
+        total = sum(w for _, w, _ in items)
+        want = _best_content(items, total)
+        for capacity in (total + 1, total + 3, total + 17,
+                         float(sys.maxsize) * 2, 1e300):
+            assert _best_content(items, capacity) == want
 
 
 def test_greedy_within_half_of_optimal_savings():
