@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .scenario import DATA_DIR, SCENARIO_KEYS, ScenarioError, load_scenario
 from .simulator import (POLICIES, WorkloadConfig, generate_workload,
-                        run_policy)
+                        run_policy, zipf_probabilities)
 from .verification import SUITE_NAMES, run_suite
 
 log = logging.getLogger(__name__)
@@ -87,6 +87,10 @@ def load_experiment(name):
         if not isinstance(spec.get(field, ""), str):
             raise ScenarioError(f"experiment {field} must be a string, got "
                                 f"{spec[field]!r}")
+    # runs/<name> is the default output directory, which a name must not leave
+    if spec["name"] in ("", ".", "..") or "/" in spec["name"]:
+        raise ScenarioError("experiment name must be a single path "
+                            f"component, got {spec['name']!r}")
     spec.setdefault("policies", list(POLICIES))
     spec.setdefault("sweep", None)
     spec.setdefault("overrides", {})
@@ -144,6 +148,8 @@ def _build_point(spec, scenario_path, axis, value):
     if cfg.vm_mix and len(cfg.vm_mix) != scenario.vms.n_types:
         raise ScenarioError(f"workload vm_mix gives {len(cfg.vm_mix)} "
                             f"probabilities for {scenario.vms.n_types} VM types")
+    # raises on rank weights that overflow, before any draw
+    zipf_probabilities(len(scenario.catalog.public), cfg.zipf_exponent)
     if axis == "cache_ratio":
         adjust_cache_ratio(scenario, value)
     elif axis == "private_ratio":
@@ -223,6 +229,11 @@ def write_placements_csv(path, report):
                               objective, savings])
 
 
+def _svg_text(text):
+    """text as SVG character data: &, < and > escaped."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def svg_line_chart(path, series, title):
     """Minimal multi-series line chart; series is {label: [values]}."""
     width, height, pad = 800, 320, 45
@@ -244,7 +255,7 @@ def svg_line_chart(path, series, title):
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">{_svg_text(title)}</text>',
         f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
         f'y2="{height - pad}" stroke="black"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" '
@@ -263,7 +274,7 @@ def svg_line_chart(path, series, title):
                      f'stroke-width="1.5"/>')
         parts.append(f'<text x="{width - pad + 4}" y="{pad + 14 * idx + 10}" '
                      f'font-family="sans-serif" font-size="11" '
-                     f'fill="{color}">{label}</text>')
+                     f'fill="{color}">{_svg_text(label)}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
 

@@ -230,21 +230,6 @@ class PlacementProfile:
                 raise ValueError(f"cache capacity exceeded at cloud {i}")
 
 
-def fetch_latencies(placement, topo, objects):
-    """Unit latency at which each cloud gets each public object: fetch[i][o].
-
-    A cloud pays the latency to the nearest caching cloud, itself included
-    at the zero diagonal, and the origin latency when nobody caches.
-    Profiles are swapped atomically at coarse-slot boundaries, so one table
-    prices every public read of a coarse slot.
-    """
-    holders = {o: [j for j, objs in placement.cached.items() if o in objs]
-               for o in objects}
-    return [{o: min([w[j] for j in held]) if held else origin
-             for o, held in holders.items()}
-            for w, origin in zip(topo.w, topo.origin)]
-
-
 class PackedRows(NamedTuple):
     """The object reads of a request list as flat arrays, in list order.
 
@@ -323,18 +308,27 @@ def pack_requests(requests, publics, n_clouds, catalog):
                                  lengths, sources, weights)
 
 
-def transport_rows(rows, fetch, topo):
+def transport_rows(rows, placement, topo):
     """Per-VM transport cost of every packed row at every cloud: a (row,
-    cloud) array.  Public objects come at their fetch-table latency times
-    object size, private ones at the latency from the request's ingress.
-    Each entry equals the scalar sum from 0.0 over the row's objects in
-    order, bit for bit.
+    cloud) array.  Cloud i reads a public object at w[i][j] from the nearest
+    cloud j that caches it, its own cache included, or at its origin
+    latency when none does, and a private one at the latency from the
+    request's ingress; each read costs its latency times its size.  Each
+    entry equals the scalar sum from 0.0 over the row's objects, bit for bit.
     """
     n = topo.n_clouds
-    # latency rows by source: one per public object, one per ingress cloud,
-    # and a zero row for padding
-    latency = np.array([[row[o] for row in fetch] for o in rows.publics]
-                       + [list(col) for col in zip(*topo.w)] + [[0.0] * n])
+    column = {o: m for m, o in enumerate(rows.publics)}
+    p = len(column)
+    # rows by source: one per public object, at origin until a holder beats
+    # it, one per ingress cloud j (each cloud's latency to j), zero padding
+    latency = np.zeros((p + n + 1, n))
+    latency[:p] = topo.origin
+    latency[p:-1] = np.transpose(topo.w)
+    held = [(column[o], p + j) for j, objs in placement.cached.items()
+            for o in objs if o in column]
+    if held:   # an object cached at j reads as if it streamed from j
+        obj, holder = zip(*held)
+        np.minimum.at(latency, list(obj), latency[list(holder)])
     lengths = np.diff(rows.offsets)
     depth = int(lengths.max(initial=0))
     # the tail past a row's objects holds 0.0 terms: exact no-op additions

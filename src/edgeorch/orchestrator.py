@@ -15,7 +15,7 @@ time-average cost can exceed the budget by at most Q(T)/T.
 import bisect
 from dataclasses import dataclass
 
-from .model import fetch_latencies, transport_rows
+from .model import transport_rows
 
 
 def update_virtual_queue(queue, cost, budget):
@@ -79,8 +79,7 @@ def run_coarse_slot(slot, queue, requests, rows, allocator, place,
     # without arrivals needs neither
     scores = []
     if requests:
-        fetch = fetch_latencies(placement, scenario.topology, rows.publics)
-        costs = transport_rows(rows, fetch, scenario.topology)
+        costs = transport_rows(rows, placement, scenario.topology)
         scores = allocator.score_matrix(requests, rows, costs, q_eff)
     revenue = 0.0
     cost = 0.0

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DataCatalog, PlacementProfile, Topology, _draws,
-                    fetch_latencies)
+from .model import DataCatalog, PlacementProfile, Topology, _draws
 
 
 # the most placement profiles brute_force_place scores
@@ -64,11 +63,7 @@ def aggregate_demand(accepted, catalog):
 def placement_cost(placement, demand, topo):
     """Total fetch cost of a demand matrix under a placement profile, summed
     in sorted (cloud, object) order from 0.0."""
-    fetch = fetch_latencies(placement, topo, {o for _, o in demand.entries})
-    total = 0.0
-    for (i, o), d in sorted(demand.entries.items()):
-        total += d * fetch[i][o]
-    return total
+    return _Latencies(demand, topo, placement.cached).costs()[0]
 
 
 @dataclass
@@ -124,23 +119,33 @@ def _best_content(items, capacity):
     return tuple(chosen), best[0][cap]
 
 
-class _SavingsTracker:
-    """Current fetch latencies while the greedy fixes clouds one by one.
+class _Latencies:
+    """The latency each positive demand entry pays, lowered as clouds get
+    content, optionally from the start; a cloud reads its own cache at 0.0."""
 
-    Unfixed clouds count as empty: their tenants fetch from origin or from
-    replicas fixed in earlier rounds.  A cloud reads its own cache at the
-    zero diagonal of the latency matrix.
-    """
+    def __init__(self, demand, topo, cached=None):
+        self.w, self.origin = topo.w, topo.origin
+        self.entries = [(i, o, d) for (i, o), d
+                        in sorted(demand.entries.items()) if d > 0]
+        self.by_object = {}   # o -> list of (cloud, demand), clouds ascending
+        for i, o, d in self.entries:
+            self.by_object.setdefault(o, []).append((i, d))
+        # o -> latency each of its clouds pays right now
+        self.current = {o: [self.origin[i] for i, _ in pairs]
+                        for o, pairs in self.by_object.items()}
+        for cloud, content in (cached or {}).items():
+            self.fix(cloud, content)
 
-    def __init__(self, demand, topo):
-        self.w = topo.w
-        self.by_object = {}   # o -> list of (cloud, demand)
-        for (i, o), d in sorted(demand.entries.items()):
-            if d > 0:
-                self.by_object.setdefault(o, []).append((i, d))
-        self.current = {}     # o -> latency each of its clouds pays right now
-        for o, pairs in self.by_object.items():
-            self.current[o] = [topo.origin[i] for i, _ in pairs]
+    def costs(self):
+        """(cost, empty-cache cost) of the positive entries, each summed in
+        sorted (cloud, object) order from 0.0; zero entries add nothing."""
+        # an object's entries come in that order too, clouds ascending
+        latencies = {o: iter(lats) for o, lats in self.current.items()}
+        cost = empty = 0.0
+        for i, o, d in self.entries:
+            cost += d * next(latencies[o])
+            empty += d * self.origin[i]
+        return cost, empty
 
     def saving(self, o, candidate):
         """Saving of caching object o at the candidate cloud."""
@@ -162,10 +167,20 @@ class _SavingsTracker:
 
     def fix(self, cloud, content):
         for o in content:
-            current = self.current[o]
+            current = self.current.get(o)
+            if current is None:
+                continue      # nobody reads it
             for n, (j, _) in enumerate(self.by_object[o]):
                 if self.w[j][cloud] < current[n]:
                     current[n] = self.w[j][cloud]
+
+
+def _solution(latencies, cached, cache_size, catalog, rounds):
+    """A checked profile's PlacementSolution, valued by its latencies."""
+    profile = PlacementProfile(cached, cache_size)
+    profile.validate(catalog)
+    objective, empty = latencies.costs()
+    return PlacementSolution(profile, objective, empty - objective, rounds)
 
 
 def greedy_place(demand, cache_size, topo, catalog):
@@ -176,7 +191,7 @@ def greedy_place(demand, cache_size, topo, catalog):
     so after each round only their savings are recomputed, and only the
     clouds whose savings changed solve their knapsack again."""
     sizes = _integer_sizes(demand.objects(), catalog)
-    tracker = _SavingsTracker(demand, topo)
+    tracker = _Latencies(demand, topo)
     unfixed = sorted(cache_size)
     savings = {cloud: tracker.marginal_savings(cloud) for cloud in unfixed}
 
@@ -212,18 +227,7 @@ def greedy_place(demand, cache_size, topo, catalog):
                     changed = True
             if changed:
                 best[cloud] = solve(cloud)
-    profile = PlacementProfile(cached, cache_size)
-    profile.validate(catalog)
-    # the tracker now holds each positive entry's latency under the final
-    # profile; demand is never negative and zero entries add nothing
-    final = {(i, o): lat for o, pairs in tracker.by_object.items()
-             for (i, _), lat in zip(pairs, tracker.current[o])}
-    objective = empty = 0.0
-    for (i, o), d in sorted(demand.entries.items()):
-        if (i, o) in final:
-            objective += d * final[(i, o)]
-            empty += d * topo.origin[i]
-    return PlacementSolution(profile, objective, empty - objective, rounds)
+    return _solution(tracker, cached, cache_size, catalog, rounds)
 
 
 def feasible_content_sets(objects, catalog, capacity):
@@ -357,7 +361,7 @@ def random_placement_instance(rng):
 
 def top_popularity_place(demand, cache_size, topo, catalog):
     """Each cloud caches its own hottest objects by demand density until its
-    cache is full, with no coordination; costed as placement_cost sums."""
+    cache is full, with no coordination; valued as placement_cost values."""
     sizes = _integer_sizes(demand.objects(), catalog)
     per_cloud = {}
     for (i, o), d in demand.entries.items():
@@ -373,11 +377,5 @@ def top_popularity_place(demand, cache_size, topo, catalog):
                 chosen.append(o)
                 room -= sizes[o]
         cached[i] = tuple(chosen)
-    profile = PlacementProfile(cached, cache_size)
-    profile.validate(catalog)
-    fetch = fetch_latencies(profile, topo, {o for _, o in demand.entries})
-    objective = empty = 0.0
-    for (i, o), d in sorted(demand.entries.items()):
-        objective += d * fetch[i][o]
-        empty += d * topo.origin[i]
-    return PlacementSolution(profile, objective, empty - objective, [])
+    return _solution(_Latencies(demand, topo, cached), cached, cache_size,
+                     catalog, [])

@@ -8,6 +8,7 @@ identical system.
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -132,6 +133,14 @@ def scenario_from_dict(data):
             raise ScenarioError("scenario resources must list one name per "
                                 "resource")
         objects = _require(data, "objects", dict)
+        if not objects:
+            raise ScenarioError("scenario objects must name at least one "
+                                "public object")
+        # the workload names private objects p<request id>-<index>
+        private = [o for o in objects if re.fullmatch("p[0-9]+-[0-9]+", o)]
+        if private:
+            raise ScenarioError(f"scenario object {private[0]!r} is named "
+                                "like a private object")
         catalog = DataCatalog({o: s for o, s in objects.items()})
         # caches and placement count whole units
         if any(s % 1 for s in objects.values()):

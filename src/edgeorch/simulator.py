@@ -96,7 +96,12 @@ def zipf_probabilities(n, exponent):
     """Rank popularity: p(rank) proportional to 1/rank**exponent."""
     if n <= 0:
         raise ValueError("need at least one object")
-    weights = np.array([1.0 / (rank ** exponent) for rank in range(1, n + 1)])
+    try:
+        weights = np.array([1.0 / (rank ** exponent)
+                            for rank in range(1, n + 1)])
+    except OverflowError:
+        raise ValueError(f"zipf_exponent {exponent!r} overflows the rank "
+                         f"weights of {n} objects") from None
     return weights / weights.sum()
 
 
@@ -392,11 +397,11 @@ def lookahead_oracle(rule, workload, n_frame, frame_index):
         raise ValueError(f"frame has {len(frame_reqs)} requests, oracle cap "
                          f"is {ORACLE_MAX_REQUESTS}")
     catalog = workload.catalog
-    # a fetch table that prices every public read at 0.0 leaves only the
-    # private streams in each config's spend
-    free = dict.fromkeys(workload.rows.publics, 0.0)
+    # caching every public object everywhere prices each public read at
+    # the zero diagonal, 0.0, leaving only the private streams in the spend
     rows = workload.rows.take(lo, hi)
-    private = transport_rows(rows, [free] * topo.n_clouds, topo)
+    private = transport_rows(rows, PlacementProfile(
+        dict.fromkeys(topo.clouds, rows.publics), {}), topo)
 
     options = []   # per request: (config or None, revenue, usage, private cost)
     for req, (group, m) in zip(frame_reqs, rule.score_matrix(

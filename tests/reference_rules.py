@@ -17,10 +17,12 @@ baselines in dicts keyed by (cloud, resource, fine slot), walks them with a
 candidate's savings and knapsack in every round, and
 `reference_brute_force_place` the exhaustive placement search as a scalar
 loop over profiles, demand pairs and clouds.  `nearest_replica` resolves one
-(cloud, object) read at a time, and `reference_placement_cost` prices a
-demand matrix through it, the way placements were priced before the fetch
-table.  `reference_lookahead_oracle` is the frame oracle with its own
-placement enumeration, capacity dict and per-profile transport tables.
+(cloud, object) read at a time; `reference_placement_cost` prices a demand
+matrix through it, the way placements were priced before the fetch table,
+and `reference_fetch_latencies` tabulates it per cloud, the table the
+scalar transport rules read.  `reference_lookahead_oracle` is the frame
+oracle with its own placement enumeration, capacity dict and per-profile
+transport tables.
 """
 
 import itertools
@@ -30,7 +32,7 @@ from edgeorch.allocator import (BONUS_SCALE, E_RATIO, REJECT_CAPACITY,
                                 OnlineAllocator, ScoredConfig,
                                 check_price_scaling)
 from edgeorch.model import (Lease, PlacementProfile, config_usage,
-                            enumerate_configs, fetch_latencies, ordered_sum)
+                            enumerate_configs, ordered_sum)
 from edgeorch.placement import (PlacementSolution, _best_content,
                                 _integer_sizes, feasible_content_sets)
 
@@ -67,11 +69,19 @@ def reference_placement_cost(placement, demand, topo):
     return total
 
 
+def reference_fetch_latencies(placement, topo, objects):
+    """Unit latency at which each cloud reads each public object from its
+    nearest replica: fetch[i][o]."""
+    return [{o: nearest_replica(i, o, placement, topo)[1] for o in objects}
+            for i in topo.clouds]
+
+
 def unit_transport_costs(req, fetch, topo, catalog):
     """Per-VM transport cost table: {(k, i): cost of hosting one type-k VM at i}.
 
-    Public objects come at their fetch-table latency times object size.  An
-    object the table lacks is private and streams from the request's ingress
+    Public objects come at their latency in the fetch table, a
+    reference_fetch_latencies table, times object size.  An object the
+    table lacks is private and streams from the request's ingress
     cloud; an unknown id raises ValueError.
     """
     table = {}
@@ -144,7 +154,8 @@ class TripleDualState:
 
 
 class ReferenceAllocator(OnlineAllocator):
-    """The scalar admission rule; decide() takes the slot's fetch table."""
+    """The scalar admission rule; decide() takes the slot's
+    reference_fetch_latencies table."""
 
     def __init__(self, scenario, catalog, resources):
         super().__init__(scenario, resources)
@@ -473,9 +484,9 @@ def reference_lookahead_oracle(scenario, workload, n_frame, frame_index,
         raise ValueError(f"profile space {space} exceeds cap {profile_cap}")
     # one set of transport tables per candidate profile, over the frame's
     # requests
-    fetches = [fetch_latencies(PlacementProfile(dict(zip(clouds, combo)),
-                                                scenario.cache_size),
-                               topo, demanded)
+    fetches = [reference_fetch_latencies(
+        PlacementProfile(dict(zip(clouds, combo)), scenario.cache_size), topo,
+        demanded)
                for combo in itertools.product(*per_cloud_sets)]
     matrices = [[unit_transport_costs(req, fetch, topo, catalog)
                  for req in frame_reqs] for fetch in fetches]

@@ -13,14 +13,14 @@ from edgeorch.allocator import (BONUS_SCALE, E_RATIO, REJECT_NEGATIVE,
                                 dual_feasibility_violations)
 from edgeorch.model import (DataCatalog, PlacementProfile, Request,
                             ResourceState, Topology, VMCatalog, config_usage,
-                            fetch_latencies, pack_requests, transport_rows)
+                            pack_requests, transport_rows)
 from edgeorch.orchestrator import run_coarse_slot, update_virtual_queue
 from edgeorch.placement import aggregate_demand, greedy_place
 from edgeorch.scenario import DATA_DIR, Scenario, load_scenario
 from edgeorch.simulator import WorkloadConfig, generate_workload, run_policy
 from reference_rules import (ReferenceAllocator, ReferenceResourceState,
-                             cost_tables, reference_score_one,
-                             reference_select_config)
+                             cost_tables, reference_fetch_latencies,
+                             reference_score_one, reference_select_config)
 
 
 def one_cloud_scenario():
@@ -84,38 +84,34 @@ def window_prices(alloc):
             for d, price in enumerate(prices)}
 
 
-def slot_fetch(scenario, placement):
-    return fetch_latencies(placement, scenario.topology,
-                           scenario.catalog.public_objects())
-
-
-def slot_rows(scenario, fetch, requests, catalog=None):
-    """The requests' model.PackedRows over the fetch table's objects."""
-    return pack_requests(requests, list(fetch[0]), scenario.topology.n_clouds,
+def slot_rows(scenario, requests, catalog=None):
+    """The requests' model.PackedRows over the scenario's public objects."""
+    return pack_requests(requests, scenario.catalog.public_objects(),
+                         scenario.topology.n_clouds,
                          catalog or scenario.catalog)
 
 
-def slot_costs(scenario, fetch, requests, catalog=None):
-    """The requests' model.transport_rows over the fetch table."""
-    return transport_rows(slot_rows(scenario, fetch, requests, catalog),
-                          fetch, scenario.topology)
+def slot_costs(scenario, placement, requests, catalog=None):
+    """The requests' model.transport_rows under the placement."""
+    return transport_rows(slot_rows(scenario, requests, catalog), placement,
+                          scenario.topology)
 
 
-def slot_scores(alloc, scenario, fetch, requests, q_eff, catalog=None):
-    """The requests' score_matrix over the fetch table."""
-    rows = slot_rows(scenario, fetch, requests, catalog)
+def slot_scores(alloc, scenario, placement, requests, q_eff, catalog=None):
+    """The requests' score_matrix under the placement."""
+    rows = slot_rows(scenario, requests, catalog)
     return alloc.score_matrix(requests, rows, transport_rows(
-        rows, fetch, scenario.topology), q_eff)
+        rows, placement, scenario.topology), q_eff)
 
 
-def cost_table(scenario, fetch, req):
-    """The request's transport table over the fetch table."""
-    return cost_tables([req], slot_costs(scenario, fetch, [req]))[0]
+def cost_table(scenario, placement, req):
+    """The request's transport table under the placement."""
+    return cost_tables([req], slot_costs(scenario, placement, [req]))[0]
 
 
-def decide(alloc, scenario, fetch, req, q_eff):
+def decide(alloc, scenario, placement, req, q_eff):
     """Price and score one request on its own under q_eff, then decide it."""
-    return alloc.decide(req, slot_scores(alloc, scenario, fetch, [req],
+    return alloc.decide(req, slot_scores(alloc, scenario, placement, [req],
                                          q_eff)[0])
 
 
@@ -123,12 +119,11 @@ def test_scoring_prefers_the_cached_cloud():
     scn = two_cloud_scenario()
     alloc = fresh(scn)
     placement = PlacementProfile({0: (), 1: ("o1",)}, dict(scn.cache_size))
-    fetch = slot_fetch(scn, placement)
     req = Request(1, 0, 4, 0, {0: (1, ("o1",))})
 
     shape0, shape1 = alloc._shapes_for(req)
     assert shape0.config.assignment == {0: 0}
-    table = cost_table(scn, fetch, req)
+    table = cost_table(scn, placement, req)
     total, per_cloud, cost, revenue = reference_score_one(alloc, req, shape0,
                                                           table, 1.0)
     # hosting at cloud 0 hauls o1 over the 20-latency link: 10*10 - 40/4
@@ -137,7 +132,7 @@ def test_scoring_prefers_the_cached_cloud():
     assert cost == 40.0
     assert revenue == 40.0
 
-    entry = slot_scores(alloc, scn, fetch, [req], 1.0)[0]
+    entry = slot_scores(alloc, scn, placement, [req], 1.0)[0]
     group, m = entry
     assert group.shapes == [shape0, shape1]
     assert group.values[m].tolist() == [360.0, 400.0]
@@ -197,7 +192,7 @@ def test_reject_negative_objective():
     placement = PlacementProfile.empty(2, dict(scn.cache_size))
     req = Request(7, 0, 4, 0, {0: (1, ("o1",))})
     # q_eff 10 prices uncached o1 far above the 100-per-slot revenue
-    d = decide(alloc, scn, slot_fetch(scn, placement), req, q_eff=10.0)
+    d = decide(alloc, scn, placement, req, q_eff=10.0)
     assert not d.accepted
     assert d.reason == "negative_objective"
     assert d.objective == -1600.0
@@ -290,7 +285,6 @@ def test_random_streams_keep_duals_feasible():
         alloc = OnlineAllocator(scn, resources)
         placement = PlacementProfile({0: (objects[0],), 1: ()},
                                      dict(scn.cache_size))
-        fetch = slot_fetch(scn, placement)
         seen = []
         accepted = 0
         for n in range(int(rng.integers(8, 20))):
@@ -305,11 +299,11 @@ def test_random_streams_keep_duals_feasible():
             req = Request(1000 * trial + n, 0, duration,
                           int(rng.integers(2)), demand)
             seen.append(req)
-            d = decide(alloc, scn, fetch, req, q_eff=1.0)
+            d = decide(alloc, scn, placement, req, q_eff=1.0)
             accepted += d.accepted
         assert alloc.counters["identity_violations"] == 0
-        costs = slot_costs(scn, fetch, seen)
-        scores = slot_scores(alloc, scn, fetch, seen, 1.0)
+        costs = slot_costs(scn, placement, seen)
+        scores = slot_scores(alloc, scn, placement, seen, 1.0)
         assert dual_feasibility_violations(alloc, seen, scores) == 0
         # the same count from the scalar valuation of every config
         uncovered = 0
@@ -330,13 +324,13 @@ def test_prices_never_fall_within_a_window():
     objects = scn.catalog.public_objects()
     resources = ResourceState(dict(scn.capacity))
     alloc = OnlineAllocator(scn, resources)
-    fetch = slot_fetch(scn, PlacementProfile.empty(2, dict(scn.cache_size)))
+    placement = PlacementProfile.empty(2, dict(scn.cache_size))
     floor = {}
     for n in range(25):
         objs = tuple(rng.choice(objects, size=1))
         req = Request(n, 0, int(rng.integers(1, 4)), int(rng.integers(2)),
                       {int(rng.integers(2)): (int(rng.integers(1, 3)), objs)})
-        decide(alloc, scn, fetch, req, q_eff=1.0)
+        decide(alloc, scn, placement, req, q_eff=1.0)
         prices = window_prices(alloc)
         assert set(floor) <= set(prices)
         for key, price in prices.items():
@@ -374,7 +368,6 @@ def test_admission_matches_scalar_reference():
             placement = PlacementProfile(
                 {i: [o for o in publics if rng.random() < 0.08]
                  for i in range(5)}, dict(scn.cache_size))
-            fetch = fetch_latencies(placement, scn.topology, publics)
             batch = []
             for n in range(int(rng.integers(3, 9))):
                 demand = {}
@@ -392,7 +385,7 @@ def test_admission_matches_scalar_reference():
                 batch.append(Request(req_id, t, int(rng.integers(1, 5)),
                                      int(rng.integers(5)), demand))
                 req_id += 1
-            costs = slot_costs(scn, fetch, batch, catalog)
+            costs = slot_costs(scn, placement, batch, catalog)
             tables = cost_tables(batch, costs)
             for alloc in (new, ref):
                 alloc.advance_fine_slot(t)
@@ -402,7 +395,7 @@ def test_admission_matches_scalar_reference():
                     ref.dual.beta[(i, 0, t)] = 1.5
             for n, (req, table) in enumerate(zip(batch, tables)):
                 q_eff = float(rng.choice([1.0, 250.0, 4000.0]))
-                entry = slot_scores(new, scn, fetch, batch, q_eff,
+                entry = slot_scores(new, scn, placement, batch, q_eff,
                                     catalog)[n]
                 scored = new.select_config(req, entry)
                 check_selection(scored, reference_select_config(new, req, table,
@@ -410,7 +403,8 @@ def test_admission_matches_scalar_reference():
                 seen["priced"] += not new.dual.priced.isdisjoint(
                     scored.shape.clouds)
                 got = new.admit(req, scored)
-                want = ref.decide(req, fetch, q_eff)
+                want = ref.decide(req, reference_fetch_latencies(
+                    placement, scn.topology, publics), q_eff)
                 assert got == want
                 seen[got.reason or "accepted"] += 1
                 seen["two_types"] += len(req.groups()) == 2
@@ -460,7 +454,6 @@ def test_score_matrix_matches_scalar_scores():
         placement = PlacementProfile(
             {i: [o for o in publics if rng.random() < 0.1] for i in range(5)},
             dict(scn.cache_size))
-        fetch = fetch_latencies(placement, scn.topology, publics)
         batch = []
         for n in range(12):
             demand = {}
@@ -474,11 +467,11 @@ def test_score_matrix_matches_scalar_scores():
             batch.append(Request(n, 0, int(rng.integers(1, 6)),
                                  int(rng.integers(5)), demand))
             groups[len(batch[-1].groups()), len(demand)] += 1
-        costs = slot_costs(scn, fetch, batch, catalog)
+        costs = slot_costs(scn, placement, batch, catalog)
         tables = cost_tables(batch, costs)
         q_eff = float(rng.choice([1.0, 37.5, 4000.0]))
-        scores = slot_scores(online, scn, fetch, batch, q_eff, catalog)
-        spend = slot_scores(myopic, scn, fetch, batch, q_eff, catalog)
+        scores = slot_scores(online, scn, placement, batch, q_eff, catalog)
+        spend = slot_scores(myopic, scn, placement, batch, q_eff, catalog)
         for req, table, (group, m), (bare, b) in zip(batch, tables, scores,
                                                      spend):
             shapes = online._shapes_for(req)
@@ -678,7 +671,6 @@ def test_unpriced_selection_matches_reference_on_bundles():
         placement = PlacementProfile(
             {i: [o for o in publics if rng.random() < 0.1] for i in range(5)},
             dict(scn.cache_size))
-        fetch = slot_fetch(scn, placement)
         batch = []
         for n in range(4):
             demand = {}
@@ -689,10 +681,10 @@ def test_unpriced_selection_matches_reference_on_bundles():
                                   tuple(publics[j] for j in sorted(picks)))
             batch.append(Request(100 * t + n, t, int(rng.integers(1, 4)),
                                  int(rng.integers(5)), demand))
-        costs = slot_costs(scn, fetch, batch)
+        costs = slot_costs(scn, placement, batch)
         q_eff = float(rng.choice([1.0, 4000.0, 1e5]))
         for req, table, entry in zip(batch, cost_tables(batch, costs),
-                                     slot_scores(alloc, scn, fetch, batch,
+                                     slot_scores(alloc, scn, placement, batch,
                                                  q_eff)):
             unpriced = not alloc.dual.priced
             scored = alloc.select_config(req, entry)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import pickle
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
@@ -475,6 +476,10 @@ BAD_RUNS = {
     "out_flag_under_a_file": ({}, {}, ["--out", "{tmp}/wl.json/z"]),
     "name_a_number": ({"name": 5}, {}, []),
     "name_a_list": ({"name": ["mini"]}, {}, []),
+    # without --out a run writes to runs/<name>, which a name must not leave
+    "name_a_path": ({"name": "../escaped"}, {}, []),
+    "name_empty": ({"name": ""}, {}, []),
+    "name_dotdot": ({"name": ".."}, {}, []),
     **{f"lookahead_with_{key}": ({"lookahead": LOOK, key: value}, {}, [])
        for key, value in GRID_VALUES.items()},
     "lookahead_with_every_grid_key": ({"lookahead": LOOK, **GRID_VALUES},
@@ -521,6 +526,12 @@ BAD_RUNS = {
     "scenario_name_a_number": ({"overrides": {"name": 5}}, {}, []),
     "fractional_object_size": ({"overrides": {"objects": {
         "o000": 1.5, "o001": 1, "o002": 1}}}, {}, []),
+    "no_public_objects": ({"overrides": {"objects": {}}}, {}, []),
+    # the workload names the private reads of request 0 p0-0, p0-1, ...
+    "public_name_like_a_private_id": ({"overrides": {"objects": {
+        "o000": 1, "p0-0": 1, "o002": 1}}}, {}, []),
+    # 3 ** 1000 passes the float range
+    "zipf_exponent_overflow": ({}, {"zipf_exponent": 1000}, []),
 }
 
 
@@ -648,6 +659,30 @@ def test_svg_chart_is_deterministic(tmp_path):
     text = p1.read_text()
     assert text.count("<polyline") == 2
     assert text.rstrip().endswith("</svg>")
+
+
+def svg_texts(path):
+    """The contents of a chart's text elements, in document order."""
+    return [node.text for node in ET.parse(path).getroot().iter(
+        "{http://www.w3.org/2000/svg}text")]
+
+
+def test_svg_charts_escape_their_title_and_labels(tmp_path):
+    """Every chart of a run whose name holds XML markup parses and reads
+    back that name in its title; a series label with markup reads back
+    the same."""
+    name = "R&D <cache>"
+    spec = mini_spec(tmp_path, name=name, policies=["proposed"])
+    out = tmp_path / "svg"
+    assert main(["run", str(spec), "--out", str(out), "--horizon", "1",
+                 "--svg"]) == 0
+    for metric in ("revenue", "cost", "queue"):
+        texts = svg_texts(out / f"chart_{metric}.svg")
+        assert texts[0] == f"{name}: per-slot {metric}"
+        assert texts[-1] == "proposed_s0"
+    chart = tmp_path / "labels.svg"
+    svg_line_chart(chart, {"a<b & c>": [1.0, 2.0]}, "t")
+    assert svg_texts(chart)[-1] == "a<b & c>"
 
 
 # sha256 of every CSV that `run_experiment` writes for desk.json and

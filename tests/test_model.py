@@ -5,11 +5,12 @@ import pytest
 
 from edgeorch.model import (DataCatalog, PlacementProfile, Request,
                             ResourceState, Topology, VMCatalog, _draws,
-                            config_usage, enumerate_configs, fetch_latencies,
-                            pack_requests, transport_rows)
+                            config_usage, enumerate_configs, pack_requests,
+                            transport_rows)
 from edgeorch.placement import random_placement_instance
 from reference_rules import (ORIGIN, ReferenceResourceState, cost_tables,
-                             nearest_replica, unit_transport_costs)
+                             nearest_replica, reference_fetch_latencies,
+                             unit_transport_costs)
 
 
 def two_cloud_topo():
@@ -22,10 +23,12 @@ def small_catalog():
     return catalog
 
 
-def price(requests, fetch, topo, catalog):
-    """Transport tables of requests packed by name and priced together."""
-    rows = pack_requests(requests, list(fetch[0]), topo.n_clouds, catalog)
-    return cost_tables(requests, transport_rows(rows, fetch, topo))
+def price(requests, placement, topo, catalog):
+    """Transport tables of requests packed by name and priced together
+    under the placement."""
+    rows = pack_requests(requests, catalog.public_objects(), topo.n_clouds,
+                         catalog)
+    return cost_tables(requests, transport_rows(rows, placement, topo))
 
 
 def test_topology_validation():
@@ -90,9 +93,8 @@ def test_unit_transport_costs_table():
     topo = two_cloud_topo()
     catalog = small_catalog()
     placement = PlacementProfile({0: (), 1: ("o1",)}, {0: 4.0, 1: 4.0})
-    fetch = fetch_latencies(placement, topo, catalog.public_objects())
     req = Request(1, 0, 4, 0, {0: (1, ("o1", "p1"))})
-    [table] = price([req], fetch, topo, catalog)
+    [table] = price([req], placement, topo, catalog)
     # at cloud 0: o1 from cloud 1 (20 * size 2), p1 at ingress, free
     assert table[0][0] == 40.0
     # at cloud 1: o1 local, p1 hauled from ingress 0 (20 * size 1)
@@ -106,9 +108,7 @@ def test_request_cost_and_revenue():
     placement = PlacementProfile.empty(2, {0: 4.0, 1: 4.0})
     req = Request(1, 0, 4, 0, {0: (2, ("o2",))})
     config = enumerate_configs(req, topo)[1]      # host both VMs at cloud 1
-    [table] = price(
-        [req], fetch_latencies(placement, topo, catalog.public_objects()), topo,
-        catalog)
+    [table] = price([req], placement, topo, catalog)
     # o2 uncached: origin fetch at 120 from cloud 1, size 1, two VMs
     assert sum(req.demand[k][0] * table[k][i]
                for k, i in config.assignment.items()) == 240.0
@@ -118,7 +118,7 @@ def test_request_cost_and_revenue():
 
 
 def reference_transport_costs(req, placement, topo, catalog):
-    """The per-lookup rule the fetch table replaces: nearest replica for
+    """The per-lookup rule transport_rows replaces: nearest replica for
     public objects, the request's ingress for private ones."""
     table = {}
     for k in req.groups():
@@ -150,7 +150,7 @@ def test_transport_costs_match_reference_rule():
         placement = PlacementProfile(
             {i: [o for o in publics if rng.random() < 0.4] for i in cache},
             cache)
-        fetch = fetch_latencies(placement, topo, publics)
+        fetch = reference_fetch_latencies(placement, topo, publics)
         requests = []
         for n in range(5):
             demand = {}
@@ -163,7 +163,7 @@ def test_transport_costs_match_reference_rule():
             requests.append(
                 Request(n, 0, 1, int(rng.integers(topo.n_clouds)), demand))
         rows = pack_requests(requests, publics, topo.n_clouds, catalog)
-        tables = cost_tables(requests, transport_rows(rows, fetch, topo))
+        tables = cost_tables(requests, transport_rows(rows, placement, topo))
         assert len(tables) == len(requests)
         for req, table in zip(requests, tables):
             reference = reference_transport_costs(req, placement, topo, catalog)
@@ -181,7 +181,7 @@ def test_transport_costs_match_reference_rule():
         lo, hi = sorted(rng.choice(len(requests) + 1, size=2))
         part = rows.take(lo, hi)
         assert cost_tables(requests[lo:hi], transport_rows(
-            part, fetch, topo)) == tables[lo:hi]
+            part, placement, topo)) == tables[lo:hi]
         assert part.keys == rows.keys
         assert part.kinds.tolist() == rows.kinds[lo:hi].tolist()
         unknown = Request(99, 0, 1, 0, {0: (1, (publics[0], "nope"))})

@@ -161,13 +161,12 @@ def test_placement_swap_is_returned_not_applied():
 
 
 def test_empty_slot_prices_nothing_but_still_advances(monkeypatch):
-    """A slot without arrivals builds no fetch table, cost rows or score
-    matrix, but advances every fine slot, reports its queue and places."""
+    """A slot without arrivals builds no cost rows or score matrix, but
+    advances every fine slot, reports its queue and places."""
     def unused(*args):
         raise AssertionError("priced an empty slot")
 
-    for name in ("fetch_latencies", "transport_rows"):
-        monkeypatch.setattr(orchestrator, name, unused)
+    monkeypatch.setattr(orchestrator, "transport_rows", unused)
     monkeypatch.setattr(OnlineAllocator, "score_matrix", unused)
     advanced = []
     advance = OnlineAllocator.advance_fine_slot

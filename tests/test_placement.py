@@ -7,7 +7,7 @@ import pytest
 from edgeorch import placement, simulator
 from edgeorch.cli import resolve_data
 from edgeorch.model import (AllocationConfig, DataCatalog, PlacementProfile,
-                            Request, Topology, fetch_latencies)
+                            Request, Topology)
 from edgeorch.placement import (DemandMatrix, _best_content, _scan_best,
                                 aggregate_demand, brute_force_place,
                                 count_content_sets, feasible_content_sets,
@@ -15,7 +15,7 @@ from edgeorch.placement import (DemandMatrix, _best_content, _scan_best,
                                 random_placement_instance,
                                 top_popularity_place)
 from edgeorch.scenario import load_scenario
-from reference_rules import (nearest_replica, reference_brute_force_place,
+from reference_rules import (reference_brute_force_place,
                              reference_greedy_place, reference_placement_cost)
 
 
@@ -65,10 +65,28 @@ def test_fetch_latency_and_cost():
     assert placement_cost(profile, demand, topo) == 550.0
 
 
+def test_placement_cost_skips_unread_objects_and_zero_entries():
+    """Objects cached where nobody reads them change no latency, and a
+    zero demand entry adds nothing: placement_cost equals the
+    nearest-replica rule and the sorted sum, bit for bit."""
+    topo = pair_topo()
+    # o3 and o4 are cached but have no positive demand
+    profile = PlacementProfile({0: ("o1", "o3"), 1: ("o2", "o4")},
+                               {0: 2.0, 1: 2.0})
+    demand = DemandMatrix({(1, "o2"): 3.0, (1, "o1"): 0.7, (1, "o3"): 0.0,
+                           (0, "o5"): 0.2, (0, "o2"): 0.1})
+    assert placement_cost(profile, demand, topo) == \
+        reference_placement_cost(profile, demand, topo) == \
+        0.1 * 20.0 + 0.2 * 100.0 + 0.7 * 20.0 + 3.0 * 0.0 + 0.0 * 20.0
+    empty = PlacementProfile.empty(2, {0: 2.0, 1: 2.0})
+    assert placement_cost(empty, demand, topo) == \
+        reference_placement_cost(empty, demand, topo)
+
+
 def test_fetch_table_and_costs_match_nearest_replica_oracle():
-    """The fetch table, placement_cost and the greedy's and the popularity
-    baseline's own objectives and savings equal the one-lookup-at-a-time
-    nearest-replica rule, bit for bit, on random profiles."""
+    """placement_cost and the greedy's and the popularity baseline's own
+    objectives and savings equal the one-lookup-at-a-time nearest-replica
+    rule, bit for bit, on random profiles."""
     rng = np.random.default_rng(41)
     for _ in range(300):
         demand, cache, topo, catalog = random_placement_instance(rng)
@@ -82,9 +100,6 @@ def test_fetch_table_and_costs_match_nearest_replica_oracle():
         profile = PlacementProfile(
             {i: [o for o in objects if rng.random() < 0.4] for i in cache},
             cache)
-        assert fetch_latencies(profile, topo, objects) == [
-            {o: nearest_replica(i, o, profile, topo)[1] for o in objects}
-            for i in topo.clouds]
         assert placement_cost(profile, demand, topo) == \
             reference_placement_cost(profile, demand, topo)
         empty = PlacementProfile.empty(len(cache), cache)

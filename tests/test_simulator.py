@@ -42,6 +42,11 @@ def test_zipf_probabilities():
     assert np.allclose(flat, 0.25)
     with pytest.raises(ValueError):
         zipf_probabilities(0, 1.0)
+    # rank ** exponent past the float range: 50 ** 182 and 3 ** 1000
+    assert zipf_probabilities(50, 181)[-1] > 0.0
+    for n, exponent in ((50, 182), (50, 182.0), (3, 1000), (3, 1e6)):
+        with pytest.raises(ValueError, match="zipf_exponent"):
+            zipf_probabilities(n, exponent)
 
 
 def test_workload_is_deterministic():
