@@ -16,6 +16,7 @@ The myopic baselines admit through MyopicAllocator instead: the cheapest
 bundle that fits, behind a hard per-coarse-slot transport budget.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -96,8 +97,23 @@ class ScoredConfig:
     shape: Shape              # the config's usage rows, which admit prices
 
 
+class Outcome(NamedTuple):
+    """What a rule decided on one request: accepted if reason is None."""
+
+    reason: str | None
+    objective: float
+    config: object = None
+    revenue: float = 0.0
+    transport_cost: float = 0.0
+    primal_delta: float = 0.0
+    dual_delta: float = 0.0
+
+
 @dataclass
 class Decision:
+    """One row of a DecisionLog, built only while the row is read: a copy,
+    so changing it leaves the log as it is."""
+
     req_id: int
     arrival: int
     duration: int
@@ -109,11 +125,56 @@ class Decision:
     dual_delta: float
     revenue: float
     transport_cost: float
-    slot: int = -1            # coarse slot, stamped by run_coarse_slot
+    slot: int                 # coarse slot
 
     @property
     def accepted(self):
         return self.verdict == "accepted"
+
+
+class DecisionLog:
+    """A run's decisions as columns, one row per arrival in arrival order.
+    A slot's rows open as negative-objective rejects with objective 0.0 and
+    nothing earned; the rules overwrite the rows they decide.  A row is
+    accepted when its reason is None; iterating yields it as a Decision."""
+
+    COLUMNS = ("req_id", "slot", "arrival", "duration", "reason", "config",
+               "objective", "revenue", "transport_cost", "primal_delta",
+               "dual_delta")
+
+    def __init__(self):
+        for name in self.COLUMNS:
+            setattr(self, name, [])
+
+    def __len__(self):
+        return len(self.req_id)
+
+    def columns(self):
+        return [getattr(self, name) for name in self.COLUMNS]
+
+    def open(self, slot, requests):
+        """Append one row per request of coarse slot `slot`."""
+        n = len(requests)
+        for column, values in zip(self.columns(), (
+                [req.req_id for req in requests], [slot] * n,
+                [req.arrival for req in requests],
+                [req.duration for req in requests], [REJECT_NEGATIVE] * n,
+                [None] * n, *[[0.0] * n] * 5)):
+            column += values
+
+    def settle(self, n, outcome):
+        """Write an Outcome into row n."""
+        (self.reason[n], self.objective[n], self.config[n], self.revenue[n],
+         self.transport_cost[n], self.primal_delta[n],
+         self.dual_delta[n]) = outcome
+
+    def __iter__(self):
+        for (req_id, slot, arrival, duration, reason, config, objective,
+             revenue, cost, primal, dual) in zip(*self.columns()):
+            yield Decision(req_id, arrival, duration,
+                           "rejected" if reason else "accepted", reason,
+                           config, objective, primal, dual, revenue, cost,
+                           slot)
 
 
 class ShapeScores(NamedTuple):
@@ -200,18 +261,11 @@ class _AdmissionRule:
         only."""
         return (None,) * 3
 
-    def decide_window(self, requests, scores):
-        """Decide one fine slot's arrivals, in order, from their entries."""
-        return [self.decide(req, entry)
-                for req, entry in zip(requests, scores)]
-
-    @staticmethod
-    def _decision(req, reason, objective, config=None, revenue=0.0, cost=0.0,
-                  primal_delta=0.0, dual_delta=0.0):
-        """The Decision on req: rejected for reason, accepted if it is None."""
-        return Decision(req.req_id, req.arrival, req.duration,
-                        "rejected" if reason else "accepted", reason, config,
-                        objective, primal_delta, dual_delta, revenue, cost)
+    def decide_window(self, requests, scores, log, first):
+        """Decide one fine slot's arrivals in order, from their entries,
+        into the log's rows first, first + 1, ..."""
+        for n, req, entry in zip(itertools.count(first), requests, scores):
+            log.settle(n, self.decide(req, entry))
 
 
 class OnlineAllocator(_AdmissionRule):
@@ -346,39 +400,43 @@ class OnlineAllocator(_AdmissionRule):
         self.counters["scaling_warnings"] += len(
             check_price_scaling(scored, usage, dims))
 
-        return self._decision(req, None, scored.objective, scored.config,
-                              scored.revenue, scored.transport_cost,
-                              primal_delta, dual_delta)
+        return Outcome(None, scored.objective, scored.config, scored.revenue,
+                       scored.transport_cost, primal_delta, dual_delta)
 
     def _reject(self, req, scored, reason):
         # keep the dual feasible for rejected requests too: their constraint
         # is covered by the best objective seen at decision time
         alpha = max(0.0, scored.objective)
         self.dual.alpha[req.req_id] = alpha
-        return self._decision(req, reason, scored.objective, dual_delta=alpha)
+        return Outcome(reason, scored.objective, dual_delta=alpha)
 
     def decide(self, req, scores):
         return self.admit(req, self.select_config(req, scores))
 
-    def decide_window(self, requests, scores):
+    def decide_window(self, requests, scores, log, first):
         """Decide one fine slot's arrivals in order; a request arriving
         elsewhere than dual.start raises ValueError before any is decided.
-        Nothing is priced before the first arrival with a non-negative top,
-        whose admission prices its rows, so each one before it is a
-        negative-objective reject with alpha 0.0, read from its top; the
-        rest go to decide."""
-        decisions, dual = [], self.dual
-        if any(req.arrival != dual.start for req in requests):
-            raise ValueError(f"window {dual.start} takes only its arrivals")
-        for req, entry in zip(requests, scores):
-            group, m = entry
-            if dual.priced or group.top[m] >= 0.0:
-                decisions.append(self.decide(req, entry))
-            else:
-                dual.alpha[req.req_id] = 0.0
-                decisions.append(self._decision(req, REJECT_NEGATIVE,
-                                                group.top[m]))
-        return decisions
+        While nothing is priced, the arrivals before the first non-negative
+        top, whose admission prices its rows, are negative-objective
+        rejects with alpha 0.0, read from their tops and written in bulk;
+        the rest go to decide."""
+        dual = self.dual
+        for req in requests:   # a plain loop: cheaper than any() per window
+            if req.arrival != dual.start:
+                raise ValueError(f"window {dual.start} takes only its arrivals")
+        tops = []
+        if not dual.priced:
+            for group, m in scores:
+                top = group.top[m]
+                if top >= 0.0:
+                    break
+                tops.append(top)
+        k = len(tops)
+        if k:
+            log.objective[first:first + k] = tops
+            dual.alpha.update(dict.fromkeys(log.req_id[first:first + k], 0.0))
+        if k < len(requests):
+            super().decide_window(requests[k:], scores[k:], log, first + k)
 
 
 class MyopicAllocator(_AdmissionRule):
@@ -412,14 +470,14 @@ class MyopicAllocator(_AdmissionRule):
             if self.resources.fits(shape.usage, req.arrival, expiry):
                 break
         else:
-            return self._decision(req, REJECT_CAPACITY, 0.0)
+            return Outcome(REJECT_CAPACITY, 0.0)
         cost = spend[c]
         if self.slot_spend + cost > self.scenario.budget + 1e-9:
-            return self._decision(req, REJECT_SLOT_BUDGET, -cost)
+            return Outcome(REJECT_SLOT_BUDGET, -cost)
         self.resources.lease(req.req_id, shape.usage, req.arrival, expiry)
         self.slot_spend += cost
-        return self._decision(req, None, -cost, shape.config,
-                              req.duration * shape.revenue_rate, cost)
+        return Outcome(None, -cost, shape.config,
+                       req.duration * shape.revenue_rate, cost)
 
 
 def dual_feasibility_violations(allocator, requests, scores):

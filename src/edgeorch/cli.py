@@ -208,15 +208,18 @@ def write_slots_csv(path, report):
 
 def write_decisions_csv(path, report):
     q_eff = [s.q_eff for s in report.slots]   # a decision's is its slot's
+    log = report.decisions
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["req_id", "slot", "arrival", "duration", "verdict",
                       "reason", "config", "objective", "revenue",
                       "transport_cost", "q_eff"])
-        for d in report.decisions:
-            out.writerow([d.req_id, d.slot, d.arrival, d.duration, d.verdict,
-                          d.reason or "", _fmt_config(d.config), d.objective,
-                          d.revenue, d.transport_cost, q_eff[d.slot]])
+        out.writerows(
+            [req_id, slot, arrival, duration,
+             "rejected" if reason else "accepted", reason or "",
+             _fmt_config(config), objective, revenue, cost, q_eff[slot]]
+            for (req_id, slot, arrival, duration, reason, config, objective,
+                 revenue, cost, _, _) in zip(*log.columns()))
 
 
 def write_placements_csv(path, report):

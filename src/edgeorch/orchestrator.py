@@ -47,24 +47,24 @@ class SlotReport:
 
 
 def run_coarse_slot(slot, queue, requests, rows, allocator, place,
-                    placement, window_hook=None):
+                    placement, log, window_hook=None):
     """Run coarse slot `slot` end to end under virtual queue `queue`.
 
     requests: the slot's arrivals, in arrival order; each is decided in
         the fine slot of its arrival.
     rows: model.PackedRows of those requests, in the same order.
     allocator: admission rule over its scenario, with queue_weight(queue),
-        advance_fine_slot(t), score_matrix(requests, rows, costs, q_eff)
-        and decide_window(requests, scores) -> decisions, where
-        costs are the slot's model.transport_rows, score_matrix returns
-        one entry per request, its (allocator.ShapeScores, row), and
-        decide_window decides one fine slot's arrivals from their entries.
+        advance_fine_slot(t), score_matrix(requests, rows, costs, q_eff),
+        one (allocator.ShapeScores, row) entry per request from the slot's
+        model.transport_rows, and decide_window(requests, scores, log,
+        first), which decides one fine slot's arrivals into the log rows
+        from `first` on.
     place: callable(accepted [(request, config)]) -> next PlacementSolution.
+    log: the run's allocator.DecisionLog; the slot's rows are appended.
     window_hook: optional callable(fine slot, requests, scores) invoked
-        when the pricing window of each fine slot with arrivals closes,
-        with those requests and their score_matrix entries.
+        when the pricing window of each fine slot with arrivals closes.
 
-    Returns (SlotReport, new placement, decisions).
+    Returns (SlotReport, new placement).
     """
     scenario = allocator.scenario
     base = slot * scenario.fine_per_coarse
@@ -81,27 +81,28 @@ def run_coarse_slot(slot, queue, requests, rows, allocator, place,
     if requests:
         costs = transport_rows(rows, placement, scenario.topology)
         scores = allocator.score_matrix(requests, rows, costs, q_eff)
-    revenue = 0.0
-    cost = 0.0
-    decisions = []
-    accepted_pairs = []
+    offset = len(log)
+    log.open(slot, requests)
     first = 0
     for t in span:
         allocator.advance_fine_slot(t)
         stop = bisect.bisect_right(arrivals, t, first)
         if stop == first:
             continue
-        for req, decision in zip(requests[first:stop], allocator.decide_window(
-                requests[first:stop], scores[first:stop])):
-            decision.slot = slot
-            decisions.append(decision)
-            if decision.accepted:
-                revenue += decision.revenue
-                cost += decision.transport_cost
-                accepted_pairs.append((req, decision.config))
+        allocator.decide_window(requests[first:stop], scores[first:stop],
+                                log, offset + first)
         if window_hook is not None:
             window_hook(t, requests[first:stop], scores[first:stop])
         first = stop
+
+    revenue = 0.0
+    cost = 0.0
+    accepted_pairs = []
+    for n, reason in enumerate(log.reason[offset:], offset):
+        if reason is None:
+            revenue += log.revenue[n]
+            cost += log.transport_cost[n]
+            accepted_pairs.append((requests[n - offset], log.config[n]))
 
     solution = place(accepted_pairs)
 
@@ -118,4 +119,4 @@ def run_coarse_slot(slot, queue, requests, rows, allocator, place,
         placement_objective=solution.objective,
         placement_savings=solution.savings,
     )
-    return report, solution.profile, decisions
+    return report, solution.profile

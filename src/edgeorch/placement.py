@@ -84,10 +84,26 @@ def _integer_sizes(objects, catalog):
     return sizes
 
 
+def _unit_candidates(items, cap):
+    """The unit-weight items worth at least the cap-th largest value minus
+    1e-9 * max(1, largest) * cap: the only ones a knapsack of capacity cap
+    can choose.  A set of at most cap items that holds a cheaper one can
+    swap it for an unused item of the top cap and gain more than that
+    margin, which exceeds what _best_content's rounding over a sum of up
+    to cap terms and its backtrack's 1e-12 slack per item can hide (caps
+    below about 1e6).  So neither its optimum nor its backtrack takes such
+    an item, and dropping them leaves the chosen set and value as they are.
+    """
+    values = sorted(v for _, _, v in items)
+    floor = values[-cap] - 1e-9 * max(1.0, values[-1]) * cap
+    return [item for item in items if item[2] >= floor]
+
+
 def _best_content(items, capacity):
     """Exact 0/1 knapsack; among optima, the lexicographically least set.
 
-    items: (object id, weight, value) sorted by id, all values positive.
+    items: (object id, weight, value) sorted by id, all values positive;
+    with unit weights the DP runs over _unit_candidates alone.
     Returns (chosen ids tuple, total value).
     """
     n = len(items)
@@ -98,6 +114,9 @@ def _best_content(items, capacity):
         cap = min(cap, sum(w for _, w, _ in items))
     if n == 0 or cap <= 0:
         return (), 0.0
+    if n > cap and all(w == 1 for _, w, _ in items):
+        items = _unit_candidates(items, cap)
+        n = len(items)
     best = [[0.0] * (cap + 1) for _ in range(n + 1)]
     for j in range(n - 1, -1, -1):
         _, w, v = items[j]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import (MyopicAllocator, OnlineAllocator,
+from .allocator import (DecisionLog, MyopicAllocator, OnlineAllocator,
                         dual_feasibility_violations)
 from .model import (DataCatalog, PackedRows, PlacementProfile, Request,
                     ResourceState, _draws, ordered_sum, transport_rows)
@@ -235,7 +235,7 @@ class RunReport:
     seed: int
     horizon_coarse: int
     slots: list
-    decisions: list
+    decisions: DecisionLog
     placements: list          # (slot, {cloud: sorted content}, objective, savings)
     queue_trace: list
     totals: dict
@@ -268,16 +268,16 @@ class RunReport:
         }
 
 
-def _check_accounting(slots, decisions, budget, counters):
+def _check_accounting(slots, log, budget, counters):
     """Slot accumulators must replay from the decision log, and the queue
     trace from the cost series."""
     by_slot_rev = {}
     by_slot_cost = {}
-    for d in decisions:
-        if d.accepted:
-            slot = d.slot
-            by_slot_rev[slot] = by_slot_rev.get(slot, 0.0) + d.revenue
-            by_slot_cost[slot] = by_slot_cost.get(slot, 0.0) + d.transport_cost
+    for slot, reason, revenue, cost in zip(log.slot, log.reason, log.revenue,
+                                           log.transport_cost):
+        if reason is None:
+            by_slot_rev[slot] = by_slot_rev.get(slot, 0.0) + revenue
+            by_slot_cost[slot] = by_slot_cost.get(slot, 0.0) + cost
     q = 0.0
     for rep in slots:
         if abs(by_slot_rev.get(rep.slot, 0.0) - rep.revenue) > 1e-6:
@@ -330,16 +330,15 @@ def run_policy(policy, scenario, workload, horizon_coarse,
     queue = 0.0
     placement = PlacementProfile.empty(scenario.topology.n_clouds,
                                        scenario.cache_size)
-    slots, decisions, placements = [], [], []
+    slots, decisions, placements = [], DecisionLog(), []
     for big in range(horizon_coarse):
         lo, hi = workload.span(big * scenario.fine_per_coarse,
                                (big + 1) * scenario.fine_per_coarse)
-        report, placement, slot_decs = run_coarse_slot(
+        report, placement = run_coarse_slot(
             big, queue, workload.requests[lo:hi], workload.rows.take(lo, hi),
-            allocator, place, placement, window_hook=hook)
+            allocator, place, placement, decisions, window_hook=hook)
         queue = update_virtual_queue(queue, report.cost, scenario.budget)
         slots.append(report)
-        decisions.extend(slot_decs)
         placements.append((big, {i: sorted(placement.cached[i])
                                  for i in sorted(placement.cached)},
                            report.placement_objective,

@@ -130,10 +130,11 @@ def _lemma7_one(seed):
     # accepts leased their usage in decision order, so the levels summed
     # from 0.0 in that order, and their peaks, are the ledger's
     bundle_peak, level, peak = {}, {}, {}
-    for d in report.decisions:
-        if d.accepted:
-            req = by_req[d.req_id]
-            usage = config_usage(req, d.config, scenario.vms)
+    log = report.decisions
+    for req_id, reason, config in zip(log.req_id, log.reason, log.config):
+        if reason is None:
+            req = by_req[req_id]
+            usage = config_usage(req, config, scenario.vms)
             for (i, r), units in usage.items():
                 bundle_peak[r] = max(bundle_peak.get(r, 0.0), units)
                 for t in range(req.arrival, req.arrival + req.duration):

@@ -13,6 +13,9 @@ and the window rows: it rebuilds each config's usage dict, keeps prices and
 baselines in dicts keyed by (cloud, resource, fine slot), walks them with a
 0.0 default, and scores against `unit_transport_costs` tables.
 `ReferenceResourceState` is the capacity ledger keyed by the same triples,
+`reference_best_content` the knapsack as a full DP over every candidate,
+`reference_decide_window` and `reference_coarse_slot` the per-request
+window loop and coarse slot that built one `Decision` per arrival,
 `reference_greedy_place` the greedy placement that recomputes every
 candidate's savings and knapsack in every round, and
 `reference_brute_force_place` the exhaustive placement search as a scalar
@@ -29,12 +32,13 @@ import itertools
 
 from edgeorch.allocator import (BONUS_SCALE, E_RATIO, REJECT_CAPACITY,
                                 REJECT_CEILING, REJECT_NEGATIVE, Decision,
-                                OnlineAllocator, ScoredConfig,
+                                OnlineAllocator, Outcome, ScoredConfig,
                                 check_price_scaling)
 from edgeorch.model import (Lease, PlacementProfile, config_usage,
-                            enumerate_configs, ordered_sum)
-from edgeorch.placement import (PlacementSolution, _best_content,
-                                _integer_sizes, feasible_content_sets)
+                            enumerate_configs, ordered_sum, transport_rows)
+from edgeorch.orchestrator import SlotReport, drift_plus_penalty_value
+from edgeorch.placement import (PlacementSolution, _integer_sizes,
+                                feasible_content_sets)
 
 ORIGIN = "origin"  # sentinel source for objects cached nowhere
 
@@ -276,13 +280,8 @@ class ReferenceAllocator(OnlineAllocator):
         self.counters["scaling_warnings"] += len(
             check_price_scaling(scored, usage, dims))
 
-        return Decision(
-            req_id=req.req_id, arrival=req.arrival, duration=req.duration,
-            verdict="accepted", reason=None, config=config,
-            objective=scored.objective, primal_delta=primal_delta,
-            dual_delta=dual_delta, revenue=scored.revenue,
-            transport_cost=scored.transport_cost,
-        )
+        return Outcome(None, scored.objective, config, scored.revenue,
+                       scored.transport_cost, primal_delta, dual_delta)
 
     def decide(self, req, fetch, q_eff):
         return self.admit(req, self.select_config(req, fetch, q_eff))
@@ -384,6 +383,104 @@ class _ReferenceSavingsTracker:
                         self.current[(j, o)] = lat
 
 
+def reference_best_content(items, capacity):
+    """The exact 0/1 knapsack as a full DP over every candidate, with the
+    capacity clamped to the total weight; among optima, the
+    lexicographically least set.  Returns (chosen ids tuple, total value)."""
+    n = len(items)
+    cap = int(capacity)
+    if cap > n:
+        cap = min(cap, sum(w for _, w, _ in items))
+    if n == 0 or cap <= 0:
+        return (), 0.0
+    best = [[0.0] * (cap + 1) for _ in range(n + 1)]
+    for j in range(n - 1, -1, -1):
+        _, w, v = items[j]
+        row, nxt = best[j], best[j + 1]
+        for c in range(cap + 1):
+            keep = nxt[c]
+            if w <= c:
+                cand = v + nxt[c - w]
+                if cand > keep:
+                    keep = cand
+            row[c] = keep
+    chosen = []
+    c = cap
+    for j in range(n):
+        o, w, v = items[j]
+        if w <= c and v + best[j + 1][c - w] >= best[j][c] - 1e-12:
+            chosen.append(o)
+            c -= w
+    return tuple(chosen), best[0][cap]
+
+
+def reference_decide_window(allocator, requests, scores, slot):
+    """One fine slot's arrivals decided one by one, one Decision each, as
+    the window loop did before the decision log.  Under the online rule a
+    request arriving elsewhere than the window start raises ValueError
+    before any is decided, and while nothing is priced an arrival with a
+    negative top is a negative-objective reject with alpha 0.0, read from
+    its top; every other arrival goes to decide."""
+    online = isinstance(allocator, OnlineAllocator)
+    if online and any(req.arrival != allocator.dual.start
+                      for req in requests):
+        raise ValueError(f"window {allocator.dual.start} takes only its "
+                         f"arrivals")
+    decisions = []
+    for req, (group, m) in zip(requests, scores):
+        if online and not allocator.dual.priced and group.top[m] < 0.0:
+            allocator.dual.alpha[req.req_id] = 0.0
+            out = Outcome(REJECT_NEGATIVE, group.top[m])
+        else:
+            out = allocator.decide(req, (group, m))
+        decisions.append(Decision(
+            req.req_id, req.arrival, req.duration,
+            "rejected" if out.reason else "accepted", out.reason, out.config,
+            out.objective, out.primal_delta, out.dual_delta, out.revenue,
+            out.transport_cost, slot))
+    return decisions
+
+
+def reference_coarse_slot(slot, queue, requests, rows, allocator, place,
+                          placement):
+    """One coarse slot as run_coarse_slot ran it before the decision log:
+    each busy fine slot through reference_decide_window, then the accepted
+    bundles' revenue, cost and placement in decision order.  Returns
+    (SlotReport, new placement, decisions)."""
+    scenario = allocator.scenario
+    base = slot * scenario.fine_per_coarse
+    q_eff = allocator.queue_weight(queue)
+    scores = []
+    if requests:
+        scores = allocator.score_matrix(requests, rows, transport_rows(
+            rows, placement, scenario.topology), q_eff)
+    decisions, accepted = [], []
+    revenue = cost = 0.0
+    first = 0
+    for t in range(base, base + scenario.fine_per_coarse):
+        allocator.advance_fine_slot(t)
+        stop = first
+        while stop < len(requests) and requests[stop].arrival == t:
+            stop += 1
+        if stop == first:
+            continue
+        for n, d in zip(range(first, stop), reference_decide_window(
+                allocator, requests[first:stop], scores[first:stop], slot)):
+            decisions.append(d)
+            if d.accepted:
+                revenue += d.revenue
+                cost += d.transport_cost
+                accepted.append((requests[n], d.config))
+        first = stop
+    solution = place(accepted)
+    report = SlotReport(slot, revenue, cost, queue, q_eff, len(requests),
+                        len(accepted), drift_plus_penalty_value(
+                            scenario.v_weight, revenue, queue, cost,
+                            scenario.budget),
+                        solution.objective, solution.savings)
+    return report, solution.profile, decisions
+
+
 def reference_greedy_place(demand, cache_size, topo, catalog):
     """Greedy placement that recomputes every unfixed cloud's savings and
     knapsack in every round."""
@@ -397,7 +494,7 @@ def reference_greedy_place(demand, cache_size, topo, catalog):
         for cloud in unfixed:
             sav = tracker.marginal_savings(cloud)
             items = [(o, sizes[o], sav[o]) for o in sorted(sav)]
-            content, value = _best_content(items, cache_size[cloud])
+            content, value = reference_best_content(items, cache_size[cloud])
             if best is None or value > best[1] + 1e-12:
                 best = (cloud, value, content)
         cloud, value, content = best

@@ -1,4 +1,3 @@
-import functools
 import struct
 from collections import Counter
 from dataclasses import replace
@@ -7,20 +6,22 @@ import numpy as np
 import pytest
 
 from edgeorch.allocator import (BONUS_SCALE, E_RATIO, REJECT_NEGATIVE,
-                                Decision, MyopicAllocator, OnlineAllocator,
-                                ScoredConfig, ShapeScores, _AdmissionRule,
+                                Decision, DecisionLog, MyopicAllocator,
+                                OnlineAllocator, ScoredConfig, ShapeScores,
                                 check_price_scaling,
                                 dual_feasibility_violations)
 from edgeorch.model import (DataCatalog, PlacementProfile, Request,
                             ResourceState, Topology, VMCatalog, config_usage,
                             pack_requests, transport_rows)
 from edgeorch.orchestrator import run_coarse_slot, update_virtual_queue
-from edgeorch.placement import aggregate_demand, greedy_place
+from edgeorch.placement import (aggregate_demand, greedy_place,
+                                top_popularity_place)
 from edgeorch.scenario import DATA_DIR, Scenario, load_scenario
 from edgeorch.simulator import WorkloadConfig, generate_workload, run_policy
 from reference_rules import (ReferenceAllocator, ReferenceResourceState,
-                             cost_tables, reference_fetch_latencies,
-                             reference_score_one, reference_select_config)
+                             cost_tables, reference_coarse_slot,
+                             reference_fetch_latencies, reference_score_one,
+                             reference_select_config)
 
 
 def one_cloud_scenario():
@@ -109,6 +110,15 @@ def cost_table(scenario, placement, req):
     return cost_tables([req], slot_costs(scenario, placement, [req]))[0]
 
 
+def decide_rows(alloc, requests, scores, slot=0):
+    """decide_window on the requests as the rows of a fresh DecisionLog,
+    opened for coarse slot `slot`; returns the log's rows."""
+    log = DecisionLog()
+    log.open(slot, requests)
+    alloc.decide_window(requests, scores, log, 0)
+    return list(log)
+
+
 def decide(alloc, scenario, placement, req, q_eff):
     """Price and score one request on its own under q_eff, then decide it."""
     return alloc.decide(req, slot_scores(alloc, scenario, placement, [req],
@@ -161,7 +171,7 @@ def test_accept_updates_prices_and_duals():
                           revenue=100.0, transport_cost=0.0, shape=shape)
 
     d = alloc.admit(req, scored)
-    assert d.accepted
+    assert d.reason is None
     assert d.primal_delta == 100.0
     # alpha 100 plus four capacity triples each granting cap * bonus
     assert alloc.dual.alpha[1] == 100.0
@@ -193,7 +203,6 @@ def test_reject_negative_objective():
     req = Request(7, 0, 4, 0, {0: (1, ("o1",))})
     # q_eff 10 prices uncached o1 far above the 100-per-slot revenue
     d = decide(alloc, scn, placement, req, q_eff=10.0)
-    assert not d.accepted
     assert d.reason == "negative_objective"
     assert d.objective == -1600.0
     assert alloc.dual.alpha[7] == 0.0
@@ -300,7 +309,7 @@ def test_random_streams_keep_duals_feasible():
                           int(rng.integers(2)), demand)
             seen.append(req)
             d = decide(alloc, scn, placement, req, q_eff=1.0)
-            accepted += d.accepted
+            accepted += d.reason is None
         assert alloc.counters["identity_violations"] == 0
         costs = slot_costs(scn, placement, seen)
         scores = slot_scores(alloc, scn, placement, seen, 1.0)
@@ -408,7 +417,7 @@ def test_admission_matches_scalar_reference():
                 assert got == want
                 seen[got.reason or "accepted"] += 1
                 seen["two_types"] += len(req.groups()) == 2
-                if n == 0 and t != 5 and got.accepted:
+                if n == 0 and t != 5 and got.reason is None:
                     assert set(got.config.assignment.values()) == {0}
                     seen["ties"] += 1
             prices = window_prices(new)
@@ -534,7 +543,7 @@ def replay_checking_selections(monkeypatch, scn, wl, horizon):
             scored.shape.clouds)
         return scored
 
-    def windowed(self, requests, scores):
+    def windowed(self, requests, scores, log, first):
         prefix = []   # the reference's picks of the unpriced negative prefix
         if not self.dual.priced:
             for req in requests:
@@ -543,15 +552,14 @@ def replay_checking_selections(monkeypatch, scn, wl, horizon):
                     break
                 prefix.append(want)
         before = seen["selections"]
-        decisions = decide_window(self, requests, scores)
+        decide_window(self, requests, scores, log, first)
         assert seen["selections"] - before == len(requests) - len(prefix)
-        for d, want in zip(decisions, prefix):
-            assert (d.reason, d.config, d.dual_delta) == (
+        for n, want in enumerate(prefix, first):
+            assert (log.reason[n], log.config[n], log.dual_delta[n]) == (
                 REJECT_NEGATIVE, None, 0.0)
-            assert bits(d.objective) == bits(want.objective)
-            assert self.dual.alpha[d.req_id] == 0.0
+            assert bits(log.objective[n]) == bits(want.objective)
+            assert self.dual.alpha[log.req_id[n]] == 0.0
         seen["prefix_rejects"] += len(prefix)
-        return decisions
 
     monkeypatch.setattr(OnlineAllocator, "score_matrix", scoring)
     monkeypatch.setattr(OnlineAllocator, "select_config", checked)
@@ -644,9 +652,9 @@ def test_first_argmax_on_hand_made_rows(rows):
         if row[want] < 0.0:
             assert bits(group.top[m]) == bits(row[want])
             alone = fresh(scn)
-            [d] = alone.decide_window([req], [(group, m)])
+            [d] = decide_rows(alone, [req], [(group, m)])
             assert d == Decision(0, 0, 2, "rejected", REJECT_NEGATIVE, None,
-                                 row[want], 0.0, 0.0, 0.0, 0.0)
+                                 row[want], 0.0, 0.0, 0.0, 0.0, 0)
             assert bits(d.objective) == bits(row[want])
             assert alone.dual.alpha == {0: 0.0}
 
@@ -691,7 +699,7 @@ def test_unpriced_selection_matches_reference_on_bundles():
             check_selection(scored, reference_select_config(alloc, req, table,
                                                             q_eff))
             decision = alloc.admit(req, scored)
-            seen[(len(req.groups()), unpriced, decision.accepted)] += 1
+            seen[(len(req.groups()), unpriced, decision.reason is None)] += 1
     assert alloc.counters["identity_violations"] == 0
     for groups in (1, 2, 3):
         for unpriced in (True, False):
@@ -728,14 +736,14 @@ def test_hand_made_windows():
     def window(*picks):
         alloc = fresh(scn)
         calls = counting_selections(alloc)
-        decisions = alloc.decide_window([requests[m] for m in picks],
-                                        [(group, m) for m in picks])
+        decisions = decide_rows(alloc, [requests[m] for m in picks],
+                                [(group, m) for m in picks])
         return alloc, decisions, calls["selections"]
 
     alloc, decisions, selections = window(0, 1)
     assert selections == 0
     assert decisions == [Decision(m, 0, 2, "rejected", REJECT_NEGATIVE, None,
-                                  group.top[m], 0.0, 0.0, 0.0, 0.0)
+                                  group.top[m], 0.0, 0.0, 0.0, 0.0, 0)
                          for m in (0, 1)]
     assert [bits(d.objective) for d in decisions] == [bits(-1.0),
                                                        bits(-1e-300)]
@@ -769,63 +777,83 @@ def test_window_refuses_a_request_from_another_fine_slot():
         alloc = fresh(scn)
         alloc.advance_fine_slot(3)
         calls = counting_selections(alloc)
+        requests = [req for req, _ in window]
+        log = DecisionLog()
+        log.open(0, requests)
+        opened = list(log)
         with pytest.raises(ValueError, match="window 3"):
-            alloc.decide_window([req for req, _ in window],
-                                [(group, m) for _, m in window])
+            alloc.decide_window(requests, [(group, m) for _, m in window],
+                                log, 0)
         assert calls["selections"] == 0
         assert (alloc.dual.alpha, alloc.dual.priced) == ({}, set())
+        assert repr(list(log)) == repr(opened)
 
 
-def replay_slots(scn, wl, n_slots, plain):
-    """The first n_slots coarse slots of the stream under a fresh proposed
-    allocator, each fine slot decided by decide_window, or, if plain, by
-    a plain loop over decide.  Returns the allocator, its decisions and
-    slot reports, and its select_config calls."""
-    alloc = fresh(scn)
-    if plain:
-        alloc.decide_window = functools.partial(_AdmissionRule.decide_window,
-                                                alloc)
-    calls = counting_selections(alloc)
+def replay_slots(policy, scn, wl, n_slots, plain):
+    """The first n_slots coarse slots of the stream under a fresh allocator
+    of the policy's rule and its placement rule, through run_coarse_slot
+    and one DecisionLog, or, if plain, through the per-request
+    reference_coarse_slot.  Returns the allocator, the decisions as rows,
+    the slot reports and the allocator's select_config calls."""
+    resources = ResourceState(dict(scn.capacity))
+    alloc = (OnlineAllocator if policy == "proposed"
+             else MyopicAllocator)(scn, resources)
+    rule = (top_popularity_place if policy == "myopic_nocoop"
+            else greedy_place)
+    calls = (counting_selections(alloc) if policy == "proposed"
+             else Counter())
     queue = 0.0
     placement = PlacementProfile.empty(scn.topology.n_clouds, scn.cache_size)
-    decisions, reports = [], []
+    log, decisions, reports = DecisionLog(), [], []
     for big in range(n_slots):
         lo, hi = wl.span(big * scn.fine_per_coarse,
                          (big + 1) * scn.fine_per_coarse)
-        report, placement, slot_decisions = run_coarse_slot(
-            big, queue, wl.requests[lo:hi], wl.rows.take(lo, hi), alloc,
-            lambda accepted: greedy_place(
-                aggregate_demand(accepted, wl.catalog), scn.cache_size,
-                scn.topology, wl.catalog),
-            placement)
+        args = (big, queue, wl.requests[lo:hi], wl.rows.take(lo, hi), alloc,
+                lambda accepted: rule(
+                    aggregate_demand(accepted, wl.catalog), scn.cache_size,
+                    scn.topology, wl.catalog),
+                placement)
+        if plain:
+            report, placement, slot_decisions = reference_coarse_slot(*args)
+            decisions += slot_decisions
+        else:
+            report, placement = run_coarse_slot(*args, log)
         queue = update_virtual_queue(queue, report.cost, scn.budget)
-        decisions += slot_decisions
         reports.append(report)
-    return alloc, decisions, reports, calls["selections"]
+    return alloc, decisions if plain else list(log), reports, calls[
+        "selections"]
 
 
+@pytest.mark.parametrize("policy", ["proposed", "myopic_coop",
+                                    "myopic_nocoop"])
 @pytest.mark.parametrize("name, slots", [("desk", 12), ("paper_scale", 2)])
-def test_window_decisions_match_a_per_request_replay(name, slots):
-    """decide_window over every busy fine slot of whole slots against a
-    plain per-request decide replay on a fresh allocator: equal decisions
-    and slot reports, field for field and float for float (repr tells
-    -0.0 from 0.0), equal alphas and counters.  The windows reject their
-    unpriced negative prefixes without a selection."""
+def test_window_decisions_match_a_per_request_replay(name, slots, policy):
+    """The decision log of whole slots against the per-request replay
+    that builds one Decision per arrival, on a fresh allocator each: equal
+    rows and slot reports, field for field and float for float (repr
+    tells -0.0 from 0.0), equal alphas and counters.  Under the online
+    rule the windows reject their unpriced negative prefixes without a
+    selection, and decide the rest."""
     scn = load_scenario(DATA_DIR / f"{name}.json")
     wl = generate_workload(WorkloadConfig(seed=2), scn,
                            slots * scn.fine_per_coarse)
-    window, got, got_reports, selected = replay_slots(scn, wl, slots, False)
-    plain, want, want_reports, all_selected = replay_slots(scn, wl, slots,
-                                                           True)
-    assert repr(got) == repr(want)
-    assert repr(got_reports) == repr(want_reports)
-    assert repr(sorted(window.dual.alpha.items())) == repr(
-        sorted(plain.dual.alpha.items()))
-    assert window.counters == plain.counters
-    assert all_selected == len(want)
-    prefix = len(got) - selected
-    assert 0 < prefix <= sum(d.reason == REJECT_NEGATIVE for d in got)
+    fast, got, got_reports, selected = replay_slots(policy, scn, wl, slots,
+                                                    False)
+    plain, want, want_reports, plain_selected = replay_slots(
+        policy, scn, wl, slots, True)
+    assert len(got) == len(want) == len(wl.requests) > 0
+    # row by row, so a failure names the first row that differs
+    assert [repr(d) for d in got] == [repr(d) for d in want]
+    assert [repr(r) for r in got_reports] == [repr(r) for r in want_reports]
     assert sum(d.accepted for d in got) > 0
+    assert fast.counters == plain.counters
+    if policy == "proposed":
+        assert [repr(a) for a in sorted(fast.dual.alpha.items())] == [
+            repr(a) for a in sorted(plain.dual.alpha.items())]
+        assert selected == plain_selected
+        prefix = len(got) - selected
+        assert 0 < prefix <= sum(d.reason == REJECT_NEGATIVE for d in got)
+        assert selected > sum(d.accepted for d in got)
 
 
 def test_empty_slot_scores_nothing():
@@ -838,4 +866,4 @@ def test_empty_slot_scores_nothing():
     for rule in (fresh(scn), MyopicAllocator(scn, ResourceState(
             dict(scn.capacity)))):
         assert rule.score_matrix([], rows, costs, 1.0) == []
-        assert rule.decide_window([], []) == []
+        assert decide_rows(rule, [], []) == []

@@ -764,10 +764,23 @@ def test_outputs_match_pinned_digests(tmp_path):
     assert got == PINNED_DIGESTS
 
 
-# sha256 of the CSVs of a 2-coarse-slot `proposed` replay of paper_scale.json
-# and workload_default.json, seed 0: 500-slot pricing windows, 5000-unit
-# capacities and 40-object caches, which the desk run does not reach.
+# sha256 of the CSVs of 2-coarse-slot replays of paper_scale.json and
+# workload_default.json under each policy, seed 0: 500-slot pricing windows,
+# 5000-unit capacities and 40-object caches, which the desk run does not
+# reach.
 PINNED_PAPER_SCALE_DIGESTS = {
+    "myopic_coop_s0_decisions.csv":
+        "1f082a507ebedd234da2fbc6870f32b94b72db107fad7384cb11d34154419817",
+    "myopic_coop_s0_placements.csv":
+        "cb34805cfce2a4c15b09d179c703627c4742d14a3f62b3a0f5bb91674d71e630",
+    "myopic_coop_s0_slots.csv":
+        "0469edd03de5949547b919aa87e95b231f80e4ee749c44fe95c68a1fb5adc230",
+    "myopic_nocoop_s0_decisions.csv":
+        "b3aeb9c8549b24ef3f17185bd56d7e194574bf96aebfae8bb79f48071047ad1f",
+    "myopic_nocoop_s0_placements.csv":
+        "98c72f3aad776c92d9b4a0f81f07efc1db3a36a90001e5b0aeca62d6133c2967",
+    "myopic_nocoop_s0_slots.csv":
+        "94178bc4ea199abde20305a8ccb97326a71261b99c71ca59ae80d248c82db9b3",
     "proposed_s0_decisions.csv":
         "d405eedf67cd781e053aad9cd911b863f6040cf18ef9dfa732bc957ccbd46ef9",
     "proposed_s0_placements.csv":
@@ -780,8 +793,8 @@ PINNED_PAPER_SCALE_DIGESTS = {
 def test_paper_scale_outputs_match_pinned_digests(tmp_path):
     spec = {"name": "pin", "scenario": "paper_scale.json",
             "workload": "workload_default.json", "horizon": 2, "seeds": [0],
-            "policies": ["proposed"], "sweep": None, "overrides": {},
-            "lookahead": None}
+            "policies": ["proposed", "myopic_coop", "myopic_nocoop"],
+            "sweep": None, "overrides": {}, "lookahead": None}
     assert run_experiment(spec, tmp_path) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in tmp_path.glob("*.csv")}

@@ -1,7 +1,7 @@
 import pytest
 
 from edgeorch import orchestrator
-from edgeorch.allocator import MyopicAllocator, OnlineAllocator
+from edgeorch.allocator import DecisionLog, MyopicAllocator, OnlineAllocator
 from edgeorch.model import (PlacementProfile, Request, ResourceState,
                             pack_requests)
 from edgeorch.orchestrator import (SlotReport, drift_plus_penalty_value,
@@ -47,9 +47,10 @@ def packed(scenario, requests):
 
 
 def run_one_slot(scenario, requests, slot=0, queue=0.0):
-    """run_coarse_slot's three results under the proposed rule and greedy
-    placement, and the demand matrix of each list of accepted (request,
-    config) pairs its place callable received."""
+    """run_coarse_slot's report and placement under the proposed rule and
+    greedy placement, with the rows it wrote to a fresh DecisionLog, and
+    the demand matrix of each list of accepted (request, config) pairs its
+    place callable received."""
     resources = ResourceState(dict(scenario.capacity))
     allocator = OnlineAllocator(scenario, resources)
     placement = PlacementProfile.empty(scenario.topology.n_clouds,
@@ -61,8 +62,11 @@ def run_one_slot(scenario, requests, slot=0, queue=0.0):
         return greedy_place(demands[-1], scenario.cache_size,
                             scenario.topology, scenario.catalog)
 
-    return run_coarse_slot(slot, queue, requests, packed(scenario, requests),
-                           allocator, place, placement), demands
+    log = DecisionLog()
+    report, profile = run_coarse_slot(slot, queue, requests,
+                                      packed(scenario, requests), allocator,
+                                      place, placement, log)
+    return (report, profile, list(log)), demands
 
 
 def test_single_slot_accounting():
@@ -141,7 +145,7 @@ def test_window_hook_sees_each_busy_fine_slot():
     run_coarse_slot(0, 0.0, requests, packed(scn, requests), allocator,
                     lambda accepted: PlacementSolution(placement, 0.0, 0.0,
                                                        []),
-                    placement, window_hook=hook)
+                    placement, DecisionLog(), window_hook=hook)
     assert calls == [(0, [1], [True]), (2, [2, 3], [True, True])]
 
 
@@ -151,10 +155,10 @@ def test_placement_swap_is_returned_not_applied():
     resources = ResourceState(dict(scn.capacity))
     allocator = OnlineAllocator(scn, resources)
     placement = PlacementProfile.empty(2, dict(scn.cache_size))
-    (report, new_placement, _) = run_coarse_slot(
+    report, new_placement = run_coarse_slot(
         0, 0.0, [], packed(scn, []), allocator,
         lambda accepted: PlacementSolution(sentinel, 0.0, 0.0, []),
-        placement)
+        placement, DecisionLog())
     assert new_placement is sentinel
     assert report.placement_objective == 0.0
     assert report.placement_savings == 0.0

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import numpy as np
@@ -15,7 +16,8 @@ from edgeorch.placement import (DemandMatrix, _best_content, _scan_best,
                                 random_placement_instance,
                                 top_popularity_place)
 from edgeorch.scenario import load_scenario
-from reference_rules import (reference_brute_force_place,
+from reference_rules import (reference_best_content,
+                             reference_brute_force_place,
                              reference_greedy_place, reference_placement_cost)
 
 
@@ -397,3 +399,109 @@ def test_greedy_matches_reference_on_desk_replay(workload, monkeypatch):
     monkeypatch.setattr(simulator, "greedy_place", checked)
     simulator.run_policy("proposed", scenario, stream, 150)
     assert len(placed) == 150 and sum(placed) > 140
+
+
+def assert_knapsack_matches_reference(items, capacity):
+    """The same chosen set and the same float value as the full DP."""
+    got = _best_content(items, capacity)
+    want = reference_best_content(items, capacity)
+    assert got[0] == want[0]
+    assert repr(got[1]) == repr(want[1])
+    return got
+
+
+def unit_items(values):
+    return [(f"o{j:03d}", 1, v) for j, v in enumerate(values)]
+
+
+@pytest.mark.parametrize("values, capacity, chosen", [
+    # one ulp below the cap-th largest, at the smaller id: the full DP's
+    # backtrack takes it within its 1e-12 slack
+    ([math.nextafter(5.0, 0.0), 5.0, 1.0], 1, ("o000",)),
+    ([3.0, math.nextafter(5.0, 0.0), 5.0, 5.0], 2, ("o001", "o002")),
+    # exact ties at the cap-th largest, lowest ids first
+    ([2.0, 7.0, 2.0, 2.0], 2, ("o000", "o001")),
+    # a tiny value beside large ones is never worth a slot
+    ([1e-12, 1e5, 1e5, 1e-12], 2, ("o001", "o002")),
+], ids=["ulp_tie_cap1", "ulp_tie_cap2", "exact_ties", "tiny_beside_large"])
+def test_pruned_knapsack_on_hand_made_ties(values, capacity, chosen):
+    assert assert_knapsack_matches_reference(unit_items(values),
+                                             capacity)[0] == chosen
+
+
+def test_pruned_knapsack_matches_the_full_dp_on_fuzzed_unit_weights():
+    """Unit weights with exact ties, ties one ulp apart, values of 1e-12
+    beside 1e5, at capacities 0, 1, n-1, n and n+1."""
+    rng = np.random.default_rng(41)
+    pruned = 0
+    for _ in range(3000):
+        n = int(rng.integers(1, 25))
+        kind = int(rng.integers(4))
+        if kind == 0:      # few distinct values: exact ties
+            values = [float(rng.integers(1, 4)) for _ in range(n)]
+        elif kind == 1:    # ties one ulp apart
+            base = float(rng.uniform(0.5, 50.0))
+            values = [base] * n
+            for j in rng.choice(n, size=int(rng.integers(0, n + 1)),
+                                replace=False):
+                values[j] = math.nextafter(base, rng.choice([0.0, math.inf]))
+        elif kind == 2:    # 1e-12 beside 1e5
+            values = [float(rng.choice([1e-12, 2e-12, 1e5, 1e5 + 1.0]))
+                      for _ in range(n)]
+        else:
+            values = rng.uniform(0.0, 10.0, n).tolist()
+        values = [v for v in values if v > 0.0] or [1.0]
+        n = len(values)
+        for capacity in {0, 1, max(n - 1, 0), n, n + 1,
+                         int(rng.integers(1, n + 1))}:
+            assert_knapsack_matches_reference(unit_items(values), capacity)
+            pruned += n > capacity > 0
+    assert pruned > 1000
+
+
+def test_weighted_knapsacks_keep_the_full_dp(monkeypatch):
+    """prop2's instances have object sizes 1-3: a knapsack whose items
+    are not all of weight 1 never goes through the prune, and the greedy
+    still matches the full-DP reference on them."""
+    seen = []
+    prune = placement._unit_candidates
+
+    def spied(items, cap):
+        seen.append(items)
+        return prune(items, cap)
+
+    monkeypatch.setattr(placement, "_unit_candidates", spied)
+    weighted = 0
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        demand, cache, topo, catalog = random_placement_instance(rng)
+        weighted += any(catalog.sizes[o] != 1 for o in demand.objects())
+        assert_greedy_matches_reference(demand, cache, topo, catalog)
+    assert weighted > 50
+    assert all(w == 1 for items in seen for _, w, _ in items)
+
+
+@pytest.mark.parametrize("name, slots", [("desk", 150), ("paper_scale", 10)])
+def test_pruned_knapsack_matches_the_full_dp_on_recorded_calls(name, slots,
+                                                               monkeypatch):
+    """Every knapsack a proposed replay solves, recorded and solved again
+    by the full DP: the same set and the same float value."""
+    calls = []
+    solve = placement._best_content
+
+    def recorded(items, capacity):
+        calls.append((list(items), capacity))
+        return solve(items, capacity)
+
+    monkeypatch.setattr(placement, "_best_content", recorded)
+    scenario = load_scenario(resolve_data(f"{name}.json"))
+    stream = simulator.generate_workload(simulator.WorkloadConfig(seed=0),
+                                         scenario,
+                                         slots * scenario.fine_per_coarse)
+    simulator.run_policy("proposed", scenario, stream, slots)
+    monkeypatch.undo()
+    pruned = 0
+    for items, capacity in calls:
+        assert_knapsack_matches_reference(items, capacity)
+        pruned += len(items) > int(capacity) > 0
+    assert pruned > 0

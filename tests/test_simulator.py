@@ -383,6 +383,15 @@ def test_accounting_checker_flags_tampering():
     rep.slots[0].revenue += 1.0
     _check_accounting(rep.slots, rep.decisions, scn.budget, counters)
     assert counters["accounting_violations"] >= 1
+    # the same from one revenue entry of the log
+    rep.slots[0].revenue -= 1.0
+    counters = dict.fromkeys(counters, 0)
+    _check_accounting(rep.slots, rep.decisions, scn.budget, counters)
+    assert counters["accounting_violations"] == 0
+    log = rep.decisions
+    log.revenue[log.reason.index(None)] += 1.0
+    _check_accounting(rep.slots, log, scn.budget, counters)
+    assert counters["accounting_violations"] == 1
 
 
 def one_cloud_scenario(cache_all=True):
