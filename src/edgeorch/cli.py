@@ -185,6 +185,7 @@ def _run_stream(args):
         results.append((key, report.summary(), {
             metric: [getattr(s, metric) for s in report.slots]
             for metric in ("revenue", "cost", "queue")}))
+        del report      # not held while the next cell replays
     return results
 
 
@@ -334,7 +335,7 @@ def run_experiment(spec, out_dir, seed_override=None, horizon_override=None,
 
     # every point is built, so its inputs are checked, before any draw
     streams = {}    # (seed, private_ratio point or None) -> its cells
-    keys = set()    # each cell's artifacts are named by its key
+    keys = {}       # a cell's key, which names its artifacts -> its value
     for axis, value in points:
         draw = value if axis == "private_ratio" else None
         scenario, cfg = _build_point(spec, scenario_path, axis, value)
@@ -344,9 +345,11 @@ def run_experiment(spec, out_dir, seed_override=None, horizon_override=None,
                 key = _cell_key(policy, seed, axis, value)
                 if key in keys:
                     raise ScenarioError(
-                        f"two run cells share the key {key!r}: repeated "
-                        "seeds, policies or sweep values")
-                keys.add(key)
+                        f"two run cells share the key {key!r}: " + (
+                            "repeated seeds, policies or sweep values"
+                            if keys[key] == value else f"{axis} values "
+                            f"{keys[key]!r} and {value!r} both format to it"))
+                keys[key] = value
                 streams.setdefault((seed, draw), []).append(
                     (key, policy, scenario, seeded))
     # every input is checked, so the output directory is made now; a

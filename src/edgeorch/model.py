@@ -6,7 +6,6 @@ Conventions used throughout the package:
   * a request leases one bundle of VMs for a contiguous span of fine slots
 """
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,35 +23,82 @@ def ordered_sum(values):
     return total
 
 
-def _draws(rng):
-    """double() and integer(lo, hi): rng.random() and rng.integers(lo,
-    hi + 1) of a numpy Generator, bit for bit, without their per-call
-    argument handling.  Both call the bit generator's own functions
-    through its ctypes interface, on its state, so they interleave exactly
-    with the generator's other methods.  The caller keeps rng alive while
-    it uses them.
-    """
-    bits = rng.bit_generator.ctypes
-    double = functools.partial(bits.next_double, bits.state)
-    uint32 = functools.partial(bits.next_uint32, bits.state)
+class _draws:
+    """double(), integer(lo, hi), uniform(lo, hi) and poisson(lam): a PCG64
+    Generator's random(), integers(lo, hi + 1), uniform and poisson, bit for
+    bit, decoded from blocks of raw 64-bit outputs, each once into numpy's
+    double and the low and high 32-bit halves PCG64 hands out in turn.  The
+    generator runs ahead by a block, so only the decoder draws from it; for
+    any other draw, numpy() rewinds it to the decoded position."""
 
-    def integer(lo, hi):
-        span = hi - lo
-        if 0 < span < 0xFFFFFFFF:
-            # numpy's Lemire rejection over 32-bit draws; the threshold is
-            # 2**32 mod (span + 1)
-            excl = span + 1
-            m = uint32() * excl
-            if m & 0xFFFFFFFF < excl:
-                threshold = (0x100000000 - excl) % excl
-                while m & 0xFFFFFFFF < threshold:
-                    m = uint32() * excl
-            return lo + (m >> 32)
-        if span == 0:
-            return lo   # numpy draws nothing for a single value
-        return int(rng.integers(lo, hi + 1))
+    def __init__(self, rng):
+        self._rng, self._size = rng, 64   # blocks double up to 4096 outputs
+        self._i = self._n = self._has = 0  # block read to i of n; no half
 
-    return double, integer
+    def _refill(self):
+        bits = self._rng.bit_generator
+        self._start = start = bits.state
+        if not self._n:          # no block was out: the generator's buffer
+            self._has, self._half = start["has_uint32"], start["uinteger"]
+        raw = bits.random_raw(self._size)
+        self._size = min(2 * self._size, 4096)
+        self._doubles = ((raw >> 11) * 2.0**-53).tolist()
+        self._low, self._high = (raw & 0xFFFFFFFF).tolist(), (raw >> 32).tolist()
+        self._i, self._n = 0, len(raw)
+
+    def numpy(self):
+        """The Generator at the decoded position; a new block follows."""
+        if self._n:
+            bits = self._rng.bit_generator
+            bits.state = self._start
+            bits.state = {**bits.advance(self._i).state,
+                          "has_uint32": self._has, "uinteger": self._half}
+            # the generator holds the buffer; blocks start small again
+            self._i, self._n, self._has, self._size = 0, 0, 0, 64
+        return self._rng
+
+    def double(self):
+        i = self._i
+        if i == self._n:
+            self._refill()
+            i = 0
+        self._i = i + 1
+        return self._doubles[i]
+
+    def _uint32(self):
+        if self._has:
+            self._has = 0
+            return self._half
+        i = self._i
+        if i == self._n:
+            self._refill()
+            return self._uint32()   # the generator may have buffered a half
+        self._i, self._has, self._half = i + 1, 1, self._high[i]
+        return self._low[i]
+
+    def integer(self, lo, hi):
+        excl = hi - lo + 1
+        if not 1 < excl < 2**32:     # numpy draws nothing for a single value
+            return lo if excl == 1 else int(self.numpy().integers(lo, hi + 1))
+        m = self._uint32() * excl    # numpy's Lemire rejection
+        if m & 0xFFFFFFFF < excl:
+            threshold = (0x100000000 - excl) % excl   # 2**32 mod excl
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * excl
+        return lo + (m >> 32)
+
+    def uniform(self, lo, hi):
+        return float(lo) + (float(hi) - float(lo)) * self.double()
+
+    def poisson(self, lam):
+        if not 0 < lam < 10:     # numpy draws nothing at 0
+            return 0 if lam == 0 else int(self.numpy().poisson(lam))
+        # numpy's multiplication method for small means
+        count, prod, limit = 0, self.double(), math.exp(-lam)
+        while prod > limit:
+            count += 1
+            prod *= self.double()
+        return count
 
 
 class Topology:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DataCatalog, PlacementProfile, Topology, _draws
+from .model import DataCatalog, PlacementProfile, Topology
 
 
 # the most placement profiles brute_force_place scores
@@ -342,25 +342,26 @@ def brute_force_place(demand, cache_size, topo, catalog):
     return profile, float(costs[best])
 
 
-def random_placement_instance(rng):
+def random_placement_instance(draws):
     """Small random instance for cross-checking greedy against brute force.
 
     Up to 3 clouds and 8 objects with integer sizes up to 3.  Redraws any
     instance whose exhaustive search space would exceed 20,000 placement
     profiles so a batch of cross-checks stays cheap.
     """
-    double, integer = _draws(rng)
+    double, integer = draws.double, draws.integer
     while True:
         n_clouds = integer(2, 3)
         n_objects = integer(2, 8)
         w = [[0.0] * n_clouds for _ in range(n_clouds)]
         for i in range(n_clouds):
             for j in range(i + 1, n_clouds):
-                w[i][j] = w[j][i] = round(float(rng.uniform(20, 50)), 1)
-        origin = [round(float(rng.uniform(100, 200)), 1) for _ in range(n_clouds)]
-        # one discarded draw per cloud, once spent on local latencies; kept
-        # so every instance stays the same
-        rng.uniform(5, 10, n_clouds)
+                w[i][j] = w[j][i] = round(draws.uniform(20, 50), 1)
+        origin = [round(draws.uniform(100, 200), 1) for _ in range(n_clouds)]
+        # one discarded double per cloud, once spent on local latencies;
+        # kept so every instance stays the same
+        for _ in range(n_clouds):
+            double()
         topo = Topology(w, origin)
         catalog = DataCatalog({f"o{j}": integer(1, 3)
                                for j in range(n_objects)})

@@ -133,7 +133,6 @@ def generate_workload(cfg, scenario, horizon_fine):
     entries are its public reads, by index in the sorted public object
     list, then its private reads, from its ingress.
     """
-    rng = np.random.default_rng(cfg.seed)
     # the scenario's public objects; the stream's private ones join below
     publics = scenario.catalog.public_objects()
     public_sizes = [scenario.catalog.sizes[o] for o in publics]
@@ -151,7 +150,8 @@ def generate_workload(cfg, scenario, horizon_fine):
     type_cdf = (type_cdf / type_cdf[-1]).tolist()
     rank_cdf = probs.cumsum()
     rank_cdf = (rank_cdf / rank_cdf[-1]).tolist()
-    double, integer = _draws(rng)
+    draws = _draws(np.random.default_rng(cfg.seed))
+    double, integer, poisson = draws.double, draws.integer, draws.poisson
     life_lo, life_hi = cfg.lifetime
     obj_lo, obj_hi = cfg.objects_per_vm
     n_public = len(publics)
@@ -160,13 +160,12 @@ def generate_workload(cfg, scenario, horizon_fine):
     digest = hashlib.sha256()
     # one packed row per request; kind_of numbers the types drawn in order
     kind_of, kinds, lengths, sources = {}, [], [], []
-    rate = 0.0
     req_id = 0
     for t in range(horizon_fine):
         if t % cfg.regime_length == 0:
-            rate = float(rng.uniform(*cfg.lambda_range))
-        drawn, private_ids = [], []
-        for _ in range(int(rng.poisson(rate))):
+            rate = draws.uniform(*cfg.lambda_range)
+        drawn, private_ids, texts = [], [], []
+        for _ in range(poisson(rate)):
             k = bisect.bisect_right(type_cdf, double())
             life = integer(life_lo, life_hi)
             n_obj = integer(obj_lo, obj_hi)
@@ -178,16 +177,16 @@ def generate_workload(cfg, scenario, horizon_fine):
             private = [f"p{req_id}-{j}" for j in range(n_priv)]
             ingress = integer(0, n_clouds - 1)
             objects = tuple([publics[j] for j in columns] + private)
-            drawn.append(Request(req_id=req_id, arrival=t, duration=life,
-                                 ingress=ingress, demand={k: (1, objects)}))
+            drawn.append(Request(req_id, t, life, ingress, {k: (1, objects)}))
             # the repr of (id, arrival, duration, ingress, sorted demand items)
-            digest.update(repr((req_id, t, life, ingress,
-                                [(k, (1, objects))])).encode())
+            texts.append(f"({req_id}, {t}, {life}, {ingress}, "
+                         f"[({k}, (1, {objects!r}))])")
             private_ids += private
             kinds.append(kind_of.setdefault(k, len(kind_of)))
             lengths.append(len(columns) + n_priv)
             sources += columns + [n_public + ingress] * n_priv
             req_id += 1
+        digest.update("".join(texts).encode())
         catalog.add_many(private_ids, 1)
         for req in drawn:
             req.validate(catalog, n_types, n_clouds)

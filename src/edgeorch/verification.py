@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .allocator import _AdmissionRule
-from .model import PlacementProfile, config_usage
+from .model import PlacementProfile, _draws, config_usage
 from .orchestrator import update_virtual_queue
 from .placement import (brute_force_place, greedy_place, placement_cost,
                         random_placement_instance)
@@ -180,12 +180,12 @@ def suite_prop2(n_instances=200):
     """Greedy placement keeps at least half the optimum's savings, and the
     cost function it exploits is supermodular."""
     started = time.perf_counter()
-    rng = np.random.default_rng(77)
+    draws = _draws(np.random.default_rng(77))
     ratios = []
     half_failures = 0
     super_failures = 0
     for _ in range(n_instances):
-        demand, cache, topo, catalog = random_placement_instance(rng)
+        demand, cache, topo, catalog = random_placement_instance(draws)
         sol = greedy_place(demand, cache, topo, catalog)
         _, opt_cost = brute_force_place(demand, cache, topo, catalog)
         empty = placement_cost(PlacementProfile.empty(topo.n_clouds, cache),
@@ -203,7 +203,7 @@ def suite_prop2(n_instances=200):
         for i in sorted(cache):
             room = cache[i]
             chosen = []
-            for o in sorted(demand.objects(), key=lambda _: rng.random()):
+            for o in sorted(demand.objects(), key=lambda _: draws.double()):
                 if catalog.size(o) <= room:
                     chosen.append(o)
                     room -= catalog.size(o)
@@ -212,7 +212,7 @@ def suite_prop2(n_instances=200):
 
     # supermodularity of the cost: f(A|B) + f(A&B) >= f(A) + f(B)
     for _ in range(200):
-        demand, cache, topo, catalog = random_placement_instance(rng)
+        demand, cache, topo, catalog = random_placement_instance(draws)
         a = random_profile(demand, cache, catalog)
         b = random_profile(demand, cache, catalog)
 

@@ -578,28 +578,36 @@ def test_cache_past_the_demand_runs_as_a_full_cache(tmp_path):
     assert got[1e300] == got[3]
 
 
-# spec edits that give two run cells one key, and that key: the cells would
-# write the same artifact files and summary entry
+# spec edits that give two run cells one key, that key and what the message
+# says of it: the cells would write the same artifact files and summary entry
 COLLIDING_CELLS = {
-    "repeated_seed": ({"seeds": [0, 0]}, "proposed_s0"),
+    "repeated_seed": ({"seeds": [0, 0]}, "proposed_s0", "repeated seeds"),
     "repeated_policy": ({"policies": ["proposed", "myopic_coop",
-                                      "proposed"]}, "proposed_s0"),
+                                      "proposed"]}, "proposed_s0",
+                        "repeated seeds"),
     "sweep_values_equal_under_g": (
         {"policies": ["proposed"],
          "sweep": {"axis": "v_weight", "values": [1000.0, 1000.0000001]}},
-        "proposed_s0_v_weight1000"),
+        "proposed_s0_v_weight1000",
+        "v_weight values 1000.0 and 1000.0000001 both format to it"),
+    "budgets_equal_under_g": (
+        {"policies": ["proposed"],
+         "sweep": {"axis": "budget", "values": [1234567.0, 1234568.0]}},
+        "proposed_s0_budget1.23457e+06",
+        "budget values 1234567.0 and 1234568.0 both format to it"),
 }
 
 
 @pytest.mark.parametrize("case", list(COLLIDING_CELLS))
 def test_colliding_cell_keys_exit_2_before_any_run(tmp_path, capsys,
                                                    monkeypatch, case):
-    edits, key = COLLIDING_CELLS[case]
+    edits, key, why = COLLIDING_CELLS[case]
     draws = count_draws(monkeypatch)
     out = tmp_path / "z"
     assert main(["run", str(mini_spec(tmp_path, **edits)),
                  "--out", str(out)]) == 2
-    assert repr(key) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"two run cells share the key {key!r}: {why}" in err
     assert draws == []
     assert not list(out.glob("*"))
 

@@ -138,30 +138,31 @@ def test_transport_costs_match_reference_rule():
     """Every entry of the packed, batched cost rows equals, bit for bit,
     both the per-lookup rule and the scalar per-request sum it replaced,
     for whole batches and for any contiguous range of a batch's rows."""
-    rng = np.random.default_rng(11)
+    draws = _draws(np.random.default_rng(11))
     seen = {"two_groups": 0, "three_groups": 0, "private": 0,
             "public_only": 0}
     for trial in range(60):
-        _, cache, topo, catalog = random_placement_instance(rng)
+        _, cache, topo, catalog = random_placement_instance(draws)
         publics = catalog.public_objects()
-        for j in range(int(rng.integers(1, 6))):
-            catalog.add_many([f"p{j}"], int(rng.integers(1, 4)))
+        for j in range(draws.integer(1, 5)):
+            catalog.add_many([f"p{j}"], draws.integer(1, 3))
         ids = publics + [o for o in catalog.sizes if o not in publics]
         placement = PlacementProfile(
-            {i: [o for o in publics if rng.random() < 0.4] for i in cache},
+            {i: [o for o in publics if draws.double() < 0.4] for i in cache},
             cache)
         fetch = reference_fetch_latencies(placement, topo, publics)
         requests = []
         for n in range(5):
             demand = {}
             for k in range(3):
-                if k == 0 or rng.random() < 0.5:
-                    picks = rng.choice(len(ids), size=int(rng.integers(0, 4)),
-                                       replace=False)
-                    demand[k] = (int(rng.integers(1, 3)),
+                if k == 0 or draws.double() < 0.5:
+                    size = draws.integer(0, 3)
+                    picks = draws.numpy().choice(len(ids), size=size,
+                                                 replace=False)
+                    demand[k] = (draws.integer(1, 2),
                                  tuple(ids[m] for m in sorted(picks)))
             requests.append(
-                Request(n, 0, 1, int(rng.integers(topo.n_clouds)), demand))
+                Request(n, 0, 1, draws.integer(0, topo.n_clouds - 1), demand))
         rows = pack_requests(requests, publics, topo.n_clouds, catalog)
         tables = cost_tables(requests, transport_rows(rows, placement, topo))
         assert len(tables) == len(requests)
@@ -178,7 +179,7 @@ def test_transport_costs_match_reference_rule():
                 seen["private"] += 1
             else:
                 seen["public_only"] += 1
-        lo, hi = sorted(rng.choice(len(requests) + 1, size=2))
+        lo, hi = sorted(draws.numpy().choice(len(requests) + 1, size=2))
         part = rows.take(lo, hi)
         assert cost_tables(requests[lo:hi], transport_rows(
             part, placement, topo)) == tables[lo:hi]
@@ -359,31 +360,50 @@ def test_placement_profile_validate():
 
 
 def test_draws_match_the_generator():
-    """double() and integer(lo, hi) against Generator.random() and
-    Generator.integers(lo, hi + 1), interleaved with the generator's own
-    poisson and uniform draws: the same values and the same final state.
-    The two largest Lemire spans reject about half and a quarter of their
-    32-bit draws; spans of 2**32 - 1 and more go through numpy itself."""
+    """double, integer(lo, hi), uniform and poisson against a plain
+    Generator's random(), integers(lo, hi + 1), uniform and poisson,
+    interleaved: the same values, and after every draw that goes to numpy
+    the same bit-generator state.  The two largest Lemire spans reject
+    about half and a quarter of their 32-bit draws; spans of 2**32 - 1 and
+    more, and means of 10 and more, go through numpy itself."""
     spans = [0, *range(1, 11), 2**31 + 12_345, 3 * 2**30,
              2**32 - 1, 2**32, 2**40]
+    lams = [0.0, 1e-3, 0.7, 3.5, 9.99, 10.0, 25.0, 1e4]
     plan = np.random.default_rng(5)
+    rewinds = 0
     for seed in range(4):
-        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        double, integer = _draws(mine)
-        for _ in range(3000):
+        draws = _draws(np.random.default_rng(seed))
+        theirs = np.random.default_rng(seed)
+        for _ in range(6000):
             op = int(plan.integers(4))
+            rewound = False
             if op == 0:
-                assert double() == theirs.random()
+                assert draws.double() == theirs.random()
             elif op == 1:
                 lo = int(plan.integers(-5, 6))
-                hi = lo + spans[int(plan.integers(len(spans)))]
-                got = integer(lo, hi)
+                span = spans[int(plan.integers(len(spans)))]
+                got = draws.integer(lo, lo + span)
                 assert type(got) is int
-                assert got == theirs.integers(lo, hi + 1), (lo, hi)
+                assert got == theirs.integers(lo, lo + span + 1), (lo, span)
+                rewound = span >= 2**32 - 1
             elif op == 2:
-                assert mine.poisson(3.5) == theirs.poisson(3.5)
+                lam = lams[int(plan.integers(len(lams)))]
+                got = draws.poisson(lam)
+                assert type(got) is int
+                assert got == theirs.poisson(lam), lam
+                rewound = lam >= 10
             else:
-                assert mine.uniform(0, 10) == theirs.uniform(0, 10)
-        assert mine.bit_generator.state == theirs.bit_generator.state
-    with pytest.raises(ValueError):
-        integer(3, 2)
+                lo, hi = sorted(plan.uniform(-50, 50, 2).tolist())
+                assert draws.uniform(lo, hi) == theirs.uniform(lo, hi)
+            if rewound:
+                rewinds += 1
+                assert (draws.numpy().bit_generator.state
+                        == theirs.bit_generator.state)
+        assert draws.numpy().bit_generator.state == theirs.bit_generator.state
+        # an empty range raises, in numpy, with nothing drawn on either side
+        with pytest.raises(ValueError):
+            draws.integer(3, 2)
+        with pytest.raises(ValueError):
+            theirs.integers(3, 3)
+        assert draws.double() == theirs.random()
+    assert rewinds > 1000

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -8,7 +9,7 @@ import pytest
 from edgeorch import placement, simulator
 from edgeorch.cli import resolve_data
 from edgeorch.model import (AllocationConfig, DataCatalog, PlacementProfile,
-                            Request, Topology)
+                            Request, Topology, _draws)
 from edgeorch.placement import (DemandMatrix, _best_content, _scan_best,
                                 aggregate_demand, brute_force_place,
                                 count_content_sets, feasible_content_sets,
@@ -89,18 +90,19 @@ def test_fetch_table_and_costs_match_nearest_replica_oracle():
     """placement_cost and the greedy's and the popularity baseline's own
     objectives and savings equal the one-lookup-at-a-time nearest-replica
     rule, bit for bit, on random profiles."""
-    rng = np.random.default_rng(41)
+    draws = _draws(np.random.default_rng(41))
     for _ in range(300):
-        demand, cache, topo, catalog = random_placement_instance(rng)
+        demand, cache, topo, catalog = random_placement_instance(draws)
         objects = sorted(catalog.sizes)
-        if rng.random() < 0.3:     # a zero entry must add nothing
+        if draws.double() < 0.3:     # a zero entry must add nothing
             demand.entries.setdefault((0, objects[-1]), 0.0)
         # entries arrive sorted; both costs must sort them themselves
         keys = list(demand.entries)
+        order = draws.numpy().permutation(len(keys))
         demand = DemandMatrix({keys[n]: demand.entries[keys[n]]
-                                  for n in rng.permutation(len(keys))})
+                               for n in order})
         profile = PlacementProfile(
-            {i: [o for o in objects if rng.random() < 0.4] for i in cache},
+            {i: [o for o in objects if draws.double() < 0.4] for i in cache},
             cache)
         assert placement_cost(profile, demand, topo) == \
             reference_placement_cost(profile, demand, topo)
@@ -230,13 +232,28 @@ def hand_built_placements():
            {0: 1.0, 1: 1.0}, pair_topo(), DataCatalog({o: 1 for o in many}))
 
 
+def test_prop2_instance_stream_is_pinned():
+    """The first 400 instances prop2 draws from seed 77: their demand,
+    caches, latencies and object sizes."""
+    draws = _draws(np.random.default_rng(77))
+    digest = hashlib.sha256()
+    for _ in range(400):
+        demand, cache, topo, catalog = random_placement_instance(draws)
+        digest.update(repr((sorted(demand.entries.items()),
+                            sorted(cache.items()), topo.w, topo.origin,
+                            sorted(catalog.sizes.items()))).encode())
+    assert digest.hexdigest() == \
+        "1818ad5b75f8c727a2cf252ff27b01d515f3b0b9a42232c19c9cc61de38ad1d8"
+
+
 def test_brute_force_matches_reference():
     """The array pass picks the scalar loop's profile at the same cost, bit
     for bit: on the prop2 stream and three more, and on edge cases."""
     instances = list(hand_built_placements())
     for seed in (77, 12, 5, 99):
-        rng = np.random.default_rng(seed)
-        instances += [(seed, *random_placement_instance(rng)) for _ in range(200)]
+        draws = _draws(np.random.default_rng(seed))
+        instances += [(seed, *random_placement_instance(draws))
+                      for _ in range(200)]
     for name, demand, cache, topo, catalog in instances:
         got = _unpack(brute_force_place(demand, cache, topo, catalog))
         want = _unpack(reference_brute_force_place(demand, cache, topo, catalog))
@@ -327,9 +344,9 @@ def test_best_content_past_the_total_weight_chooses_as_the_total():
 
 
 def test_greedy_within_half_of_optimal_savings():
-    rng = np.random.default_rng(12)
+    draws = _draws(np.random.default_rng(12))
     for _ in range(25):
-        demand, cache, topo, catalog = random_placement_instance(rng)
+        demand, cache, topo, catalog = random_placement_instance(draws)
         sol = greedy_place(demand, cache, topo, catalog)
         _, opt_cost = brute_force_place(demand, cache, topo, catalog)
         empty = PlacementProfile.empty(len(cache), cache)
@@ -344,14 +361,14 @@ def test_greedy_within_half_of_optimal_savings():
 
 def test_cost_function_is_supermodular():
     """Union plus intersection never saves more than the parts separately."""
-    rng = np.random.default_rng(31)
+    draws = _draws(np.random.default_rng(31))
     for _ in range(50):
-        demand, cache, topo, catalog = random_placement_instance(rng)
+        demand, cache, topo, catalog = random_placement_instance(draws)
         objects = demand.objects()
         loose = {i: 1e6 for i in cache}
 
         def draw():
-            return {i: frozenset(o for o in objects if rng.random() < 0.4)
+            return {i: frozenset(o for o in objects if draws.double() < 0.4)
                     for i in cache}
 
         a, b = draw(), draw()
@@ -376,9 +393,9 @@ def assert_greedy_matches_reference(demand, cache, topo, catalog):
 def test_greedy_matches_recompute_every_round_reference():
     """Incremental savings and knapsack reuse against the greedy that
     recomputes everything in every round, on random small instances."""
-    rng = np.random.default_rng(29)
+    draws = _draws(np.random.default_rng(29))
     for _ in range(300):
-        assert_greedy_matches_reference(*random_placement_instance(rng))
+        assert_greedy_matches_reference(*random_placement_instance(draws))
 
 
 @pytest.mark.parametrize("workload", ["workload_default.json",
@@ -472,9 +489,9 @@ def test_weighted_knapsacks_keep_the_full_dp(monkeypatch):
 
     monkeypatch.setattr(placement, "_unit_candidates", spied)
     weighted = 0
-    rng = np.random.default_rng(12)
+    draws = _draws(np.random.default_rng(12))
     for _ in range(100):
-        demand, cache, topo, catalog = random_placement_instance(rng)
+        demand, cache, topo, catalog = random_placement_instance(draws)
         weighted += any(catalog.sizes[o] != 1 for o in demand.objects())
         assert_greedy_matches_reference(demand, cache, topo, catalog)
     assert weighted > 50

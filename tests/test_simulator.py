@@ -162,6 +162,9 @@ DRAW_VARIANTS = {
     # spans this wide make the integer draw reject about a quarter of its
     # 32-bit draws
     "wide_lifetime": lambda n_types: {"lifetime": (1, 3 * 2**30)},
+    # rates of 10 and more are drawn by numpy's own Poisson, after the
+    # decoder rewinds the generator to its position
+    "lambda_8_30": lambda n_types: {"lambda_range": (8.0, 30.0)},
 }
 
 

@@ -30,7 +30,7 @@ def test_suite_result_shape():
 
 
 def test_prop2_stores_the_ratio_it_prints_when_nothing_can_be_saved(monkeypatch):
-    def nothing_fits(rng):
+    def nothing_fits(draws):
         # the only demanded object is larger than either cache
         return (DemandMatrix({(0, "o1"): 5.0}), {0: 1.0, 1: 1.0},
                 Topology([[0.0, 20.0], [20.0, 0.0]], [100.0, 110.0]),
