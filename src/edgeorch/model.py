@@ -332,49 +332,37 @@ class PackedRows(NamedTuple):
                              f"clouds, the scenario has {n_clouds}")
 
 
-def pack_requests(requests, publics, n_clouds, catalog):
-    """Pack requests by object name; an unknown id raises ValueError."""
-    column = {o: j for j, o in enumerate(publics)}
-    sizes = catalog.sizes
-    kind_of, kinds, starts, lengths, sources, weights = {}, [], [0], [], [], []
-    try:
-        for req in requests:
-            kinds.append(kind_of.setdefault(req.key(), len(kind_of)))
-            stream = len(column) + req.ingress
-            groups = req.groups()
-            for k in groups:
-                objects = req.demand[k][1]
-                lengths.append(len(objects))
-                sources += [column.get(o, stream) for o in objects]
-                weights += [sizes[o] for o in objects]
-            starts.append(starts[-1] + len(groups))
-    except KeyError as exc:
-        raise ValueError(f"unknown object id {exc.args[0]!r}") from None
-    return PackedRows.from_lists(publics, n_clouds, kind_of, kinds, starts,
-                                 lengths, sources, weights)
+def latency_rows(objects, cached, topo, rows=None):
+    """The nearest-replica rule: cloud i reads object o at w[i][j] from the
+    nearest cloud j that caches o, itself included, or at origin[i] when
+    none does.  Returns `rows` (object -> one latency per cloud), by default
+    new ones for `objects` at origin, lowered in place for the placement
+    `cached` (cloud -> its objects); an object without a row is skipped."""
+    if rows is None:
+        rows = {o: list(topo.origin) for o in objects}
+    for j, content in cached.items():
+        column = [w_i[j] for w_i in topo.w]
+        for o in content:
+            row = rows.get(o)
+            if row is not None:
+                for i, lat in enumerate(column):
+                    if lat < row[i]:
+                        row[i] = lat
+    return rows
 
 
 def transport_rows(rows, placement, topo):
     """Per-VM transport cost of every packed row at every cloud: a (row,
-    cloud) array.  Cloud i reads a public object at w[i][j] from the nearest
-    cloud j that caches it, its own cache included, or at its origin
-    latency when none does, and a private one at the latency from the
+    cloud) array.  Cloud i reads a public object at its latency_rows entry
+    under the placement, and a private one at the latency from the
     request's ingress; each read costs its latency times its size.  Each
     entry equals the scalar sum from 0.0 over the row's objects, bit for bit.
     """
     n = topo.n_clouds
-    column = {o: m for m, o in enumerate(rows.publics)}
-    p = len(column)
-    # rows by source: one per public object, at origin until a holder beats
-    # it, one per ingress cloud j (each cloud's latency to j), zero padding
-    latency = np.zeros((p + n + 1, n))
-    latency[:p] = topo.origin
-    latency[p:-1] = np.transpose(topo.w)
-    held = [(column[o], p + j) for j, objs in placement.cached.items()
-            for o in objs if o in column]
-    if held:   # an object cached at j reads as if it streamed from j
-        obj, holder = zip(*held)
-        np.minimum.at(latency, list(obj), latency[list(holder)])
+    # rows by source: one per public object, one per ingress cloud j (each
+    # cloud's latency to j), zero padding
+    public = latency_rows(rows.publics, placement.cached, topo)
+    latency = np.array([*public.values(), *zip(*topo.w), [0.0] * n])
     lengths = np.diff(rows.offsets)
     depth = int(lengths.max(initial=0))
     # the tail past a row's objects holds 0.0 terms: exact no-op additions

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DataCatalog, PlacementProfile, Topology
+from .model import DataCatalog, PlacementProfile, Topology, latency_rows
 
 
 # the most placement profiles brute_force_place scores
@@ -140,39 +140,34 @@ def _best_content(items, capacity):
 
 class _Latencies:
     """The latency each positive demand entry pays, lowered as clouds get
-    content, optionally from the start; a cloud reads its own cache at 0.0."""
+    content, optionally from the start: one latency_rows row per demanded
+    object."""
 
     def __init__(self, demand, topo, cached=None):
-        self.w, self.origin = topo.w, topo.origin
+        self.topo, self.origin = topo, topo.origin
         self.entries = [(i, o, d) for (i, o), d
                         in sorted(demand.entries.items()) if d > 0]
         self.by_object = {}   # o -> list of (cloud, demand), clouds ascending
         for i, o, d in self.entries:
             self.by_object.setdefault(o, []).append((i, d))
-        # o -> latency each of its clouds pays right now
-        self.current = {o: [self.origin[i] for i, _ in pairs]
-                        for o, pairs in self.by_object.items()}
-        for cloud, content in (cached or {}).items():
-            self.fix(cloud, content)
+        self.current = latency_rows(self.by_object, cached or {}, topo)
 
     def costs(self):
         """(cost, empty-cache cost) of the positive entries, each summed in
         sorted (cloud, object) order from 0.0; zero entries add nothing."""
-        # an object's entries come in that order too, clouds ascending
-        latencies = {o: iter(lats) for o, lats in self.current.items()}
         cost = empty = 0.0
         for i, o, d in self.entries:
-            cost += d * next(latencies[o])
+            cost += d * self.current[o][i]
             empty += d * self.origin[i]
         return cost, empty
 
     def saving(self, o, candidate):
         """Saving of caching object o at the candidate cloud."""
-        gain = 0.0
-        for (j, d), cur in zip(self.by_object[o], self.current[o]):
-            after = min(cur, self.w[j][candidate])
-            if cur > after:
-                gain += d * (cur - after)
+        gain, row, w = 0.0, self.current[o], self.topo.w
+        for j, d in self.by_object[o]:
+            lat = w[j][candidate]
+            if lat < row[j]:
+                gain += d * (row[j] - lat)
         return gain
 
     def marginal_savings(self, candidate):
@@ -185,13 +180,7 @@ class _Latencies:
         return sav
 
     def fix(self, cloud, content):
-        for o in content:
-            current = self.current.get(o)
-            if current is None:
-                continue      # nobody reads it
-            for n, (j, _) in enumerate(self.by_object[o]):
-                if self.w[j][cloud] < current[n]:
-                    current[n] = self.w[j][cloud]
+        latency_rows((), {cloud: content}, self.topo, self.current)
 
 
 def _solution(latencies, cached, cache_size, catalog, rounds):

@@ -307,16 +307,16 @@ def run_policy(policy, scenario, workload, horizon_coarse,
     resources = ResourceState(scenario.capacity)
     allocator = (OnlineAllocator if policy == "proposed"
                  else MyopicAllocator)(scenario, resources)
-    rule = ("top_popularity_place" if policy == "myopic_nocoop"
-            else "greedy_place")
+    popularity = policy == "myopic_nocoop"
     perturb_rng = np.random.default_rng([workload.config.seed, 101])
 
     def place(accepted):
         view = perturb_demand(aggregate_demand(accepted, workload.catalog),
                               workload.config.error_mean, perturb_rng)
-        # looked up at each call, so a wrapper set on this module fires
-        return globals()[rule](view, scenario.cache_size, scenario.topology,
-                               workload.catalog)
+        # module globals, looked up at each call: a wrapper set here fires
+        rule = top_popularity_place if popularity else greedy_place
+        return rule(view, scenario.cache_size, scenario.topology,
+                    workload.catalog)
 
     hook = None
     if lemma5_windows:

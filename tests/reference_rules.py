@@ -2,7 +2,9 @@
 
 `unit_transport_costs` prices one request at a time, the way every request
 was priced before the per-slot transport matrix, and `cost_tables` cuts the
-same per-request tables from a slot's transport rows.  `reference_score_one`
+same per-request tables from a slot's transport rows.  `pack_requests`
+packs hand-made requests by object name into the rows that
+`generate_workload` packs while it draws.  `reference_score_one`
 values one config of one request in scalar arithmetic, the way the online
 allocator did before the score matrix became its only valuation, and
 `reference_select_config` is the online allocator's config selection as it
@@ -34,8 +36,9 @@ from edgeorch.allocator import (BONUS_SCALE, E_RATIO, REJECT_CAPACITY,
                                 REJECT_CEILING, REJECT_NEGATIVE, Decision,
                                 OnlineAllocator, Outcome, ScoredConfig,
                                 check_price_scaling)
-from edgeorch.model import (Lease, PlacementProfile, config_usage,
-                            enumerate_configs, ordered_sum, transport_rows)
+from edgeorch.model import (Lease, PackedRows, PlacementProfile,
+                            config_usage, enumerate_configs, ordered_sum,
+                            transport_rows)
 from edgeorch.orchestrator import SlotReport, drift_plus_penalty_value
 from edgeorch.placement import (PlacementSolution, _integer_sizes,
                                 feasible_content_sets)
@@ -106,6 +109,29 @@ def cost_tables(requests, costs):
     at cloud i, for each cloud i]}, cut from its rows of transport_rows."""
     rows = iter(costs.tolist())
     return [{k: next(rows) for k in req.groups()} for req in requests]
+
+
+def pack_requests(requests, publics, n_clouds, catalog):
+    """Pack requests by object name, as generate_workload packs them while
+    drawing; an unknown id raises ValueError."""
+    column = {o: j for j, o in enumerate(publics)}
+    sizes = catalog.sizes
+    kind_of, kinds, starts, lengths, sources, weights = {}, [], [0], [], [], []
+    try:
+        for req in requests:
+            kinds.append(kind_of.setdefault(req.key(), len(kind_of)))
+            stream = len(column) + req.ingress
+            groups = req.groups()
+            for k in groups:
+                objects = req.demand[k][1]
+                lengths.append(len(objects))
+                sources += [column.get(o, stream) for o in objects]
+                weights += [sizes[o] for o in objects]
+            starts.append(starts[-1] + len(groups))
+    except KeyError as exc:
+        raise ValueError(f"unknown object id {exc.args[0]!r}") from None
+    return PackedRows.from_lists(publics, n_clouds, kind_of, kinds, starts,
+                                 lengths, sources, weights)
 
 
 def reference_score_one(allocator, req, shape, table, q_eff):

@@ -12,16 +12,16 @@ from edgeorch.allocator import (BONUS_SCALE, E_RATIO, REJECT_NEGATIVE,
                                 dual_feasibility_violations)
 from edgeorch.model import (DataCatalog, PlacementProfile, Request,
                             ResourceState, Topology, VMCatalog, config_usage,
-                            pack_requests, transport_rows)
+                            transport_rows)
 from edgeorch.orchestrator import run_coarse_slot, update_virtual_queue
 from edgeorch.placement import (aggregate_demand, greedy_place,
                                 top_popularity_place)
 from edgeorch.scenario import DATA_DIR, Scenario, load_scenario
 from edgeorch.simulator import WorkloadConfig, generate_workload, run_policy
 from reference_rules import (ReferenceAllocator, ReferenceResourceState,
-                             cost_tables, reference_coarse_slot,
-                             reference_fetch_latencies, reference_score_one,
-                             reference_select_config)
+                             cost_tables, pack_requests,
+                             reference_coarse_slot, reference_fetch_latencies,
+                             reference_score_one, reference_select_config)
 
 
 def one_cloud_scenario():

@@ -2,7 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -807,3 +810,28 @@ def test_paper_scale_outputs_match_pinned_digests(tmp_path):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in tmp_path.glob("*.csv")}
     assert got == PINNED_PAPER_SCALE_DIGESTS
+
+
+RUNTIME_PROBE = """
+import importlib, json, pkgutil, sys
+before = set(sys.modules)
+import edgeorch
+for module in pkgutil.iter_modules(edgeorch.__path__):
+    importlib.import_module("edgeorch." + module.name)
+print(json.dumps(sorted({name.partition(".")[0]
+                         for name in set(sys.modules) - before})))
+"""
+
+
+def test_runtime_needs_only_numpy_beyond_the_standard_library():
+    """Importing every edgeorch module in a fresh interpreter loads no
+    top-level module outside the standard library but edgeorch and numpy.
+    Names starting with _ are skipped: multiprocessing adds __mp_main__."""
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", RUNTIME_PROBE],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    loaded = json.loads(out.stdout)
+    assert {name for name in loaded if not name.startswith("_")
+            and name not in sys.stdlib_module_names} == {"edgeorch", "numpy"}
+

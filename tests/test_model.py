@@ -5,12 +5,11 @@ import pytest
 
 from edgeorch.model import (DataCatalog, PlacementProfile, Request,
                             ResourceState, Topology, VMCatalog, _draws,
-                            config_usage, enumerate_configs, pack_requests,
-                            transport_rows)
+                            config_usage, enumerate_configs, transport_rows)
 from edgeorch.placement import random_placement_instance
 from reference_rules import (ORIGIN, ReferenceResourceState, cost_tables,
-                             nearest_replica, reference_fetch_latencies,
-                             unit_transport_costs)
+                             nearest_replica, pack_requests,
+                             reference_fetch_latencies, unit_transport_costs)
 
 
 def two_cloud_topo():

@@ -2,13 +2,13 @@ import pytest
 
 from edgeorch import orchestrator
 from edgeorch.allocator import DecisionLog, MyopicAllocator, OnlineAllocator
-from edgeorch.model import (PlacementProfile, Request, ResourceState,
-                            pack_requests)
+from edgeorch.model import PlacementProfile, Request, ResourceState
 from edgeorch.orchestrator import (SlotReport, drift_plus_penalty_value,
                                    run_coarse_slot, update_virtual_queue)
 from edgeorch.placement import (PlacementSolution, aggregate_demand,
                                 greedy_place)
 from edgeorch.scenario import DATA_DIR, load_scenario
+from reference_rules import pack_requests
 
 
 def test_update_virtual_queue():

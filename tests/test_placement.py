@@ -9,7 +9,7 @@ import pytest
 from edgeorch import placement, simulator
 from edgeorch.cli import resolve_data
 from edgeorch.model import (AllocationConfig, DataCatalog, PlacementProfile,
-                            Request, Topology, _draws)
+                            Request, Topology, _draws, latency_rows)
 from edgeorch.placement import (DemandMatrix, _best_content, _scan_best,
                                 aggregate_demand, brute_force_place,
                                 count_content_sets, feasible_content_sets,
@@ -17,7 +17,7 @@ from edgeorch.placement import (DemandMatrix, _best_content, _scan_best,
                                 random_placement_instance,
                                 top_popularity_place)
 from edgeorch.scenario import load_scenario
-from reference_rules import (reference_best_content,
+from reference_rules import (nearest_replica, reference_best_content,
                              reference_brute_force_place,
                              reference_greedy_place, reference_placement_cost)
 
@@ -87,10 +87,13 @@ def test_placement_cost_skips_unread_objects_and_zero_entries():
 
 
 def test_fetch_table_and_costs_match_nearest_replica_oracle():
-    """placement_cost and the greedy's and the popularity baseline's own
-    objectives and savings equal the one-lookup-at-a-time nearest-replica
-    rule, bit for bit, on random profiles."""
+    """latency_rows, placement_cost and the greedy's and the popularity
+    baseline's own objectives and savings equal the one-lookup-at-a-time
+    nearest-replica rule, bit for bit, on random profiles and the empty
+    one.  Rows lowered one cloud at a time equal rows built from the whole
+    profile, and a cached object nobody reads gets no row."""
     draws = _draws(np.random.default_rng(41))
+    seen = {"two_holders": 0, "unread_cached": 0}
     for _ in range(300):
         demand, cache, topo, catalog = random_placement_instance(draws)
         objects = sorted(catalog.sizes)
@@ -107,12 +110,26 @@ def test_fetch_table_and_costs_match_nearest_replica_oracle():
         assert placement_cost(profile, demand, topo) == \
             reference_placement_cost(profile, demand, topo)
         empty = PlacementProfile.empty(len(cache), cache)
+        for prof in (profile, empty):
+            assert latency_rows(objects, prof.cached, topo) == {
+                o: [nearest_replica(i, o, prof, topo)[1] for i in topo.clouds]
+                for o in objects}
+        read = sorted({o for (_, o), d in demand.entries.items() if d > 0})
+        stepwise = latency_rows(read, {}, topo)
+        for cloud, content in profile.cached.items():
+            latency_rows((), {cloud: content}, topo, stepwise)
+        assert list(stepwise) == read
+        assert stepwise == latency_rows(read, profile.cached, topo)
+        holders = [o for content in profile.cached.values() for o in content]
+        seen["two_holders"] += any(holders.count(o) >= 2 for o in objects)
+        seen["unread_cached"] += any(o not in read for o in holders)
         for rule in (greedy_place, top_popularity_place):
             sol = rule(demand, cache, topo, catalog)
             objective = reference_placement_cost(sol.profile, demand, topo)
             assert sol.objective == objective
             assert sol.savings == \
                 reference_placement_cost(empty, demand, topo) - objective
+    assert all(count > 0 for count in seen.values()), seen
 
 
 def test_best_content_knapsack():

@@ -12,7 +12,7 @@ from edgeorch import simulator
 from edgeorch.allocator import _AdmissionRule
 from edgeorch.cli import resolve_data
 from edgeorch.model import (DataCatalog, Request, Topology, VMCatalog,
-                            ordered_sum, pack_requests)
+                            ordered_sum)
 from edgeorch.orchestrator import update_virtual_queue
 from edgeorch.placement import DemandMatrix
 from edgeorch.scenario import DATA_DIR, Scenario, load_scenario
@@ -21,7 +21,7 @@ from edgeorch.simulator import (POLICIES, RunReport, Workload, WorkloadConfig,
                                 lookahead_oracle, perturb_demand, run_policy,
                                 theorem1_check, zipf_probabilities)
 from edgeorch.verification import _exp1_run, tiny_instances
-from reference_rules import reference_lookahead_oracle
+from reference_rules import pack_requests, reference_lookahead_oracle
 
 
 def test_workload_config_round_trip():
