@@ -187,6 +187,8 @@ class ShapeScores(NamedTuple):
     adjusted: np.ndarray      # (request, config, cloud + 1): adjusted revenue
                               # earned at each cloud, then the total
     top: list                 # per request: its highest value
+    order: list               # per request: its configs by descending
+                              # value, equal values in enumeration order
 
 
 class _AdmissionRule:
@@ -257,9 +259,9 @@ class _AdmissionRule:
         return list(zip(map(groups.__getitem__, group.tolist()), row.tolist()))
 
     def _values(self, terms, clouds, units, durations, q_eff):
-        """The last three parts of ShapeScores; the myopic rule reads spend
+        """The last four parts of ShapeScores; the myopic rule reads spend
         only."""
-        return (None,) * 3
+        return (None,) * 4
 
     def decide_window(self, requests, scores, log, first):
         """Decide one fine slot's arrivals in order, from their entries,
@@ -303,10 +305,11 @@ class OnlineAllocator(_AdmissionRule):
         return total
 
     def _values(self, terms, clouds, units, durations, q_eff):
-        """values, adjusted and top of ShapeScores.  Each group's value,
-        count * (v * price - q_eff * unit / duration), is added to its
-        cloud's sum, which starts from 0.0; the total adds the per-cloud
-        sums, clouds ascending, to 0.0, and the value is duration * total.
+        """values, adjusted, top and order of ShapeScores.  Each group's
+        value, count * (v * price - q_eff * unit / duration), is added to
+        its cloud's sum, which starts from 0.0; the total adds the
+        per-cloud sums, clouds ascending, to 0.0, and the value is
+        duration * total.
         A cloud the config does not use adds its untouched 0.0, which
         cannot change a sum that started from +0.0.  A negative top is
         exact; a zero one may not carry the first argmax's sign."""
@@ -322,21 +325,32 @@ class OnlineAllocator(_AdmissionRule):
         for i in range(n):
             total += adjusted[:, :, i]
         values = durations[:, None] * total
-        return values, adjusted, values.max(axis=1).tolist()
+        return (values, adjusted, values.max(axis=1).tolist(),
+                np.argsort(-values, axis=1, kind="stable").tolist())
 
     def select_config(self, req, scores):
         """Highest priced-out objective across all configs; first wins ties.
-        scores: the request's (ShapeScores, row) entry of score_matrix."""
-        (shapes, spend, values, adjusted, _), m = scores
+        scores: the request's (ShapeScores, row) entry of score_matrix.
+
+        Configs are visited by descending value.  A charge is never below
+        +0.0, so no score exceeds its value: the walk stops at the first
+        config whose value is below the best score, and a later config
+        wins on a higher score, or an equal one at a lower index."""
+        (shapes, spend, values, adjusted, _, order), m = scores
         priced = self.dual.priced
+        value = values.item
         # a config on clouds without a price row is charged 0.0, and
         # subtracting 0.0 leaves its score as it is
         objective = None
-        for c, score in enumerate(values[m].tolist()):
+        for c in order[m]:
+            score = value(m, c)
+            if objective is not None and score < objective:
+                break
             shape = shapes[c]
             if not priced.isdisjoint(shape.clouds):
                 score -= self._charge(req, shape.rows)
-            if objective is None or score > objective:
+            if (objective is None or score > objective
+                    or score == objective and c < best):
                 objective, best = score, c
         shape = shapes[best]
         row = adjusted[m, best].tolist()

@@ -362,7 +362,9 @@ def transport_rows(rows, placement, topo):
     # rows by source: one per public object, one per ingress cloud j (each
     # cloud's latency to j), zero padding
     public = latency_rows(rows.publics, placement.cached, topo)
-    latency = np.array([*public.values(), *zip(*topo.w), [0.0] * n])
+    latency = np.fromiter(
+        itertools.chain(*public.values(), *zip(*topo.w), [0.0] * n), float,
+        (len(public) + n + 1) * n).reshape(-1, n)
     lengths = np.diff(rows.offsets)
     depth = int(lengths.max(initial=0))
     # the tail past a row's objects holds 0.0 terms: exact no-op additions
@@ -404,13 +406,16 @@ class ResourceState:
     Commitments are kept as one {fine slot: units} row per (cloud,
     resource), indexed by the fine slots a lease covers, so forward
     availability (free units in a future slot) accounts for scheduled
-    expirations without any explicit event processing.
+    expirations without any explicit event processing.  Each row's peak
+    bounds every commitment in it: leases raise it, nothing lowers it.
     """
 
     def __init__(self, capacity):
         self.capacity = {k: float(v) for k, v in capacity.items()}
         self.committed = {k: {} for k in self.capacity}  # (i, r) -> {t: units}
+        self.peak = dict.fromkeys(self.capacity, 0.0)    # (i, r) -> bound
         self.leases = {}      # req_id -> Lease
+        self.expiring = {}    # expiry -> req_ids of the leases ending there
         self.now = 0
         self.end = 0          # first fine slot after every lease
 
@@ -421,9 +426,13 @@ class ResourceState:
         return [cap - get(t, 0.0) for t in range(start, stop)]
 
     def fits(self, usage, start, expiry):
-        capacity, committed = self.capacity, self.committed
+        capacity, committed, peak = self.capacity, self.committed, self.peak
         for key, units in usage.items():
             cap = capacity[key]
+            # rounding is monotone: a row whose peak leaves room has room
+            # in every slot
+            if cap - peak[key] + 1e-9 >= units:
+                continue
             get = committed[key].get
             for t in range(start, expiry):
                 if cap - get(t, 0.0) + 1e-9 < units:
@@ -440,23 +449,30 @@ class ResourceState:
         for key, units in usage.items():
             row = self.committed.setdefault(key, {})
             get = row.get
+            peak = self.peak.get(key, 0.0)
             for t in range(start, expiry):
-                row[t] = get(t, 0.0) + units
+                row[t] = level = get(t, 0.0) + units
+                if level > peak:
+                    peak = level
+            self.peak[key] = peak
         self.leases[req_id] = Lease(req_id, start, expiry, dict(usage))
+        self.expiring.setdefault(expiry, []).append(req_id)
         if expiry > self.end:
             self.end = expiry
 
     def advance(self, now):
         if now < self.now:
             raise ValueError("time cannot run backwards")
-        # every commitment lies in [previous now, end): drop the slots passed
+        # every commitment lies in [previous now, end), and every lease
+        # expires in (previous now, end]: drop the slots passed and the
+        # leases that end after them
         passed = range(self.now, min(now, self.end))
         self.now = now
-        expired = [l for l in self.leases.values() if l.expiry <= now]
-        for l in expired:
-            del self.leases[l.req_id]
+        leases, expiring = self.leases, self.expiring
         rows = self.committed.values()
         for t in passed:
+            for req_id in expiring.pop(t + 1, ()):
+                del leases[req_id]
             for row in rows:
                 row.pop(t, None)
 

@@ -327,6 +327,12 @@ class ReferenceResourceState:
     def free(self, i, r, t):
         return self.capacity[(i, r)] - self.committed.get((i, r, t), 0.0)
 
+    def free_row(self, key, start, stop):
+        row = []
+        for t in range(start, stop):
+            row.append(self.free(*key, t))
+        return row
+
     def fits(self, usage, start, expiry, slack=1e-9):
         for (i, r), units in usage.items():
             for t in range(start, expiry):

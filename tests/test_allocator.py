@@ -502,7 +502,7 @@ def test_score_matrix_matches_scalar_scores():
             assert group.top[m] == max(values)
             assert bare.shapes == shapes
             assert bare.spend[b].tolist() == group.spend[m].tolist()
-            assert bare[2:] == (None,) * 3
+            assert bare[2:] == (None,) * 4
     # 1, 2 and 3 groups, and 1 and 2 groups with a zero-count type
     assert all(groups[g, g] > 0 for g in (1, 2, 3)), groups
     assert all(groups[g, g + 1] > 0 for g in (1, 2)), groups
@@ -615,9 +615,11 @@ def hand_group(alloc, req, rows):
     adjusted[:, :, -1] = values / req.duration
     for m, c in enumerate(wants):
         adjusted[m, c, shapes[c].clouds[0]] = values[m, c] / req.duration
-    # top as OnlineAllocator._values takes it
+    # top and order as OnlineAllocator._values takes them
     return ShapeScores(shapes, np.ones(values.shape), values, adjusted,
-                       values.max(axis=1).tolist()), wants
+                       values.max(axis=1).tolist(),
+                       np.argsort(-values, axis=1, kind="stable").tolist()
+                       ), wants
 
 
 @pytest.mark.parametrize("rows", [
@@ -657,6 +659,86 @@ def test_first_argmax_on_hand_made_rows(rows):
                                  row[want], 0.0, 0.0, 0.0, 0.0, 0)
             assert bits(d.objective) == bits(row[want])
             assert alone.dual.alpha == {0: 0.0}
+
+
+def test_pruned_selection_matches_a_plain_loop():
+    """select_config walks a request's configs by descending value and
+    stops at the first whose value is below the best score.  Against a
+    plain loop over every config with a strict > on value minus _charge,
+    it picks the same config, with the same objective bit for bit.  The
+    seeded value rows hold many exact ties, signed zeros and all-negative
+    rows.  Each window holds price rows on random clouds.  Values and
+    charges are multiples of 0.625, so a charged config often ties with
+    one of lower value and lower index, which must then win.  Some
+    selections stop early and some visit every config.  The order that
+    score_matrix builds is each row's stable sort by descending value."""
+    scn = load_scenario(DATA_DIR / "desk.json")
+    rng = np.random.default_rng(41)
+    seen = Counter()
+    visited = set()
+
+    class Visits(list):
+        """A shape list that records the configs read from it."""
+
+        def __getitem__(self, c):
+            visited.add(c)
+            return list.__getitem__(self, c)
+
+    for trial in range(80):
+        alloc = fresh(scn)
+        demand = {0: (int(rng.integers(1, 3)), ())}
+        if trial % 2:
+            demand[1] = (int(rng.integers(1, 3)), ())
+        req = Request(trial, 0, int(rng.integers(1, 3)), 0, demand)
+        shapes = alloc._shapes_for(req)
+        clouds = rng.permutation(scn.topology.n_clouds)
+        for i in clouds[:int(rng.integers(0, len(clouds) + 1))].tolist():
+            for r in range(len(scn.vms.resources)):
+                for t in range(req.duration):
+                    poke(alloc, i, r, t,
+                         float(rng.choice([0.0, 0.0, 0.0, 1 / 16])))
+        rows = []
+        for m in range(20):
+            row = rng.integers(-16, 17, size=len(shapes)) * 0.625
+            if m % 4 == 1:
+                row = rng.choice([0.0, -0.0, 0.625, -0.625, 1.25],
+                                 size=len(shapes))
+            elif m % 4 == 2:
+                row = -np.abs(row) - 0.625
+            rows.append(row.tolist())
+        group, _ = hand_group(alloc, req, rows)
+        group = group._replace(shapes=Visits(shapes))
+        for m, row in enumerate(rows):
+            scores = [value - alloc._charge(req, shape.rows)
+                      for value, shape in zip(row, shapes)]
+            want = None
+            for c, score in enumerate(scores):
+                if want is None or score > scores[want]:
+                    want = c
+            visited.clear()
+            scored = alloc.select_config(req, (group, m))
+            assert scored.shape is shapes[want]
+            assert bits(scored.objective) == bits(scores[want])
+            seen["early" if len(visited) < len(shapes) else "full"] += 1
+            # a config visited before the winner that ties with it
+            seen["tie_won_later"] += any(
+                score == scores[want] and row[c] > row[want]
+                for c, score in enumerate(scores[want + 1:], want + 1))
+            seen["zero"] += scores[want] == 0.0
+            seen["negative"] += max(row) < 0.0
+    assert all(seen[what] > 0 for what in ("early", "full", "tie_won_later",
+                                            "zero", "negative")), seen
+
+    publics = scn.catalog.public_objects()
+    batch = [Request(n, 0, int(rng.integers(1, 4)), int(rng.integers(5)),
+                     {0: (1, tuple(publics[:n % 3])), 1: (n % 2, ())})
+             for n in range(12)]
+    for placement in (PlacementProfile.empty(5, scn.cache_size),
+                      PlacementProfile({0: publics[:2]}, scn.cache_size)):
+        for group, m in slot_scores(fresh(scn), scn, placement, batch, 37.5):
+            values = group.values[m].tolist()
+            assert group.order[m] == sorted(range(len(values)),
+                                            key=lambda c: -values[c])
 
 
 def test_unpriced_selection_matches_reference_on_bundles():

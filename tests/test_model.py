@@ -268,16 +268,33 @@ def test_resource_state_random_leases_match_recount():
         state.audit()
 
 
+class CountedRow(dict):
+    """A ledger row that counts its per-slot reads in `reads`."""
+
+    reads = 0
+
+    def get(self, t, default=None):
+        CountedRow.reads += 1
+        return dict.get(self, t, default)
+
+
 def test_resource_state_matches_triple_reference():
     """The row ledger against the triple-keyed ledger it replaced, on seeded
     random runs of lease, fits and advance: jumps of several slots, leases
-    past capacity with no guard, and leases ending exactly at now."""
+    past capacity with no guard, and leases ending exactly at now.  After
+    every operation each row's peak bounds every commitment in it, and
+    every live lease, and only those, is filed under its expiry.  A fits
+    call reads no slot when every row's peak leaves room for its units;
+    otherwise it runs the per-slot loop, also when expiries have left the
+    peak above every live commitment."""
     rng = np.random.default_rng(23)
     keys = [(i, r) for i in range(3) for r in range(2)]
-    seen = {"jump": 0, "overcommit": 0, "ends_at_now": 0, "no_fit": 0}
+    seen = {"jump": 0, "overcommit": 0, "ends_at_now": 0, "no_fit": 0,
+            "bound": 0, "loop": 0, "loop_after_expiry": 0}
     for _ in range(40):
         capacity = {key: float(rng.integers(5, 20)) for key in keys}
         new, ref = ResourceState(capacity), ReferenceResourceState(capacity)
+        new.committed = {key: CountedRow() for key in keys}
         n = 0
         for _ in range(int(rng.integers(20, 60))):
             op = rng.random()
@@ -296,7 +313,17 @@ def test_resource_state_matches_triple_reference():
                                              replace=False)}
                 start = new.now + int(rng.integers(0, 4))
                 expiry = start + int(rng.integers(1, 5))
+                bound = all(capacity[key] - new.peak[key] + 1e-9 >= units
+                            for key, units in usage.items())
+                stale = any(new.peak[key] > max(new.committed[key].values(),
+                                                default=0.0)
+                            for key in usage)
+                CountedRow.reads = 0
                 fits = new.fits(usage, start, expiry)
+                assert (CountedRow.reads == 0) == bound
+                seen["bound"] += bound
+                seen["loop"] += not bound
+                seen["loop_after_expiry"] += not bound and stale
                 assert fits == ref.fits(usage, start, expiry)
                 seen["no_fit"] += not fits
                 if fits or op < 0.5:   # no guard: some leases overcommit
@@ -307,10 +334,17 @@ def test_resource_state_matches_triple_reference():
             for (i, r) in keys:
                 assert new.free_row((i, r), new.now, new.now + 12) == [
                     ref.free(i, r, t) for t in range(new.now, new.now + 12)]
+                assert all(units <= new.peak[i, r]
+                           for units in new.committed[i, r].values())
             assert new.now == ref.now
             assert {(i, r, t): units for (i, r), row in new.committed.items()
                     for t, units in row.items()} == ref.committed
             assert new.leases == ref.leases
+            assert sorted(req_id for filed in new.expiring.values()
+                          for req_id in filed) == sorted(ref.leases)
+            assert all(new.leases[req_id].expiry == expiry
+                       for expiry, filed in new.expiring.items()
+                       for req_id in filed)
             assert new.audit() == ref.audit() is None
     assert all(count > 0 for count in seen.values()), seen
 

@@ -9,7 +9,7 @@ import pytest
 import scipy.stats
 
 from edgeorch import simulator
-from edgeorch.allocator import _AdmissionRule
+from edgeorch.allocator import REJECT_CAPACITY, _AdmissionRule
 from edgeorch.cli import resolve_data
 from edgeorch.model import (DataCatalog, Request, Topology, VMCatalog,
                             ordered_sum)
@@ -21,7 +21,8 @@ from edgeorch.simulator import (POLICIES, RunReport, Workload, WorkloadConfig,
                                 lookahead_oracle, perturb_demand, run_policy,
                                 theorem1_check, zipf_probabilities)
 from edgeorch.verification import _exp1_run, tiny_instances
-from reference_rules import pack_requests, reference_lookahead_oracle
+from reference_rules import (ReferenceResourceState, pack_requests,
+                             reference_lookahead_oracle)
 
 
 def test_workload_config_round_trip():
@@ -369,6 +370,36 @@ def test_run_policy_threads_the_queue_between_slots():
                                                 for s in rep.slots]
         traces[policy] = rep.queue_trace
     assert len(set(traces["proposed"])) > 2
+
+
+@pytest.mark.parametrize("name", ["stress", "desk"])
+def test_replays_match_through_the_plain_ledger(monkeypatch, name):
+    """Ten slots of a stream under each policy, once with ResourceState and
+    once with the triple-keyed ReferenceResourceState in its place: equal
+    decision-log columns, slot reports, placements and counters.  Capacity
+    binds on stress, whose replays turn requests away for want of it, and
+    never on desk."""
+    scn = load_scenario(DATA_DIR / f"{name}.json")
+    wl = shared_workload(scn, horizon_coarse=10)
+    plain_ledgers = []
+
+    def plain_ledger(capacity):
+        plain_ledgers.append(ReferenceResourceState(capacity))
+        return plain_ledgers[-1]
+
+    refused = 0
+    for policy in POLICIES:
+        rep = run_policy(policy, scn, wl, 10)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "ResourceState", plain_ledger)
+            plain = run_policy(policy, scn, wl, 10)
+        assert rep.decisions.columns() == plain.decisions.columns()
+        assert rep.slots == plain.slots
+        assert rep.placements == plain.placements
+        assert rep.counters == plain.counters
+        refused += rep.decisions.reason.count(REJECT_CAPACITY)
+    assert len(plain_ledgers) == len(POLICIES)
+    assert (refused > 0) == (name == "stress"), refused
 
 
 def test_run_policy_rejects_unknown_policy():
